@@ -1,7 +1,8 @@
 """Command-line entry point: dataset generation, training, gradient checks,
 evaluation and sweeps, all driven by JSON config files.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/validation error. Every
+Exit codes: 0 success, 1 runtime failure (a diverged run among them), 2
+usage/validation error (unreadable config, dataset or checkpoint). Every
 command is deterministic given its inputs and --seed; re-runs overwrite
 byte-identical outputs apart from the summary timestamp and the wall-time
 metrics column.
@@ -76,6 +77,11 @@ def cmd_train(args) -> int:
         raise ConfigError(f"dataset file not found: {cfg.dataset_path}")
     metrics_path = os.path.join(args.out, "metrics.csv")
     checkpoint_path = os.path.join(args.out, "checkpoint.json")
+    logged = []
+    if args.resume:
+        if not os.path.exists(checkpoint_path):
+            raise ConfigError(f"checkpoint not found: {checkpoint_path}")
+        logged = load_checkpoint(checkpoint_path, cfg)["log"]
 
     fh = open(metrics_path, "w", newline="", encoding="utf-8")
     writer = csv.writer(fh, lineterminator="\n")
@@ -88,11 +94,9 @@ def cmd_train(args) -> int:
         fh.flush()
 
     try:
-        if args.resume:
-            # keep already-logged epochs at the top of the metrics file
-            st = load_checkpoint(checkpoint_path, cfg)
-            for row in st["log"]:
-                on_epoch(row)
+        # keep already-logged epochs at the top of the metrics file
+        for row in logged:
+            on_epoch(row)
         result = run_experiment(cfg, checkpoint_path=checkpoint_path,
                                 resume=args.resume, on_epoch=on_epoch)
     finally:

@@ -6,6 +6,11 @@ from the same traced operations, so the output of `grad(..., create_graph=True)`
 is itself a differentiable node and gradients can be pushed through gradients
 (needed for the one-step unrolled meta update).
 
+Training does not run on the engine: the training steps use the numpy
+kernels of `nn`. The engine is the reference they are checked against, by
+`gradcheck` and the tests, through the unrolled meta route in `meta` and the
+loss functions in `nn`.
+
 Only rank-0 scalars and rank-2 matrices exist; vectors are 1xN or Nx1
 matrices. All values are float64.
 """

@@ -1,9 +1,11 @@
 """Finite-difference oracles for every analytic gradient path.
 
 Central differences are the independent reference: nothing here reuses the
-reverse-mode machinery it is checking, beyond evaluating the function being
-differenced. Entries with vanishing analytic gradient are compared
-absolutely, everything else relatively.
+machinery it is checking, beyond evaluating the function being differenced.
+The meta gradient is checked on the fused route that training runs
+(`meta_gradient`), against differences of the unrolled engine route and
+against that route's own reverse-mode gradient. Entries with vanishing
+analytic gradient are compared absolutely, everything else relatively.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Tensor, grad, mul, softmax, sum_all
-from .meta import SoftLabeler, _virtual, meta_grad_via_similarity, meta_loss
+from .meta import SoftLabeler, _virtual, meta_gradient, meta_loss
 from .nn import cce_loss, entropy_loss, init_mlp, kl_loss, one_hot
 
 FD_STEP = 1e-5
@@ -165,14 +167,19 @@ def _unrolled_phi_grad(labeler, theta, x, v, mx, my, inner_lr):
     return [g.value for g in grad(meta_loss(theta_hat, mx, my), labeler.params())]
 
 
+def _fused_phi_grad(labeler, theta, x, v, mx, my, inner_lr):
+    return meta_gradient(labeler, theta, x, v, mx, my, inner_lr=inner_lr)[0]
+
+
 def check_meta_gradient(n_seeds: int = 20, tolerance: float = 1e-4,
                         inner_lr: float = 1.0) -> CheckReport:
-    """Unrolled second-order generator gradient vs central differences that
-    rebuild labels, virtual update and meta loss at each perturbed point."""
+    """Fused generator gradient (the one training uses) vs central
+    differences that rebuild labels, virtual update and meta loss on the
+    engine at each perturbed point."""
     worst = 0.0
     for seed in range(n_seeds):
         theta, labeler, x, v, mx, my = _tiny_problem(seed)
-        analytic = _unrolled_phi_grad(labeler, theta, x, v, mx, my, inner_lr)
+        analytic = _fused_phi_grad(labeler, theta, x, v, mx, my, inner_lr)
 
         def loss_at(wv, bv) -> float:
             lab = SoftLabeler(Tensor(wv), Tensor(bv))
@@ -185,25 +192,24 @@ def check_meta_gradient(n_seeds: int = 20, tolerance: float = 1e-4,
         fd_b = fd_gradient(lambda a: loss_at(w0, a), b0)
         worst = max(worst, mixed_error(analytic[0], fd_w),
                     mixed_error(analytic[1], fd_b))
-    return CheckReport("meta gradient (unrolled) vs finite differences",
+    return CheckReport("meta gradient (fused) vs finite differences",
                        worst, tolerance, n_seeds)
 
 
 def check_route_equivalence(n_seeds: int = 20, tolerance: float = 1e-6,
                             inner_lr: float = 1.0, *,
                             corrupt: bool = False) -> CheckReport:
-    """Unrolled gradient vs the per-sample similarity assembly; absolute
-    comparison. `corrupt` deliberately skews the assembled route (negative
+    """Fused forward-mode gradient vs the unrolled engine gradient; absolute
+    comparison. `corrupt` deliberately skews the fused route (negative
     control for the reporting pipeline)."""
     worst = 0.0
     for seed in range(n_seeds):
         theta, labeler, x, v, mx, my = _tiny_problem(seed)
         unrolled = _unrolled_phi_grad(labeler, theta, x, v, mx, my, inner_lr)
-        assembled = meta_grad_via_similarity(labeler, theta, x, v, mx, my,
-                                             inner_lr=inner_lr)
+        fused = _fused_phi_grad(labeler, theta, x, v, mx, my, inner_lr)
         if corrupt:
-            assembled = [a + 1e-3 for a in assembled]
-        for a, b in zip(unrolled, assembled):
+            fused = [a + 1e-3 for a in fused]
+        for a, b in zip(unrolled, fused):
             worst = max(worst, float(np.abs(a - b).max()))
     return CheckReport("meta gradient route equivalence (absolute)", worst,
                        tolerance, n_seeds)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import data as dt
 from .data import Dataset, load_dataset
-from .engine import Tensor, grad, no_grad, softmax
-from .meta import FeatureExtractor, SoftLabeler, conventional_step, meta_step
-from .nn import Mlp, cce_loss, init_mlp, make_optimizer, one_hot
+from .engine import Tensor, no_grad, softmax
+from .meta import FeatureExtractor, SoftLabeler, ce_step, conventional_step, meta_step
+from .nn import DivergenceError, Mlp, init_mlp, make_optimizer, mlp_logits, one_hot
 
 CHECKPOINT_VERSION = 1
 
@@ -257,15 +257,10 @@ def train_margin_oracle(ds: Dataset, hidden: list[int], seed: int,
     net = init_mlp([ds.dims] + list(hidden) + [ds.n_classes], rng)
     opt = make_optimizer("sgd-momentum", [p.shape for p in net.params()], lr=lr)
     idx = ds.indices(dt.TRAIN)
-    for _ in range(epochs):
-        order = rng.permutation(idx.size)
-        for start in range(0, idx.size, batch_size):
-            rows = idx[order[start:start + batch_size]]
-            logits, _ = net.forward(Tensor(ds.x[rows]))
-            loss = cce_loss(softmax(logits), one_hot(ds.y_clean[rows], ds.n_classes))
-            grads = grad(loss, net.params())
-            vals = opt.step([p.value for p in net.params()], [g.value for g in grads])
-            net = net.with_params([Tensor(v) for v in vals])
+    x, labels = ds.x[idx], ds.y_clean[idx]
+    for epoch in range(epochs):
+        net, _ = _ce_epoch(net, x, labels, opt, batch_size, rng,
+                           f"margin oracle epoch {epoch}")
     return net
 
 
@@ -312,9 +307,8 @@ def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
         if idx.size == 0:
             raise ValueError(f"empty split {split!r}")
         y = ds.y_clean[idx]
-    with no_grad():
-        logits, _ = theta.forward(Tensor(ds.x[idx]))
-    return float((logits.value.argmax(axis=1) == y).mean())
+    logits = mlp_logits([(w.value, b.value) for w, b in theta.layers], ds.x[idx])
+    return float((logits.argmax(axis=1) == y).mean())
 
 
 def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
@@ -337,24 +331,35 @@ def clone_extractor(theta: Mlp, mode: str = "penultimate") -> FeatureExtractor:
     return FeatureExtractor.from_classifier(theta, mode)
 
 
-def _ce_epoch(theta: Mlp, ds: Dataset, opt, batch_size: int,
-              rng: np.random.Generator) -> tuple[Mlp, float]:
-    """One epoch of cross-entropy training on the noisy labels of labeled
-    train rows (used for warm-up, the margin oracle stays separate)."""
+def _in_context(where: str, err: Exception) -> Exception:
+    """`err` restated with where in the run it happened; a divergence keeps
+    its type (and exit code), anything else becomes a RuntimeError."""
+    kind = DivergenceError if isinstance(err, DivergenceError) else RuntimeError
+    return kind(f"{where}: {err}")
+
+
+def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Features and noisy labels of the labeled train rows."""
     idx = ds.labeled_train_indices()
     if idx.size == 0:
         raise ValueError("no labeled train rows")
-    order = rng.permutation(idx.size)
+    return ds.x[idx], ds.train_labels(idx)
+
+
+def _ce_epoch(theta: Mlp, x: np.ndarray, labels: np.ndarray, opt, batch_size: int,
+              rng: np.random.Generator, where: str) -> tuple[Mlp, float]:
+    """One epoch of cross-entropy steps over the rows (x, labels) in a fresh
+    shuffled order: warm-up, baseline and margin-oracle training. Returns the
+    classifier and the batch-mean loss; failures name `where` and the batch."""
+    order = rng.permutation(len(x))
     total, batches = 0.0, 0
-    for start in range(0, idx.size, batch_size):
-        rows = idx[order[start:start + batch_size]]
-        y = one_hot(ds.train_labels(rows), ds.n_classes)
-        logits, _ = theta.forward(Tensor(ds.x[rows]))
-        loss = cce_loss(softmax(logits), y)
-        grads = grad(loss, theta.params())
-        vals = opt.step([p.value for p in theta.params()], [g.value for g in grads])
-        theta = theta.with_params([Tensor(v) for v in vals])
-        total += loss.item()
+    for start in range(0, len(x), batch_size):
+        pos = order[start:start + batch_size]
+        try:
+            theta, loss = ce_step(theta, x[pos], labels[pos], opt)
+        except Exception as e:
+            raise _in_context(f"{where}, batch {batches}", e) from e
+        total += loss
         batches += 1
     return theta, total / batches
 
@@ -368,9 +373,11 @@ def warmup_phase(cfg: TrainConfig, ds: Dataset) -> Mlp:
                      np.random.default_rng(seeds["init"]))
     opt = make_optimizer(cfg.classifier_optimizer, [p.shape for p in theta.params()],
                          lr=lr_at(cfg.lr_schedule, 0), weight_decay=cfg.weight_decay)
+    x, labels = _noisy_rows(ds)
     for epoch in range(cfg.warmup_epochs):
         opt.lr = lr_at(cfg.lr_schedule, epoch)
-        theta, _ = _ce_epoch(theta, ds, opt, cfg.batch_size, rng)
+        theta, _ = _ce_epoch(theta, x, labels, opt, cfg.batch_size, rng,
+                             f"epoch {epoch} (warm-up)")
     return theta
 
 
@@ -502,13 +509,25 @@ def save_checkpoint(path: str, *, cfg: TrainConfig, epoch_next: int, theta: Mlp,
 
 def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> dict:
     """Restore a checkpoint; when cfg is given its hash must match the one
-    the checkpoint was written under."""
+    the checkpoint was written under. Every way the file can be unreadable
+    raises a ValueError that names it."""
     with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {blob.get('version')}")
-    if cfg is not None and blob["config_hash"] != cfg.config_hash():
-        raise ValueError("checkpoint was written by a different config")
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"checkpoint {path} is not valid JSON: {e}") from e
+    version = blob.get("version") if isinstance(blob, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version}")
+    if cfg is not None and blob.get("config_hash") != cfg.config_hash():
+        raise ValueError(f"checkpoint {path} was written by a different config")
+    try:
+        return _checkpoint_from_json(blob)
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
+
+
+def _checkpoint_from_json(blob: dict) -> dict:
     out = {
         "epoch_next": blob["epoch_next"],
         "theta": _mlp_from_json(blob["theta"]),
@@ -611,10 +630,8 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
         nan = float("nan")
         if epoch < cfg.warmup_epochs:
             opt_theta.lr = lam
-            try:
-                theta, loss_c = _ce_epoch(theta, ds, opt_theta, cfg.batch_size, run_rng)
-            except Exception as e:
-                raise RuntimeError(f"epoch {epoch} (warm-up): {e}") from e
+            theta, loss_c = _ce_epoch(theta, *_noisy_rows(ds), opt_theta,
+                                      cfg.batch_size, run_rng, f"epoch {epoch} (warm-up)")
             phase, loss_e, loss_meta = "warmup", nan, nan
             mean_sim, diff_mean, diff_var = nan, nan, nan
         else:
@@ -639,7 +656,7 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
                         theta, labeler, x, v, lam, opt_theta,
                         use_entropy=cfg.entropy_loss)
                 except Exception as e:
-                    raise RuntimeError(f"epoch {epoch}, batch {batches}: {e}") from e
+                    raise _in_context(f"epoch {epoch}, batch {batches}", e) from e
                 sums += (lc, le, report.meta_loss, report.mean_similarity)
                 batches += 1
             loss_c, loss_e, loss_meta, mean_sim = sums / batches
@@ -691,10 +708,12 @@ def baseline_ce(cfg: TrainConfig, dataset: Dataset | None = None) -> ExperimentR
     best_epoch, best_meta_acc = -1, -1.0
     theta_best = theta.copy()
     nan = float("nan")
+    x, labels = _noisy_rows(ds)
     for epoch in range(cfg.total_epochs):
         t0 = time.perf_counter()
         opt.lr = lr_at(cfg.lr_schedule, epoch)
-        theta, loss_c = _ce_epoch(theta, ds, opt, cfg.batch_size, run_rng)
+        theta, loss_c = _ce_epoch(theta, x, labels, opt, cfg.batch_size, run_rng,
+                                  f"epoch {epoch} (baseline)")
         train_acc = evaluate(theta, ds, dt.TRAIN)
         meta_acc = evaluate(theta, ds, dt.META)
         test_acc = evaluate(theta, ds, dt.TEST)

@@ -1,11 +1,19 @@
-"""Soft-label generation and the two-level training steps.
+"""Soft-label generation and the training steps.
 
 The generator is a single dense layer + softmax over frozen features. Its
 update differentiates the meta objective through a one-step virtual SGD
 update of the classifier, i.e. a gradient is pushed through a gradient.
-A second, analytically assembled route for the same gradient (per-sample
-gradient inner products against a constant meta-gradient) is kept alongside
-as a cross-check; it must agree with the unrolled route to float precision.
+
+Two routes compute that gradient. The fused route (`meta_gradient`, behind
+`meta_step`) builds no graph: the meta gradient with respect to the
+generator's logits is (inner_lr / n) (J - q * rowsum J), where J is the
+forward-mode derivative (Pearlmutter's R-operator) of the classifier's
+softmax at theta along g, the meta-loss gradient at the virtually updated
+parameters. This is the batch form of the gradient-similarity identity of
+Ren et al. 2018. It runs on the numpy kernels of `nn`, as do the classifier
+steps. The unrolled route (`_virtual`, `virtual_update`, `meta_loss`) records
+the virtual update on the autodiff engine and differentiates through it; it
+is the reference the fused route is checked against, never the hot path.
 """
 
 from __future__ import annotations
@@ -14,8 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradError, Tensor, grad, linear, no_grad, relu, softmax, sum_all, mul
-from .nn import Mlp, cce_loss, check_one_hot, entropy_loss, kl_loss
+from .engine import Tensor, grad, linear, softmax
+from .nn import (
+    DivergenceError,
+    Mlp,
+    cce_loss,
+    check_one_hot,
+    kl_loss,
+    log_softmax,
+    mlp_backward,
+    mlp_deltas,
+    mlp_forward,
+    mlp_jvp,
+    mlp_logits,
+)
 
 EXTRACTOR_MODES = ("penultimate", "logits")
 
@@ -52,16 +72,12 @@ class FeatureExtractor:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"extractor expects (N, {self.in_dim}) input, got {x.shape}")
-        with no_grad():
-            h = Tensor(x)
-            if self.mode == "penultimate":
-                for w, b in self.layers:
-                    h = relu(linear(h, w, b))
-                return h.value
-            for w, b in self.layers[:-1]:
-                h = relu(linear(h, w, b))
-            w, b = self.layers[-1]
-            return linear(h, w, b).value
+        layers = _arrays(self)
+        if self.mode == "logits":
+            return mlp_logits(layers, x)
+        for w, b in layers:
+            x = np.maximum(x @ w + b, 0.0)
+        return x
 
 
 def extract_features(extractor: FeatureExtractor, x: np.ndarray) -> np.ndarray:
@@ -97,9 +113,6 @@ class SoftLabeler:
                 f"feature width {v.shape[1]} does not match generator ({self.weight.shape[0]})")
         return softmax(linear(v, self.weight, self.bias))
 
-    def with_params(self, weight: Tensor, bias: Tensor) -> "SoftLabeler":
-        return SoftLabeler(weight, bias)
-
 
 def generate_soft_labels(labeler: SoftLabeler, v) -> Tensor:
     return labeler.soft_labels(v)
@@ -114,11 +127,11 @@ class MetaStepReport:
     def __post_init__(self):
         vals = (self.meta_loss, self.grad_phi_norm, self.mean_similarity)
         if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite meta step report: {vals}")
+            raise DivergenceError(f"diverged: non-finite meta step report {vals}")
 
 
 # ---------------------------------------------------------------------------
-# the three iteration steps
+# the unrolled reference route (engine)
 
 
 def _virtual(theta: Mlp, x, y_hat: Tensor, inner_lr: float):
@@ -154,38 +167,79 @@ def meta_loss(theta_hat: Mlp, meta_x, meta_y_onehot: np.ndarray) -> Tensor:
     return cce_loss(softmax(logits), meta_y_onehot)
 
 
+# ---------------------------------------------------------------------------
+# the training steps (fused route, numpy kernels)
+
+
+def _arrays(net) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (weight, bias) arrays of an Mlp or FeatureExtractor."""
+    return [(w.value, b.value) for w, b in net.layers]
+
+
+def _apply(optimizer, params: list[Tensor], grads: list[np.ndarray]) -> list[Tensor]:
+    return [Tensor(v) for v in optimizer.step([p.value for p in params], grads)]
+
+
+def _soft_label_dz(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-row logit gradient of sum(p * w) with p = softmax(z), w held fixed."""
+    return p * (w - (p * w).sum(axis=1, keepdims=True))
+
+
+def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray,
+                  meta_x: np.ndarray, meta_y_onehot: np.ndarray, *,
+                  inner_lr: float) -> tuple[list[np.ndarray], MetaStepReport]:
+    """Gradient of the meta loss through the virtual update with respect to
+    the generator's (weight, bias), and the step report; no graph is built.
+
+    Passes: forward and backward at theta on x (the inner gradient), forward
+    and backward at theta_hat on the meta batch (g), one forward-mode pass at
+    theta along g. Raises DivergenceError on a non-finite value or a
+    probability underflow.
+    """
+    n = len(x)
+    if len(meta_x) != n:
+        raise ValueError(f"meta batch size {len(meta_x)} != train batch size {n}")
+    check_one_hot(meta_y_onehot, theta.out_dim)
+    layers = _arrays(theta)
+    w_phi, b_phi = labeler.weight.value, labeler.bias.value
+    log_q, q = log_softmax(v @ w_phi + b_phi)
+
+    z, acts = mlp_forward(layers, x)
+    log_p, p = log_softmax(z)
+    inner = mlp_backward(layers, acts, _soft_label_dz(p, log_p - log_q) / n)
+    if not all(np.all(np.isfinite(g)) for g in inner):
+        raise DivergenceError("diverged: non-finite gradient in virtual update")
+
+    hat = [(w - inner_lr * gw, b - inner_lr * gb)
+           for (w, b), gw, gb in zip(layers, inner[0::2], inner[1::2])]
+    z_hat, acts_hat = mlp_forward(hat, meta_x)
+    log_p_hat, p_hat = log_softmax(z_hat)
+    l_meta = -float((meta_y_onehot * log_p_hat).sum()) / n
+    g = mlp_backward(hat, acts_hat, (p_hat - meta_y_onehot) / n)
+
+    dz = mlp_jvp(layers, acts, g)
+    jac = p * (dz - (p * dz).sum(axis=1, keepdims=True))
+    big_g = (inner_lr / n) * (jac - q * jac.sum(axis=1, keepdims=True))
+    phi_grads = [v.T @ big_g, big_g.sum(axis=0, keepdims=True)]
+
+    report = MetaStepReport(
+        meta_loss=l_meta,
+        grad_phi_norm=float(np.sqrt(sum(float(np.vdot(a, a)) for a in phi_grads))),
+        mean_similarity=sum(float(np.vdot(a, b)) for a, b in zip(inner, g)))
+    return phi_grads, report
+
+
 def meta_step(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray,
               meta_x: np.ndarray, meta_y_onehot: np.ndarray, *,
               inner_lr: float, optimizer) -> tuple[SoftLabeler, MetaStepReport]:
     """Update the generator by the gradient of the meta loss through the
-    virtual update (the second-order path). The classifier is not modified.
+    virtual update (`meta_gradient`). The classifier is not modified.
 
-    The optimizer's learning rate is the meta step size. Raises GradError if
-    the recorded graph does not connect the meta loss back to the generator
-    (there is no silent first-order fallback).
+    The optimizer's learning rate is the meta step size.
     """
-    if len(meta_x) != len(x):
-        raise ValueError(f"meta batch size {len(meta_x)} != train batch size {len(x)}")
-    y_hat = labeler.soft_labels(v)
-    theta_hat, _, inner_grads = _virtual(theta, x, y_hat, inner_lr)
-    l_meta = meta_loss(theta_hat, meta_x, meta_y_onehot)
-    targets = labeler.params() + theta_hat.params()
-    try:
-        grads = grad(l_meta, targets)
-    except GradError as e:
-        raise GradError(f"second-order path unavailable: {e}") from e
-    phi_grads, that_grads = grads[:2], grads[2:]
-
-    # batch-mean similarity: <grad of train loss, grad of meta loss at theta_hat>
-    mean_sim = sum(float(np.vdot(a.value, b.value))
-                   for a, b in zip(inner_grads, that_grads))
-    gnorm = float(np.sqrt(sum(float(np.vdot(g.value, g.value)) for g in phi_grads)))
-
-    new_w, new_b = optimizer.step([p.value for p in labeler.params()],
-                                  [g.value for g in phi_grads])
-    report = MetaStepReport(meta_loss=l_meta.item(), grad_phi_norm=gnorm,
-                           mean_similarity=mean_sim)
-    return labeler.with_params(Tensor(new_w), Tensor(new_b)), report
+    phi_grads, report = meta_gradient(labeler, theta, x, v, meta_x, meta_y_onehot,
+                                      inner_lr=inner_lr)
+    return SoftLabeler(*_apply(optimizer, labeler.params(), phi_grads)), report
 
 
 def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
@@ -197,25 +251,41 @@ def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
     the loss is the KL classification term plus (optionally) the entropy
     term that keeps predictions peaked. Returns (theta', L_c, L_e).
     """
-    with no_grad():
-        y_hat = labeler.soft_labels(v)
-    logits, _ = theta.forward(Tensor(x))
-    probs = softmax(logits)
-    l_c = kl_loss(probs, Tensor(y_hat.value))
-    l_e = entropy_loss(probs) if use_entropy else Tensor(0.0)
-    total = l_c + l_e if use_entropy else l_c
-    if not np.isfinite(total.value):
-        raise ValueError("non-finite classifier loss")
-    grads = grad(total, theta.params())
+    log_q, _ = log_softmax(v @ labeler.weight.value + labeler.bias.value)
+    layers = _arrays(theta)
+    z, acts = mlp_forward(layers, x)
+    log_p, p = log_softmax(z)
+    n = len(x)
+    l_c = float((p * (log_p - log_q)).sum()) / n
+    l_e = -float((p * log_p).sum()) / n if use_entropy else 0.0
+    if not np.isfinite(l_c + l_e):
+        raise DivergenceError("diverged: non-finite classifier loss")
+    # KL plus entropy is the cross-entropy -sum(p log q)
+    dz = _soft_label_dz(p, -log_q if use_entropy else log_p - log_q) / n
     optimizer.lr = lam
-    new_vals = optimizer.step([p.value for p in theta.params()],
-                              [g.value for g in grads])
-    new_theta = theta.with_params([Tensor(val) for val in new_vals])
-    return new_theta, l_c.item(), l_e.item()
+    new_theta = theta.with_params(
+        _apply(optimizer, theta.params(), mlp_backward(layers, acts, dz)))
+    return new_theta, l_c, l_e
+
+
+def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
+            optimizer) -> tuple[Mlp, float]:
+    """One optimizer step of batch-mean cross-entropy on hard class labels
+    (warm-up, baseline and margin oracle). Returns (theta', loss)."""
+    layers = _arrays(theta)
+    z, acts = mlp_forward(layers, x)
+    log_p, p = log_softmax(z)
+    rows = np.arange(len(x))
+    loss = -float(log_p[rows, labels].sum()) / len(x)
+    dz = p.copy()
+    dz[rows, labels] -= 1.0
+    dz /= len(x)
+    return theta.with_params(
+        _apply(optimizer, theta.params(), mlp_backward(layers, acts, dz))), loss
 
 
 # ---------------------------------------------------------------------------
-# diagnostic / cross-check route
+# diagnostics
 
 
 def similarity_matrix(theta: Mlp, theta_hat: Mlp, x: np.ndarray, y_hat: Tensor,
@@ -224,70 +294,18 @@ def similarity_matrix(theta: Mlp, theta_hat: Mlp, x: np.ndarray, y_hat: Tensor,
     gradient (at theta) with meta sample j's cross-entropy gradient (at
     theta_hat), gradients flattened layer by layer, weight before bias.
 
-    Diagnostic only; quadratic in batch size."""
-    n_b = x.shape[0]
-    g_train = _train_grad_rows(theta, x, y_hat, create_graph=False)
-    g_meta = _meta_grad_rows(theta_hat, meta_x, meta_y_onehot)
-    s = np.zeros((n_b, meta_x.shape[0]))
-    for i, gi in enumerate(g_train):
-        flat_i = np.concatenate([g.value.ravel() for g in gi])
-        for j, gj in enumerate(g_meta):
-            s[i, j] = float(flat_i @ gj)
-    return s
-
-
-def _train_grad_rows(theta: Mlp, x: np.ndarray, y_hat: Tensor, *, create_graph: bool):
-    """Per-sample gradients of the soft-label classification loss wrt theta."""
-    rows = []
-    params = theta.params()
-    for i in range(x.shape[0]):
-        logits, _ = theta.forward(Tensor(x[i:i + 1]))
-        # one-row slice of y_hat that keeps the generator dependency
-        sel = np.zeros((1, x.shape[0]))
-        sel[0, i] = 1.0
-        y_row = Tensor(sel) @ y_hat
-        loss = kl_loss(softmax(logits), y_row)
-        rows.append(grad(loss, params, create_graph=create_graph))
-    return rows
-
-
-def _meta_grad_rows(theta_hat: Mlp, meta_x: np.ndarray, meta_y_onehot: np.ndarray):
-    """Per-sample meta-loss gradients at theta_hat, flattened, as constants."""
-    out = []
-    frozen = theta_hat.with_params([p.detach() for p in theta_hat.params()])
-    for j in range(meta_x.shape[0]):
-        logits, _ = frozen.forward(Tensor(meta_x[j:j + 1]))
-        loss = cce_loss(softmax(logits), meta_y_onehot[j:j + 1])
-        gj = grad(loss, frozen.params())
-        out.append(np.concatenate([g.value.ravel() for g in gj]))
-    return out
-
-
-def meta_grad_via_similarity(labeler: SoftLabeler, theta: Mlp, x: np.ndarray,
-                             v: np.ndarray, meta_x: np.ndarray,
-                             meta_y_onehot: np.ndarray, *,
-                             inner_lr: float = 1.0) -> list[np.ndarray]:
-    """Generator gradient assembled from per-sample gradient similarities.
-
-    Builds S[i, j] with the meta-side gradients held constant, sums the
-    per-train-sample mean similarity, differentiates that scalar with
-    respect to the generator, and rescales. Must equal the unrolled
-    second-order gradient up to float roundoff.
+    A dense layer's per-sample gradient is the outer product of its input
+    row h and its pre-activation gradient row d, so
+    S = sum over layers of (H H'^T + 1) * (D D'^T). Diagnostic only.
     """
-    n_b = x.shape[0]
-    y_hat = labeler.soft_labels(v)
-    g_train = _train_grad_rows(theta, x, y_hat, create_graph=True)
-    theta_hat, _, _ = _virtual(theta, x, y_hat, inner_lr)
-    g_meta = _meta_grad_rows(theta_hat, meta_x, meta_y_onehot)
-    mean_meta = np.mean(np.stack(g_meta, axis=0), axis=0)
-
-    # sum_i mean_j S_ij, with S built against constant meta gradients
-    total = Tensor(0.0)
-    offsets = np.cumsum([0] + [p.value.size for p in theta.params()])
-    for gi in g_train:
-        for k, g in enumerate(gi):
-            const = mean_meta[offsets[k]:offsets[k + 1]].reshape(g.shape)
-            total = total + sum_all(mul(g, Tensor(const)))
-    phi_grads = grad(total, labeler.params())
-    scale = -inner_lr / n_b
-    return [scale * g.value for g in phi_grads]
+    layers, hat = _arrays(theta), _arrays(theta_hat)
+    z, acts = mlp_forward(layers, x)
+    log_p, p = log_softmax(z)
+    dz = _soft_label_dz(p, log_p - np.log(y_hat.value))
+    z_hat, acts_hat = mlp_forward(hat, meta_x)
+    _, p_hat = log_softmax(z_hat)
+    s = np.zeros((len(x), len(meta_x)))
+    for h, d, h2, d2 in zip(acts, mlp_deltas(layers, acts, dz),
+                            acts_hat, mlp_deltas(hat, acts_hat, p_hat - meta_y_onehot)):
+        s += (h @ h2.T + 1.0) * (d @ d2.T)
+    return s

@@ -1,8 +1,13 @@
-"""MLP parameters, the three training losses, and first-order optimizers.
+"""MLP parameters and kernels, the three training losses, and first-order
+optimizers.
 
-Losses are built from engine ops, so their gradients (and gradients of those
-gradients) come from the same reverse-mode machinery. Optimizers work on raw
-float64 arrays: parameter updates are ordinary numerics, never differentiated.
+The kernels (`mlp_forward`, `mlp_backward`, `mlp_jvp`, `log_softmax`) are
+hand-written numpy passes over the fixed network shape: rectifier hidden
+layers, identity output. The training steps in `meta` run on them alone.
+The losses are built from engine ops, so their gradients (and gradients of
+those gradients) come from the reverse-mode engine; they are the reference
+the kernels are checked against. Optimizers work on raw float64 arrays:
+parameter updates are ordinary numerics, never differentiated.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ PROB_FLOOR = 1e-12  # clamp applied inside losses only, never to stored labels
 
 class ShapeError(ValueError):
     """Dimension mismatch between data and parameters."""
+
+
+class DivergenceError(ArithmeticError):
+    """Training left the representable range: a non-finite value, or a
+    probability that underflowed to 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +116,80 @@ def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
         w = rng.uniform(-s, s, size=(fan_in, fan_out))
         layers.append((Tensor(w), Tensor(np.zeros((1, fan_out)))))
     return Mlp(layers)
+
+
+# ---------------------------------------------------------------------------
+# kernels on raw arrays: `layers` is a list of (weight, bias) arrays and
+# parameter lists are flat, layer order, weight before bias (as Mlp.params)
+
+
+def mlp_logits(layers, x: np.ndarray) -> np.ndarray:
+    """Logits only; each hidden activation is freed once the next layer has
+    consumed it."""
+    h = x
+    for w, b in layers[:-1]:
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    w, b = layers[-1]
+    return h @ w + b
+
+
+def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Returns (logits, acts): acts[l] is the input of layer l, so acts[0] is
+    x and acts[l > 0] the rectified output of layer l - 1."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    return acts[-1] @ w + b, acts
+
+
+def mlp_deltas(layers, acts: list[np.ndarray], dz: np.ndarray) -> list[np.ndarray]:
+    """Gradient of the loss with respect to each layer's pre-activation,
+    given dz with respect to the logits; row i depends only on sample i."""
+    deltas = [dz]
+    for l in range(len(layers) - 1, 0, -1):
+        deltas.append((deltas[-1] @ layers[l][0].T) * (acts[l] > 0.0))
+    return deltas[::-1]
+
+
+def mlp_backward(layers, acts: list[np.ndarray], dz: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients from dz, the gradient with respect to the logits."""
+    out = []
+    for h, d in zip(acts, mlp_deltas(layers, acts, dz)):
+        out.append(h.T @ d)
+        out.append(d.sum(axis=0, keepdims=True))
+    return out
+
+
+def mlp_jvp(layers, acts: list[np.ndarray], tangents: list[np.ndarray]) -> np.ndarray:
+    """Forward-mode derivative of the logits along a parameter direction
+    (a flat list shaped like the parameters), at the point acts came from."""
+    dh = None
+    for l, (w, _) in enumerate(layers):
+        da = acts[l] @ tangents[2 * l] + tangents[2 * l + 1]
+        if dh is not None:
+            da += dh @ w
+        if l + 1 < len(layers):
+            dh = da * (acts[l + 1] > 0.0)
+    return da
+
+
+def log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (log p, p) for p = softmax(z).
+
+    Raises DivergenceError for non-finite logits and for a probability that
+    underflows to 0, the two ways a diverging classifier shows up here.
+    """
+    if not np.all(np.isfinite(z)):
+        raise DivergenceError("diverged: non-finite logits")
+    s = z - z.max(axis=1, keepdims=True)
+    logp = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+    p = np.exp(logp)
+    if not np.all(p > 0.0):
+        raise DivergenceError("diverged: a probability underflowed to 0")
+    return logp, p
 
 
 # ---------------------------------------------------------------------------

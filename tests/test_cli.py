@@ -152,6 +152,50 @@ def test_train_resume_matches_straight_run(tmp_path):
     assert sa == sb
 
 
+def test_train_divergence_is_a_runtime_error_naming_epoch_and_batch(tmp_path, capsys):
+    cases = (([[0, 1e6]], "epoch 0 (warm-up), batch "),
+             ([[0, 1e-2], [1, 1e6]], "epoch 1, batch "))
+    for i, (schedule, where) in enumerate(cases):
+        cfg = tiny_config(**{"train.lr_schedule": schedule, "train.warmup_epochs": 1})
+        cfg_path = write_config(tmp_path, cfg, name=f"config{i}.json")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / f"r{i}")]) == 1
+        err = capsys.readouterr().err
+        assert where in err and "diverged" in err, err
+
+
+def test_train_resume_without_checkpoint_is_usage_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config())
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
+    assert f"checkpoint not found: {out / 'checkpoint.json'}" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_usage_error_naming_the_file(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config())
+    data_path = tmp_path / "data.dsv"
+    out = tmp_path / "run"
+    assert main(["gen-data", "--config", cfg_path, "--out", str(data_path)]) == 0
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    cp = out / "checkpoint.json"
+    cp.write_text(cp.read_text()[:200])
+    metrics = (out / "metrics.csv").read_text()
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
+    assert str(cp) in capsys.readouterr().err
+    assert (out / "metrics.csv").read_text() == metrics  # not truncated by the failed resume
+    assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]) == 2
+    assert str(cp) in capsys.readouterr().err
+    # valid JSON with a field missing
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    blob = json.loads(cp.read_text())
+    del blob["theta"]
+    cp.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
+    assert str(cp) in capsys.readouterr().err
+
+
 # -- gradcheck ----------------------------------------------------------------------
 
 
@@ -159,7 +203,7 @@ def test_gradcheck_passes_and_reports_per_loss(tmp_path, capsys):
     assert main(["gradcheck", "--trials", "5", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     for name in ("cce-loss", "kl-loss", "entropy-loss",
-                 "meta gradient (unrolled)", "route equivalence"):
+                 "meta gradient (fused)", "route equivalence"):
         assert name in out
     assert "all" in out and "passed" in out
 

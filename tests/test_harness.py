@@ -310,6 +310,41 @@ def test_run_abort_carries_epoch_context():
         run_experiment(cfg, on_epoch=boom)
 
 
+def test_phase2_batch_runs_without_the_engine(monkeypatch):
+    # the engine's reverse mode is the reference route only: warm-up and
+    # phase-2 batches must not call it
+    import sys
+
+    import metalabel.engine as engine
+
+    def no_engine(*args, **kw):
+        raise AssertionError("engine.grad called in the training hot path")
+
+    real = engine.grad
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("metalabel") \
+                and getattr(mod, "grad", None) is real:
+            monkeypatch.setattr(mod, "grad", no_engine)
+    assert engine.grad is no_engine
+    res = run_experiment(small_config(warmup_epochs=1, total_epochs=2))
+    assert [r.phase for r in res.log] == ["warmup", "phase2"]
+    assert np.isfinite(res.log[-1].loss_meta)
+
+
+def test_divergence_names_the_epoch_and_batch():
+    from metalabel.harness import train_margin_oracle
+    from metalabel.nn import DivergenceError
+
+    with pytest.raises(DivergenceError, match=r"epoch 0 \(warm-up\), batch \d+: diverged"):
+        run_experiment(small_config(lr_schedule=[[0, 1e6]]))
+    with pytest.raises(DivergenceError, match=r"^epoch 3, batch \d+: diverged"):
+        run_experiment(small_config(lr_schedule=[[0, 1e-2], [3, 1e6]]))
+    ds = build_dataset(small_config(noise_kind="uniform"))
+    with pytest.raises(DivergenceError,
+                       match=r"margin oracle epoch \d+, batch \d+: diverged"):
+        train_margin_oracle(ds, [8, 6], seed=0, epochs=3, lr=1e6)
+
+
 # -- metrics CSV ------------------------------------------------------------------
 
 

@@ -353,3 +353,113 @@ def test_repeated_conventional_steps_descend_on_fixed_batch(tiny):
         theta, lc, le = conventional_step(theta, labeler, x, v, 1e-2, opt)
         losses.append(lc + le)
     assert all(b < a for a, b in zip(losses, losses[1:]))
+
+# -- fused route vs the engine at default sizes --------------------------------------
+
+
+class RecordingOptimizer:
+    """Stands in for an optimizer: records the gradients it is handed and
+    leaves the parameters where they are."""
+
+    lr = 0.0
+
+    def __init__(self):
+        self.grads = None
+
+    def step(self, params, grads):
+        self.grads = [np.array(g) for g in grads]
+        return [np.array(p) for p in params]
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    # default sizes (10 dims, hidden [32, 16], 4 classes, batch 64) after the
+    # default 15-epoch warm-up
+    from metalabel.harness import TrainConfig, build_dataset, clone_extractor, warmup_phase
+
+    cfg = TrainConfig(seed=0, noise_kind="uniform")
+    ds = build_dataset(cfg)
+    theta = warmup_phase(cfg, ds)
+    extractor = clone_extractor(theta)
+    rng = np.random.default_rng(1)
+    labeler = SoftLabeler(Tensor(rng.normal(size=(extractor.n_features, 4)) * 0.5),
+                          Tensor(rng.normal(size=(1, 4)) * 0.1))
+    rows, m_rows = ds.indices("train")[:64], ds.indices("meta")[:64]
+    x = ds.x[rows]
+    return (theta, labeler, x, extractor(x), ds.x[m_rows],
+            one_hot(ds.y_clean[m_rows], 4), ds.y_noisy[rows])
+
+
+def assert_close(fused, reference):
+    for a, b in zip(fused, reference):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+def test_fused_meta_gradient_matches_engine_at_default_sizes(warmed):
+    from metalabel.meta import meta_gradient
+
+    theta, labeler, x, v, mx, my, _ = warmed
+    for inner_lr in (1.0, 0.37):
+        y_hat = labeler.soft_labels(v)
+        theta_hat, _, inner = _virtual(theta, x, y_hat, inner_lr)
+        l_meta = meta_loss(theta_hat, mx, my)
+        grads = grad(l_meta, labeler.params() + theta_hat.params())
+        mean_sim = sum(float(np.vdot(a.value, b.value))
+                       for a, b in zip(inner, grads[2:]))
+
+        phi_grads, report = meta_gradient(labeler, theta, x, v, mx, my,
+                                          inner_lr=inner_lr)
+        assert_close(phi_grads, [g.value for g in grads[:2]])
+        assert report.meta_loss == pytest.approx(l_meta.item(), abs=1e-13)
+        assert report.mean_similarity == pytest.approx(mean_sim, abs=1e-12)
+        assert np.abs(phi_grads[0]).max() > 1e-3  # a real gradient, not zeros
+
+
+def test_classifier_steps_match_engine_at_default_sizes(warmed):
+    from metalabel.meta import ce_step
+    from metalabel.nn import cce_loss, entropy_loss
+
+    theta, labeler, x, v, _, _, labels = warmed
+    with no_grad():
+        y_hat = labeler.soft_labels(v).value
+    for use_entropy in (True, False):
+        opt = RecordingOptimizer()
+        _, lc, le = conventional_step(theta, labeler, x, v, 1e-2, opt,
+                                      use_entropy=use_entropy)
+        probs = softmax(theta.forward(Tensor(x))[0])
+        l_c = kl_loss(probs, Tensor(y_hat))
+        l_e = entropy_loss(probs)
+        total = l_c + l_e if use_entropy else l_c
+        assert_close(opt.grads, [g.value for g in grad(total, theta.params())])
+        assert lc == pytest.approx(l_c.item(), abs=1e-13)
+        assert le == (pytest.approx(l_e.item(), abs=1e-13) if use_entropy else 0.0)
+
+    opt = RecordingOptimizer()
+    _, loss = ce_step(theta, x, labels, opt)
+    ref = cce_loss(softmax(theta.forward(Tensor(x))[0]), one_hot(labels, 4))
+    assert_close(opt.grads, [g.value for g in grad(ref, theta.params())])
+    assert loss == pytest.approx(ref.item(), abs=1e-13)
+
+
+def test_meta_step_applies_the_fused_gradient(tiny):
+    from metalabel.meta import meta_gradient
+
+    theta, labeler, x, v, mx, my = tiny
+    opt = RecordingOptimizer()
+    _, report = meta_step(labeler, theta, x, v, mx, my, inner_lr=1.0, optimizer=opt)
+    phi_grads, expected = meta_gradient(labeler, theta, x, v, mx, my, inner_lr=1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(opt.grads, phi_grads))
+    assert report == expected
+
+
+def test_meta_step_divergence_is_a_typed_error(tiny):
+    from metalabel.nn import DivergenceError
+
+    theta, labeler, x, v, mx, my = tiny
+    opt = make_optimizer("adam", [p.shape for p in labeler.params()], lr=1e-2)
+    huge = theta.with_params([Tensor(p.value * 1e6) for p in theta.params()])
+    with pytest.raises(DivergenceError, match="diverged"):
+        meta_step(labeler, huge, x, v, mx, my, inner_lr=1e6, optimizer=opt)
+    with pytest.raises(DivergenceError, match="diverged"):
+        MetaStepReport(meta_loss=float("inf"), grad_phi_norm=0.0, mean_similarity=0.0)

@@ -310,3 +310,69 @@ def test_one_hot_roundtrip_and_validation():
     assert np.array_equal(y.argmax(axis=1), [0, 2, 1])
     with pytest.raises(ValueError):
         one_hot(np.array([3]), 3)
+
+
+# -- numpy kernels ------------------------------------------------------------------
+
+
+def kernel_net(seed=0):
+    from metalabel.nn import mlp_forward
+
+    rng = np.random.default_rng(seed)
+    net = init_mlp([5, 7, 6, 3], rng)
+    layers = [(w.value, b.value) for w, b in net.layers]
+    x = rng.normal(size=(9, 5))
+    z, acts = mlp_forward(layers, x)
+    return rng, net, layers, x, z, acts
+
+
+def test_kernel_forward_matches_mlp_forward_exactly():
+    from metalabel.nn import mlp_logits
+
+    _, net, layers, x, z, acts = kernel_net()
+    logits, hidden = net.forward(Tensor(x))
+    assert np.array_equal(z, logits.value)
+    assert np.array_equal(acts[-1], hidden.value)
+    assert np.array_equal(mlp_logits(layers, x), z)
+    assert np.allclose(z, scalar_forward(net, x), atol=1e-12)
+
+
+def test_kernel_backward_matches_engine_gradient():
+    from metalabel.engine import grad, mul, sum_all
+    from metalabel.nn import mlp_backward
+
+    rng, net, layers, x, _, acts = kernel_net(1)
+    r = rng.normal(size=(9, 3))
+    logits, _ = net.forward(Tensor(x))
+    ref = grad(sum_all(mul(logits, Tensor(r))), net.params())
+    for a, b in zip(mlp_backward(layers, acts, r), ref):
+        assert np.allclose(a, b.value, rtol=0, atol=1e-13)
+
+
+def test_kernel_jvp_matches_central_differences():
+    from metalabel.nn import mlp_jvp, mlp_logits
+
+    rng, net, layers, x, _, acts = kernel_net(2)
+    tangents = [rng.normal(size=p.shape) for p in net.params()]
+    eps = 1e-6
+
+    def shifted(sign):
+        flat = [p.value + sign * eps * t for p, t in zip(net.params(), tangents)]
+        return mlp_logits(list(zip(flat[0::2], flat[1::2])), x)
+
+    fd = (shifted(1.0) - shifted(-1.0)) / (2 * eps)
+    assert np.allclose(mlp_jvp(layers, acts, tangents), fd, rtol=1e-6, atol=1e-8)
+
+
+def test_log_softmax_matches_softmax_and_flags_divergence():
+    from metalabel.nn import DivergenceError, log_softmax
+
+    z = np.array([[1.0, -2.0, 0.5], [300.0, 299.0, -40.0]])
+    log_p, p = log_softmax(z)
+    # exp amplifies the rounding of log p by |log p| (up to ~340 here)
+    assert np.allclose(p, softmax(Tensor(z)).value, rtol=1e-12, atol=0)
+    assert np.allclose(log_p, np.log(softmax(Tensor(z)).value), rtol=1e-14, atol=0)
+    with pytest.raises(DivergenceError, match="non-finite logits"):
+        log_softmax(np.array([[np.inf, 0.0]]))
+    with pytest.raises(DivergenceError, match="underflowed"):
+        log_softmax(np.array([[0.0, -1e4]]))
