@@ -17,7 +17,6 @@ from .harness import (
     TrainConfig,
     baseline_ce,
     build_dataset,
-    clone_extractor,
     evaluate,
     run_experiment,
     warmup_phase,
@@ -26,8 +25,6 @@ from .meta import (
     FeatureExtractor,
     SoftLabeler,
     conventional_step,
-    extract_features,
-    generate_soft_labels,
     meta_loss,
     meta_step,
     similarity_matrix,
@@ -43,8 +40,7 @@ __all__ = [
     "make_synthetic", "split_dataset", "inject_uniform",
     "inject_feature_dependent", "mark_unlabeled", "save_dataset",
     "load_dataset", "grad", "no_grad", "softmax", "cce_loss", "kl_loss",
-    "entropy_loss", "init_mlp", "one_hot", "extract_features",
-    "generate_soft_labels", "virtual_update", "meta_loss", "meta_step",
-    "similarity_matrix", "conventional_step", "baseline_ce", "build_dataset",
-    "clone_extractor", "evaluate", "run_experiment", "warmup_phase",
+    "entropy_loss", "init_mlp", "one_hot", "virtual_update", "meta_loss",
+    "meta_step", "similarity_matrix", "conventional_step", "baseline_ce",
+    "build_dataset", "evaluate", "run_experiment", "warmup_phase",
 ]

@@ -30,23 +30,28 @@ from .harness import (
     build_dataset,
     evaluate,
     load_checkpoint,
+    metrics_row,
     run_experiment,
     write_metrics_csv,
 )
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
+SWEEP_RESULTS = ["selected_epoch", "meta_accuracy", "test_accuracy", "final_test_accuracy"]
 
 
-def _load_config(path: str) -> TrainConfig:
+def _read_json(path: str):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
-    return TrainConfig.from_dict(raw)
+            raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+
+
+def _load_config(path: str) -> TrainConfig:
+    return TrainConfig.from_dict(_read_json(path))
 
 
 def _apply_overrides(cfg: TrainConfig, args) -> TrainConfig:
@@ -81,7 +86,7 @@ def cmd_train(args) -> int:
     if args.resume:
         if not os.path.exists(checkpoint_path):
             raise ConfigError(f"checkpoint not found: {checkpoint_path}")
-        logged = load_checkpoint(checkpoint_path, cfg)["log"]
+        logged = load_checkpoint(checkpoint_path, cfg).log
 
     fh = open(metrics_path, "w", newline="", encoding="utf-8")
     writer = csv.writer(fh, lineterminator="\n")
@@ -89,8 +94,7 @@ def cmd_train(args) -> int:
     fh.flush()
 
     def on_epoch(row):
-        writer.writerow([row.epoch, row.phase] + [
-            repr(float(getattr(row, c))) for c in METRICS_COLUMNS[2:]])
+        writer.writerow(metrics_row(row))
         fh.flush()
 
     try:
@@ -138,9 +142,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     if not os.path.exists(args.dataset):
         raise ConfigError(f"dataset file not found: {args.dataset}")
-    st = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.dataset)
-    acc = evaluate(st["theta_best"], ds, args.split)
+    theta = load_checkpoint(args.checkpoint).theta_best
+    acc = evaluate(theta, load_dataset(args.dataset), args.split)
     print(f"{acc:.6f}")
     return 0
 
@@ -162,33 +165,40 @@ def _cell_id(overrides: list[tuple[str, object]]) -> str:
     return "__".join(parts).replace("/", "_").replace(" ", "")
 
 
-def _run_cell(base: dict, overrides: list[tuple[str, object]], out_dir: str) -> dict:
+def _cell_config(base: dict, overrides: list[tuple[str, object]]) -> dict:
     raw = json.loads(json.dumps(base))
     for k, v in overrides:
         _set_dotted(raw, k, v)
-    cfg = TrainConfig.from_dict(raw)
+    TrainConfig.from_dict(raw)  # every cell is validated before any runs
+    return raw
+
+
+def _run_cell(raw: dict, overrides: list[tuple[str, object]], out_dir: str) -> dict:
+    """Train one cell into its own directory. A failure does not abort the
+    sweep: the record's status is "ok" or the failure message."""
     cell = _cell_id(overrides)
+    record = {"cell_id": cell, **dict(overrides)}
+    try:
+        result = run_experiment(TrainConfig.from_dict(raw))
+    except Exception as e:  # noqa: BLE001 - reported per cell
+        record["status"] = str(e) or type(e).__name__
+        return record
     cell_dir = os.path.join(out_dir, cell)
     os.makedirs(cell_dir, exist_ok=True)
-    result = run_experiment(cfg)
     write_metrics_csv(result.log, os.path.join(cell_dir, "metrics.csv"))
     summary = result.summary()
     with open(os.path.join(cell_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    record = {"cell_id": cell}
-    record.update({k: v for k, v in overrides})
-    record.update({k: summary[k] for k in
-                   ("selected_epoch", "meta_accuracy", "test_accuracy",
-                    "final_test_accuracy")})
+    record.update({k: summary[k] for k in SWEEP_RESULTS})
+    record["status"] = "ok"
     return record
 
 
 def cmd_sweep(args) -> int:
-    if not os.path.exists(args.config):
-        raise ConfigError(f"config file not found: {args.config}")
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(args.config)
+    if not isinstance(raw, dict):
+        raise ConfigError("sweep config must be a JSON object")
     unknown = set(raw) - {"schema_version", "base", "grid", "cells"}
     if unknown:
         raise ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
@@ -215,19 +225,24 @@ def cmd_sweep(args) -> int:
             cells.append(sorted(c.items()))
             keys_seen.update(c)
         keys = sorted(keys_seen)
+    configs = [_cell_config(base, cell) for cell in cells]
+    seen: dict[str, int] = {}
+    for i, cell in enumerate(cells):
+        j = seen.setdefault(_cell_id(cell), i)
+        if j != i:
+            raise ConfigError(f"sweep cells {j} and {i} map to the same directory "
+                              f"{_cell_id(cell)!r}")
     os.makedirs(args.out, exist_ok=True)
 
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_run_cell, [base] * len(cells), cells,
-                                    [args.out] * len(cells)))
+            records = list(pool.map(_run_cell, configs, cells, [args.out] * len(cells)))
     else:
-        records = [_run_cell(base, cell, args.out) for cell in cells]
+        records = [_run_cell(raw, cell, args.out) for raw, cell in zip(configs, cells)]
 
     records.sort(key=lambda r: r["cell_id"])
     agg_path = os.path.join(args.out, "aggregate.csv")
-    cols = ["cell_id"] + keys + ["selected_epoch", "meta_accuracy",
-                                 "test_accuracy", "final_test_accuracy"]
+    cols = ["cell_id"] + keys + SWEEP_RESULTS + ["status"]
     with open(agg_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cols)
@@ -235,7 +250,10 @@ def cmd_sweep(args) -> int:
             vals = [r.get(c, "") for c in cols]
             writer.writerow([repr(v) if isinstance(v, float) else v for v in vals])
     print(f"{len(records)} cells -> {agg_path}")
-    return 0
+    failed = [r for r in records if r["status"] != "ok"]
+    for r in failed:
+        print(f"cell {r['cell_id']} failed: {r['status']}", file=sys.stderr)
+    return RUNTIME_ERROR if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Tensor, grad, mul, softmax, sum_all
-from .meta import SoftLabeler, _virtual, meta_gradient, meta_loss
+from .meta import SoftLabeler, meta_gradient, meta_loss, virtual_update
 from .nn import cce_loss, entropy_loss, init_mlp, kl_loss, one_hot
 
 FD_STEP = 1e-5
@@ -163,7 +163,7 @@ def _tiny_problem(seed: int):
 
 def _unrolled_phi_grad(labeler, theta, x, v, mx, my, inner_lr):
     y_hat = labeler.soft_labels(v)
-    theta_hat, _, _ = _virtual(theta, x, y_hat, inner_lr)
+    theta_hat, _, _ = virtual_update(theta, x, y_hat, inner_lr)
     return [g.value for g in grad(meta_loss(theta_hat, mx, my), labeler.params())]
 
 
@@ -184,7 +184,7 @@ def check_meta_gradient(n_seeds: int = 20, tolerance: float = 1e-4,
         def loss_at(wv, bv) -> float:
             lab = SoftLabeler(Tensor(wv), Tensor(bv))
             y_hat = lab.soft_labels(v)
-            theta_hat, _, _ = _virtual(theta, x, y_hat, inner_lr)
+            theta_hat, _, _ = virtual_update(theta, x, y_hat, inner_lr)
             return meta_loss(theta_hat, mx, my).item()
 
         w0, b0 = labeler.weight.value, labeler.bias.value

@@ -1,19 +1,23 @@
-"""End-to-end training: warm-up, extractor cloning, per-batch three-step
-iteration, schedules, meta-data model selection, metrics and checkpoints.
+"""End-to-end training: one run state, one epoch loop and one batch loop
+serve warm-up, phase 2 (meta step, then classifier step), the baseline and
+the margin oracle; meta-data model selection, metrics and checkpoints.
 
 One run is a pure function of its TrainConfig: every random draw flows from
 the config seed through named substreams, so repeat runs agree bit-exactly
-and a checkpoint restores the exact mid-run state.
+and a checkpoint, which is the run state serialised, restores it exactly.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,15 +25,10 @@ from . import data as dt
 from .data import Dataset, load_dataset
 from .engine import Tensor, no_grad, softmax
 from .meta import FeatureExtractor, SoftLabeler, ce_step, conventional_step, meta_step
-from .nn import DivergenceError, Mlp, init_mlp, make_optimizer, mlp_logits, one_hot
+from .nn import OPTIMIZERS, DivergenceError, Mlp, init_mlp, make_optimizer, mlp_logits, one_hot
 
 CHECKPOINT_VERSION = 1
-
-METRICS_COLUMNS = [
-    "epoch", "phase", "train_acc", "meta_acc", "test_acc",
-    "loss_c", "loss_e", "loss_meta", "mean_similarity",
-    "label_diff_mean", "label_diff_var", "wall_time",
-]
+EVAL_CHUNK = 4096  # rows per forward pass in evaluate; bounds its peak memory
 
 
 class ConfigError(ValueError):
@@ -38,6 +37,37 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration
+
+# JSON layout: section -> {key in the section: TrainConfig field}
+_SECTIONS = {
+    "data": {"n": "n", "dims": "dims", "classes": "classes",
+             "center_scale": "center_scale", "train_frac": "train_frac",
+             "meta_frac": "meta_frac", "test_frac": "test_frac", "path": "dataset_path"},
+    "noise": {"kind": "noise_kind", "ratio": "noise_ratio"},
+    "model": {"hidden": "hidden"},
+    "train": {k: k for k in (
+        "batch_size", "warmup_epochs", "total_epochs", "lr_schedule", "meta_lr",
+        "inner_lr", "classifier_optimizer", "metanet_optimizer", "weight_decay",
+        "entropy_loss", "unlabeled_fraction", "extractor_features", "oracle_epochs")},
+}
+_WIRE_NAME = {"seed": "seed", **{f: f"{section}.{k}" for section, keys in _SECTIONS.items()
+                                 for k, f in keys.items()}}
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation; ints pass as floats,
+    bools never pass as numbers."""
+    origin = typing.get_origin(hint)
+    if origin is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
@@ -76,11 +106,18 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name, hint in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if not _conforms(value, hint):
+                raise ConfigError(f"{_WIRE_NAME[name]} must be "
+                                  f"{type(self).__annotations__[name]}, got {value!r}")
         if not 0 <= self.warmup_epochs < self.total_epochs:
             raise ConfigError(
                 f"train.warmup_epochs must satisfy 0 <= warmup < total "
                 f"({self.warmup_epochs} vs {self.total_epochs})")
         sched = self.lr_schedule
+        if any(len(pair) != 2 for pair in sched):
+            raise ConfigError("train.lr_schedule entries must be [epoch, rate] pairs")
         if not sched or sched[0][0] != 0:
             raise ConfigError("train.lr_schedule must start at epoch 0")
         epochs = [int(e) for e, _ in sched]
@@ -98,7 +135,7 @@ class TrainConfig:
         if self.extractor_features not in ("penultimate", "logits"):
             raise ConfigError(f"train.extractor_features unknown: {self.extractor_features!r}")
         for name in ("classifier_optimizer", "metanet_optimizer"):
-            if getattr(self, name) not in ("sgd-momentum", "adam", "adaptive-moment"):
+            if getattr(self, name) not in OPTIMIZERS:
                 raise ConfigError(f"train.{name} unknown: {getattr(self, name)!r}")
         if self.dataset_path is None:
             fracs = (self.train_frac, self.meta_frac, self.test_frac)
@@ -112,32 +149,10 @@ class TrainConfig:
     # -- JSON wire format (nested sections, unknown keys rejected) ---------
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "seed": self.seed,
-            "data": {
-                "n": self.n, "dims": self.dims, "classes": self.classes,
-                "center_scale": self.center_scale,
-                "train_frac": self.train_frac, "meta_frac": self.meta_frac,
-                "test_frac": self.test_frac, "path": self.dataset_path,
-            },
-            "noise": {"kind": self.noise_kind, "ratio": self.noise_ratio},
-            "model": {"hidden": list(self.hidden)},
-            "train": {
-                "batch_size": self.batch_size,
-                "warmup_epochs": self.warmup_epochs,
-                "total_epochs": self.total_epochs,
-                "lr_schedule": [list(p) for p in self.lr_schedule],
-                "meta_lr": self.meta_lr, "inner_lr": self.inner_lr,
-                "classifier_optimizer": self.classifier_optimizer,
-                "metanet_optimizer": self.metanet_optimizer,
-                "weight_decay": self.weight_decay,
-                "entropy_loss": self.entropy_loss,
-                "unlabeled_fraction": self.unlabeled_fraction,
-                "extractor_features": self.extractor_features,
-                "oracle_epochs": self.oracle_epochs,
-            },
-        }
+        out = {"schema_version": 1, "seed": self.seed}
+        for section, keys in _SECTIONS.items():
+            out[section] = {k: copy.deepcopy(getattr(self, f)) for k, f in keys.items()}
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -145,40 +160,18 @@ class TrainConfig:
             raise ConfigError("config must be a JSON object")
         if raw.get("schema_version") != 1:
             raise ConfigError("config requires schema_version = 1")
-        sections = {"schema_version", "seed", "data", "noise", "model", "train"}
-        unknown = set(raw) - sections
+        unknown = set(raw) - {"schema_version", "seed", *_SECTIONS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        def take(section: str, allowed: dict) -> dict:
+        kwargs = {"seed": raw["seed"]} if "seed" in raw else {}
+        for section, keys in _SECTIONS.items():
             src = raw.get(section, {})
             if not isinstance(src, dict):
                 raise ConfigError(f"{section} must be an object")
-            bad = set(src) - set(allowed)
+            bad = set(src) - set(keys)
             if bad:
                 raise ConfigError(f"unknown keys in {section}: {sorted(bad)}")
-            return {allowed[k]: v for k, v in src.items()}
-
-        kwargs: dict = {}
-        if "seed" in raw:
-            kwargs["seed"] = raw["seed"]
-        kwargs.update(take("data", {
-            "n": "n", "dims": "dims", "classes": "classes",
-            "center_scale": "center_scale", "train_frac": "train_frac",
-            "meta_frac": "meta_frac", "test_frac": "test_frac",
-            "path": "dataset_path"}))
-        kwargs.update(take("noise", {"kind": "noise_kind", "ratio": "noise_ratio"}))
-        kwargs.update(take("model", {"hidden": "hidden"}))
-        kwargs.update(take("train", {
-            "batch_size": "batch_size", "warmup_epochs": "warmup_epochs",
-            "total_epochs": "total_epochs", "lr_schedule": "lr_schedule",
-            "meta_lr": "meta_lr", "inner_lr": "inner_lr",
-            "classifier_optimizer": "classifier_optimizer",
-            "metanet_optimizer": "metanet_optimizer",
-            "weight_decay": "weight_decay", "entropy_loss": "entropy_loss",
-            "unlabeled_fraction": "unlabeled_fraction",
-            "extractor_features": "extractor_features",
-            "oracle_epochs": "oracle_epochs"}))
+            kwargs.update((keys[k], v) for k, v in src.items())
         return cls(**kwargs)
 
     def config_hash(self) -> str:
@@ -214,14 +207,20 @@ class EpochRow:
     wall_time: float
 
 
+METRICS_COLUMNS = [f.name for f in fields(EpochRow)]
+
+
+def metrics_row(r: EpochRow) -> list:
+    """One metrics.csv record: epoch and phase as they are, every other
+    column as the repr of a float (exact round trip)."""
+    return [r.epoch, r.phase] + [repr(float(getattr(r, c))) for c in METRICS_COLUMNS[2:]]
+
+
 def write_metrics_csv(rows: list[EpochRow], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_COLUMNS)
-        for r in rows:
-            d = asdict(r)
-            writer.writerow([d["epoch"], d["phase"]]
-                            + [repr(float(d[c])) for c in METRICS_COLUMNS[2:]])
+        writer.writerows(metrics_row(r) for r in rows)
 
 
 def read_metrics_csv(path: str) -> list[EpochRow]:
@@ -255,13 +254,13 @@ def train_margin_oracle(ds: Dataset, hidden: list[int], seed: int,
     for feature-dependent noise."""
     rng = np.random.default_rng(seed)
     net = init_mlp([ds.dims] + list(hidden) + [ds.n_classes], rng)
-    opt = make_optimizer("sgd-momentum", [p.shape for p in net.params()], lr=lr)
+    st = RunState(theta=net, opt_theta=make_optimizer("sgd-momentum", _shapes(net), lr=lr),
+                  rng=rng)
     idx = ds.indices(dt.TRAIN)
     x, labels = ds.x[idx], ds.y_clean[idx]
     for epoch in range(epochs):
-        net, _ = _ce_epoch(net, x, labels, opt, batch_size, rng,
-                           f"margin oracle epoch {epoch}")
-    return net
+        _ce_epoch(st, x, labels, batch_size, f"margin oracle epoch {epoch}")
+    return st.theta
 
 
 def build_dataset(cfg: TrainConfig) -> Dataset:
@@ -296,7 +295,7 @@ def build_dataset(cfg: TrainConfig) -> Dataset:
 
 def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
     """Argmax accuracy: against clean labels on meta/test, against the noisy
-    labels of labeled rows on train."""
+    labels of labeled rows on train. Runs EVAL_CHUNK rows at a time."""
     if split == dt.TRAIN:
         idx = ds.labeled_train_indices()
         if idx.size == 0:
@@ -307,8 +306,12 @@ def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
         if idx.size == 0:
             raise ValueError(f"empty split {split!r}")
         y = ds.y_clean[idx]
-    logits = mlp_logits([(w.value, b.value) for w, b in theta.layers], ds.x[idx])
-    return float((logits.argmax(axis=1) == y).mean())
+    layers = [(w.value, b.value) for w, b in theta.layers]
+    hits = 0
+    for start in range(0, idx.size, EVAL_CHUNK):
+        logits = mlp_logits(layers, ds.x[idx[start:start + EVAL_CHUNK]])
+        hits += int(np.count_nonzero(logits.argmax(axis=1) == y[start:start + EVAL_CHUNK]))
+    return hits / idx.size
 
 
 def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
@@ -322,20 +325,182 @@ def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# training phases
+# run state and its checkpoint codec
 
 
-def clone_extractor(theta: Mlp, mode: str = "penultimate") -> FeatureExtractor:
-    """Deep-frozen encoder from the warm-up classifier; later classifier
-    training never changes its outputs."""
-    return FeatureExtractor.from_classifier(theta, mode)
+def _shapes(net) -> list[tuple[int, ...]]:
+    return [p.shape for p in net.params()]
 
 
-def _in_context(where: str, err: Exception) -> Exception:
-    """`err` restated with where in the run it happened; a divergence keeps
-    its type (and exit code), anything else becomes a RuntimeError."""
-    kind = DivergenceError if isinstance(err, DivergenceError) else RuntimeError
-    return kind(f"{where}: {err}")
+@dataclass
+class RunState:
+    """Everything a run changes as it trains; a checkpoint is this state
+    serialised. Phase-2 members (labeler, extractor, opt_phi) stay None
+    until the first phase-2 epoch builds them."""
+
+    theta: Mlp
+    opt_theta: object
+    rng: np.random.Generator
+    epoch_next: int = 0
+    theta_best: Mlp | None = None
+    best_epoch: int = -1
+    best_meta_acc: float = -1.0
+    labeler: SoftLabeler | None = None
+    extractor: FeatureExtractor | None = None
+    opt_phi: object = None
+    log: list[EpochRow] = field(default_factory=list)
+
+    @classmethod
+    def fresh(cls, cfg: TrainConfig, ds: Dataset) -> "RunState":
+        """The classifier at its initialisation, its optimizer and the run
+        RNG, each drawn from its own substream of the config seed."""
+        seeds = derive_seeds(cfg.seed)
+        theta = init_mlp([ds.dims] + list(cfg.hidden) + [ds.n_classes],
+                         np.random.default_rng(seeds["init"]))
+        opt = make_optimizer(cfg.classifier_optimizer, _shapes(theta),
+                             lr=lr_at(cfg.lr_schedule, 0), weight_decay=cfg.weight_decay)
+        return cls(theta=theta, opt_theta=opt, rng=np.random.default_rng(seeds["run"]),
+                   theta_best=theta.copy())
+
+
+def _mat_to_json(a: np.ndarray) -> dict:
+    return {"shape": list(a.shape), "hex": [v.hex() for v in a.ravel().tolist()]}
+
+
+def _mat_from_json(d: dict) -> np.ndarray:
+    vals = [float.fromhex(h) for h in d["hex"]]
+    return np.array(vals, dtype=np.float64).reshape(d["shape"])
+
+
+def _layers_to_json(layers) -> list[dict]:
+    return [{"w": _mat_to_json(w.value), "b": _mat_to_json(b.value)} for w, b in layers]
+
+
+def _layers_from_json(d: list[dict]) -> list[tuple[Tensor, Tensor]]:
+    return [(Tensor(_mat_from_json(l["w"])), Tensor(_mat_from_json(l["b"]))) for l in d]
+
+
+def _opt_to_json(opt) -> dict:
+    out = opt.state()
+    for k in opt.HYPER:
+        out[k] = float(out[k]).hex()
+    for k in opt.BUFFERS:
+        out[k] = [_mat_to_json(a) for a in out[k]]
+    return out
+
+
+def _opt_from_json(d: dict):
+    cls = OPTIMIZERS[d["kind"]]
+    state = dict(d)
+    for k in cls.HYPER:
+        state[k] = float.fromhex(d[k])
+    for k in cls.BUFFERS:
+        state[k] = [_mat_from_json(a) for a in d[k]]
+    opt = cls([a.shape for a in state[cls.BUFFERS[0]]], lr=state["lr"])
+    opt.load_state(state)
+    return opt
+
+
+def _rng_from_json(state: dict) -> np.random.Generator:
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    return rng
+
+
+def _optional(f):
+    return lambda v: None if v is None else f(v)
+
+
+def _same(v):
+    return v
+
+
+_MLP = (lambda m: {"layers": _layers_to_json(m.layers)},
+        lambda d: Mlp(_layers_from_json(d["layers"])))
+
+# RunState field, checkpoint key, encoder, decoder; in the order of the file
+_CODEC = [
+    ("epoch_next", "epoch_next", _same, _same),
+    ("theta", "theta", *_MLP),
+    ("theta_best", "theta_best", *_MLP),
+    ("best_epoch", "best_epoch", _same, _same),
+    ("best_meta_acc", "best_meta_acc", float.hex, float.fromhex),
+    ("labeler", "labeler", _optional(lambda s: _layers_to_json([s.params()])[0]),
+     _optional(lambda d: SoftLabeler(*_layers_from_json([d])[0]))),
+    ("extractor", "extractor",
+     _optional(lambda e: {"mode": e.mode, "in_dim": e.in_dim,
+                          "layers": _layers_to_json(e.layers)}),
+     _optional(lambda d: FeatureExtractor(_layers_from_json(d["layers"]), d["mode"],
+                                          d["in_dim"]))),
+    ("opt_theta", "opt_theta", _opt_to_json, _opt_from_json),
+    ("opt_phi", "opt_phi", _optional(_opt_to_json), _optional(_opt_from_json)),
+    ("rng", "rng_state", lambda r: r.bit_generator.state, _rng_from_json),
+    ("log", "log", lambda rows: [asdict(r) for r in rows],
+     lambda rows: [EpochRow(**r) for r in rows]),
+]
+
+
+def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
+    """Write the run state atomically (temporary file, then rename)."""
+    blob = {"version": CHECKPOINT_VERSION, "config_hash": cfg.config_hash()}
+    blob.update((key, enc(getattr(state, name))) for name, key, enc, _ in _CODEC)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(blob))
+    os.replace(tmp, path)
+
+
+def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
+    """Restore a run state; when cfg is given its hash must match the one
+    the checkpoint was written under. Every way the file can be unreadable
+    raises a ValueError that names it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"checkpoint {path} is not valid JSON: {e}") from e
+    version = blob.get("version") if isinstance(blob, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version}")
+    if cfg is not None and blob.get("config_hash") != cfg.config_hash():
+        raise ValueError(f"checkpoint {path} was written by a different config")
+    try:
+        return RunState(**{name: dec(blob[key]) for name, key, _, dec in _CODEC})
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
+
+
+# ---------------------------------------------------------------------------
+# training
+
+
+def _epoch(n_rows: int, batch_size: int, rng: np.random.Generator, where: str,
+           step) -> list[float]:
+    """One pass over n_rows rows in a fresh shuffled order: `step(positions)`
+    trains on one batch and returns its losses. Returns the batch-mean
+    losses. A failure is restated as "where, batch B: ..."; a divergence
+    keeps its type (and exit code), anything else becomes a RuntimeError."""
+    order = rng.permutation(n_rows)
+    sums, batches = 0.0, 0
+    for start in range(0, n_rows, batch_size):
+        try:
+            losses = step(order[start:start + batch_size])
+        except Exception as e:
+            kind = DivergenceError if isinstance(e, DivergenceError) else RuntimeError
+            raise kind(f"{where}, batch {batches}: {e}") from e
+        sums = sums + np.asarray(losses)
+        batches += 1
+    return [float(v) for v in sums / batches]
+
+
+def _ce_epoch(st: RunState, x: np.ndarray, labels: np.ndarray, batch_size: int,
+              where: str) -> float:
+    """One epoch of cross-entropy steps of st.theta on the rows (x, labels):
+    warm-up, baseline and margin oracle. Returns the batch-mean loss."""
+    def step(pos):
+        st.theta, loss = ce_step(st.theta, x[pos], labels[pos], st.opt_theta)
+        return (loss,)
+    return _epoch(len(x), batch_size, st.rng, where, step)[0]
 
 
 def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -346,48 +511,14 @@ def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return ds.x[idx], ds.train_labels(idx)
 
 
-def _ce_epoch(theta: Mlp, x: np.ndarray, labels: np.ndarray, opt, batch_size: int,
-              rng: np.random.Generator, where: str) -> tuple[Mlp, float]:
-    """One epoch of cross-entropy steps over the rows (x, labels) in a fresh
-    shuffled order: warm-up, baseline and margin-oracle training. Returns the
-    classifier and the batch-mean loss; failures name `where` and the batch."""
-    order = rng.permutation(len(x))
-    total, batches = 0.0, 0
-    for start in range(0, len(x), batch_size):
-        pos = order[start:start + batch_size]
-        try:
-            theta, loss = ce_step(theta, x[pos], labels[pos], opt)
-        except Exception as e:
-            raise _in_context(f"{where}, batch {batches}", e) from e
-        total += loss
-        batches += 1
-    return theta, total / batches
-
-
-def warmup_phase(cfg: TrainConfig, ds: Dataset) -> Mlp:
-    """Standalone warm-up: cfg.warmup_epochs of momentum-SGD cross-entropy
-    on noisy labels of labeled rows. Returns the classifier at warm-up end."""
-    seeds = derive_seeds(cfg.seed)
-    rng = np.random.default_rng(seeds["run"])
-    theta = init_mlp([ds.dims] + list(cfg.hidden) + [ds.n_classes],
-                     np.random.default_rng(seeds["init"]))
-    opt = make_optimizer(cfg.classifier_optimizer, [p.shape for p in theta.params()],
-                         lr=lr_at(cfg.lr_schedule, 0), weight_decay=cfg.weight_decay)
-    x, labels = _noisy_rows(ds)
-    for epoch in range(cfg.warmup_epochs):
-        opt.lr = lr_at(cfg.lr_schedule, epoch)
-        theta, _ = _ce_epoch(theta, x, labels, opt, cfg.batch_size, rng,
-                             f"epoch {epoch} (warm-up)")
-    return theta
-
-
 class _MetaSampler:
-    """Cycles an epoch-shuffled order over the meta split."""
+    """Cycles an epoch-shuffled order over the meta split; the first order
+    is drawn at the first draw."""
 
     def __init__(self, meta_idx: np.ndarray, rng: np.random.Generator):
         self.meta_idx = meta_idx
         self.rng = rng
-        self.order = rng.permutation(meta_idx.size)
+        self.order = meta_idx[:0]
         self.cursor = 0
 
     def draw(self, n: int) -> np.ndarray:
@@ -402,8 +533,77 @@ class _MetaSampler:
         return self.meta_idx[np.asarray(out)]
 
 
+def _train(cfg: TrainConfig, ds: Dataset, st: RunState, until: int, phase2: bool,
+           checkpoint_path: str | None = None, on_epoch=None) -> RunState:
+    """Train st from st.epoch_next up to epoch `until`.
+
+    With phase2, epochs before cfg.warmup_epochs are cross-entropy warm-up
+    and later ones phase 2 (meta step, then classifier step); without, every
+    epoch is the cross-entropy baseline. Each epoch is evaluated on all three
+    splits, the classifier with the best meta accuracy is kept (earliest
+    epoch on ties), the row is logged and passed to `on_epoch`, and with
+    checkpoint_path set the state is written.
+    """
+    nan = float("nan")
+    train_idx = ds.indices(dt.TRAIN)
+    feats = prev_soft = None
+    for epoch in range(st.epoch_next, until):
+        t0 = time.perf_counter()
+        lam = lr_at(cfg.lr_schedule, epoch)
+        st.opt_theta.lr = lam
+        if not phase2 or epoch < cfg.warmup_epochs:
+            phase, label = ("warmup", "warm-up") if phase2 else ("baseline", "baseline")
+            loss_c = _ce_epoch(st, *_noisy_rows(ds), cfg.batch_size, f"epoch {epoch} ({label})")
+            losses = [loss_c, nan, nan, nan, nan, nan]
+        else:
+            phase = "phase2"
+            if st.extractor is None:
+                st.extractor = FeatureExtractor.from_classifier(st.theta, cfg.extractor_features)
+                st.labeler = SoftLabeler.zeros(st.extractor.n_features, ds.n_classes)
+                st.opt_phi = make_optimizer(cfg.metanet_optimizer, _shapes(st.labeler),
+                                            lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
+            if feats is None:
+                feats = st.extractor(ds.x[train_idx])
+                with no_grad():
+                    prev_soft = st.labeler.soft_labels(feats).value
+            sampler = _MetaSampler(ds.indices(dt.META), st.rng)
+
+            def step(pos):
+                rows = train_idx[pos]
+                x, v = ds.x[rows], feats[pos]
+                m_rows = sampler.draw(rows.size)
+                st.labeler, report = meta_step(
+                    st.labeler, st.theta, x, v, ds.x[m_rows],
+                    one_hot(ds.y_clean[m_rows], ds.n_classes),
+                    inner_lr=cfg.inner_lr, optimizer=st.opt_phi)
+                st.theta, lc, le = conventional_step(
+                    st.theta, st.labeler, x, v, lam, st.opt_theta,
+                    use_entropy=cfg.entropy_loss)
+                return lc, le, report.meta_loss, report.mean_similarity
+
+            losses = _epoch(train_idx.size, cfg.batch_size, st.rng, f"epoch {epoch}", step)
+            with no_grad():
+                cur_soft = st.labeler.soft_labels(feats).value
+            diff = np.abs(cur_soft - prev_soft)
+            losses += [float(diff.mean()), float(diff.var())]
+            prev_soft = cur_soft
+
+        accs = [evaluate(st.theta, ds, split) for split in (dt.TRAIN, dt.META, dt.TEST)]
+        if accs[1] > st.best_meta_acc:
+            st.best_meta_acc, st.best_epoch = accs[1], epoch
+            st.theta_best = st.theta.copy()
+        row = EpochRow(epoch, phase, *accs, *losses, time.perf_counter() - t0)
+        st.log.append(row)
+        st.epoch_next = epoch + 1
+        if on_epoch is not None:
+            on_epoch(row)
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, cfg, st)
+    return st
+
+
 # ---------------------------------------------------------------------------
-# experiment driver
+# entry points
 
 
 @dataclass
@@ -429,302 +629,49 @@ class ExperimentResult:
         }
 
 
-def _mat_to_json(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "hex": [float(v).hex() for v in a.ravel()]}
-
-
-def _mat_from_json(d: dict) -> np.ndarray:
-    vals = [float.fromhex(h) for h in d["hex"]]
-    return np.array(vals, dtype=np.float64).reshape(d["shape"])
-
-
-def _mlp_to_json(net: Mlp) -> dict:
-    return {"layers": [{"w": _mat_to_json(w.value), "b": _mat_to_json(b.value)}
-                       for w, b in net.layers]}
-
-
-def _mlp_from_json(d: dict) -> Mlp:
-    return Mlp([(Tensor(_mat_from_json(l["w"])), Tensor(_mat_from_json(l["b"])))
-                for l in d["layers"]])
-
-
-_OPT_FLOAT_KEYS = {"lr", "momentum", "weight_decay", "beta1", "beta2", "eps"}
-_OPT_ARRAY_KEYS = {"buffers", "m", "v"}
-
-
-def _opt_state_to_json(state: dict) -> dict:
-    out = {}
-    for k, v in state.items():
-        if k in _OPT_FLOAT_KEYS:
-            out[k] = float(v).hex()
-        elif k in _OPT_ARRAY_KEYS:
-            out[k] = [_mat_to_json(a) for a in v]
-        else:
-            out[k] = v
-    return out
-
-
-def _opt_state_from_json(d: dict) -> dict:
-    out = {}
-    for k, v in d.items():
-        if k in _OPT_FLOAT_KEYS:
-            out[k] = float.fromhex(v)
-        elif k in _OPT_ARRAY_KEYS:
-            out[k] = [_mat_from_json(a) for a in v]
-        else:
-            out[k] = v
-    return out
-
-
-def save_checkpoint(path: str, *, cfg: TrainConfig, epoch_next: int, theta: Mlp,
-                    theta_best: Mlp, best_epoch: int, best_meta_acc: float,
-                    labeler: SoftLabeler | None, extractor: FeatureExtractor | None,
-                    opt_theta, opt_phi, rng: np.random.Generator,
-                    log: list[EpochRow]) -> None:
-    blob = {
-        "version": CHECKPOINT_VERSION,
-        "config_hash": cfg.config_hash(),
-        "epoch_next": epoch_next,
-        "theta": _mlp_to_json(theta),
-        "theta_best": _mlp_to_json(theta_best),
-        "best_epoch": best_epoch,
-        "best_meta_acc": float(best_meta_acc).hex(),
-        "labeler": None if labeler is None else {
-            "w": _mat_to_json(labeler.weight.value),
-            "b": _mat_to_json(labeler.bias.value)},
-        "extractor": None if extractor is None else {
-            "mode": extractor.mode, "in_dim": extractor.in_dim,
-            "layers": [{"w": _mat_to_json(w.value), "b": _mat_to_json(b.value)}
-                       for w, b in extractor.layers]},
-        "opt_theta": _opt_state_to_json(opt_theta.state()),
-        "opt_phi": None if opt_phi is None else _opt_state_to_json(opt_phi.state()),
-        "rng_state": rng.bit_generator.state,
-        "log": [asdict(r) for r in log],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
-    os.replace(tmp, path)
-
-
-def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> dict:
-    """Restore a checkpoint; when cfg is given its hash must match the one
-    the checkpoint was written under. Every way the file can be unreadable
-    raises a ValueError that names it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"checkpoint {path} is not valid JSON: {e}") from e
-    version = blob.get("version") if isinstance(blob, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version}")
-    if cfg is not None and blob.get("config_hash") != cfg.config_hash():
-        raise ValueError(f"checkpoint {path} was written by a different config")
-    try:
-        return _checkpoint_from_json(blob)
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
-
-
-def _checkpoint_from_json(blob: dict) -> dict:
-    out = {
-        "epoch_next": blob["epoch_next"],
-        "theta": _mlp_from_json(blob["theta"]),
-        "theta_best": _mlp_from_json(blob["theta_best"]),
-        "best_epoch": blob["best_epoch"],
-        "best_meta_acc": float.fromhex(blob["best_meta_acc"]),
-        "labeler": None,
-        "extractor": None,
-        "opt_theta": _opt_state_from_json(blob["opt_theta"]),
-        "opt_phi": None if blob["opt_phi"] is None
-        else _opt_state_from_json(blob["opt_phi"]),
-        "rng_state": blob["rng_state"],
-        "log": [EpochRow(**r) for r in blob["log"]],
-    }
-    if blob["labeler"] is not None:
-        out["labeler"] = SoftLabeler(Tensor(_mat_from_json(blob["labeler"]["w"])),
-                                     Tensor(_mat_from_json(blob["labeler"]["b"])))
-    if blob["extractor"] is not None:
-        e = blob["extractor"]
-        out["extractor"] = FeatureExtractor(
-            layers=[(Tensor(_mat_from_json(l["w"])), Tensor(_mat_from_json(l["b"])))
-                    for l in e["layers"]],
-            mode=e["mode"], in_dim=e["in_dim"])
-    return out
+def _result(cfg: TrainConfig, ds: Dataset, st: RunState) -> ExperimentResult:
+    return ExperimentResult(
+        config=cfg, log=st.log, theta_best=st.theta_best, theta_final=st.theta,
+        labeler=st.labeler, best_epoch=st.best_epoch, best_meta_acc=st.best_meta_acc,
+        test_acc_selected=evaluate(st.theta_best, ds, dt.TEST),
+        test_acc_final=evaluate(st.theta, ds, dt.TEST))
 
 
 def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
                    checkpoint_path: str | None = None,
                    resume: bool = False,
                    on_epoch=None) -> ExperimentResult:
-    """Warm-up, clone, phase-2 epochs; per-epoch metrics; keep the classifier
-    with the best meta accuracy (earliest epoch on ties) and score it on test.
+    """Warm-up, then phase-2 epochs; per-epoch metrics; keep the classifier
+    with the best meta accuracy and score it on test.
 
-    With checkpoint_path set, the full mutable state is written after every
-    epoch; resume=True continues from it bit-exactly. `on_epoch(row)` runs
-    after each logged epoch (for incremental metrics flushing); failures
-    abort with epoch/batch context.
+    With checkpoint_path set, the run state is written after every epoch;
+    resume=True continues from it bit-exactly. `on_epoch(row)` runs after
+    each logged epoch (for incremental metrics flushing); failures abort
+    with epoch/batch context.
     """
     ds = dataset if dataset is not None else build_dataset(cfg)
-    meta_idx = ds.indices(dt.META)
-    if cfg.batch_size > meta_idx.size:
+    meta_size = ds.indices(dt.META).size
+    if cfg.batch_size > meta_size:
         raise ConfigError(
-            f"train.batch_size {cfg.batch_size} exceeds meta split size {meta_idx.size}")
-    seeds = derive_seeds(cfg.seed)
-    sizes = [ds.dims] + list(cfg.hidden) + [ds.n_classes]
-
-    theta = init_mlp(sizes, np.random.default_rng(seeds["init"]))
-    opt_theta = make_optimizer(cfg.classifier_optimizer,
-                               [p.shape for p in theta.params()],
-                               lr=lr_at(cfg.lr_schedule, 0),
-                               weight_decay=cfg.weight_decay)
-    run_rng = np.random.default_rng(seeds["run"])
-    labeler: SoftLabeler | None = None
-    extractor: FeatureExtractor | None = None
-    opt_phi = None
-    log: list[EpochRow] = []
-    best_epoch, best_meta_acc = -1, -1.0
-    theta_best = theta.copy()
-    start_epoch = 0
-
+            f"train.batch_size {cfg.batch_size} exceeds meta split size {meta_size}")
     if resume:
         if checkpoint_path is None or not os.path.exists(checkpoint_path):
             raise FileNotFoundError("resume requested but no checkpoint found")
         st = load_checkpoint(checkpoint_path, cfg)
-        start_epoch = st["epoch_next"]
-        theta, theta_best = st["theta"], st["theta_best"]
-        best_epoch, best_meta_acc = st["best_epoch"], st["best_meta_acc"]
-        labeler, extractor = st["labeler"], st["extractor"]
-        opt_theta.load_state(st["opt_theta"])
-        if st["opt_phi"] is not None:
-            opt_phi = make_optimizer(cfg.metanet_optimizer,
-                                     [p.shape for p in (labeler.params())],
-                                     lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
-            opt_phi.load_state(st["opt_phi"])
-        run_rng.bit_generator.state = st["rng_state"]
-        log = st["log"]
-
-    train_idx = ds.indices(dt.TRAIN)
-    feats: np.ndarray | None = None
-    prev_soft: np.ndarray | None = None
-    if extractor is not None:
-        feats = extractor(ds.x[train_idx])
-        with no_grad():
-            prev_soft = labeler.soft_labels(feats).value
-
-    def enter_phase2():
-        nonlocal extractor, labeler, opt_phi, feats, prev_soft
-        extractor = clone_extractor(theta, cfg.extractor_features)
-        labeler = SoftLabeler.zeros(extractor.n_features, ds.n_classes)
-        opt_phi = make_optimizer(cfg.metanet_optimizer,
-                                 [p.shape for p in labeler.params()],
-                                 lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
-        feats = extractor(ds.x[train_idx])
-        with no_grad():
-            prev_soft = labeler.soft_labels(feats).value
-
-    for epoch in range(start_epoch, cfg.total_epochs):
-        t0 = time.perf_counter()
-        lam = lr_at(cfg.lr_schedule, epoch)
-        nan = float("nan")
-        if epoch < cfg.warmup_epochs:
-            opt_theta.lr = lam
-            theta, loss_c = _ce_epoch(theta, *_noisy_rows(ds), opt_theta,
-                                      cfg.batch_size, run_rng, f"epoch {epoch} (warm-up)")
-            phase, loss_e, loss_meta = "warmup", nan, nan
-            mean_sim, diff_mean, diff_var = nan, nan, nan
-        else:
-            if extractor is None:
-                enter_phase2()
-            order = run_rng.permutation(train_idx.size)
-            sampler = _MetaSampler(meta_idx, run_rng)
-            sums = np.zeros(4)
-            batches = 0
-            for start in range(0, train_idx.size, cfg.batch_size):
-                try:
-                    pos = order[start:start + cfg.batch_size]
-                    rows = train_idx[pos]
-                    x, v = ds.x[rows], feats[pos]
-                    m_rows = sampler.draw(rows.size)
-                    mx = ds.x[m_rows]
-                    my = one_hot(ds.y_clean[m_rows], ds.n_classes)
-                    labeler, report = meta_step(
-                        labeler, theta, x, v, mx, my,
-                        inner_lr=cfg.inner_lr, optimizer=opt_phi)
-                    theta, lc, le = conventional_step(
-                        theta, labeler, x, v, lam, opt_theta,
-                        use_entropy=cfg.entropy_loss)
-                except Exception as e:
-                    raise _in_context(f"epoch {epoch}, batch {batches}", e) from e
-                sums += (lc, le, report.meta_loss, report.mean_similarity)
-                batches += 1
-            loss_c, loss_e, loss_meta, mean_sim = sums / batches
-            with no_grad():
-                cur_soft = labeler.soft_labels(feats).value
-            diff = np.abs(cur_soft - prev_soft)
-            diff_mean, diff_var = float(diff.mean()), float(diff.var())
-            prev_soft = cur_soft
-            phase = "phase2"
-
-        train_acc = evaluate(theta, ds, dt.TRAIN)
-        meta_acc = evaluate(theta, ds, dt.META)
-        test_acc = evaluate(theta, ds, dt.TEST)
-        if meta_acc > best_meta_acc:
-            best_meta_acc, best_epoch = meta_acc, epoch
-            theta_best = theta.copy()
-        row = EpochRow(epoch, phase, train_acc, meta_acc, test_acc,
-                       loss_c, loss_e, loss_meta, mean_sim,
-                       diff_mean, diff_var, time.perf_counter() - t0)
-        log.append(row)
-        if on_epoch is not None:
-            on_epoch(row)
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, cfg=cfg, epoch_next=epoch + 1,
-                            theta=theta, theta_best=theta_best,
-                            best_epoch=best_epoch, best_meta_acc=best_meta_acc,
-                            labeler=labeler, extractor=extractor,
-                            opt_theta=opt_theta, opt_phi=opt_phi,
-                            rng=run_rng, log=log)
-
-    return ExperimentResult(
-        config=cfg, log=log, theta_best=theta_best, theta_final=theta,
-        labeler=labeler, best_epoch=best_epoch, best_meta_acc=best_meta_acc,
-        test_acc_selected=evaluate(theta_best, ds, dt.TEST),
-        test_acc_final=evaluate(theta, ds, dt.TEST))
+    else:
+        st = RunState.fresh(cfg, ds)
+    return _result(cfg, ds, _train(cfg, ds, st, cfg.total_epochs, True,
+                                   checkpoint_path, on_epoch))
 
 
 def baseline_ce(cfg: TrainConfig, dataset: Dataset | None = None) -> ExperimentResult:
     """Plain cross-entropy on noisy labels with the identical budget,
     schedule and model-selection protocol; the comparison baseline."""
     ds = dataset if dataset is not None else build_dataset(cfg)
-    seeds = derive_seeds(cfg.seed)
-    theta = init_mlp([ds.dims] + list(cfg.hidden) + [ds.n_classes],
-                     np.random.default_rng(seeds["init"]))
-    opt = make_optimizer(cfg.classifier_optimizer, [p.shape for p in theta.params()],
-                         lr=lr_at(cfg.lr_schedule, 0), weight_decay=cfg.weight_decay)
-    run_rng = np.random.default_rng(seeds["run"])
-    log: list[EpochRow] = []
-    best_epoch, best_meta_acc = -1, -1.0
-    theta_best = theta.copy()
-    nan = float("nan")
-    x, labels = _noisy_rows(ds)
-    for epoch in range(cfg.total_epochs):
-        t0 = time.perf_counter()
-        opt.lr = lr_at(cfg.lr_schedule, epoch)
-        theta, loss_c = _ce_epoch(theta, x, labels, opt, cfg.batch_size, run_rng,
-                                  f"epoch {epoch} (baseline)")
-        train_acc = evaluate(theta, ds, dt.TRAIN)
-        meta_acc = evaluate(theta, ds, dt.META)
-        test_acc = evaluate(theta, ds, dt.TEST)
-        if meta_acc > best_meta_acc:
-            best_meta_acc, best_epoch = meta_acc, epoch
-            theta_best = theta.copy()
-        log.append(EpochRow(epoch, "baseline", train_acc, meta_acc, test_acc,
-                            loss_c, nan, nan, nan, nan, nan,
-                            time.perf_counter() - t0))
-    return ExperimentResult(
-        config=cfg, log=log, theta_best=theta_best, theta_final=theta,
-        labeler=None, best_epoch=best_epoch, best_meta_acc=best_meta_acc,
-        test_acc_selected=evaluate(theta_best, ds, dt.TEST),
-        test_acc_final=evaluate(theta, ds, dt.TEST))
+    return _result(cfg, ds, _train(cfg, ds, RunState.fresh(cfg, ds), cfg.total_epochs, False))
+
+
+def warmup_phase(cfg: TrainConfig, ds: Dataset) -> Mlp:
+    """The classifier after cfg.warmup_epochs of cross-entropy on the noisy
+    labels of labeled rows, exactly as a full run has it at warm-up end."""
+    return _train(cfg, ds, RunState.fresh(cfg, ds), cfg.warmup_epochs, True).theta

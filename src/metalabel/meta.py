@@ -11,9 +11,9 @@ forward-mode derivative (Pearlmutter's R-operator) of the classifier's
 softmax at theta along g, the meta-loss gradient at the virtually updated
 parameters. This is the batch form of the gradient-similarity identity of
 Ren et al. 2018. It runs on the numpy kernels of `nn`, as do the classifier
-steps. The unrolled route (`_virtual`, `virtual_update`, `meta_loss`) records
-the virtual update on the autodiff engine and differentiates through it; it
-is the reference the fused route is checked against, never the hot path.
+steps. The unrolled route (`virtual_update`, `meta_loss`) records the
+virtual update on the autodiff engine and differentiates through it; it is
+the reference the fused route is checked against, never the hot path.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ class FeatureExtractor:
         return x
 
 
-def extract_features(extractor: FeatureExtractor, x: np.ndarray) -> np.ndarray:
-    return extractor(x)
-
-
 @dataclass
 class SoftLabeler:
     """Single dense layer + softmax mapping features to soft labels."""
@@ -114,10 +110,6 @@ class SoftLabeler:
         return softmax(linear(v, self.weight, self.bias))
 
 
-def generate_soft_labels(labeler: SoftLabeler, v) -> Tensor:
-    return labeler.soft_labels(v)
-
-
 @dataclass
 class MetaStepReport:
     meta_loss: float
@@ -134,9 +126,11 @@ class MetaStepReport:
 # the unrolled reference route (engine)
 
 
-def _virtual(theta: Mlp, x, y_hat: Tensor, inner_lr: float):
-    """One plain SGD step on the soft-label classification loss, kept
-    differentiable with respect to whatever y_hat depends on.
+def virtual_update(theta: Mlp, x, y_hat: Tensor, inner_lr: float = 1.0):
+    """Hypothetical classifier parameters after one plain SGD step on the
+    batch-mean KL against the generated labels, kept differentiable with
+    respect to whatever y_hat depends on. No momentum, no weight decay; never
+    committed to the live classifier.
 
     Returns (theta_hat, loss, inner_grads)."""
     x = x if isinstance(x, Tensor) else Tensor(x)
@@ -148,14 +142,6 @@ def _virtual(theta: Mlp, x, y_hat: Tensor, inner_lr: float):
             raise ValueError("non-finite gradient in virtual update")
     updated = [p - inner_lr * g for p, g in zip(theta.params(), inner_grads)]
     return theta.with_params(updated), loss, inner_grads
-
-
-def virtual_update(theta: Mlp, x, y_hat: Tensor, inner_lr: float = 1.0) -> Mlp:
-    """Hypothetical classifier parameters after one unit-coefficient SGD step
-    on the batch-mean KL against the generated labels. No momentum, no weight
-    decay; never committed to the live classifier."""
-    theta_hat, _, _ = _virtual(theta, x, y_hat, inner_lr)
-    return theta_hat
 
 
 def meta_loss(theta_hat: Mlp, meta_x, meta_y_onehot: np.ndarray) -> Tensor:

@@ -276,11 +276,45 @@ def entropy_loss(probs: Tensor) -> Tensor:
 # optimizers
 
 
-class SgdMomentum:
+class _Optimizer:
+    """Shared bookkeeping: a subclass names its scalar hyperparameters
+    (HYPER) and its per-parameter buffer lists (BUFFERS) once; `state()` and
+    `load_state()` read and write exactly those, plus the step count."""
+
+    kind: str
+    HYPER: tuple[str, ...]
+    BUFFERS: tuple[str, ...]
+
+    def _check(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        slots = getattr(self, self.BUFFERS[0])
+        if len(params) != len(slots) or len(grads) != len(slots):
+            raise ShapeError("optimizer buffer count mismatch")
+        for i, (p, g, b) in enumerate(zip(params, grads, slots)):
+            if p.shape != b.shape or g.shape != p.shape:
+                raise ShapeError(f"optimizer shape mismatch at slot {i}")
+
+    def state(self) -> dict:
+        out = {"kind": self.kind}
+        out.update((k, getattr(self, k)) for k in self.HYPER)
+        out["step_count"] = self.step_count
+        out.update((k, [b.copy() for b in getattr(self, k)]) for k in self.BUFFERS)
+        return out
+
+    def load_state(self, state: dict) -> None:
+        for k in self.HYPER:
+            setattr(self, k, state[k])
+        self.step_count = state["step_count"]
+        for k in self.BUFFERS:
+            setattr(self, k, [np.asarray(b, dtype=np.float64).copy() for b in state[k]])
+
+
+class SgdMomentum(_Optimizer):
     """Momentum SGD: v <- momentum*v + g, p <- p - lr*v, with classic L2
     coupling (g includes weight_decay*p)."""
 
     kind = "sgd-momentum"
+    HYPER = ("lr", "momentum", "weight_decay")
+    BUFFERS = ("buffers",)
 
     def __init__(self, shapes: list[tuple[int, ...]], lr: float, momentum: float = 0.9,
                  weight_decay: float = 1e-4):
@@ -291,41 +325,23 @@ class SgdMomentum:
         self.step_count = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-        if len(params) != len(self.buffers) or len(grads) != len(self.buffers):
-            raise ShapeError("optimizer buffer count mismatch")
+        self._check(params, grads)
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != self.buffers[i].shape or g.shape != p.shape:
-                raise ShapeError(f"optimizer shape mismatch at slot {i}")
             g = g + self.weight_decay * p
             self.buffers[i] = self.momentum * self.buffers[i] + g
             out.append(p - self.lr * self.buffers[i])
         self.step_count += 1
         return out
 
-    def state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "step_count": self.step_count,
-            "buffers": [b.copy() for b in self.buffers],
-        }
 
-    def load_state(self, state: dict) -> None:
-        self.lr = state["lr"]
-        self.momentum = state["momentum"]
-        self.weight_decay = state["weight_decay"]
-        self.step_count = state["step_count"]
-        self.buffers = [np.asarray(b, dtype=np.float64).copy() for b in state["buffers"]]
-
-
-class Adam:
+class Adam(_Optimizer):
     """Adaptive-moment optimizer with bias correction; weight decay coupled
     into the gradient (classic L2), decays 0.9/0.999, epsilon 1e-8."""
 
     kind = "adam"
+    HYPER = ("lr", "beta1", "beta2", "eps", "weight_decay")
+    BUFFERS = ("m", "v")
 
     def __init__(self, shapes: list[tuple[int, ...]], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 1e-4):
@@ -339,14 +355,11 @@ class Adam:
         self.step_count = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ShapeError("optimizer buffer count mismatch")
+        self._check(params, grads)
         self.step_count += 1
         t = self.step_count
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != self.m[i].shape or g.shape != p.shape:
-                raise ShapeError(f"optimizer shape mismatch at slot {i}")
             g = g + self.weight_decay * p
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
@@ -355,34 +368,12 @@ class Adam:
             out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
         return out
 
-    def state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "step_count": self.step_count,
-            "m": [b.copy() for b in self.m],
-            "v": [b.copy() for b in self.v],
-        }
 
-    def load_state(self, state: dict) -> None:
-        self.lr = state["lr"]
-        self.beta1 = state["beta1"]
-        self.beta2 = state["beta2"]
-        self.eps = state["eps"]
-        self.weight_decay = state["weight_decay"]
-        self.step_count = state["step_count"]
-        self.m = [np.asarray(b, dtype=np.float64).copy() for b in state["m"]]
-        self.v = [np.asarray(b, dtype=np.float64).copy() for b in state["v"]]
+OPTIMIZERS = {cls.kind: cls for cls in (SgdMomentum, Adam)}
 
 
 def make_optimizer(kind: str, shapes: list[tuple[int, ...]], lr: float,
                    weight_decay: float = 1e-4):
-    if kind == "sgd-momentum":
-        return SgdMomentum(shapes, lr=lr, weight_decay=weight_decay)
-    if kind in ("adam", "adaptive-moment"):
-        return Adam(shapes, lr=lr, weight_decay=weight_decay)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    return OPTIMIZERS[kind](shapes, lr=lr, weight_decay=weight_decay)

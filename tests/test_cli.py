@@ -83,6 +83,30 @@ def test_gen_data_missing_config_is_usage_error(tmp_path):
 # -- train ------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("key, value", [
+    ("train.total_epochs", "6"), ("train.batch_size", 20.5), ("model.hidden", "abc"),
+    ("train.lr_schedule", 0.01), ("train.meta_lr", "0.01"), ("seed", "0"),
+    ("data.n", 320.0), ("data.dims", "5"), ("train.entropy_loss", "no"),
+    ("train.lr_schedule", [[0, 0.01, 5]]), ("train.batch_size", True), ("data.path", 3),
+    ("model.hidden", [6.0, 4]),
+])
+def test_config_type_error_is_usage_error_naming_the_field(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, tiny_config(**{key: value}))
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_invalid_json_config_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    bad.write_text('{"schema_version": 1,')
+    for command in ("train", "sweep"):
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+
+
+
 def test_train_writes_metrics_checkpoint_and_summary(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config())
     out = tmp_path / "run"
@@ -310,6 +334,38 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     assert main(["sweep", "--config", cfg_path, "--out", str(parallel),
                  "--jobs", "2"]) == 0
     assert (serial / "aggregate.csv").read_bytes() == (parallel / "aggregate.csv").read_bytes()
+
+
+@pytest.mark.parametrize("sweep", [
+    {"grid": {"data.path": ["a/b.dsv", "a_b.dsv"]}},
+    {"cells": [{"seed": 1}, {"seed": 2}, {"seed": 1}]},
+])
+def test_sweep_rejects_cells_sharing_a_directory(tmp_path, capsys, sweep):
+    cfg_path = write_config(tmp_path, {"schema_version": 1, "base": tiny_config(), **sweep},
+                            "sweep.json")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "same directory" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any cell ran
+
+
+def test_sweep_failing_cell_keeps_the_others_and_reports_status(tmp_path, capsys):
+    sweep = {"schema_version": 1, "base": tiny_config(),
+             "grid": {"train.lr_schedule": [[[0, 0.01]], [[0, 1e6]]]}}
+    cfg_path = write_config(tmp_path, sweep, "sweep.json")
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 1
+        assert "failed" in capsys.readouterr().err
+        with open(out / "aggregate.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        status = {r["train.lr_schedule"]: r["status"] for r in rows}
+        assert status["[[0, 0.01]]"] == "ok"
+        assert "epoch 0 (warm-up), batch 1: diverged" in status["[[0, 1000000.0]]"]
+        assert len(list(out.glob("*/summary.json"))) == 1
+        outs.append((out / "aggregate.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_sweep_rejects_unknown_keys(tmp_path):

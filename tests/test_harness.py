@@ -12,9 +12,9 @@ from metalabel.harness import (
     TrainConfig,
     baseline_ce,
     build_dataset,
-    clone_extractor,
     derive_seeds,
     evaluate,
+    load_checkpoint,
     lr_at,
     read_metrics_csv,
     run_experiment,
@@ -179,13 +179,6 @@ def test_warmup_requires_labeled_rows():
         warmup_phase(cfg, all_unlabeled)
 
 
-def test_clone_extractor_shape():
-    net = init_mlp([6, 8, 5, 3], np.random.default_rng(0))
-    ext = clone_extractor(net)
-    assert ext.n_features == 5
-    assert len(ext.layers) == 2
-
-
 # -- full runs --------------------------------------------------------------------
 
 
@@ -300,6 +293,25 @@ def test_baseline_is_deterministic_and_tagged():
     assert len(a.log) == cfg.total_epochs
 
 
+def test_baseline_and_method_share_the_warmup():
+    # one epoch loop: the method's warm-up epochs are the baseline's first
+    # epochs, and warmup_phase returns the classifier they end with
+    cfg = small_config(noise_kind="uniform")
+    ds = build_dataset(cfg)
+    method, base = run_experiment(cfg, dataset=ds), baseline_ce(cfg, dataset=ds)
+    for m, b in zip(method.log[:cfg.warmup_epochs], base.log):
+        assert (m.phase, b.phase) == ("warmup", "baseline")
+        assert rows_equal(dataclasses.replace(m, phase="baseline"), b)
+    assert not rows_equal(dataclasses.replace(method.log[cfg.warmup_epochs], phase="baseline"),
+                          base.log[cfg.warmup_epochs])
+    # the baseline ignores warmup_epochs, so this one stops where warm-up ends
+    short = baseline_ce(dataclasses.replace(cfg, warmup_epochs=0,
+                                            total_epochs=cfg.warmup_epochs), dataset=ds)
+    for (w, b), (ws, bs) in zip(warmup_phase(cfg, ds).layers, short.theta_final.layers):
+        assert np.array_equal(w.value, ws.value)
+        assert np.array_equal(b.value, bs.value)
+
+
 def test_run_abort_carries_epoch_context():
     cfg = small_config()
 
@@ -364,32 +376,37 @@ def test_metrics_csv_roundtrip(tmp_path):
 
 
 def test_checkpoint_resume_is_bit_exact(tmp_path):
+    # resume at the last warm-up epoch, at the first phase-2 epoch (the
+    # extractor and generator are built after the resume) and mid phase 2
     cfg = small_config(seed=7)
     ds = build_dataset(cfg)
-    cp = str(tmp_path / "checkpoint.json")
+    straight = run_experiment(cfg, dataset=ds)
 
     class Stop(Exception):
         pass
 
-    def stop_mid_run(row):
-        if row.epoch == 5:
-            raise Stop
+    for resume_at in (cfg.warmup_epochs - 1, cfg.warmup_epochs, 5):
+        cp = str(tmp_path / f"checkpoint{resume_at}.json")
 
-    with pytest.raises(Stop):
-        run_experiment(cfg, dataset=ds, checkpoint_path=cp, on_epoch=stop_mid_run)
-    resumed = run_experiment(cfg, dataset=ds, checkpoint_path=cp, resume=True)
-    straight = run_experiment(cfg, dataset=ds)
+        def stop(row):
+            if row.epoch == resume_at:
+                raise Stop
 
-    assert len(resumed.log) == len(straight.log)
-    assert all(rows_equal(a, b) for a, b in zip(resumed.log, straight.log))
-    assert resumed.best_epoch == straight.best_epoch
-    assert resumed.test_acc_selected == straight.test_acc_selected
-    for (wa, ba), (wb, bb) in zip(resumed.theta_final.layers,
-                                  straight.theta_final.layers):
-        assert np.array_equal(wa.value, wb.value)
-        assert np.array_equal(ba.value, bb.value)
-    assert np.array_equal(resumed.labeler.weight.value,
-                          straight.labeler.weight.value)
+        with pytest.raises(Stop):
+            run_experiment(cfg, dataset=ds, checkpoint_path=cp, on_epoch=stop)
+        assert load_checkpoint(cp).epoch_next == resume_at
+        resumed = run_experiment(cfg, dataset=ds, checkpoint_path=cp, resume=True)
+
+        assert len(resumed.log) == len(straight.log)
+        assert all(rows_equal(a, b) for a, b in zip(resumed.log, straight.log))
+        assert resumed.best_epoch == straight.best_epoch
+        assert resumed.test_acc_selected == straight.test_acc_selected
+        for (wa, ba), (wb, bb) in zip(resumed.theta_final.layers,
+                                      straight.theta_final.layers):
+            assert np.array_equal(wa.value, wb.value)
+            assert np.array_equal(ba.value, bb.value)
+        assert np.array_equal(resumed.labeler.weight.value,
+                              straight.labeler.weight.value)
 
 
 def test_resume_requires_checkpoint(tmp_path):
@@ -399,8 +416,6 @@ def test_resume_requires_checkpoint(tmp_path):
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
-    from metalabel.harness import load_checkpoint
-
     cfg = small_config(total_epochs=6, warmup_epochs=2)
     cp = str(tmp_path / "c.json")
     run_experiment(cfg, checkpoint_path=cp)

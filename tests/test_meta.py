@@ -13,13 +13,10 @@ from metalabel.meta import (
     MetaStepReport,
     SoftLabeler,
     conventional_step,
-    extract_features,
-    generate_soft_labels,
     meta_loss,
     meta_step,
     similarity_matrix,
     virtual_update,
-    _virtual,
 )
 from metalabel.nn import Mlp, SgdMomentum, init_mlp, kl_loss, make_optimizer, one_hot
 
@@ -88,11 +85,11 @@ def test_extractor_logits_mode_returns_pre_softmax_output():
     assert ext.n_features == 3
 
 
-def test_extract_features_wrapper(tiny):
-    theta, *_ = tiny
-    ext = FeatureExtractor.from_classifier(theta)
-    x = np.random.default_rng(5).normal(size=(4, 4))
-    assert np.array_equal(extract_features(ext, x), ext(x))
+def test_extractor_from_classifier_shape():
+    net = init_mlp([6, 8, 5, 3], np.random.default_rng(0))
+    ext = FeatureExtractor.from_classifier(net)
+    assert ext.n_features == 5
+    assert len(ext.layers) == 2
 
 
 # -- soft-label generation ------------------------------------------------------
@@ -100,7 +97,7 @@ def test_extract_features_wrapper(tiny):
 
 def test_zero_generator_gives_uniform_labels():
     lab = SoftLabeler.zeros(6, 4)
-    out = generate_soft_labels(lab, np.random.default_rng(0).normal(size=(5, 6)))
+    out = lab.soft_labels(np.random.default_rng(0).normal(size=(5, 6)))
     assert np.allclose(out.value, 0.25)
 
 
@@ -128,14 +125,14 @@ def test_virtual_update_fixed_point_at_own_predictions(tiny):
     theta, _, x, _, _, _ = tiny
     logits, _ = theta.forward(Tensor(x))
     y_hat = softmax(logits).detach()
-    theta_hat = virtual_update(theta, x, Tensor(y_hat.value), inner_lr=1.0)
+    theta_hat, _, _ = virtual_update(theta, x, Tensor(y_hat.value), inner_lr=1.0)
     for p, q in zip(theta.params(), theta_hat.params()):
         assert np.allclose(p.value, q.value, atol=1e-13, rtol=0)
 
 
 def test_virtual_update_zero_inner_lr_is_identity(tiny):
     theta, labeler, x, v, _, _ = tiny
-    theta_hat = virtual_update(theta, x, labeler.soft_labels(v), inner_lr=0.0)
+    theta_hat, _, _ = virtual_update(theta, x, labeler.soft_labels(v), inner_lr=0.0)
     for p, q in zip(theta.params(), theta_hat.params()):
         assert np.array_equal(p.value, q.value)
 
@@ -145,7 +142,7 @@ def test_virtual_update_matches_finite_difference_gradient(tiny):
     with no_grad():
         y_hat = labeler.soft_labels(v)
     inner_lr = 0.7
-    theta_hat = virtual_update(theta, x, Tensor(y_hat.value), inner_lr=inner_lr)
+    theta_hat, _, _ = virtual_update(theta, x, Tensor(y_hat.value), inner_lr=inner_lr)
     w0 = theta.layers[0][0]
 
     def loss_at(wv):
@@ -244,7 +241,7 @@ def test_meta_step_detached_labels_raise_not_silently_degrade(tiny):
     theta, labeler, x, v, mx, my = tiny
     with no_grad():
         y_hat = labeler.soft_labels(v)  # no recorded graph to the generator
-    theta_hat, _, _ = _virtual(theta, x, Tensor(y_hat.value), 1.0)
+    theta_hat, _, _ = virtual_update(theta, x, Tensor(y_hat.value), 1.0)
     with pytest.raises(GradError):
         grad(meta_loss(theta_hat, mx, my), labeler.params())
 
@@ -257,7 +254,7 @@ def test_similarity_entries_match_per_sample_gradient_products(tiny):
 
     theta, labeler, x, v, mx, my = tiny
     y_hat = labeler.soft_labels(v)
-    theta_hat, _, _ = _virtual(theta, x, y_hat, 1.0)
+    theta_hat, _, _ = virtual_update(theta, x, y_hat, 1.0)
     s = similarity_matrix(theta, theta_hat, x, y_hat, mx, my)
     with no_grad():
         yh = y_hat.value
@@ -301,7 +298,7 @@ def test_similarity_orthogonal_gradients_vanish():
 def test_similarity_matrix_mean_equals_inner_product_of_mean_gradients(tiny):
     theta, labeler, x, v, mx, my = tiny
     y_hat = labeler.soft_labels(v)
-    theta_hat, _, inner_grads = _virtual(theta, x, y_hat, 1.0)
+    theta_hat, _, inner_grads = virtual_update(theta, x, y_hat, 1.0)
     s = similarity_matrix(theta, theta_hat, x, y_hat, mx, my)
     that_grads = grad(meta_loss(theta_hat, mx, my), theta_hat.params())
     mean_sim = sum(float(np.vdot(a.value, b.value))
@@ -375,12 +372,12 @@ class RecordingOptimizer:
 def warmed():
     # default sizes (10 dims, hidden [32, 16], 4 classes, batch 64) after the
     # default 15-epoch warm-up
-    from metalabel.harness import TrainConfig, build_dataset, clone_extractor, warmup_phase
+    from metalabel.harness import TrainConfig, build_dataset, warmup_phase
 
     cfg = TrainConfig(seed=0, noise_kind="uniform")
     ds = build_dataset(cfg)
     theta = warmup_phase(cfg, ds)
-    extractor = clone_extractor(theta)
+    extractor = FeatureExtractor.from_classifier(theta)
     rng = np.random.default_rng(1)
     labeler = SoftLabeler(Tensor(rng.normal(size=(extractor.n_features, 4)) * 0.5),
                           Tensor(rng.normal(size=(1, 4)) * 0.1))
@@ -402,7 +399,7 @@ def test_fused_meta_gradient_matches_engine_at_default_sizes(warmed):
     theta, labeler, x, v, mx, my, _ = warmed
     for inner_lr in (1.0, 0.37):
         y_hat = labeler.soft_labels(v)
-        theta_hat, _, inner = _virtual(theta, x, y_hat, inner_lr)
+        theta_hat, _, inner = virtual_update(theta, x, y_hat, inner_lr)
         l_meta = meta_loss(theta_hat, mx, my)
         grads = grad(l_meta, labeler.params() + theta_hat.params())
         mean_sim = sum(float(np.vdot(a.value, b.value))
