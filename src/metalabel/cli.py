@@ -82,11 +82,13 @@ def cmd_train(args) -> int:
         raise ConfigError(f"dataset file not found: {cfg.dataset_path}")
     metrics_path = os.path.join(args.out, "metrics.csv")
     checkpoint_path = os.path.join(args.out, "checkpoint.json")
-    logged = []
+    state, logged = None, []
     if args.resume:
         if not os.path.exists(checkpoint_path):
             raise ConfigError(f"checkpoint not found: {checkpoint_path}")
-        logged = load_checkpoint(checkpoint_path, cfg).log
+        state = load_checkpoint(checkpoint_path, cfg)
+        logged = state.log
+    ds = build_dataset(cfg)  # shared by the run and the baseline
 
     fh = open(metrics_path, "w", newline="", encoding="utf-8")
     writer = csv.writer(fh, lineterminator="\n")
@@ -101,8 +103,8 @@ def cmd_train(args) -> int:
         # keep already-logged epochs at the top of the metrics file
         for row in logged:
             on_epoch(row)
-        result = run_experiment(cfg, checkpoint_path=checkpoint_path,
-                                resume=args.resume, on_epoch=on_epoch)
+        result = run_experiment(cfg, dataset=ds, checkpoint_path=checkpoint_path,
+                                state=state, on_epoch=on_epoch)
     finally:
         fh.close()
 
@@ -112,7 +114,7 @@ def cmd_train(args) -> int:
         json.dump(summary, out, indent=2, sort_keys=True)
         out.write("\n")
     if args.baseline:
-        base = baseline_ce(cfg)
+        base = baseline_ce(cfg, dataset=ds)
         write_metrics_csv(base.log, os.path.join(args.out, "baseline_metrics.csv"))
         with open(os.path.join(args.out, "baseline_summary.json"), "w",
                   encoding="utf-8") as out:

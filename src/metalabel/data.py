@@ -8,10 +8,9 @@ raises, so no training path can consume a masked label by accident.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +22,7 @@ TRAIN, META, TEST = "train", "meta", "test"
 SPLITS = (TRAIN, META, TEST)
 
 DATASET_FORMAT_VERSION = 1
+SAVE_BLOCK_ROWS = 1024  # rows formatted per write; bounds the memory a save holds
 
 
 class UnlabeledLabelError(RuntimeError):
@@ -68,7 +68,7 @@ class Dataset:
         self.y_clean = np.asarray(self.y_clean, dtype=np.int64)
         self.y_noisy = np.asarray(self.y_noisy, dtype=np.int64)
         self.labeled = np.asarray(self.labeled, dtype=bool)
-        self.split = np.asarray(self.split, dtype="<U5")
+        self.split = np.asarray(self.split, dtype=str)
         n = self.x.shape[0]
         if self.x.ndim != 2:
             raise ValueError("x must be a matrix")
@@ -77,6 +77,7 @@ class Dataset:
                 raise ValueError(f"{name} length does not match x")
         if not np.all(np.isin(self.split, SPLITS)):
             raise ValueError("split tags must be train/meta/test")
+        self.split = self.split.astype("<U5", copy=False)  # narrowed once validated
         for y in (self.y_clean, self.y_noisy):
             if y.size and (y.min() < 0 or y.max() >= self.n_classes):
                 raise ValueError("class index out of range")
@@ -280,7 +281,13 @@ def mark_unlabeled(ds: Dataset, fraction: float, seed: int) -> Dataset:
 # persistence: one file, JSON header line + CSV body, bit-exact floats
 
 
+def _columns(d: int) -> list[str]:
+    return [f"x_{j}" for j in range(d)] + ["y_clean", "y_noisy", "labeled", "split"]
+
+
 def save_dataset(ds: Dataset, path: str) -> None:
+    """Write the header line, the column line, then the rows SAVE_BLOCK_ROWS
+    at a time. Floats are written as repr (shortest round-trip text)."""
     header = {
         "version": DATASET_FORMAT_VERSION,
         "n": ds.n,
@@ -288,41 +295,48 @@ def save_dataset(ds: Dataset, path: str) -> None:
         "c": ds.n_classes,
         "provenance": ds.provenance,
     }
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x_{j}" for j in range(ds.dims)]
-                    + ["y_clean", "y_noisy", "labeled", "split"])
-    for i in range(ds.n):
-        row = [repr(float(v)) for v in ds.x[i]]
-        row += [str(int(ds.y_clean[i])), str(int(ds.y_noisy[i])),
-                str(int(ds.labeled[i])), str(ds.split[i])]
-        writer.writerow(row)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(buf.getvalue())
+        fh.write(",".join(_columns(ds.dims)) + "\n")
+        for a in range(0, ds.n, SAVE_BLOCK_ROWS):
+            b = a + SAVE_BLOCK_ROWS
+            rows = zip(ds.x[a:b].tolist(), ds.y_clean[a:b].tolist(),
+                       ds.y_noisy[a:b].tolist(), ds.labeled[a:b].astype(np.int64).tolist(),
+                       ds.split[a:b].tolist())
+            fh.write("".join(f"{','.join(map(repr, x))},{yc},{yn},{lab},{tag}\n"
+                             for x, yc, yn, lab, tag in rows))
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("version") != DATASET_FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset file version {header.get('version')}")
-        reader = csv.reader(fh)
-        cols = next(reader)
-        d = header["d"]
-        if cols != [f"x_{j}" for j in range(d)] + ["y_clean", "y_noisy", "labeled", "split"]:
-            raise ValueError("dataset file column header mismatch")
-        x, y_clean, y_noisy, labeled, split = [], [], [], [], []
-        for row in reader:
-            x.append([float(v) for v in row[:d]])
-            y_clean.append(int(row[d]))
-            y_noisy.append(int(row[d + 1]))
-            labeled.append(bool(int(row[d + 2])))
-            split.append(row[d + 3])
-    ds = Dataset(
-        x=np.array(x, dtype=np.float64).reshape(header["n"], d),
-        y_clean=np.array(y_clean), y_noisy=np.array(y_noisy),
-        labeled=np.array(labeled), split=np.array(split, dtype="<U5"),
-        n_classes=header["c"], provenance=header.get("provenance", {}),
-    )
-    return ds
+    """Read a file written by save_dataset; the body is parsed by one
+    np.loadtxt. Every way the file can be malformed raises a ValueError
+    whose message starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+            version = header.get("version") if isinstance(header, dict) else None
+            if version != DATASET_FORMAT_VERSION:
+                raise ValueError(f"unsupported dataset file version {version}")
+            n, d = header["n"], header["d"]
+            if fh.readline().rstrip("\n") != ",".join(_columns(d)):
+                raise ValueError("dataset file column header mismatch")
+            # one character more than the longest tag, so that a longer tag
+            # fails validation instead of being cut to a legal one
+            record = np.dtype([("x", np.float64, (d,)), ("y_clean", np.int64),
+                               ("y_noisy", np.int64), ("labeled", np.int64),
+                               ("split", f"<U{max(map(len, SPLITS)) + 1}")])
+            with warnings.catch_warnings():  # an empty body is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                rec = np.loadtxt(fh, delimiter=",", dtype=record, comments=None, ndmin=1)
+        if len(rec) != n:
+            raise ValueError(f"header says {n} rows, the body has {len(rec)}")
+        return Dataset(  # copies: contiguous arrays, not views into the records
+            x=rec["x"].copy(), y_clean=rec["y_clean"].copy(),
+            y_noisy=rec["y_noisy"].copy(), labeled=rec["labeled"] != 0,
+            split=rec["split"], n_classes=header["c"],
+            provenance=header.get("provenance", {}),
+        )
+    except KeyError as e:
+        raise ValueError(f"{path}: the header has no {e} field") from e
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"{path}: {e}") from e

@@ -639,27 +639,23 @@ def _result(cfg: TrainConfig, ds: Dataset, st: RunState) -> ExperimentResult:
 
 def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
                    checkpoint_path: str | None = None,
-                   resume: bool = False,
+                   state: RunState | None = None,
                    on_epoch=None) -> ExperimentResult:
     """Warm-up, then phase-2 epochs; per-epoch metrics; keep the classifier
     with the best meta accuracy and score it on test.
 
-    With checkpoint_path set, the run state is written after every epoch;
-    resume=True continues from it bit-exactly. `on_epoch(row)` runs after
-    each logged epoch (for incremental metrics flushing); failures abort
-    with epoch/batch context.
+    With checkpoint_path set, the run state is written after every epoch.
+    A `state` read back by load_checkpoint continues that run bit-exactly;
+    without one the run starts fresh. `on_epoch(row)` runs after each
+    logged epoch (for incremental metrics flushing); failures abort with
+    epoch/batch context.
     """
     ds = dataset if dataset is not None else build_dataset(cfg)
     meta_size = ds.indices(dt.META).size
     if cfg.batch_size > meta_size:
         raise ConfigError(
             f"train.batch_size {cfg.batch_size} exceeds meta split size {meta_size}")
-    if resume:
-        if checkpoint_path is None or not os.path.exists(checkpoint_path):
-            raise FileNotFoundError("resume requested but no checkpoint found")
-        st = load_checkpoint(checkpoint_path, cfg)
-    else:
-        st = RunState.fresh(cfg, ds)
+    st = state if state is not None else RunState.fresh(cfg, ds)
     return _result(cfg, ds, _train(cfg, ds, st, cfg.total_epochs, True,
                                    checkpoint_path, on_epoch))
 

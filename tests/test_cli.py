@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import metalabel.cli as cli_mod
+import metalabel.harness as harness_mod
 from metalabel.cli import main
 from metalabel.data import load_dataset
 from metalabel.harness import TrainConfig, build_dataset
@@ -160,6 +162,83 @@ def test_train_missing_dataset_file_is_usage_error(tmp_path):
     cfg["data"]["path"] = str(tmp_path / "missing.dsv")
     cfg_path = write_config(tmp_path, cfg)
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
+
+
+def _truncate_mid_row(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    half = len(lines) // 2
+    return "".join(lines[:half]) + lines[half][:lines[half].index(",", 3)]
+
+
+def _non_numeric_cell(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[2] = "abc"
+    lines[5] = ",".join(cells)
+    return "".join(lines)
+
+
+def _drop_a_row(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:7] + lines[8:])
+
+
+def _non_json_header(text: str) -> str:
+    return "version 1\n" + text.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    (_truncate_mid_row, "columns"),
+    (_non_numeric_cell, "'abc'"),
+    (_drop_a_row, "header says 320 rows, the body has 319"),
+    (_non_json_header, "line 1 column 1"),
+])
+def test_malformed_dataset_file_is_usage_error_naming_the_file(tmp_path, capsys,
+                                                               corrupt, detail):
+    data_path = tmp_path / "data.dsv"
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(data_path)]) == 0
+    data_path.write_text(corrupt(data_path.read_text()))
+    cfg = tiny_config()
+    cfg["data"]["path"] = str(data_path)
+    cfg_path = write_config(tmp_path, cfg, name="train.json")
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_path}: ") and detail in err, err
+
+
+def test_train_baseline_builds_the_dataset_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return build_dataset(cfg)
+
+    monkeypatch.setattr(cli_mod, "build_dataset", counting)
+    monkeypatch.setattr(harness_mod, "build_dataset", counting)
+    cfg_path = write_config(tmp_path, tiny_config())
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--baseline"]) == 0
+    assert len(calls) == 1
+    assert (out / "baseline_summary.json").exists()
+
+
+def test_train_resume_decodes_the_checkpoint_once(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, tiny_config())
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    calls = []
+    load = harness_mod.load_checkpoint
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return load(*args, **kw)
+
+    monkeypatch.setattr(cli_mod, "load_checkpoint", counting)
+    monkeypatch.setattr(harness_mod, "load_checkpoint", counting)
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 0
+    assert len(calls) == 1
 
 
 def test_train_resume_matches_straight_run(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -285,6 +287,18 @@ def test_dataset_invariants_enforced():
         Dataset(ds.x, ds.y_clean, ds.y_noisy, bad_mask, ds.split, 2)
 
 
+@pytest.mark.parametrize("tag", ["trainee", "testing"])
+def test_dataset_rejects_split_tags_before_narrowing(tag):
+    # tags are validated at full length: "trainee" is not "train"
+    ds = make_synthetic(100, classes=2, dims=3, seed=1)
+    split = ds.split.astype(object)
+    split[0] = tag
+    with pytest.raises(ValueError, match="split tags"):
+        Dataset(ds.x, ds.y_clean, ds.y_noisy, ds.labeled, split, 2)
+    assert Dataset(ds.x, ds.y_clean, ds.y_noisy, ds.labeled,
+                   ds.split.astype(object), 2).split.dtype == np.dtype("<U5")
+
+
 # -- persistence ----------------------------------------------------------------
 
 
@@ -318,3 +332,89 @@ def test_load_rejects_unknown_version(tmp_path, blobs):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError):
         load_dataset(str(path))
+
+
+def reference_bytes(ds: Dataset) -> bytes:
+    """The file as the csv.writer-based writer formatted it: JSON header,
+    column line, then repr(float(v)) per feature and ints for the rest."""
+    header = {"version": 1, "n": ds.n, "d": ds.dims, "c": ds.n_classes,
+              "provenance": ds.provenance}
+    lines = [json.dumps(header, sort_keys=True) + "\n"]
+
+    class Sink:
+        def write(self, text):
+            lines.append(text)
+
+    writer = csv.writer(Sink(), lineterminator="\n")
+    writer.writerow([f"x_{j}" for j in range(ds.dims)]
+                    + ["y_clean", "y_noisy", "labeled", "split"])
+    for i in range(ds.n):
+        writer.writerow([repr(float(v)) for v in ds.x[i]]
+                        + [str(int(ds.y_clean[i])), str(int(ds.y_noisy[i])),
+                           str(int(ds.labeled[i])), str(ds.split[i])])
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_save_bytes_match_the_reference_formatting(tmp_path, n):
+    # block edges: one row, one short of a block, exactly one, one over, two and one
+    rng = np.random.default_rng(n)
+    ds = Dataset(rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, (n, 3)),
+                 rng.integers(0, 3, n), rng.integers(0, 3, n), rng.random(n) < 0.7,
+                 np.full(n, "train"), 3, {"n": n})
+    path = tmp_path / "d.dsv"
+    save_dataset(ds, str(path))
+    assert path.read_bytes() == reference_bytes(ds)
+
+
+def extreme_dataset() -> Dataset:
+    x = np.array([[5e-324, -5e-324, 2.2250738585072014e-308],
+                  [1.7976931348623157e308, -1.7976931348623157e308, -0.0],
+                  [1 / 3, 0.1, 1e16],
+                  [0.0, -1.5e-310, 123456789.123456789]])
+    return Dataset(x, [0, 1, 1, 0], [0, 1, 1, 0], [True, False, True, True],
+                   ["train", "train", "meta", "test"], 2)
+
+
+def test_round_trip_is_bit_exact_on_extreme_floats(tmp_path):
+    ds = extreme_dataset()
+    path = tmp_path / "e.dsv"
+    save_dataset(ds, str(path))
+    assert path.read_bytes() == reference_bytes(ds)
+    back = load_dataset(str(path))
+    assert np.array_equal(back.x.view(np.int64), ds.x.view(np.int64))  # -0.0 kept
+    assert back.x.dtype == np.float64 and back.x.flags.c_contiguous
+    for name in ("y_clean", "y_noisy", "labeled", "split"):
+        assert getattr(back, name).dtype == getattr(ds, name).dtype
+        assert np.array_equal(getattr(back, name), getattr(ds, name))
+
+
+def test_one_row_file_loads_as_a_matrix(tmp_path):
+    ds = Dataset(np.array([[1.5, -2.0, 3.25]]), [1], [1], [True], ["train"], 2)
+    path = tmp_path / "one.dsv"
+    save_dataset(ds, str(path))
+    back = load_dataset(str(path))
+    assert back.x.shape == (1, 3) and back.n == 1
+    assert np.array_equal(back.x, ds.x)
+
+
+def test_loaded_x_is_a_contiguous_float64_matrix(tmp_path, blobs):
+    path = tmp_path / "b.dsv"
+    save_dataset(blobs, str(path))
+    back = load_dataset(str(path))
+    assert back.x.dtype == np.float64
+    assert back.x.flags.c_contiguous and back.x.flags.owndata
+    assert back.x.shape == blobs.x.shape
+
+
+def test_load_rejects_a_long_split_tag(tmp_path, blobs):
+    path = tmp_path / "t.dsv"
+    save_dataset(blobs, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.endswith(",train\n"))
+    lines[row] = lines[row].replace(",train\n", ",trainee\n")
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="split tags") as err:
+        load_dataset(str(path))
+    assert str(err.value).startswith(str(path))
+

@@ -394,8 +394,9 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
 
         with pytest.raises(Stop):
             run_experiment(cfg, dataset=ds, checkpoint_path=cp, on_epoch=stop)
-        assert load_checkpoint(cp).epoch_next == resume_at
-        resumed = run_experiment(cfg, dataset=ds, checkpoint_path=cp, resume=True)
+        state = load_checkpoint(cp, cfg)
+        assert state.epoch_next == resume_at
+        resumed = run_experiment(cfg, dataset=ds, checkpoint_path=cp, state=state)
 
         assert len(resumed.log) == len(straight.log)
         assert all(rows_equal(a, b) for a, b in zip(resumed.log, straight.log))
@@ -412,7 +413,7 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
 def test_resume_requires_checkpoint(tmp_path):
     cfg = small_config()
     with pytest.raises(FileNotFoundError):
-        run_experiment(cfg, checkpoint_path=str(tmp_path / "nope.json"), resume=True)
+        load_checkpoint(str(tmp_path / "nope.json"), cfg)
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
