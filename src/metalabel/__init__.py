@@ -12,7 +12,6 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .engine import Tensor, grad, no_grad, softmax
 from .harness import (
     TrainConfig,
     baseline_ce,
@@ -25,22 +24,19 @@ from .meta import (
     FeatureExtractor,
     SoftLabeler,
     conventional_step,
-    meta_loss,
     meta_step,
     similarity_matrix,
-    virtual_update,
 )
-from .nn import Mlp, cce_loss, entropy_loss, init_mlp, kl_loss, one_hot
+from .nn import Mlp, init_mlp, one_hot
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "NoiseSpec", "UnlabeledLabelError", "Tensor", "TrainConfig",
+    "Dataset", "NoiseSpec", "UnlabeledLabelError", "TrainConfig",
     "FeatureExtractor", "SoftLabeler", "Mlp",
     "make_synthetic", "split_dataset", "inject_uniform",
     "inject_feature_dependent", "mark_unlabeled", "save_dataset",
-    "load_dataset", "grad", "no_grad", "softmax", "cce_loss", "kl_loss",
-    "entropy_loss", "init_mlp", "one_hot", "virtual_update", "meta_loss",
-    "meta_step", "similarity_matrix", "conventional_step", "baseline_ce",
-    "build_dataset", "evaluate", "run_experiment", "warmup_phase",
+    "load_dataset", "init_mlp", "one_hot", "meta_step", "similarity_matrix",
+    "conventional_step", "baseline_ce", "build_dataset", "evaluate",
+    "run_experiment", "warmup_phase",
 ]

@@ -69,6 +69,9 @@ def _apply_overrides(cfg: TrainConfig, args) -> TrainConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
+    if cfg.dataset_path is not None:
+        raise ConfigError("gen-data always synthesises a dataset; "
+                          f"drop data.path ({cfg.dataset_path}) from the config")
     ds = build_dataset(cfg)
     save_dataset(ds, args.out)
     print(f"wrote {ds.n} rows ({ds.dims} dims, {ds.n_classes} classes) to {args.out}")

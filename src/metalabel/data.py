@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import Tensor, no_grad, softmax
-from .nn import Mlp
+from .nn import Mlp, mlp_logits, softmax
 
 TRAIN, META, TEST = "train", "meta", "test"
 SPLITS = (TRAIN, META, TEST)
@@ -221,9 +220,7 @@ def inject_uniform(ds: Dataset, ratio: float, seed: int) -> Dataset:
 def margins(oracle: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row confidence margin (top softmax prob minus runner-up) and the
     runner-up class under the oracle."""
-    with no_grad():
-        logits, _ = oracle.forward(Tensor(x))
-        probs = softmax(logits).value
+    probs = softmax(mlp_logits(oracle.layers, x))
     order = np.argsort(-probs, axis=1, kind="stable")
     top, runner = order[:, 0], order[:, 1]
     rows = np.arange(x.shape[0])

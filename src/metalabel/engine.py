@@ -7,9 +7,9 @@ is itself a differentiable node and gradients can be pushed through gradients
 (needed for the one-step unrolled meta update).
 
 Training does not run on the engine: the training steps use the numpy
-kernels of `nn`. The engine is the reference they are checked against, by
-`gradcheck` and the tests, through the unrolled meta route in `meta` and the
-loss functions in `nn`.
+kernels of `nn`. The engine is the reference they are checked against,
+through the reference route in `gradcheck` (the engine forward pass, the
+losses and the unrolled meta update).
 
 Only rank-0 scalars and rank-2 matrices exist; vectors are 1xN or Nx1
 matrices. All values are float64.
@@ -21,6 +21,8 @@ import contextlib
 from typing import Sequence
 
 import numpy as np
+
+from . import nn
 
 __all__ = [
     "Tensor",
@@ -309,9 +311,7 @@ def softmax(logits) -> Tensor:
         raise ValueError("softmax needs a matrix of logits")
     if not np.all(np.isfinite(z.value)):
         raise ValueError("softmax requires finite logits")
-    e = np.exp(z.value - z.value.max(axis=1, keepdims=True))
-    s_val = e / e.sum(axis=1, keepdims=True)
-    out = _node(s_val, (z,), ())
+    out = _node(nn.softmax(z.value), (z,), ())
     if out._parents:
         # vjp: s * (g - rowsum(g * s))
         out._vjps = (lambda g: mul(out, sub(g, sum_rows(mul(g, out)))),)

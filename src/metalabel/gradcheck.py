@@ -1,4 +1,11 @@
-"""Finite-difference oracles for every analytic gradient path.
+"""The reference route on the autodiff engine, and finite-difference oracles
+for every analytic gradient path.
+
+This is the only module that differentiates with the engine. Its reference
+route is the engine form of the network (`forward`), the generator
+(`soft_labels`), the three losses, and the unrolled meta update
+(`virtual_update`, `meta_loss`). Parameters arrive as the float64 arrays the
+rest of the package stores and become `Tensor`s here, at this boundary.
 
 Central differences are the independent reference: nothing here reuses the
 machinery it is checking, beyond evaluating the function being differenced.
@@ -15,9 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Tensor, grad, mul, softmax, sum_all
-from .meta import SoftLabeler, meta_gradient, meta_loss, virtual_update
-from .nn import cce_loss, entropy_loss, init_mlp, kl_loss, one_hot
+from .engine import Tensor, as_tensor, clip_min, grad, linear, log, mul, relu, softmax, sum_all
+from .meta import SoftLabeler, meta_gradient
+from .nn import ShapeError, check_one_hot, init_mlp, one_hot
+
+PROB_FLOOR = 1e-12  # clamp applied inside losses only, never to stored labels
 
 FD_STEP = 1e-5
 SMALL_GRAD = 1e-8
@@ -71,6 +80,99 @@ def mixed_error(analytic: np.ndarray, reference: np.ndarray,
     if (~big).any():
         worst = max(worst, float(np.abs(analytic - reference)[~big].max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the reference route: parameter lists are flat, layer order, weight before
+# bias (as Mlp.params), of arrays or Tensors; arrays are wrapped on entry
+
+
+def forward(params, x) -> tuple[Tensor, Tensor]:
+    """Returns (logits, hidden): hidden is the activation feeding the output
+    layer (the input itself for a single-layer net)."""
+    params = [as_tensor(p) for p in params]
+    h = as_tensor(x)
+    if h.shape[1] != params[0].shape[0]:
+        raise ShapeError(f"input width {h.shape[1]} does not match layer 0 "
+                         f"({params[0].shape[0]})")
+    for w, b in zip(params[:-2:2], params[1:-2:2]):
+        h = relu(linear(h, w, b))
+    return linear(h, params[-2], params[-1]), h
+
+
+def soft_labels(phi, v) -> Tensor:
+    """The generator's row distributions for feature rows v, differentiable
+    with respect to phi = [weight, bias]."""
+    return softmax(linear(v, *phi))
+
+
+def _check_probs(p: Tensor, name: str) -> None:
+    if p.value.ndim != 2:
+        raise ShapeError(f"{name} must be a matrix of row distributions")
+    if np.any(p.value <= 0.0):
+        raise ValueError(f"{name} must be strictly positive")
+
+
+def cce_loss(probs, y_onehot: np.ndarray) -> Tensor:
+    """Batch-mean categorical cross-entropy against one-hot targets."""
+    probs = as_tensor(probs)
+    _check_probs(probs, "probs")
+    check_one_hot(y_onehot, probs.shape[1])
+    n = probs.shape[0]
+    picked = mul(Tensor(np.asarray(y_onehot, dtype=np.float64)), log(probs))
+    return sum_all(picked) * (-1.0 / n)
+
+
+def kl_loss(pred, target) -> Tensor:
+    """Batch-mean KL(pred row || target row); prediction in the first slot.
+
+    Entries are floored at PROB_FLOOR inside the computation only; callers'
+    arrays are never mutated.
+    """
+    pred, target = as_tensor(pred), as_tensor(target)
+    _check_probs(pred, "pred")
+    _check_probs(target, "target")
+    if pred.shape != target.shape:
+        raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
+    n = pred.shape[0]
+    p = clip_min(pred, PROB_FLOOR)
+    q = clip_min(target, PROB_FLOOR)
+    return sum_all(mul(p, log(p) - log(q))) * (1.0 / n)
+
+
+def entropy_loss(probs) -> Tensor:
+    """Batch-mean Shannon entropy of prediction rows; pressure toward
+    single-class peaks when minimized."""
+    probs = as_tensor(probs)
+    _check_probs(probs, "probs")
+    n = probs.shape[0]
+    p = clip_min(probs, PROB_FLOOR)
+    return sum_all(mul(p, log(p))) * (-1.0 / n)
+
+
+def virtual_update(params, x, y_hat, inner_lr: float = 1.0):
+    """Hypothetical classifier parameters after one plain SGD step on the
+    batch-mean KL against the generated labels, kept differentiable with
+    respect to the parameters and whatever y_hat depends on. No momentum, no
+    weight decay.
+
+    Returns (theta_hat, loss, inner_grads), theta_hat a flat Tensor list."""
+    params = [as_tensor(p) for p in params]
+    logits, _ = forward(params, x)
+    loss = kl_loss(softmax(logits), y_hat)
+    inner_grads = grad(loss, params, create_graph=True)
+    for g in inner_grads:
+        if not np.all(np.isfinite(g.value)):
+            raise ValueError("non-finite gradient in virtual update")
+    return [p - inner_lr * g for p, g in zip(params, inner_grads)], loss, inner_grads
+
+
+def meta_loss(theta_hat, meta_x, meta_y_onehot: np.ndarray) -> Tensor:
+    """Batch-mean cross-entropy of the virtually updated classifier (a flat
+    parameter list) on a clean meta batch."""
+    check_one_hot(meta_y_onehot, theta_hat[-1].shape[1])
+    logits, _ = forward(theta_hat, meta_x)
+    return cce_loss(softmax(logits), meta_y_onehot)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +254,8 @@ def _tiny_problem(seed: int):
     t = TINY
     rng = np.random.default_rng(seed)
     theta = init_mlp([t["dims"]] + t["hidden"] + [t["classes"]], rng)
-    labeler = SoftLabeler(Tensor(rng.normal(size=(t["n_features"], t["classes"])) * 0.5),
-                          Tensor(rng.normal(size=(1, t["classes"])) * 0.1))
+    labeler = SoftLabeler(rng.normal(size=(t["n_features"], t["classes"])) * 0.5,
+                          rng.normal(size=(1, t["classes"])) * 0.1)
     x = rng.normal(size=(t["batch"], t["dims"]))
     v = rng.normal(size=(t["batch"], t["n_features"]))
     mx = rng.normal(size=(t["batch"], t["dims"]))
@@ -162,9 +264,9 @@ def _tiny_problem(seed: int):
 
 
 def _unrolled_phi_grad(labeler, theta, x, v, mx, my, inner_lr):
-    y_hat = labeler.soft_labels(v)
-    theta_hat, _, _ = virtual_update(theta, x, y_hat, inner_lr)
-    return [g.value for g in grad(meta_loss(theta_hat, mx, my), labeler.params())]
+    phi = [Tensor(p) for p in labeler.params()]
+    theta_hat, _, _ = virtual_update(theta.params(), x, soft_labels(phi, v), inner_lr)
+    return [g.value for g in grad(meta_loss(theta_hat, mx, my), phi)]
 
 
 def _fused_phi_grad(labeler, theta, x, v, mx, my, inner_lr):
@@ -182,12 +284,11 @@ def check_meta_gradient(n_seeds: int = 20, tolerance: float = 1e-4,
         analytic = _fused_phi_grad(labeler, theta, x, v, mx, my, inner_lr)
 
         def loss_at(wv, bv) -> float:
-            lab = SoftLabeler(Tensor(wv), Tensor(bv))
-            y_hat = lab.soft_labels(v)
-            theta_hat, _, _ = virtual_update(theta, x, y_hat, inner_lr)
+            y_hat = soft_labels([wv, bv], v)
+            theta_hat, _, _ = virtual_update(theta.params(), x, y_hat, inner_lr)
             return meta_loss(theta_hat, mx, my).item()
 
-        w0, b0 = labeler.weight.value, labeler.bias.value
+        w0, b0 = labeler.weight, labeler.bias
         fd_w = fd_gradient(lambda a: loss_at(a, b0), w0)
         fd_b = fd_gradient(lambda a: loss_at(w0, a), b0)
         worst = max(worst, mixed_error(analytic[0], fd_w),

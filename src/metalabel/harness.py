@@ -23,9 +23,17 @@ import numpy as np
 
 from . import data as dt
 from .data import Dataset, load_dataset
-from .engine import Tensor, no_grad, softmax
 from .meta import FeatureExtractor, SoftLabeler, ce_step, conventional_step, meta_step
-from .nn import OPTIMIZERS, DivergenceError, Mlp, init_mlp, make_optimizer, mlp_logits, one_hot
+from .nn import (
+    OPTIMIZERS,
+    DivergenceError,
+    Mlp,
+    init_mlp,
+    make_optimizer,
+    mlp_logits,
+    one_hot,
+    softmax,
+)
 
 CHECKPOINT_VERSION = 1
 EVAL_CHUNK = 4096  # rows per forward pass in evaluate; bounds its peak memory
@@ -306,20 +314,16 @@ def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
         if idx.size == 0:
             raise ValueError(f"empty split {split!r}")
         y = ds.y_clean[idx]
-    layers = [(w.value, b.value) for w, b in theta.layers]
     hits = 0
     for start in range(0, idx.size, EVAL_CHUNK):
-        logits = mlp_logits(layers, ds.x[idx[start:start + EVAL_CHUNK]])
+        logits = mlp_logits(theta.layers, ds.x[idx[start:start + EVAL_CHUNK]])
         hits += int(np.count_nonzero(logits.argmax(axis=1) == y[start:start + EVAL_CHUNK]))
     return hits / idx.size
 
 
 def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
     """Batch-mean Shannon entropy of softmax predictions on a split."""
-    idx = ds.indices(split)
-    with no_grad():
-        logits, _ = theta.forward(Tensor(ds.x[idx]))
-        p = softmax(logits).value
+    p = softmax(mlp_logits(theta.layers, ds.x[ds.indices(split)]))
     p = np.clip(p, 1e-300, 1.0)
     return float(-(p * np.log(p)).sum(axis=1).mean())
 
@@ -373,11 +377,11 @@ def _mat_from_json(d: dict) -> np.ndarray:
 
 
 def _layers_to_json(layers) -> list[dict]:
-    return [{"w": _mat_to_json(w.value), "b": _mat_to_json(b.value)} for w, b in layers]
+    return [{"w": _mat_to_json(w), "b": _mat_to_json(b)} for w, b in layers]
 
 
-def _layers_from_json(d: list[dict]) -> list[tuple[Tensor, Tensor]]:
-    return [(Tensor(_mat_from_json(l["w"])), Tensor(_mat_from_json(l["b"]))) for l in d]
+def _layers_from_json(d: list[dict]) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(_mat_from_json(l["w"]), _mat_from_json(l["b"])) for l in d]
 
 
 def _opt_to_json(opt) -> dict:
@@ -564,8 +568,7 @@ def _train(cfg: TrainConfig, ds: Dataset, st: RunState, until: int, phase2: bool
                                             lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
             if feats is None:
                 feats = st.extractor(ds.x[train_idx])
-                with no_grad():
-                    prev_soft = st.labeler.soft_labels(feats).value
+                prev_soft = st.labeler.soft_labels(feats)
             sampler = _MetaSampler(ds.indices(dt.META), st.rng)
 
             def step(pos):
@@ -582,8 +585,7 @@ def _train(cfg: TrainConfig, ds: Dataset, st: RunState, until: int, phase2: bool
                 return lc, le, report.meta_loss, report.mean_similarity
 
             losses = _epoch(train_idx.size, cfg.batch_size, st.rng, f"epoch {epoch}", step)
-            with no_grad():
-                cur_soft = st.labeler.soft_labels(feats).value
+            cur_soft = st.labeler.soft_labels(feats)
             diff = np.abs(cur_soft - prev_soft)
             losses += [float(diff.mean()), float(diff.var())]
             prev_soft = cur_soft

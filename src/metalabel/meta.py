@@ -4,16 +4,16 @@ The generator is a single dense layer + softmax over frozen features. Its
 update differentiates the meta objective through a one-step virtual SGD
 update of the classifier, i.e. a gradient is pushed through a gradient.
 
-Two routes compute that gradient. The fused route (`meta_gradient`, behind
-`meta_step`) builds no graph: the meta gradient with respect to the
-generator's logits is (inner_lr / n) (J - q * rowsum J), where J is the
-forward-mode derivative (Pearlmutter's R-operator) of the classifier's
-softmax at theta along g, the meta-loss gradient at the virtually updated
-parameters. This is the batch form of the gradient-similarity identity of
-Ren et al. 2018. It runs on the numpy kernels of `nn`, as do the classifier
-steps. The unrolled route (`virtual_update`, `meta_loss`) records the
-virtual update on the autodiff engine and differentiates through it; it is
-the reference the fused route is checked against, never the hot path.
+`meta_gradient`, behind `meta_step`, computes that gradient without a graph:
+the meta gradient with respect to the generator's logits is
+(inner_lr / n) (J - q * rowsum J), where J is the forward-mode derivative
+(Pearlmutter's R-operator) of the classifier's softmax at theta along g, the
+meta-loss gradient at the virtually updated parameters. This is the batch
+form of the gradient-similarity identity of Ren et al. 2018. It runs on the
+numpy kernels of `nn`, as do the classifier steps, and every parameter is a
+float64 array. The unrolled route, which records the virtual update on the
+autodiff engine and differentiates through it, is the reference this one is
+checked against; it lives in `gradcheck`.
 """
 
 from __future__ import annotations
@@ -22,19 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Tensor, grad, linear, softmax
 from .nn import (
     DivergenceError,
     Mlp,
-    cce_loss,
     check_one_hot,
-    kl_loss,
     log_softmax,
     mlp_backward,
     mlp_deltas,
     mlp_forward,
     mlp_jvp,
     mlp_logits,
+    softmax,
 )
 
 EXTRACTOR_MODES = ("penultimate", "logits")
@@ -49,7 +47,7 @@ class FeatureExtractor:
     output. Immutable after creation: built from deep copies.
     """
 
-    layers: list[tuple[Tensor, Tensor]]
+    layers: list[tuple[np.ndarray, np.ndarray]]
     mode: str
     in_dim: int
 
@@ -72,10 +70,9 @@ class FeatureExtractor:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"extractor expects (N, {self.in_dim}) input, got {x.shape}")
-        layers = _arrays(self)
         if self.mode == "logits":
-            return mlp_logits(layers, x)
-        for w, b in layers:
+            return mlp_logits(self.layers, x)
+        for w, b in self.layers:
             x = np.maximum(x @ w + b, 0.0)
         return x
 
@@ -84,30 +81,27 @@ class FeatureExtractor:
 class SoftLabeler:
     """Single dense layer + softmax mapping features to soft labels."""
 
-    weight: Tensor  # (F, C)
-    bias: Tensor    # (1, C)
+    weight: np.ndarray  # (F, C)
+    bias: np.ndarray    # (1, C)
 
     @classmethod
     def zeros(cls, n_features: int, n_classes: int) -> "SoftLabeler":
         # zero init makes the initial labels uniform over classes
-        return cls(Tensor(np.zeros((n_features, n_classes))),
-                   Tensor(np.zeros((1, n_classes))))
+        return cls(np.zeros((n_features, n_classes)), np.zeros((1, n_classes)))
 
     @property
     def n_classes(self) -> int:
         return self.weight.shape[1]
 
-    def params(self) -> list[Tensor]:
+    def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
 
-    def soft_labels(self, v) -> Tensor:
-        """Row distributions over classes for feature rows v. Differentiable
-        with respect to (weight, bias) when recording is on."""
-        v = v if isinstance(v, Tensor) else Tensor(v)
+    def soft_labels(self, v: np.ndarray) -> np.ndarray:
+        """Row distributions over classes for feature rows v."""
         if v.shape[1] != self.weight.shape[0]:
             raise ValueError(
                 f"feature width {v.shape[1]} does not match generator ({self.weight.shape[0]})")
-        return softmax(linear(v, self.weight, self.bias))
+        return softmax(v @ self.weight + self.bias)
 
 
 @dataclass
@@ -123,47 +117,7 @@ class MetaStepReport:
 
 
 # ---------------------------------------------------------------------------
-# the unrolled reference route (engine)
-
-
-def virtual_update(theta: Mlp, x, y_hat: Tensor, inner_lr: float = 1.0):
-    """Hypothetical classifier parameters after one plain SGD step on the
-    batch-mean KL against the generated labels, kept differentiable with
-    respect to whatever y_hat depends on. No momentum, no weight decay; never
-    committed to the live classifier.
-
-    Returns (theta_hat, loss, inner_grads)."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    logits, _ = theta.forward(x)
-    loss = kl_loss(softmax(logits), y_hat)
-    inner_grads = grad(loss, theta.params(), create_graph=True)
-    for g in inner_grads:
-        if not np.all(np.isfinite(g.value)):
-            raise ValueError("non-finite gradient in virtual update")
-    updated = [p - inner_lr * g for p, g in zip(theta.params(), inner_grads)]
-    return theta.with_params(updated), loss, inner_grads
-
-
-def meta_loss(theta_hat: Mlp, meta_x, meta_y_onehot: np.ndarray) -> Tensor:
-    """Batch-mean cross-entropy of the virtually updated classifier on a
-    clean meta batch."""
-    check_one_hot(meta_y_onehot, theta_hat.out_dim)
-    mx = meta_x if isinstance(meta_x, Tensor) else Tensor(meta_x)
-    logits, _ = theta_hat.forward(mx)
-    return cce_loss(softmax(logits), meta_y_onehot)
-
-
-# ---------------------------------------------------------------------------
-# the training steps (fused route, numpy kernels)
-
-
-def _arrays(net) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (weight, bias) arrays of an Mlp or FeatureExtractor."""
-    return [(w.value, b.value) for w, b in net.layers]
-
-
-def _apply(optimizer, params: list[Tensor], grads: list[np.ndarray]) -> list[Tensor]:
-    return [Tensor(v) for v in optimizer.step([p.value for p in params], grads)]
+# the training steps (numpy kernels)
 
 
 def _soft_label_dz(p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -186,9 +140,8 @@ def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray
     if len(meta_x) != n:
         raise ValueError(f"meta batch size {len(meta_x)} != train batch size {n}")
     check_one_hot(meta_y_onehot, theta.out_dim)
-    layers = _arrays(theta)
-    w_phi, b_phi = labeler.weight.value, labeler.bias.value
-    log_q, q = log_softmax(v @ w_phi + b_phi)
+    layers = theta.layers
+    log_q, q = log_softmax(v @ labeler.weight + labeler.bias)
 
     z, acts = mlp_forward(layers, x)
     log_p, p = log_softmax(z)
@@ -225,7 +178,7 @@ def meta_step(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray,
     """
     phi_grads, report = meta_gradient(labeler, theta, x, v, meta_x, meta_y_onehot,
                                       inner_lr=inner_lr)
-    return SoftLabeler(*_apply(optimizer, labeler.params(), phi_grads)), report
+    return SoftLabeler(*optimizer.step(labeler.params(), phi_grads)), report
 
 
 def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
@@ -237,9 +190,8 @@ def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
     the loss is the KL classification term plus (optionally) the entropy
     term that keeps predictions peaked. Returns (theta', L_c, L_e).
     """
-    log_q, _ = log_softmax(v @ labeler.weight.value + labeler.bias.value)
-    layers = _arrays(theta)
-    z, acts = mlp_forward(layers, x)
+    log_q, _ = log_softmax(v @ labeler.weight + labeler.bias)
+    z, acts = mlp_forward(theta.layers, x)
     log_p, p = log_softmax(z)
     n = len(x)
     l_c = float((p * (log_p - log_q)).sum()) / n
@@ -250,7 +202,7 @@ def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
     dz = _soft_label_dz(p, -log_q if use_entropy else log_p - log_q) / n
     optimizer.lr = lam
     new_theta = theta.with_params(
-        _apply(optimizer, theta.params(), mlp_backward(layers, acts, dz)))
+        optimizer.step(theta.params(), mlp_backward(theta.layers, acts, dz)))
     return new_theta, l_c, l_e
 
 
@@ -258,8 +210,7 @@ def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
             optimizer) -> tuple[Mlp, float]:
     """One optimizer step of batch-mean cross-entropy on hard class labels
     (warm-up, baseline and margin oracle). Returns (theta', loss)."""
-    layers = _arrays(theta)
-    z, acts = mlp_forward(layers, x)
+    z, acts = mlp_forward(theta.layers, x)
     log_p, p = log_softmax(z)
     rows = np.arange(len(x))
     loss = -float(log_p[rows, labels].sum()) / len(x)
@@ -267,14 +218,14 @@ def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
     dz[rows, labels] -= 1.0
     dz /= len(x)
     return theta.with_params(
-        _apply(optimizer, theta.params(), mlp_backward(layers, acts, dz))), loss
+        optimizer.step(theta.params(), mlp_backward(theta.layers, acts, dz))), loss
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def similarity_matrix(theta: Mlp, theta_hat: Mlp, x: np.ndarray, y_hat: Tensor,
+def similarity_matrix(theta: Mlp, theta_hat: Mlp, x: np.ndarray, y_hat: np.ndarray,
                       meta_x: np.ndarray, meta_y_onehot: np.ndarray) -> np.ndarray:
     """S[i, j] = inner product of train sample i's classification-loss
     gradient (at theta) with meta sample j's cross-entropy gradient (at
@@ -284,10 +235,10 @@ def similarity_matrix(theta: Mlp, theta_hat: Mlp, x: np.ndarray, y_hat: Tensor,
     row h and its pre-activation gradient row d, so
     S = sum over layers of (H H'^T + 1) * (D D'^T). Diagnostic only.
     """
-    layers, hat = _arrays(theta), _arrays(theta_hat)
+    layers, hat = theta.layers, theta_hat.layers
     z, acts = mlp_forward(layers, x)
     log_p, p = log_softmax(z)
-    dz = _soft_label_dz(p, log_p - np.log(y_hat.value))
+    dz = _soft_label_dz(p, log_p - np.log(y_hat))
     z_hat, acts_hat = mlp_forward(hat, meta_x)
     _, p_hat = log_softmax(z_hat)
     s = np.zeros((len(x), len(meta_x)))

@@ -1,13 +1,12 @@
-"""MLP parameters and kernels, the three training losses, and first-order
-optimizers.
+"""MLP parameters and kernels, and first-order optimizers.
 
-The kernels (`mlp_forward`, `mlp_backward`, `mlp_jvp`, `log_softmax`) are
-hand-written numpy passes over the fixed network shape: rectifier hidden
-layers, identity output. The training steps in `meta` run on them alone.
-The losses are built from engine ops, so their gradients (and gradients of
-those gradients) come from the reverse-mode engine; they are the reference
-the kernels are checked against. Optimizers work on raw float64 arrays:
-parameter updates are ordinary numerics, never differentiated.
+Parameters are float64 arrays. The kernels (`mlp_forward`, `mlp_backward`,
+`mlp_jvp`, `log_softmax`, `softmax`) are hand-written numpy passes over the
+fixed network shape: rectifier hidden layers, identity output. The training
+steps in `meta` run on them alone. Optimizers work on the same arrays:
+parameter updates are ordinary numerics, never differentiated. The engine
+form of the network and the losses, which the kernels are checked against,
+lives in `gradcheck`.
 """
 
 from __future__ import annotations
@@ -15,18 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .engine import (
-    Tensor,
-    clip_min,
-    linear,
-    log,
-    mul,
-    relu,
-    sum_all,
-)
-
-PROB_FLOOR = 1e-12  # clamp applied inside losses only, never to stored labels
 
 
 class ShapeError(ValueError):
@@ -46,22 +33,24 @@ class DivergenceError(ArithmeticError):
 class Mlp:
     """Dense network parameters: rectifier hidden layers, identity output.
 
-    `layers[i]` is a (weight, bias) pair with weight (in, out) and bias
-    (1, out); consecutive layers chain and the last output width is the
-    class count.
+    `layers[i]` is a (weight, bias) pair of float64 arrays with weight
+    (in, out) and bias (1, out); consecutive layers chain and the last
+    output width is the class count.
     """
 
-    layers: list[tuple[Tensor, Tensor]]
+    layers: list[tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
+        for i, (w, b) in enumerate(self.layers):
+            if w.ndim != 2:
+                raise ShapeError(f"layer {i} weight must be a matrix, got ndim={w.ndim}")
+            if b.shape != (1, w.shape[1]):
+                raise ShapeError(f"layer {i} bias shape {b.shape}, want (1, {w.shape[1]})")
         for i in range(len(self.layers) - 1):
             w_out = self.layers[i][0].shape[1]
             w_in = self.layers[i + 1][0].shape[0]
             if w_out != w_in:
                 raise ShapeError(f"layer {i} outputs {w_out} but layer {i + 1} expects {w_in}")
-        for i, (w, b) in enumerate(self.layers):
-            if b.shape != (1, w.shape[1]):
-                raise ShapeError(f"layer {i} bias shape {b.shape}, want (1, {w.shape[1]})")
 
     @property
     def in_dim(self) -> int:
@@ -71,11 +60,7 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1][0].shape[1]
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.value.size + b.value.size for w, b in self.layers)
-
-    def params(self) -> list[Tensor]:
+    def params(self) -> list[np.ndarray]:
         """Flat parameter list: layer order, weight before bias."""
         out = []
         for w, b in self.layers:
@@ -83,26 +68,13 @@ class Mlp:
             out.append(b)
         return out
 
-    def with_params(self, flat: list[Tensor]) -> "Mlp":
+    def with_params(self, flat: list[np.ndarray]) -> "Mlp":
         if len(flat) != 2 * len(self.layers):
             raise ShapeError("parameter list length mismatch")
         return Mlp([(flat[2 * i], flat[2 * i + 1]) for i in range(len(self.layers))])
 
     def copy(self) -> "Mlp":
-        return Mlp([(Tensor(w.value.copy()), Tensor(b.value.copy())) for w, b in self.layers])
-
-    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Returns (logits, hidden): hidden is the activation feeding the
-        output layer (the input itself for a single-layer net)."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"input width {x.shape[1]} does not match layer 0 ({self.in_dim})")
-        h = x
-        for w, b in self.layers[:-1]:
-            h = relu(linear(h, w, b))
-        w, b = self.layers[-1]
-        logits = linear(h, w, b)
-        return logits, h
+        return Mlp([(w.copy(), b.copy()) for w, b in self.layers])
 
 
 def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
@@ -114,7 +86,7 @@ def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-s, s, size=(fan_in, fan_out))
-        layers.append((Tensor(w), Tensor(np.zeros((1, fan_out)))))
+        layers.append((w, np.zeros((1, fan_out))))
     return Mlp(layers)
 
 
@@ -192,27 +164,18 @@ def log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logp, p
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, stabilized by subtracting the row max; the one
+    formula the engine's softmax shares. Raises DivergenceError for
+    non-finite logits."""
+    if not np.all(np.isfinite(z)):
+        raise DivergenceError("diverged: non-finite logits")
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
-# losses
-
-
-def _check_probs(p: Tensor, name: str) -> None:
-    if p.value.ndim != 2:
-        raise ShapeError(f"{name} must be a matrix of row distributions")
-    if np.any(p.value <= 0.0):
-        raise ValueError(f"{name} must be strictly positive")
-
-
-def check_soft_labels(probs: np.ndarray, *, tol: float = 1e-9) -> None:
-    """Validate the soft-label contract: rows on the open simplex."""
-    p = np.asarray(probs)
-    if p.ndim != 2:
-        raise ShapeError("soft labels must be a matrix")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("soft-label entries must lie strictly in (0, 1)")
-    err = np.abs(p.sum(axis=1) - 1.0).max()
-    if err > tol:
-        raise ValueError(f"soft-label rows must sum to 1 (max deviation {err:.3g})")
+# labels
 
 
 def check_one_hot(y: np.ndarray, n_classes: int | None = None) -> None:
@@ -233,43 +196,6 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], n_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def cce_loss(probs: Tensor, y_onehot: np.ndarray) -> Tensor:
-    """Batch-mean categorical cross-entropy against one-hot targets."""
-    _check_probs(probs, "probs")
-    check_one_hot(y_onehot, probs.shape[1])
-    n = probs.shape[0]
-    picked = mul(Tensor(np.asarray(y_onehot, dtype=np.float64)), log(probs))
-    return sum_all(picked) * (-1.0 / n)
-
-
-def kl_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Batch-mean KL(pred row || target row); prediction in the first slot.
-
-    Entries are floored at PROB_FLOOR inside the computation only; callers'
-    arrays are never mutated.
-    """
-    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    _check_probs(pred, "pred")
-    _check_probs(target, "target")
-    if pred.shape != target.shape:
-        raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
-    n = pred.shape[0]
-    p = clip_min(pred, PROB_FLOOR)
-    q = clip_min(target, PROB_FLOOR)
-    return sum_all(mul(p, log(p) - log(q))) * (1.0 / n)
-
-
-def entropy_loss(probs: Tensor) -> Tensor:
-    """Batch-mean Shannon entropy of prediction rows; pressure toward
-    single-class peaks when minimized."""
-    probs = probs if isinstance(probs, Tensor) else Tensor(probs)
-    _check_probs(probs, "probs")
-    n = probs.shape[0]
-    p = clip_min(probs, PROB_FLOOR)
-    return sum_all(mul(p, log(p))) * (-1.0 / n)
 
 
 # ---------------------------------------------------------------------------

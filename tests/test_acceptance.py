@@ -18,7 +18,6 @@ import numpy as np
 
 from metalabel import gradcheck
 from metalabel.data import make_synthetic, split_dataset, inject_uniform, margins
-from metalabel.engine import Tensor
 from metalabel.harness import (
     TrainConfig,
     baseline_ce,
@@ -220,8 +219,8 @@ def test_criterion_10_invariant_suites():
 
     # soft-label simplex invariants
     rng = np.random.default_rng(0)
-    lab = SoftLabeler(Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=(1, 4))))
-    probs = lab.soft_labels(rng.normal(size=(50, 6))).value
+    lab = SoftLabeler(rng.normal(size=(6, 4)), rng.normal(size=(1, 4)))
+    probs = lab.soft_labels(rng.normal(size=(50, 6)))
     if not (np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
             and np.all(probs > 0.0) and np.all(probs < 1.0)):
         problems.append("soft labels left the open simplex")
@@ -238,7 +237,7 @@ def test_criterion_10_invariant_suites():
     from metalabel.nn import Mlp
     w = np.zeros((6, 4))
     w[np.arange(4), np.arange(4)] = 4.0
-    oracle = Mlp([(Tensor(w), Tensor(np.zeros((1, 4))))])
+    oracle = Mlp([(w, np.zeros((1, 4)))])
     fd = inject_feature_dependent(ds, 0.3, oracle, seed=6)
     margin, runner = margins(oracle, ds.x[train])
     k = math.ceil(0.3 * int(train.sum()))
@@ -254,7 +253,7 @@ def test_criterion_10_invariant_suites():
                       warmup_epochs=3, total_epochs=8,
                       lr_schedule=[[0, 1e-2]], oracle_epochs=10)
     a, b = run_experiment(cfg), run_experiment(cfg)
-    same = all(np.array_equal(wa.value, wb.value) and np.array_equal(ba.value, bb.value)
+    same = all(np.array_equal(wa, wb) and np.array_equal(ba, bb)
                for (wa, ba), (wb, bb) in zip(a.theta_final.layers, b.theta_final.layers))
     if not (same and a.best_epoch == b.best_epoch
             and a.test_acc_selected == b.test_acc_selected):
@@ -263,13 +262,13 @@ def test_criterion_10_invariant_suites():
     # classifier isolation of the meta step
     rng = np.random.default_rng(2)
     theta = init_mlp([4, 3, 3], rng)
-    before = [p.value.copy() for p in theta.params()]
-    lab = SoftLabeler(Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(1, 3))))
+    before = [p.copy() for p in theta.params()]
+    lab = SoftLabeler(rng.normal(size=(3, 3)), rng.normal(size=(1, 3)))
     opt = make_optimizer("adam", [p.shape for p in lab.params()], lr=1e-2)
     meta_step(lab, theta, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)),
               rng.normal(size=(5, 4)), one_hot(rng.integers(0, 3, 5), 3),
               inner_lr=1.0, optimizer=opt)
-    if not all(np.array_equal(p.value, q) for p, q in zip(theta.params(), before)):
+    if not all(np.array_equal(p, q) for p, q in zip(theta.params(), before)):
         problems.append("meta step modified classifier parameters")
 
     elapsed = time.perf_counter() - t0

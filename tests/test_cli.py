@@ -82,6 +82,24 @@ def test_gen_data_missing_config_is_usage_error(tmp_path):
                  "--out", str(tmp_path / "x.dsv")]) == 2
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
+def test_gen_data_rejects_a_dataset_path(tmp_path, capsys, exists):
+    # gen-data always synthesises; a config naming a dataset file is refused
+    # before anything is written, whether or not that file exists
+    source = tmp_path / "source.dsv"
+    if exists:
+        assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
+                     "--out", str(source)]) == 0
+    before = source.read_bytes() if exists else None
+    cfg_path = write_config(tmp_path, tiny_config(**{"data.path": str(source)}), "path.json")
+    out = tmp_path / "out.dsv"
+    assert main(["gen-data", "--config", cfg_path, "--out", str(out), "--seed", "9"]) == 2
+    assert "data.path" in capsys.readouterr().err
+    assert not out.exists()
+    assert (source.read_bytes() if exists else None) == before
+    assert source.exists() == exists
+
+
 # -- train ------------------------------------------------------------------------
 
 
@@ -222,6 +240,28 @@ def test_train_baseline_builds_the_dataset_once(tmp_path, monkeypatch):
     assert main(["train", "--config", cfg_path, "--out", str(out), "--baseline"]) == 0
     assert len(calls) == 1
     assert (out / "baseline_summary.json").exists()
+
+
+def test_train_baseline_builds_no_tensors(tmp_path, monkeypatch):
+    # training, the baseline, the margin oracle and the checkpoints all run on
+    # plain arrays; the autodiff engine is the reference route only
+    from metalabel import engine
+
+    built = []
+    init = engine.Tensor.__init__
+
+    def counting_init(tensor, *args, **kwargs):
+        built.append(1)
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Tensor, "__init__", counting_init)
+    cfg = {"schema_version": 1, "data": {"n": 600},
+           "train": {"batch_size": 16, "warmup_epochs": 2, "total_epochs": 6,
+                     "oracle_epochs": 3}}
+    assert main(["train", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "run"), "--seed", "5", "--baseline"]) == 0
+    assert (tmp_path / "run" / "baseline_summary.json").exists()
+    assert len(built) == 0
 
 
 def test_train_resume_decodes_the_checkpoint_once(tmp_path, monkeypatch):

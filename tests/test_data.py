@@ -19,7 +19,6 @@ from metalabel.data import (
     save_dataset,
     split_dataset,
 )
-from metalabel.engine import Tensor
 from metalabel.nn import Mlp, one_hot
 
 
@@ -39,7 +38,7 @@ def ideal_oracle(ds: Dataset, scale: float = 4.0) -> Mlp:
     w = np.zeros((ds.dims, ds.n_classes))
     for c in range(ds.n_classes):
         w[c, c] = scale
-    return Mlp([(Tensor(w), Tensor(np.zeros((1, ds.n_classes))))])
+    return Mlp([(w, np.zeros((1, ds.n_classes)))])
 
 
 @pytest.fixture()
@@ -231,8 +230,7 @@ def test_feature_dependent_flipped_set_invariant_to_row_permutation(blobs):
 
 
 def test_feature_dependent_rejects_degenerate_oracle(blobs):
-    flat = Mlp([(Tensor(np.zeros((blobs.dims, blobs.n_classes))),
-                 Tensor(np.zeros((1, blobs.n_classes))))])
+    flat = Mlp([(np.zeros((blobs.dims, blobs.n_classes)), np.zeros((1, blobs.n_classes)))])
     with pytest.raises(DegenerateOracleError):
         inject_feature_dependent(blobs, 0.4, flat, seed=0)
 

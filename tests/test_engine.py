@@ -214,7 +214,7 @@ def test_create_graph_false_output_is_detached():
 
 
 def test_kl_gradient_vs_fd_tight_tolerance():
-    from metalabel.nn import kl_loss
+    from metalabel.gradcheck import kl_loss
 
     rng = np.random.default_rng(17)
     z = rng.normal(size=(4, 5)) * 2
@@ -228,3 +228,20 @@ def test_kl_gradient_vs_fd_tight_tolerance():
     ref = fd(loss_at, z)
     rel = np.abs(gz.value - ref) / np.maximum(np.abs(ref), 1e-12)
     assert rel.max() < 1e-6
+
+
+def test_package_import_leaves_the_engine_unloaded():
+    # only the reference route in gradcheck needs the engine
+    import os
+    import subprocess
+    import sys
+
+    import metalabel
+
+    src = os.path.dirname(os.path.dirname(metalabel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys, metalabel; print('metalabel.engine' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

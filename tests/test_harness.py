@@ -1,11 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from metalabel.data import Dataset, make_synthetic, split_dataset
-from metalabel.engine import Tensor
 from metalabel.harness import (
     ConfigError,
     METRICS_COLUMNS,
@@ -109,7 +109,7 @@ def fixture_dataset() -> Dataset:
 
 def test_evaluate_perfect_predictor():
     ds = fixture_dataset()
-    net = Mlp([(Tensor(np.eye(2)), Tensor(np.zeros((1, 2))))])
+    net = Mlp([(np.eye(2), np.zeros((1, 2)))])
     assert evaluate(net, ds, "test") == 1.0
     assert evaluate(net, ds, "meta") == 1.0
     assert evaluate(net, ds, "train") == 1.0
@@ -118,7 +118,7 @@ def test_evaluate_perfect_predictor():
 def test_evaluate_constant_predictor_on_balanced_classes():
     ds = make_synthetic(400, classes=4, dims=6, seed=0)
     ds = split_dataset(ds, 0.8, 0.1, 0.1, seed=1)
-    zero = Mlp([(Tensor(np.zeros((6, 4))), Tensor(np.zeros((1, 4))))])
+    zero = Mlp([(np.zeros((6, 4)), np.zeros((1, 4)))])
     assert evaluate(zero, ds, "test") == pytest.approx(0.25, abs=1e-12)
 
 
@@ -128,7 +128,7 @@ def test_evaluate_matches_hand_count():
     y = ds.y_clean.copy()
     y[-1] = 0
     ds = Dataset(ds.x, y, y.copy(), ds.labeled, ds.split, 2)
-    net = Mlp([(Tensor(np.eye(2)), Tensor(np.zeros((1, 2))))])
+    net = Mlp([(np.eye(2), np.zeros((1, 2)))])
     assert evaluate(net, ds, "test") == pytest.approx(2 / 3)
 
 
@@ -150,8 +150,8 @@ def test_warmup_zero_epochs_returns_initialization():
     init = init_mlp([cfg.dims] + cfg.hidden + [cfg.classes],
                     np.random.default_rng(derive_seeds(cfg.seed)["init"]))
     for (w, b), (wi, bi) in zip(theta.layers, init.layers):
-        assert np.array_equal(w.value, wi.value)
-        assert np.array_equal(b.value, bi.value)
+        assert np.array_equal(w, wi)
+        assert np.array_equal(b, bi)
 
 
 def test_warmup_is_deterministic():
@@ -159,7 +159,7 @@ def test_warmup_is_deterministic():
     ds = build_dataset(cfg)
     a, b = warmup_phase(cfg, ds), warmup_phase(cfg, ds)
     for (wa, _), (wb, _) in zip(a.layers, b.layers):
-        assert np.array_equal(wa.value, wb.value)
+        assert np.array_equal(wa, wb)
 
 
 def test_warmup_fits_clean_separable_blobs():
@@ -190,8 +190,8 @@ def test_run_experiment_is_deterministic():
     assert all(rows_equal(x, y) for x, y in zip(a.log, b.log))
     assert a.best_epoch == b.best_epoch
     for (wa, ba), (wb, bb) in zip(a.theta_best.layers, b.theta_best.layers):
-        assert np.array_equal(wa.value, wb.value)
-        assert np.array_equal(ba.value, bb.value)
+        assert np.array_equal(wa, wb)
+        assert np.array_equal(ba, bb)
 
 
 def test_epoch_accounting_and_phases():
@@ -308,8 +308,8 @@ def test_baseline_and_method_share_the_warmup():
     short = baseline_ce(dataclasses.replace(cfg, warmup_epochs=0,
                                             total_epochs=cfg.warmup_epochs), dataset=ds)
     for (w, b), (ws, bs) in zip(warmup_phase(cfg, ds).layers, short.theta_final.layers):
-        assert np.array_equal(w.value, ws.value)
-        assert np.array_equal(b.value, bs.value)
+        assert np.array_equal(w, ws)
+        assert np.array_equal(b, bs)
 
 
 def test_run_abort_carries_epoch_context():
@@ -404,10 +404,9 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
         assert resumed.test_acc_selected == straight.test_acc_selected
         for (wa, ba), (wb, bb) in zip(resumed.theta_final.layers,
                                       straight.theta_final.layers):
-            assert np.array_equal(wa.value, wb.value)
-            assert np.array_equal(ba.value, bb.value)
-        assert np.array_equal(resumed.labeler.weight.value,
-                              straight.labeler.weight.value)
+            assert np.array_equal(wa, wb)
+            assert np.array_equal(ba, bb)
+        assert np.array_equal(resumed.labeler.weight, straight.labeler.weight)
 
 
 def test_resume_requires_checkpoint(tmp_path):
@@ -422,3 +421,16 @@ def test_checkpoint_rejects_other_config(tmp_path):
     run_experiment(cfg, checkpoint_path=cp)
     with pytest.raises(ValueError):
         load_checkpoint(cp, small_config(seed=123, total_epochs=6, warmup_epochs=2))
+
+def test_checkpoint_with_a_vector_weight_is_malformed(tmp_path):
+    # parameters are plain arrays, so the Mlp shape checks are what reject a
+    # weight that is not a matrix
+    cfg = small_config(total_epochs=6, warmup_epochs=2)
+    cp = tmp_path / "c.json"
+    run_experiment(cfg, checkpoint_path=str(cp))
+    blob = json.loads(cp.read_text())
+    w = blob["theta"]["layers"][0]["w"]
+    w["shape"] = [w["shape"][0] * w["shape"][1]]
+    cp.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=f"checkpoint {cp} is malformed"):
+        load_checkpoint(str(cp), cfg)

@@ -6,27 +6,30 @@ from metalabel.gradcheck import (
     check_meta_gradient,
     check_route_equivalence,
     fd_gradient,
+    forward,
+    kl_loss,
+    meta_loss,
     mixed_error,
+    soft_labels,
+    virtual_update,
 )
 from metalabel.meta import (
     FeatureExtractor,
     MetaStepReport,
     SoftLabeler,
     conventional_step,
-    meta_loss,
     meta_step,
     similarity_matrix,
-    virtual_update,
 )
-from metalabel.nn import Mlp, SgdMomentum, init_mlp, kl_loss, make_optimizer, one_hot
+from metalabel.nn import Mlp, SgdMomentum, init_mlp, make_optimizer, one_hot
 
 
 @pytest.fixture()
 def tiny():
     rng = np.random.default_rng(0)
     theta = init_mlp([4, 3, 3], rng)
-    labeler = SoftLabeler(Tensor(rng.normal(size=(3, 3)) * 0.5),
-                          Tensor(rng.normal(size=(1, 3)) * 0.1))
+    labeler = SoftLabeler(rng.normal(size=(3, 3)) * 0.5,
+                          rng.normal(size=(1, 3)) * 0.1)
     x = rng.normal(size=(5, 4))
     v = rng.normal(size=(5, 3))
     mx = rng.normal(size=(5, 4))
@@ -42,7 +45,7 @@ def test_extractor_matches_full_network_hidden_output():
     net = init_mlp([6, 5, 4, 3], rng)
     x = rng.normal(size=(7, 6))
     ext = FeatureExtractor.from_classifier(net)
-    _, hidden = net.forward(Tensor(x))
+    _, hidden = forward(net.params(), Tensor(x))
     assert np.array_equal(ext(x), hidden.value)
     assert ext(x).shape == (7, 4)
 
@@ -55,15 +58,14 @@ def test_extractor_is_deterministic_and_frozen():
     before = ext(x)
     # mutate the source network in place; the extractor must not move
     for w, b in net.layers:
-        w.value += 100.0
+        w += 100.0
     assert np.array_equal(ext(x), before)
     assert np.array_equal(ext(x), ext(x))
 
 
 def test_extractor_zero_input_zero_bias_gives_zero_features():
-    net = Mlp([(Tensor(np.random.default_rng(0).normal(size=(3, 4))),
-                Tensor(np.zeros((1, 4)))),
-               (Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 2))))])
+    net = Mlp([(np.random.default_rng(0).normal(size=(3, 4)), np.zeros((1, 4))),
+               (np.zeros((4, 2)), np.zeros((1, 2)))])
     ext = FeatureExtractor.from_classifier(net)
     assert np.array_equal(ext(np.zeros((2, 3))), np.zeros((2, 4)))
 
@@ -80,7 +82,7 @@ def test_extractor_logits_mode_returns_pre_softmax_output():
     net = init_mlp([5, 4, 3], rng)
     x = rng.normal(size=(6, 5))
     ext = FeatureExtractor.from_classifier(net, mode="logits")
-    logits, _ = net.forward(Tensor(x))
+    logits, _ = forward(net.params(), Tensor(x))
     assert np.array_equal(ext(x), logits.value)
     assert ext.n_features == 3
 
@@ -98,24 +100,23 @@ def test_extractor_from_classifier_shape():
 def test_zero_generator_gives_uniform_labels():
     lab = SoftLabeler.zeros(6, 4)
     out = lab.soft_labels(np.random.default_rng(0).normal(size=(5, 6)))
-    assert np.allclose(out.value, 0.25)
+    assert np.allclose(out, 0.25)
 
 
 def test_soft_labels_live_on_the_simplex():
     rng = np.random.default_rng(6)
-    lab = SoftLabeler(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(1, 3))))
+    lab = SoftLabeler(rng.normal(size=(4, 3)), rng.normal(size=(1, 3)))
     out = lab.soft_labels(rng.normal(size=(8, 4)))
-    assert np.all(np.abs(out.value.sum(axis=1) - 1.0) < 1e-9)
-    assert np.all(out.value > 0.0)
+    assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-9)
+    assert np.all(out > 0.0)
 
 
 def test_soft_labels_closed_form_single_row():
-    lab = SoftLabeler(Tensor(np.array([[1.0, -1.0], [0.5, 0.0]])),
-                      Tensor(np.array([[0.1, -0.1]])))
+    lab = SoftLabeler(np.array([[1.0, -1.0], [0.5, 0.0]]), np.array([[0.1, -0.1]]))
     v = np.array([[2.0, 3.0]])
-    z = v @ lab.weight.value + lab.bias.value
+    z = v @ lab.weight + lab.bias
     expected = np.exp(z) / np.exp(z).sum()
-    assert np.allclose(lab.soft_labels(v).value, expected, atol=1e-12)
+    assert np.allclose(lab.soft_labels(v), expected, atol=1e-12)
 
 
 # -- virtual update -------------------------------------------------------------
@@ -123,36 +124,33 @@ def test_soft_labels_closed_form_single_row():
 
 def test_virtual_update_fixed_point_at_own_predictions(tiny):
     theta, _, x, _, _, _ = tiny
-    logits, _ = theta.forward(Tensor(x))
+    logits, _ = forward(theta.params(), Tensor(x))
     y_hat = softmax(logits).detach()
-    theta_hat, _, _ = virtual_update(theta, x, Tensor(y_hat.value), inner_lr=1.0)
-    for p, q in zip(theta.params(), theta_hat.params()):
-        assert np.allclose(p.value, q.value, atol=1e-13, rtol=0)
+    theta_hat, _, _ = virtual_update(theta.params(), x, Tensor(y_hat.value), inner_lr=1.0)
+    for p, q in zip(theta.params(), theta_hat):
+        assert np.allclose(p, q.value, atol=1e-13, rtol=0)
 
 
 def test_virtual_update_zero_inner_lr_is_identity(tiny):
     theta, labeler, x, v, _, _ = tiny
-    theta_hat, _, _ = virtual_update(theta, x, labeler.soft_labels(v), inner_lr=0.0)
-    for p, q in zip(theta.params(), theta_hat.params()):
-        assert np.array_equal(p.value, q.value)
+    theta_hat, _, _ = virtual_update(theta.params(), x, labeler.soft_labels(v), inner_lr=0.0)
+    for p, q in zip(theta.params(), theta_hat):
+        assert np.array_equal(p, q.value)
 
 
 def test_virtual_update_matches_finite_difference_gradient(tiny):
     theta, labeler, x, v, _, _ = tiny
-    with no_grad():
-        y_hat = labeler.soft_labels(v)
+    y_hat = labeler.soft_labels(v)
     inner_lr = 0.7
-    theta_hat, _, _ = virtual_update(theta, x, Tensor(y_hat.value), inner_lr=inner_lr)
+    theta_hat, _, _ = virtual_update(theta.params(), x, Tensor(y_hat), inner_lr=inner_lr)
     w0 = theta.layers[0][0]
 
     def loss_at(wv):
-        probe = theta.with_params([Tensor(wv) if p is w0 else p.detach()
-                                   for p in theta.params()])
-        logits, _ = probe.forward(Tensor(x))
-        return kl_loss(softmax(logits), Tensor(y_hat.value)).item()
+        logits, _ = forward([wv] + theta.params()[1:], Tensor(x))
+        return kl_loss(softmax(logits), Tensor(y_hat)).item()
 
-    fd = fd_gradient(loss_at, w0.value)
-    implied = (w0.value - theta_hat.layers[0][0].value) / inner_lr
+    fd = fd_gradient(loss_at, w0)
+    implied = (w0 - theta_hat[0].value) / inner_lr
     assert mixed_error(implied, fd) < 1e-4
 
 
@@ -160,26 +158,26 @@ def test_virtual_update_matches_finite_difference_gradient(tiny):
 
 
 def test_meta_loss_perfect_predictions_are_near_zero():
-    net = Mlp([(Tensor(np.eye(2) * 50.0), Tensor(np.zeros((1, 2))))])
+    net = Mlp([(np.eye(2) * 50.0, np.zeros((1, 2)))])
     mx = np.array([[1.0, 0.0], [0.0, 1.0]])
     my = one_hot(np.array([0, 1]), 2)
-    assert meta_loss(net, mx, my).item() < 1e-12
+    assert meta_loss(net.params(), mx, my).item() < 1e-12
 
 
 def test_meta_loss_uniform_predictions_are_log_c():
-    net = Mlp([(Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4))))])
+    net = Mlp([(np.zeros((3, 4)), np.zeros((1, 4)))])
     mx = np.random.default_rng(0).normal(size=(6, 3))
     my = one_hot(np.zeros(6, dtype=int), 4)
-    assert meta_loss(net, mx, my).item() == pytest.approx(np.log(4), abs=1e-12)
+    assert meta_loss(net.params(), mx, my).item() == pytest.approx(np.log(4), abs=1e-12)
 
 
 def test_meta_loss_matches_scalar_oracle(tiny):
     theta, _, _, _, mx, my = tiny
     with no_grad():
-        logits, _ = theta.forward(Tensor(mx))
+        logits, _ = forward(theta.params(), Tensor(mx))
         p = softmax(logits).value
     expected = float(np.mean([-np.log(p[i, my[i].argmax()]) for i in range(len(mx))]))
-    assert meta_loss(theta, mx, my).item() == pytest.approx(expected, abs=1e-12)
+    assert meta_loss(theta.params(), mx, my).item() == pytest.approx(expected, abs=1e-12)
 
 
 # -- meta step ------------------------------------------------------------------
@@ -202,21 +200,21 @@ def test_route_equivalence_holds_for_non_unit_inner_lr():
 
 def test_meta_step_leaves_classifier_untouched(tiny):
     theta, labeler, x, v, mx, my = tiny
-    before = [p.value.copy() for p in theta.params()]
+    before = [p.copy() for p in theta.params()]
     opt = make_optimizer("adam", [p.shape for p in labeler.params()], lr=1e-2)
     new_lab, report = meta_step(labeler, theta, x, v, mx, my,
                                 inner_lr=1.0, optimizer=opt)
     for p, b in zip(theta.params(), before):
-        assert np.array_equal(p.value, b)
+        assert np.array_equal(p, b)
     assert isinstance(report, MetaStepReport)
-    assert not np.array_equal(new_lab.weight.value, labeler.weight.value)
+    assert not np.array_equal(new_lab.weight, labeler.weight)
 
 
 def test_meta_step_zero_gradient_keeps_generator_fixed():
     # classifier predicting the meta labels perfectly and already agreeing
     # with the generated labels: meta loss gradient is ~0
     rng = np.random.default_rng(8)
-    theta = Mlp([(Tensor(np.eye(2) * 60.0), Tensor(np.zeros((1, 2))))])
+    theta = Mlp([(np.eye(2) * 60.0, np.zeros((1, 2)))])
     lab = SoftLabeler.zeros(3, 2)
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     v = rng.normal(size=(2, 3))
@@ -226,8 +224,8 @@ def test_meta_step_zero_gradient_keeps_generator_fixed():
     new_lab, report = meta_step(lab, theta, x, v, mx, my,
                                 inner_lr=1.0, optimizer=opt)
     assert report.grad_phi_norm < 1e-8
-    assert np.allclose(new_lab.weight.value, lab.weight.value, atol=1e-10)
-    assert np.allclose(new_lab.bias.value, lab.bias.value, atol=1e-10)
+    assert np.allclose(new_lab.weight, lab.weight, atol=1e-10)
+    assert np.allclose(new_lab.bias, lab.bias, atol=1e-10)
 
 
 def test_meta_step_requires_matching_batch_sizes(tiny):
@@ -239,35 +237,34 @@ def test_meta_step_requires_matching_batch_sizes(tiny):
 
 def test_meta_step_detached_labels_raise_not_silently_degrade(tiny):
     theta, labeler, x, v, mx, my = tiny
-    with no_grad():
-        y_hat = labeler.soft_labels(v)  # no recorded graph to the generator
-    theta_hat, _, _ = virtual_update(theta, x, Tensor(y_hat.value), 1.0)
+    y_hat = labeler.soft_labels(v)  # no recorded graph to the generator
+    theta_hat, _, _ = virtual_update(theta.params(), x, Tensor(y_hat), 1.0)
     with pytest.raises(GradError):
-        grad(meta_loss(theta_hat, mx, my), labeler.params())
+        grad(meta_loss(theta_hat, mx, my), [Tensor(p) for p in labeler.params()])
 
 
 # -- similarity diagnostics -------------------------------------------------------
 
 
 def test_similarity_entries_match_per_sample_gradient_products(tiny):
-    from metalabel.nn import cce_loss
+    from metalabel.gradcheck import cce_loss
 
     theta, labeler, x, v, mx, my = tiny
     y_hat = labeler.soft_labels(v)
-    theta_hat, _, _ = virtual_update(theta, x, y_hat, 1.0)
+    theta_hat, _, _ = virtual_update(theta.params(), x, y_hat, 1.0)
+    theta_hat = theta.with_params([p.value for p in theta_hat])
     s = similarity_matrix(theta, theta_hat, x, y_hat, mx, my)
-    with no_grad():
-        yh = y_hat.value
+    params = [Tensor(p) for p in theta.params()]
     g_train = []
     for i in range(x.shape[0]):
-        logits, _ = theta.forward(Tensor(x[i:i + 1]))
-        gi = grad(kl_loss(softmax(logits), Tensor(yh[i:i + 1])), theta.params())
+        logits, _ = forward(params, Tensor(x[i:i + 1]))
+        gi = grad(kl_loss(softmax(logits), Tensor(y_hat[i:i + 1])), params)
         g_train.append(np.concatenate([t.value.ravel() for t in gi]))
-    frozen = theta_hat.with_params([p.detach() for p in theta_hat.params()])
+    frozen = [Tensor(p) for p in theta_hat.params()]
     g_meta = []
     for j in range(mx.shape[0]):
-        logits, _ = frozen.forward(Tensor(mx[j:j + 1]))
-        gj = grad(cce_loss(softmax(logits), my[j:j + 1]), frozen.params())
+        logits, _ = forward(frozen, Tensor(mx[j:j + 1]))
+        gj = grad(cce_loss(softmax(logits), my[j:j + 1]), frozen)
         g_meta.append(np.concatenate([t.value.ravel() for t in gj]))
     ref = np.array(g_train) @ np.array(g_meta).T
     assert np.allclose(s, ref, atol=1e-12)
@@ -281,26 +278,28 @@ def test_similarity_entries_match_per_sample_gradient_products(tiny):
 def test_similarity_orthogonal_gradients_vanish():
     # bias-only gradients: zero inputs kill the weight blocks, and with C=3
     # the label choices below make the two bias gradients exactly orthogonal
-    theta = Mlp([(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))))])
+    theta = Mlp([(np.zeros((2, 3)), np.zeros((1, 3)))])
     x = np.array([[0.0, 0.0]])
     raw = np.array([1.0, np.exp(-1.0), np.exp(1.0)])
-    y_hat = Tensor((raw / raw.sum()).reshape(1, 3))  # KL gradient ~ [0, 1, -1]
+    y_hat = (raw / raw.sum()).reshape(1, 3)  # KL gradient ~ [0, 1, -1]
     mx = np.array([[0.0, 0.0]])
     my = one_hot(np.array([0]), 3)  # CCE gradient ~ [-2, 1, 1]
     s = similarity_matrix(theta, theta.copy(), x, y_hat, mx, my)
     assert abs(s[0, 0]) < 1e-15
     # sanity: neither side's gradient is the zero vector
-    logits, _ = theta.forward(Tensor(x))
-    g = grad(kl_loss(softmax(logits), Tensor(y_hat.value)), theta.params())
+    params = [Tensor(p) for p in theta.params()]
+    logits, _ = forward(params, Tensor(x))
+    g = grad(kl_loss(softmax(logits), Tensor(y_hat)), params)
     assert max(np.abs(t.value).max() for t in g) > 1e-3
 
 
 def test_similarity_matrix_mean_equals_inner_product_of_mean_gradients(tiny):
     theta, labeler, x, v, mx, my = tiny
     y_hat = labeler.soft_labels(v)
-    theta_hat, _, inner_grads = virtual_update(theta, x, y_hat, 1.0)
-    s = similarity_matrix(theta, theta_hat, x, y_hat, mx, my)
-    that_grads = grad(meta_loss(theta_hat, mx, my), theta_hat.params())
+    theta_hat, _, inner_grads = virtual_update(theta.params(), x, y_hat, 1.0)
+    s = similarity_matrix(theta, theta.with_params([p.value for p in theta_hat]),
+                          x, y_hat, mx, my)
+    that_grads = grad(meta_loss(theta_hat, mx, my), theta_hat)
     mean_sim = sum(float(np.vdot(a.value, b.value))
                    for a, b in zip(inner_grads, that_grads))
     assert s.mean() == pytest.approx(mean_sim, abs=1e-10)
@@ -314,30 +313,28 @@ def test_conventional_step_zero_lr_keeps_parameters(tiny):
     opt = make_optimizer("sgd-momentum", [p.shape for p in theta.params()], lr=1e-2)
     new_theta, lc, le = conventional_step(theta, labeler, x, v, 0.0, opt)
     for p, q in zip(theta.params(), new_theta.params()):
-        assert np.array_equal(p.value, q.value)
+        assert np.array_equal(p, q)
     assert np.isfinite(lc) and np.isfinite(le)
 
 
 def test_conventional_step_gradient_matches_finite_differences(tiny):
     theta, labeler, x, v, _, _ = tiny
-    from metalabel.nn import entropy_loss
+    from metalabel.gradcheck import entropy_loss
 
-    with no_grad():
-        y_hat = labeler.soft_labels(v).value
+    y_hat = labeler.soft_labels(v)
 
-    def total_loss(net: Mlp) -> float:
-        logits, _ = net.forward(Tensor(x))
+    def total_loss(params) -> float:
+        logits, _ = forward(params, Tensor(x))
         p = softmax(logits)
         return (kl_loss(p, Tensor(y_hat)) + entropy_loss(p)).item()
 
-    logits, _ = theta.forward(Tensor(x))
+    params = [Tensor(q) for q in theta.params()]
+    logits, _ = forward(params, Tensor(x))
     p = softmax(logits)
     loss = kl_loss(p, Tensor(y_hat)) + entropy_loss(p)
-    grads = grad(loss, theta.params())
-    w0 = theta.layers[0][0].value
-    fd = fd_gradient(
-        lambda wv: total_loss(theta.with_params(
-            [Tensor(wv)] + [q.detach() for q in theta.params()[1:]])), w0)
+    grads = grad(loss, params)
+    w0 = theta.layers[0][0]
+    fd = fd_gradient(lambda wv: total_loss([wv] + theta.params()[1:]), w0)
     assert mixed_error(grads[0].value, fd) < 1e-4
 
 
@@ -379,8 +376,8 @@ def warmed():
     theta = warmup_phase(cfg, ds)
     extractor = FeatureExtractor.from_classifier(theta)
     rng = np.random.default_rng(1)
-    labeler = SoftLabeler(Tensor(rng.normal(size=(extractor.n_features, 4)) * 0.5),
-                          Tensor(rng.normal(size=(1, 4)) * 0.1))
+    labeler = SoftLabeler(rng.normal(size=(extractor.n_features, 4)) * 0.5,
+                          rng.normal(size=(1, 4)) * 0.1)
     rows, m_rows = ds.indices("train")[:64], ds.indices("meta")[:64]
     x = ds.x[rows]
     return (theta, labeler, x, extractor(x), ds.x[m_rows],
@@ -398,10 +395,10 @@ def test_fused_meta_gradient_matches_engine_at_default_sizes(warmed):
 
     theta, labeler, x, v, mx, my, _ = warmed
     for inner_lr in (1.0, 0.37):
-        y_hat = labeler.soft_labels(v)
-        theta_hat, _, inner = virtual_update(theta, x, y_hat, inner_lr)
+        phi = [Tensor(p) for p in labeler.params()]
+        theta_hat, _, inner = virtual_update(theta.params(), x, soft_labels(phi, v), inner_lr)
         l_meta = meta_loss(theta_hat, mx, my)
-        grads = grad(l_meta, labeler.params() + theta_hat.params())
+        grads = grad(l_meta, phi + theta_hat)
         mean_sim = sum(float(np.vdot(a.value, b.value))
                        for a, b in zip(inner, grads[2:]))
 
@@ -415,27 +412,27 @@ def test_fused_meta_gradient_matches_engine_at_default_sizes(warmed):
 
 def test_classifier_steps_match_engine_at_default_sizes(warmed):
     from metalabel.meta import ce_step
-    from metalabel.nn import cce_loss, entropy_loss
+    from metalabel.gradcheck import cce_loss, entropy_loss
 
     theta, labeler, x, v, _, _, labels = warmed
-    with no_grad():
-        y_hat = labeler.soft_labels(v).value
+    y_hat = labeler.soft_labels(v)
+    params = [Tensor(p) for p in theta.params()]
     for use_entropy in (True, False):
         opt = RecordingOptimizer()
         _, lc, le = conventional_step(theta, labeler, x, v, 1e-2, opt,
                                       use_entropy=use_entropy)
-        probs = softmax(theta.forward(Tensor(x))[0])
+        probs = softmax(forward(params, Tensor(x))[0])
         l_c = kl_loss(probs, Tensor(y_hat))
         l_e = entropy_loss(probs)
         total = l_c + l_e if use_entropy else l_c
-        assert_close(opt.grads, [g.value for g in grad(total, theta.params())])
+        assert_close(opt.grads, [g.value for g in grad(total, params)])
         assert lc == pytest.approx(l_c.item(), abs=1e-13)
         assert le == (pytest.approx(l_e.item(), abs=1e-13) if use_entropy else 0.0)
 
     opt = RecordingOptimizer()
     _, loss = ce_step(theta, x, labels, opt)
-    ref = cce_loss(softmax(theta.forward(Tensor(x))[0]), one_hot(labels, 4))
-    assert_close(opt.grads, [g.value for g in grad(ref, theta.params())])
+    ref = cce_loss(softmax(forward(params, Tensor(x))[0]), one_hot(labels, 4))
+    assert_close(opt.grads, [g.value for g in grad(ref, params)])
     assert loss == pytest.approx(ref.item(), abs=1e-13)
 
 
@@ -455,7 +452,7 @@ def test_meta_step_divergence_is_a_typed_error(tiny):
 
     theta, labeler, x, v, mx, my = tiny
     opt = make_optimizer("adam", [p.shape for p in labeler.params()], lr=1e-2)
-    huge = theta.with_params([Tensor(p.value * 1e6) for p in theta.params()])
+    huge = theta.with_params([p * 1e6 for p in theta.params()])
     with pytest.raises(DivergenceError, match="diverged"):
         meta_step(labeler, huge, x, v, mx, my, inner_lr=1e6, optimizer=opt)
     with pytest.raises(DivergenceError, match="diverged"):

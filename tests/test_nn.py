@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metalabel.engine import Tensor, softmax
+from metalabel.gradcheck import cce_loss, entropy_loss, forward, kl_loss
 from metalabel.nn import (
     Adam,
     Mlp,
     SgdMomentum,
     ShapeError,
-    cce_loss,
-    check_soft_labels,
-    entropy_loss,
     init_mlp,
-    kl_loss,
     make_optimizer,
     one_hot,
 )
@@ -25,7 +22,7 @@ def scalar_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Layer-by-layer scalar-loop evaluation, the independent oracle."""
     h = x
     for li, (w, b) in enumerate(net.layers):
-        wv, bv = w.value, b.value
+        wv, bv = w, b
         out = np.zeros((h.shape[0], wv.shape[1]))
         for i in range(h.shape[0]):
             for j in range(wv.shape[1]):
@@ -49,16 +46,16 @@ simplex_rows = st.lists(
 
 
 def test_forward_zero_params_gives_zeros():
-    net = Mlp([(Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4)))),
-               (Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 2))))])
-    logits, hidden = net.forward(Tensor(np.random.default_rng(0).normal(size=(5, 3))))
+    net = Mlp([(np.zeros((3, 4)), np.zeros((1, 4))),
+               (np.zeros((4, 2)), np.zeros((1, 2)))])
+    logits, hidden = forward(net.params(), Tensor(np.random.default_rng(0).normal(size=(5, 3))))
     assert np.array_equal(logits.value, np.zeros((5, 2)))
     assert np.array_equal(hidden.value, np.zeros((5, 4)))
 
 
 def test_forward_identity_single_layer():
-    net = Mlp([(Tensor(np.eye(2)), Tensor(np.zeros((1, 2))))])
-    logits, hidden = net.forward(Tensor(np.array([[1.0, 2.0]])))
+    net = Mlp([(np.eye(2), np.zeros((1, 2)))])
+    logits, hidden = forward(net.params(), Tensor(np.array([[1.0, 2.0]])))
     assert np.array_equal(logits.value, [[1.0, 2.0]])
     # with no hidden layer, the pre-output activation is the input itself
     assert np.array_equal(hidden.value, [[1.0, 2.0]])
@@ -68,31 +65,31 @@ def test_forward_matches_scalar_oracle():
     rng = np.random.default_rng(7)
     net = init_mlp([4, 5, 3], rng)
     x = rng.normal(size=(6, 4))
-    logits, _ = net.forward(Tensor(x))
+    logits, _ = forward(net.params(), Tensor(x))
     assert np.allclose(logits.value, scalar_forward(net, x), atol=1e-12)
 
 
 def test_forward_dimension_mismatch_names_layer():
     net = init_mlp([4, 5, 3], np.random.default_rng(0))
     with pytest.raises(ShapeError, match="layer 0"):
-        net.forward(Tensor(np.zeros((2, 7))))
+        forward(net.params(), Tensor(np.zeros((2, 7))))
 
 
 def test_mlp_rejects_unchained_layers():
     with pytest.raises(ShapeError):
-        Mlp([(Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4)))),
-             (Tensor(np.zeros((5, 2))), Tensor(np.zeros((1, 2))))])
+        Mlp([(np.zeros((3, 4)), np.zeros((1, 4))),
+             (np.zeros((5, 2)), np.zeros((1, 2)))])
 
 
 def test_init_is_seeded_and_scaled():
     a = init_mlp([6, 4, 3], np.random.default_rng(11))
     b = init_mlp([6, 4, 3], np.random.default_rng(11))
     for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
-        assert np.array_equal(wa.value, wb.value)
-        assert np.array_equal(ba.value, bb.value)
+        assert np.array_equal(wa, wb)
+        assert np.array_equal(ba, bb)
     s0 = math.sqrt(6.0 / (6 + 4))
-    assert np.abs(a.layers[0][0].value).max() <= s0
-    assert np.array_equal(a.layers[0][1].value, np.zeros((1, 4)))
+    assert np.abs(a.layers[0][0]).max() <= s0
+    assert np.array_equal(a.layers[0][1], np.zeros((1, 4)))
 
 
 # -- cross-entropy ------------------------------------------------------------
@@ -210,14 +207,6 @@ def test_entropy_invariant_to_row_and_class_permutation():
     assert entropy_loss(Tensor(p[:, perm].copy())).item() == pytest.approx(base, abs=1e-12)
 
 
-def test_check_soft_labels_contract():
-    check_soft_labels(np.array([[0.4, 0.6]]))
-    with pytest.raises(ValueError):
-        check_soft_labels(np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        check_soft_labels(np.array([[0.3, 0.3]]))
-
-
 # -- optimizers ---------------------------------------------------------------
 
 
@@ -321,7 +310,7 @@ def kernel_net(seed=0):
 
     rng = np.random.default_rng(seed)
     net = init_mlp([5, 7, 6, 3], rng)
-    layers = [(w.value, b.value) for w, b in net.layers]
+    layers = net.layers
     x = rng.normal(size=(9, 5))
     z, acts = mlp_forward(layers, x)
     return rng, net, layers, x, z, acts
@@ -331,7 +320,7 @@ def test_kernel_forward_matches_mlp_forward_exactly():
     from metalabel.nn import mlp_logits
 
     _, net, layers, x, z, acts = kernel_net()
-    logits, hidden = net.forward(Tensor(x))
+    logits, hidden = forward(net.params(), Tensor(x))
     assert np.array_equal(z, logits.value)
     assert np.array_equal(acts[-1], hidden.value)
     assert np.array_equal(mlp_logits(layers, x), z)
@@ -344,8 +333,9 @@ def test_kernel_backward_matches_engine_gradient():
 
     rng, net, layers, x, _, acts = kernel_net(1)
     r = rng.normal(size=(9, 3))
-    logits, _ = net.forward(Tensor(x))
-    ref = grad(sum_all(mul(logits, Tensor(r))), net.params())
+    params = [Tensor(p) for p in net.params()]
+    logits, _ = forward(params, Tensor(x))
+    ref = grad(sum_all(mul(logits, Tensor(r))), params)
     for a, b in zip(mlp_backward(layers, acts, r), ref):
         assert np.allclose(a, b.value, rtol=0, atol=1e-13)
 
@@ -358,7 +348,7 @@ def test_kernel_jvp_matches_central_differences():
     eps = 1e-6
 
     def shifted(sign):
-        flat = [p.value + sign * eps * t for p, t in zip(net.params(), tangents)]
+        flat = [p + sign * eps * t for p, t in zip(net.params(), tangents)]
         return mlp_logits(list(zip(flat[0::2], flat[1::2])), x)
 
     fd = (shifted(1.0) - shifted(-1.0)) / (2 * eps)
@@ -377,3 +367,13 @@ def test_log_softmax_matches_softmax_and_flags_divergence():
         log_softmax(np.array([[np.inf, 0.0]]))
     with pytest.raises(DivergenceError, match="underflowed"):
         log_softmax(np.array([[0.0, -1e4]]))
+
+
+def test_softmax_kernel_matches_the_engine_and_flags_divergence():
+    from metalabel.nn import DivergenceError
+    from metalabel.nn import softmax as softmax_kernel
+
+    z = np.array([[1.0, -2.0, 0.5], [300.0, 299.0, -40.0]])
+    assert np.array_equal(softmax_kernel(z), softmax(Tensor(z)).value)
+    with pytest.raises(DivergenceError, match="non-finite logits"):
+        softmax_kernel(np.array([[np.nan, 0.0]]))
