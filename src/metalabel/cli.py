@@ -11,7 +11,6 @@ metrics column.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import itertools
 import json
@@ -19,8 +18,6 @@ import os
 import sys
 import time
 
-
-from . import gradcheck
 from .data import load_dataset, save_dataset
 from .harness import (
     ConfigError,
@@ -32,6 +29,7 @@ from .harness import (
     load_checkpoint,
     metrics_row,
     run_experiment,
+    run_experiments,
     write_metrics_csv,
 )
 
@@ -129,6 +127,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import gradcheck  # loads the autodiff engine, which only this command uses
+
     reports = gradcheck.run_all(trials=args.trials, seed=args.seed,
                                 tolerance=args.tolerance,
                                 corrupt_route=args.corrupt_route)
@@ -178,29 +178,46 @@ def _cell_config(base: dict, overrides: list[tuple[str, object]]) -> dict:
     return raw
 
 
-def _run_cell(raw: dict, overrides: list[tuple[str, object]], out_dir: str) -> dict:
-    """Train one cell into its own directory. A failure does not abort the
-    sweep: the record's status is "ok" or the failure message."""
-    cell = _cell_id(overrides)
-    record = {"cell_id": cell, **dict(overrides)}
-    try:
-        result = run_experiment(TrainConfig.from_dict(raw))
-    except Exception as e:  # noqa: BLE001 - reported per cell
-        record["status"] = str(e) or type(e).__name__
-        return record
-    cell_dir = os.path.join(out_dir, cell)
-    os.makedirs(cell_dir, exist_ok=True)
-    write_metrics_csv(result.log, os.path.join(cell_dir, "metrics.csv"))
-    summary = result.summary()
-    with open(os.path.join(cell_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    record.update({k: summary[k] for k in SWEEP_RESULTS})
-    record["status"] = "ok"
-    return record
+def _run_cells(configs: list[dict], cells: list[list[tuple[str, object]]],
+               out_dir: str) -> tuple[list[dict], list[tuple[int, int]]]:
+    """Train the cells, compatible ones as lanes of one group, writing each
+    cell's directory as soon as its group ends. A failure does not abort
+    the sweep: a record's status is "ok" or the failure message. Also
+    returns the lane groups trained, as (lanes, lanes rerun alone)."""
+    groups: list[tuple[int, int]] = []
+
+    def write(indices, results, reran):
+        groups.append((len(indices), reran))
+        for i, result in zip(indices, results):
+            if isinstance(result, Exception):
+                continue
+            cell_dir = os.path.join(out_dir, _cell_id(cells[i]))
+            os.makedirs(cell_dir, exist_ok=True)
+            write_metrics_csv(result.log, os.path.join(cell_dir, "metrics.csv"))
+            with open(os.path.join(cell_dir, "summary.json"), "w", encoding="utf-8") as fh:
+                json.dump(result.summary(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+
+    results = run_experiments([TrainConfig.from_dict(raw) for raw in configs], on_group=write)
+    records = []
+    for overrides, result in zip(cells, results):
+        record = {"cell_id": _cell_id(overrides), **dict(overrides)}
+        if isinstance(result, Exception):
+            record["status"] = str(result) or type(result).__name__
+        else:
+            summary = result.summary()
+            record.update({k: summary[k] for k in SWEEP_RESULTS}, status="ok")
+        records.append(record)
+    return records, groups
+
+
+def _plural(n: int, word: str) -> str:
+    return f"{n} {word}{'' if n == 1 else 's'}"
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     raw = _read_json(args.config)
     if not isinstance(raw, dict):
         raise ConfigError("sweep config must be a JSON object")
@@ -240,11 +257,24 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_run_cell, configs, cells, [args.out] * len(cells)))
-    else:
-        records = [_run_cell(raw, cell, args.out) for raw, cell in zip(configs, cells)]
+        from concurrent.futures import ProcessPoolExecutor
 
+        # --jobs contiguous chunks of the cells (sizes differ by at most
+        # one; none empty), one per process
+        cuts = sorted({k * len(cells) // args.jobs for k in range(args.jobs + 1)})
+        spans = list(zip(cuts, cuts[1:]))
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            parts = list(pool.map(_run_cells, [configs[a:b] for a, b in spans],
+                                  [cells[a:b] for a, b in spans], [args.out] * len(spans)))
+    else:
+        parts = [_run_cells(configs, cells, args.out)]
+    records = [r for part, _ in parts for r in part]
+    groups = [g for _, part in parts for g in part]
+
+    sizes = "+".join(str(lanes) for lanes, _ in groups) or "0"
+    print(f"{_plural(len(cells), 'cell')} in {_plural(len(groups), 'lane group')} "
+          f"({sizes} {'lane' if sizes == '1' else 'lanes'}), "
+          f"{_plural(sum(r for _, r in groups), 'lane')} reran solo")
     records.sort(key=lambda r: r["cell_id"])
     agg_path = os.path.join(args.out, "aggregate.csv")
     cols = ["cell_id"] + keys + SWEEP_RESULTS + ["status"]
@@ -306,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a grid of configs and aggregate results")
     p.add_argument("--config", required=True, help="sweep config (base + grid)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes; the cells are dealt into this many contiguous chunks")
     p.set_defaults(func=cmd_sweep)
     return parser
 

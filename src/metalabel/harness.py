@@ -5,6 +5,15 @@ the margin oracle; meta-data model selection, metrics and checkpoints.
 One run is a pure function of its TrainConfig: every random draw flows from
 the config seed through named substreams, so repeat runs agree bit-exactly
 and a checkpoint, which is the run state serialised, restores it exactly.
+
+Lanes: the epoch loop `_train` trains a group of runs in lockstep, each run a lane
+of one stacked trajectory (see `nn`), and a solo run is a group of one.
+Every lane keeps its own RunState: its RNG (permutations are drawn per lane
+and gathered into (S, batch) positions), its meta sampler, its model
+selection, log and checkpoint. At each epoch the lanes' parameters and
+optimizer buffers are stacked, trained, and split back into the RunStates,
+so between epochs a lane is exactly the run it would be alone.
+`run_experiments` groups compatible configs, up to LANES_MAX lanes a group.
 """
 
 from __future__ import annotations
@@ -33,9 +42,11 @@ from .nn import (
     mlp_logits,
     one_hot,
     softmax,
+    stack_lanes,
 )
 
 CHECKPOINT_VERSION = 1
+LANES_MAX = 4  # lanes per group: the cheapest size per lane, measured on 2 cores
 EVAL_CHUNK = 4096  # rows per forward pass in evaluate; bounds its peak memory
 
 
@@ -255,25 +266,53 @@ def derive_seeds(seed: int) -> dict:
     return {k: int(v) for k, v in zip(names, state)}
 
 
-def train_margin_oracle(ds: Dataset, hidden: list[int], seed: int,
-                        epochs: int = 50, batch_size: int = 64,
-                        lr: float = 1e-2) -> Mlp:
+def train_margin_oracle(ds, hidden: list[int], seed, epochs: int = 50,
+                        batch_size: int = 64, lr: float = 1e-2):
     """Clean-label classifier used only to score decision-boundary margins
-    for feature-dependent noise."""
-    rng = np.random.default_rng(seed)
-    net = init_mlp([ds.dims] + list(hidden) + [ds.n_classes], rng)
-    st = RunState(theta=net, opt_theta=make_optimizer("sgd-momentum", _shapes(net), lr=lr),
-                  rng=rng)
-    idx = ds.indices(dt.TRAIN)
-    x, labels = ds.x[idx], ds.y_clean[idx]
+    for feature-dependent noise. Given a list of datasets and a list of
+    seeds, the oracles train as lanes of one group (the datasets must agree
+    in dims, classes and train rows) and a list of classifiers comes back."""
+    solo = isinstance(ds, Dataset)
+    dss, seeds = ([ds], [seed]) if solo else (ds, seed)
+    sts, sources = [], []
+    for d, s in zip(dss, seeds):
+        rng = np.random.default_rng(s)
+        net = init_mlp([d.dims] + list(hidden) + [d.n_classes], rng)
+        sts.append(RunState(theta=net, opt_theta=make_optimizer("sgd-momentum", _shapes(net),
+                                                                 lr=lr), rng=rng))
+        idx = d.indices(dt.TRAIN)
+        sources.append((d.x, idx, d.y_clean[idx]))
     for epoch in range(epochs):
-        _ce_epoch(st, x, labels, batch_size, f"margin oracle epoch {epoch}")
-    return st.theta
+        _ce_epoch(sts, sources, batch_size, f"margin oracle epoch {epoch}")
+    nets = [st.theta for st in sts]
+    return nets[0] if solo else nets
 
 
-def build_dataset(cfg: TrainConfig) -> Dataset:
-    """Synthesize (or load), split, inject noise, mark unlabeled — all
-    deterministic functions of the config."""
+def _groups(items: list[int], key) -> list[list[int]]:
+    """Items with equal keys, in first-seen order, cut into groups of at
+    most LANES_MAX."""
+    by_key: dict = {}
+    for i in items:
+        by_key.setdefault(key(i), []).append(i)
+    return [g[a:a + LANES_MAX] for g in by_key.values() for a in range(0, len(g), LANES_MAX)]
+
+
+def _lane_key(cfg: TrainConfig) -> str:
+    """What lanes must agree on: the config without seed, noise.* and
+    data.path. Synthetic data of equal keys splits into equal row counts."""
+    raw = cfg.to_dict()
+    del raw["seed"], raw["noise"], raw["data"]["path"]
+    return json.dumps(raw, sort_keys=True)
+
+
+def _needs_oracle(cfg: TrainConfig) -> bool:
+    return (cfg.dataset_path is None and cfg.noise_kind == "feature-dependent"
+            and cfg.noise_ratio > 0.0)
+
+
+def _base_dataset(cfg: TrainConfig) -> Dataset:
+    """The dataset before feature-dependent noise and unlabeled marking,
+    or the finished dataset read from data.path."""
     seeds = derive_seeds(cfg.seed)
     if cfg.dataset_path is not None:
         ds = load_dataset(cfg.dataset_path)
@@ -287,17 +326,63 @@ def build_dataset(cfg: TrainConfig) -> Dataset:
                            center_scale=cfg.center_scale)
     ds = dt.split_dataset(ds, cfg.train_frac, cfg.meta_frac, cfg.test_frac,
                           seeds["split"])
-    spec = dt.NoiseSpec(cfg.noise_kind, cfg.noise_ratio, seeds["noise"])
-    if spec.ratio > 0.0:
-        if spec.kind == "uniform":
-            ds = dt.inject_uniform(ds, spec.ratio, spec.seed)
-        else:
-            oracle = train_margin_oracle(ds, cfg.hidden, seeds["oracle"],
-                                         epochs=cfg.oracle_epochs,
-                                         batch_size=cfg.batch_size)
-            ds = dt.inject_feature_dependent(ds, spec.ratio, oracle, spec.seed)
-    if cfg.unlabeled_fraction > 0.0:
+    if cfg.noise_kind == "uniform" and cfg.noise_ratio > 0.0:
+        ds = dt.inject_uniform(ds, cfg.noise_ratio, seeds["noise"])
+    return ds
+
+
+def _finish_dataset(cfg: TrainConfig, ds: Dataset, oracle: Mlp | None) -> Dataset:
+    seeds = derive_seeds(cfg.seed)
+    if oracle is not None:
+        ds = dt.inject_feature_dependent(ds, cfg.noise_ratio, oracle, seeds["noise"])
+    if cfg.dataset_path is None and cfg.unlabeled_fraction > 0.0:
         ds = dt.mark_unlabeled(ds, cfg.unlabeled_fraction, seeds["unlabeled"])
+    return ds
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - reported per lane
+        return e
+
+
+def build_datasets(cfgs: list[TrainConfig]) -> list:
+    """`build_dataset` for each config; the margin oracles of configs that
+    could be lanes of one run group train as lanes. Returns, per config, its
+    dataset or the exception its build raised; a lane group whose oracles
+    fail retrains each oracle alone, so every config ends as it would alone."""
+    out = [_outcome(_base_dataset, cfg) for cfg in cfgs]
+    need = [i for i, (cfg, ds) in enumerate(zip(cfgs, out))
+            if _needs_oracle(cfg) and not isinstance(ds, Exception)]
+    oracles: dict[int, object] = {}
+
+    def train(group):
+        return train_margin_oracle([out[i] for i in group], cfgs[group[0]].hidden,
+                                   [derive_seeds(cfgs[i].seed)["oracle"] for i in group],
+                                   epochs=cfgs[group[0]].oracle_epochs,
+                                   batch_size=cfgs[group[0]].batch_size)
+
+    for group in _groups(need, lambda i: _lane_key(cfgs[i])):
+        nets = _outcome(train, group)
+        if isinstance(nets, Exception):
+            nets = [_outcome(lambda i: train([i])[0], i) for i in group]
+        oracles.update(zip(group, nets))
+    for i, cfg in enumerate(cfgs):
+        if isinstance(oracles.get(i), Exception):
+            out[i] = oracles[i]
+        elif not isinstance(out[i], Exception):
+            out[i] = _outcome(_finish_dataset, cfg, out[i], oracles.get(i))
+    return out
+
+
+def build_dataset(cfg: TrainConfig) -> Dataset:
+    """Synthesize (or load), split, inject noise, mark unlabeled — all
+    deterministic functions of the config."""
+    (ds,) = build_datasets([cfg])
+    if isinstance(ds, Exception):
+        raise ds
     return ds
 
 
@@ -372,6 +457,8 @@ def _mat_to_json(a: np.ndarray) -> dict:
 
 
 def _mat_from_json(d: dict) -> np.ndarray:
+    if len(d["shape"]) != 2:  # a checkpoint holds one run: no lane axis
+        raise ValueError(f"expected a matrix, got shape {d['shape']}")
     vals = [float.fromhex(h) for h in d["hex"]]
     return np.array(vals, dtype=np.float64).reshape(d["shape"])
 
@@ -478,130 +565,213 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
 # training
 
 
-def _epoch(n_rows: int, batch_size: int, rng: np.random.Generator, where: str,
-           step) -> list[float]:
-    """One pass over n_rows rows in a fresh shuffled order: `step(positions)`
-    trains on one batch and returns its losses. Returns the batch-mean
-    losses. A failure is restated as "where, batch B: ..."; a divergence
-    keeps its type (and exit code), anything else becomes a RuntimeError."""
-    order = rng.permutation(n_rows)
+@dataclass
+class _Lane:
+    """One run of a lane group: its config, dataset and state, and where its
+    epochs go (a checkpoint file and an `on_epoch(row)` callback)."""
+
+    cfg: TrainConfig
+    ds: Dataset
+    st: RunState
+    checkpoint_path: str | None = None
+    on_epoch: typing.Callable | None = None
+
+
+def _stacked(sts: list[RunState], name: str):
+    """The lanes' `name` members (a network, generator or optimizer) as one
+    lane-stacked object; a group of one keeps its own, with no lane axis
+    (see `stack_lanes`)."""
+    parts = [getattr(st, name) for st in sts]
+    return parts[0] if len(parts) == 1 else type(parts[0]).stack(parts)
+
+
+def _unstack(sts: list[RunState], **stacked) -> None:
+    for name, value in stacked.items():
+        for s, st in enumerate(sts):
+            setattr(st, name, value if len(sts) == 1 else value.lane(s))
+
+
+def _epoch(n_rows: int, batch_size: int, rngs: list[np.random.Generator], where: str,
+           step) -> np.ndarray:
+    """One pass over n_rows rows in a fresh shuffled order per lane (drawn
+    from that lane's rng): `step(positions)` trains every lane on one batch,
+    positions an (S, batch) array, and returns k losses per lane. Returns
+    the batch-mean losses, (k, S). A failure is restated as "where, batch
+    B: ..."; a divergence keeps its type (and exit code), anything else
+    becomes a RuntimeError."""
+    order = np.array([rng.permutation(n_rows) for rng in rngs])
     sums, batches = 0.0, 0
     for start in range(0, n_rows, batch_size):
         try:
-            losses = step(order[start:start + batch_size])
+            losses = step(order[:, start:start + batch_size])
         except Exception as e:
             kind = DivergenceError if isinstance(e, DivergenceError) else RuntimeError
             raise kind(f"{where}, batch {batches}: {e}") from e
-        sums = sums + np.asarray(losses)
+        sums = sums + np.asarray(losses).reshape(-1, len(rngs))
         batches += 1
-    return [float(v) for v in sums / batches]
+    return sums / batches
 
 
-def _ce_epoch(st: RunState, x: np.ndarray, labels: np.ndarray, batch_size: int,
-              where: str) -> float:
-    """One epoch of cross-entropy steps of st.theta on the rows (x, labels):
-    warm-up, baseline and margin oracle. Returns the batch-mean loss."""
+def _ce_epoch(sts: list[RunState], sources: list[tuple], batch_size: int,
+              where: str) -> np.ndarray:
+    """One epoch of cross-entropy steps of each lane's classifier: lane s
+    trains on rows `rows` of `x` with labels `labels`, sources[s] being
+    (x, rows, labels). Warm-up, baseline and margin oracle. Returns the
+    batch-mean loss per lane."""
+    theta, opt = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
+
     def step(pos):
-        st.theta, loss = ce_step(st.theta, x[pos], labels[pos], st.opt_theta)
+        nonlocal theta
+        x = stack_lanes([x[rows[p]] for (x, rows, _), p in zip(sources, pos)])
+        y = stack_lanes([y[p] for (_, _, y), p in zip(sources, pos)])
+        theta, loss = ce_step(theta, x, y, opt)
         return (loss,)
-    return _epoch(len(x), batch_size, st.rng, where, step)[0]
+
+    losses = _epoch(sources[0][1].size, batch_size, [st.rng for st in sts], where, step)[0]
+    _unstack(sts, theta=theta, opt_theta=opt)
+    return losses
 
 
-def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Features and noisy labels of the labeled train rows."""
+def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CE source of the labeled train rows: features, rows, noisy labels."""
     idx = ds.labeled_train_indices()
     if idx.size == 0:
         raise ValueError("no labeled train rows")
-    return ds.x[idx], ds.train_labels(idx)
+    return ds.x, idx, ds.train_labels(idx)
 
 
 class _MetaSampler:
-    """Cycles an epoch-shuffled order over the meta split; the first order
-    is drawn at the first draw."""
+    """Cycles an epoch-shuffled order over the n rows of the meta split and
+    returns positions in it; the first order is drawn at the first draw."""
 
-    def __init__(self, meta_idx: np.ndarray, rng: np.random.Generator):
-        self.meta_idx = meta_idx
+    def __init__(self, n: int, rng: np.random.Generator):
+        self.n = n
         self.rng = rng
-        self.order = meta_idx[:0]
+        self.order = np.arange(0)
         self.cursor = 0
 
     def draw(self, n: int) -> np.ndarray:
-        out = []
-        while len(out) < n:
+        parts = []
+        while n > 0:
             if self.cursor == self.order.size:
-                self.order = self.rng.permutation(self.meta_idx.size)
+                self.order = self.rng.permutation(self.n)
                 self.cursor = 0
-            take = min(n - len(out), self.order.size - self.cursor)
-            out.extend(self.order[self.cursor:self.cursor + take])
+            take = min(n, self.order.size - self.cursor)
+            parts.append(self.order[self.cursor:self.cursor + take])
             self.cursor += take
-        return self.meta_idx[np.asarray(out)]
+            n -= take
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _train(cfg: TrainConfig, ds: Dataset, st: RunState, until: int, phase2: bool,
-           checkpoint_path: str | None = None, on_epoch=None) -> RunState:
-    """Train st from st.epoch_next up to epoch `until`.
+class _Phase2Rows(typing.NamedTuple):
+    """A lane's phase-2 inputs, fixed for one _train call: its train rows
+    and their features, its meta rows and their one-hot labels (built once,
+    then gathered per batch)."""
 
-    With phase2, epochs before cfg.warmup_epochs are cross-entropy warm-up
-    and later ones phase 2 (meta step, then classifier step); without, every
-    epoch is the cross-entropy baseline. Each epoch is evaluated on all three
-    splits, the classifier with the best meta accuracy is kept (earliest
-    epoch on ties), the row is logged and passed to `on_epoch`, and with
-    checkpoint_path set the state is written.
+    x: np.ndarray
+    rows: np.ndarray
+    feats: np.ndarray
+    meta_rows: np.ndarray
+    meta_y: np.ndarray
+
+    @classmethod
+    def of(cls, cfg: TrainConfig, ln: _Lane) -> "_Phase2Rows":
+        """Also builds the lane's extractor, generator and generator
+        optimizer when it has none yet."""
+        st, ds = ln.st, ln.ds
+        if st.extractor is None:
+            st.extractor = FeatureExtractor.from_classifier(st.theta, cfg.extractor_features)
+            st.labeler = SoftLabeler.zeros(st.extractor.n_features, ds.n_classes)
+            st.opt_phi = make_optimizer(cfg.metanet_optimizer, _shapes(st.labeler),
+                                        lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
+        rows, meta_rows = ds.indices(dt.TRAIN), ds.indices(dt.META)
+        return cls(ds.x, rows, st.extractor(ds.x[rows]), meta_rows,
+                   one_hot(ds.y_clean[meta_rows], ds.n_classes))
+
+
+def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Rows],
+                  lam: float, where: str) -> np.ndarray:
+    """One phase-2 epoch of every lane: per batch the meta step, then the
+    classifier step. Returns the batch-mean (L_c, L_e, L_meta, similarity)
+    per lane, (4, S)."""
+    theta, opt_theta = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
+    labeler, opt_phi = _stacked(sts, "labeler"), _stacked(sts, "opt_phi")
+    samplers = [_MetaSampler(inp.meta_rows.size, st.rng) for inp, st in zip(inputs, sts)]
+
+    def step(pos):
+        nonlocal theta, labeler
+        m = [sampler.draw(pos.shape[1]) for sampler in samplers]
+        x = stack_lanes([inp.x[inp.rows[p]] for inp, p in zip(inputs, pos)])
+        v = stack_lanes([inp.feats[p] for inp, p in zip(inputs, pos)])
+        mx = stack_lanes([inp.x[inp.meta_rows[i]] for inp, i in zip(inputs, m)])
+        my = stack_lanes([inp.meta_y[i] for inp, i in zip(inputs, m)])
+        labeler, report = meta_step(labeler, theta, x, v, mx, my,
+                                    inner_lr=cfg.inner_lr, optimizer=opt_phi)
+        theta, lc, le = conventional_step(theta, labeler, x, v, lam, opt_theta,
+                                          use_entropy=cfg.entropy_loss)
+        return lc, le, report.meta_loss, report.mean_similarity
+
+    losses = _epoch(inputs[0].rows.size, cfg.batch_size, [st.rng for st in sts], where, step)
+    _unstack(sts, theta=theta, opt_theta=opt_theta, labeler=labeler, opt_phi=opt_phi)
+    return losses
+
+
+def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
+    """Train every lane from its epoch_next up to epoch `until`, in lockstep.
+
+    The lanes share the train.* fields of their configs (the first lane's
+    are used) and their epoch_next, and their datasets share shapes. With
+    phase2, epochs before cfg.warmup_epochs are cross-entropy warm-up and
+    later ones phase 2 (meta step, then classifier step); without, every
+    epoch is the cross-entropy baseline. After each epoch every lane is
+    evaluated on all three splits, keeps the classifier with its best meta
+    accuracy (earliest epoch on ties), logs its row and passes it to its
+    `on_epoch`, and writes its checkpoint when it has a path. A row's
+    wall_time is the group's epoch time divided by the number of lanes.
     """
     nan = float("nan")
-    train_idx = ds.indices(dt.TRAIN)
-    feats = prev_soft = None
-    for epoch in range(st.epoch_next, until):
+    cfg, sts = lanes[0].cfg, [ln.st for ln in lanes]
+    inputs = None
+    for epoch in range(sts[0].epoch_next, until):
         t0 = time.perf_counter()
         lam = lr_at(cfg.lr_schedule, epoch)
-        st.opt_theta.lr = lam
+        for st in sts:
+            st.opt_theta.lr = lam
         if not phase2 or epoch < cfg.warmup_epochs:
             phase, label = ("warmup", "warm-up") if phase2 else ("baseline", "baseline")
-            loss_c = _ce_epoch(st, *_noisy_rows(ds), cfg.batch_size, f"epoch {epoch} ({label})")
-            losses = [loss_c, nan, nan, nan, nan, nan]
+            loss_c = _ce_epoch(sts, [_noisy_rows(ln.ds) for ln in lanes], cfg.batch_size,
+                               f"epoch {epoch} ({label})")
+            losses = [[float(v), nan, nan, nan, nan, nan] for v in loss_c]
         else:
             phase = "phase2"
-            if st.extractor is None:
-                st.extractor = FeatureExtractor.from_classifier(st.theta, cfg.extractor_features)
-                st.labeler = SoftLabeler.zeros(st.extractor.n_features, ds.n_classes)
-                st.opt_phi = make_optimizer(cfg.metanet_optimizer, _shapes(st.labeler),
-                                            lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
-            if feats is None:
-                feats = st.extractor(ds.x[train_idx])
-                prev_soft = st.labeler.soft_labels(feats)
-            sampler = _MetaSampler(ds.indices(dt.META), st.rng)
+            if inputs is None:
+                inputs = [_Phase2Rows.of(cfg, ln) for ln in lanes]
+            before = [st.labeler for st in sts]
+            epoch_losses = _phase2_epoch(cfg, sts, inputs, lam, f"epoch {epoch}")
+            losses = []
+            for s, (st, inp) in enumerate(zip(sts, inputs)):
+                # the soft labels before the epoch are recomputed, not kept:
+                # one lane's at a time is all the memory this needs
+                diff = np.abs(st.labeler.soft_labels(inp.feats)
+                              - before[s].soft_labels(inp.feats))
+                losses.append([float(v) for v in epoch_losses[:, s]]
+                              + [float(diff.mean()), float(diff.var())])
 
-            def step(pos):
-                rows = train_idx[pos]
-                x, v = ds.x[rows], feats[pos]
-                m_rows = sampler.draw(rows.size)
-                st.labeler, report = meta_step(
-                    st.labeler, st.theta, x, v, ds.x[m_rows],
-                    one_hot(ds.y_clean[m_rows], ds.n_classes),
-                    inner_lr=cfg.inner_lr, optimizer=st.opt_phi)
-                st.theta, lc, le = conventional_step(
-                    st.theta, st.labeler, x, v, lam, st.opt_theta,
-                    use_entropy=cfg.entropy_loss)
-                return lc, le, report.meta_loss, report.mean_similarity
-
-            losses = _epoch(train_idx.size, cfg.batch_size, st.rng, f"epoch {epoch}", step)
-            cur_soft = st.labeler.soft_labels(feats)
-            diff = np.abs(cur_soft - prev_soft)
-            losses += [float(diff.mean()), float(diff.var())]
-            prev_soft = cur_soft
-
-        accs = [evaluate(st.theta, ds, split) for split in (dt.TRAIN, dt.META, dt.TEST)]
-        if accs[1] > st.best_meta_acc:
-            st.best_meta_acc, st.best_epoch = accs[1], epoch
-            st.theta_best = st.theta.copy()
-        row = EpochRow(epoch, phase, *accs, *losses, time.perf_counter() - t0)
-        st.log.append(row)
-        st.epoch_next = epoch + 1
-        if on_epoch is not None:
-            on_epoch(row)
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, cfg, st)
-    return st
+        accs = [[evaluate(ln.st.theta, ln.ds, split) for split in (dt.TRAIN, dt.META, dt.TEST)]
+                for ln in lanes]
+        wall_time = (time.perf_counter() - t0) / len(lanes)
+        for ln, lane_accs, lane_losses in zip(lanes, accs, losses):
+            st = ln.st
+            if lane_accs[1] > st.best_meta_acc:
+                st.best_meta_acc, st.best_epoch = lane_accs[1], epoch
+                st.theta_best = st.theta.copy()
+            row = EpochRow(epoch, phase, *lane_accs, *lane_losses, wall_time)
+            st.log.append(row)
+            st.epoch_next = epoch + 1
+            if ln.on_epoch is not None:
+                ln.on_epoch(row)
+            if ln.checkpoint_path is not None:
+                save_checkpoint(ln.checkpoint_path, ln.cfg, st)
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +801,25 @@ class ExperimentResult:
         }
 
 
-def _result(cfg: TrainConfig, ds: Dataset, st: RunState) -> ExperimentResult:
+def _result(ln: _Lane) -> ExperimentResult:
+    st = ln.st
     return ExperimentResult(
-        config=cfg, log=st.log, theta_best=st.theta_best, theta_final=st.theta,
+        config=ln.cfg, log=st.log, theta_best=st.theta_best, theta_final=st.theta,
         labeler=st.labeler, best_epoch=st.best_epoch, best_meta_acc=st.best_meta_acc,
-        test_acc_selected=evaluate(st.theta_best, ds, dt.TEST),
-        test_acc_final=evaluate(st.theta, ds, dt.TEST))
+        test_acc_selected=evaluate(st.theta_best, ln.ds, dt.TEST),
+        test_acc_final=evaluate(st.theta, ln.ds, dt.TEST))
+
+
+def _check_meta_size(cfg: TrainConfig, ds: Dataset) -> None:
+    meta_size = ds.indices(dt.META).size
+    if cfg.batch_size > meta_size:
+        raise ConfigError(
+            f"train.batch_size {cfg.batch_size} exceeds meta split size {meta_size}")
+
+
+def _run_lanes(lanes: list[_Lane], until: int, phase2: bool) -> list[ExperimentResult]:
+    _train(lanes, until, phase2)
+    return [_result(ln) for ln in lanes]
 
 
 def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
@@ -644,7 +827,7 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
                    state: RunState | None = None,
                    on_epoch=None) -> ExperimentResult:
     """Warm-up, then phase-2 epochs; per-epoch metrics; keep the classifier
-    with the best meta accuracy and score it on test.
+    with the best meta accuracy and score it on test. A group of one lane.
 
     With checkpoint_path set, the run state is written after every epoch.
     A `state` read back by load_checkpoint continues that run bit-exactly;
@@ -653,23 +836,71 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
     epoch/batch context.
     """
     ds = dataset if dataset is not None else build_dataset(cfg)
-    meta_size = ds.indices(dt.META).size
-    if cfg.batch_size > meta_size:
-        raise ConfigError(
-            f"train.batch_size {cfg.batch_size} exceeds meta split size {meta_size}")
+    _check_meta_size(cfg, ds)
     st = state if state is not None else RunState.fresh(cfg, ds)
-    return _result(cfg, ds, _train(cfg, ds, st, cfg.total_epochs, True,
-                                   checkpoint_path, on_epoch))
+    return _run_lanes([_Lane(cfg, ds, st, checkpoint_path, on_epoch)],
+                      cfg.total_epochs, True)[0]
 
 
 def baseline_ce(cfg: TrainConfig, dataset: Dataset | None = None) -> ExperimentResult:
     """Plain cross-entropy on noisy labels with the identical budget,
     schedule and model-selection protocol; the comparison baseline."""
     ds = dataset if dataset is not None else build_dataset(cfg)
-    return _result(cfg, ds, _train(cfg, ds, RunState.fresh(cfg, ds), cfg.total_epochs, False))
+    return _run_lanes([_Lane(cfg, ds, RunState.fresh(cfg, ds))], cfg.total_epochs, False)[0]
+
+
+def _shape_key(ds: Dataset) -> tuple:
+    return (ds.dims, ds.n_classes, *(ds.indices(s).size for s in dt.SPLITS),
+            ds.labeled_train_indices().size)
+
+
+def run_experiments(cfgs: list[TrainConfig], datasets: list[Dataset] | None = None, *,
+                    baseline: bool = False, on_group=None) -> list:
+    """`run_experiment` (or, with baseline, `baseline_ce`) for every config;
+    returns, per config, its ExperimentResult or the exception it raised.
+
+    Configs that agree on everything but seed, noise.* and data.path, and
+    whose datasets agree in dims, classes and the row counts of each split
+    and of labeled train rows, train as lanes of one group of at most
+    LANES_MAX, in config order. If any lane of a group raises, each of the
+    group's lanes reruns alone, so every config ends exactly as it would
+    alone. Without `datasets`, each group's datasets are built (margin
+    oracles as lanes) when the group trains and dropped after. After each
+    group, `on_group(indices, results, lanes rerun alone)` gets its configs'
+    indices and outcomes.
+    """
+    out: list = [None] * len(cfgs)
+    dss: dict[int, Dataset] = {}
+
+    def train(group):
+        return _run_lanes([_Lane(cfgs[i], dss[i], RunState.fresh(cfgs[i], dss[i]))
+                           for i in group], cfgs[group[0]].total_epochs, not baseline)
+
+    for chunk in _groups(list(range(len(cfgs))), lambda i: _lane_key(cfgs[i])):
+        built = (build_datasets([cfgs[i] for i in chunk]) if datasets is None
+                 else [datasets[i] for i in chunk])
+        for i, ds in zip(chunk, built):
+            out[i] = ds if isinstance(ds, Exception) or baseline else (
+                _outcome(_check_meta_size, cfgs[i], ds))
+            if not isinstance(out[i], Exception):
+                dss[i] = ds
+        for group in _groups([i for i in chunk if i in dss], lambda i: _shape_key(dss[i])):
+            results, reran = _outcome(train, group), 0
+            if isinstance(results, Exception) and len(group) == 1:
+                results = [results]
+            elif isinstance(results, Exception):
+                results, reran = [_outcome(lambda i: train([i])[0], i) for i in group], len(group)
+            for i, result in zip(group, results):
+                out[i] = result
+                del dss[i]
+            if on_group is not None:
+                on_group(group, results, reran)
+    return out
 
 
 def warmup_phase(cfg: TrainConfig, ds: Dataset) -> Mlp:
     """The classifier after cfg.warmup_epochs of cross-entropy on the noisy
     labels of labeled rows, exactly as a full run has it at warm-up end."""
-    return _train(cfg, ds, RunState.fresh(cfg, ds), cfg.warmup_epochs, True).theta
+    ln = _Lane(cfg, ds, RunState.fresh(cfg, ds))
+    _train([ln], cfg.warmup_epochs, True)
+    return ln.st.theta

@@ -14,6 +14,12 @@ numpy kernels of `nn`, as do the classifier steps, and every parameter is a
 float64 array. The unrolled route, which records the virtual update on the
 autodiff engine and differentiates through it, is the reference this one is
 checked against; it lives in `gradcheck`.
+
+Lanes: the generator, the classifier and the batches may carry leading lane
+axes (see `nn`), and every step then advances all lanes at once. Losses are
+reduced over axes (-1, -2), so a step's losses and report fields are arrays
+over the lanes (scalars for a solo call), each equal to the lane's
+solo value.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .nn import (
     mlp_jvp,
     mlp_logits,
     softmax,
+    stack_lanes,
 )
 
 EXTRACTOR_MODES = ("penultimate", "logits")
@@ -89,31 +96,43 @@ class SoftLabeler:
         # zero init makes the initial labels uniform over classes
         return cls(np.zeros((n_features, n_classes)), np.zeros((1, n_classes)))
 
+    @classmethod
+    def stack(cls, labelers: list["SoftLabeler"]) -> "SoftLabeler":
+        """The generators as lanes of one stacked generator."""
+        return cls(stack_lanes([g.weight for g in labelers]),
+                   stack_lanes([g.bias for g in labelers]))
+
+    def lane(self, s: int) -> "SoftLabeler":
+        return SoftLabeler(self.weight[s], self.bias[s])
+
     @property
     def n_classes(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
 
     def soft_labels(self, v: np.ndarray) -> np.ndarray:
         """Row distributions over classes for feature rows v."""
-        if v.shape[1] != self.weight.shape[0]:
-            raise ValueError(
-                f"feature width {v.shape[1]} does not match generator ({self.weight.shape[0]})")
+        if v.shape[-1] != self.weight.shape[-2]:
+            raise ValueError(f"feature width {v.shape[-1]} does not match generator "
+                             f"({self.weight.shape[-2]})")
         return softmax(v @ self.weight + self.bias)
 
 
 @dataclass
 class MetaStepReport:
+    """Per-lane values: floats for a solo step, arrays over the lanes."""
+
     meta_loss: float
     grad_phi_norm: float
     mean_similarity: float
 
     def __post_init__(self):
         vals = (self.meta_loss, self.grad_phi_norm, self.mean_similarity)
-        if not all(np.isfinite(v) for v in vals):
-            raise DivergenceError(f"diverged: non-finite meta step report {vals}")
+        if not np.all(np.isfinite(vals)):
+            raise DivergenceError(
+                f"diverged: non-finite meta step report {tuple(np.asarray(vals).tolist())}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +141,22 @@ class MetaStepReport:
 
 def _soft_label_dz(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-row logit gradient of sum(p * w) with p = softmax(z), w held fixed."""
-    return p * (w - (p * w).sum(axis=1, keepdims=True))
+    return p * (w - (p * w).sum(axis=-1, keepdims=True))
+
+
+def _lane_vdot(xs: list[np.ndarray], ys: list[np.ndarray]):
+    """Per lane, sum over the array pairs (in list order) of np.vdot(x, y):
+    a float for solo arrays, an array over the lane axis otherwise. A lane's
+    product is a (1, n) @ (n, 1) matmul of its flattened arrays, which numpy
+    computes with the same dot routine as vdot, so each lane's sum is bit
+    for bit its solo sum."""
+    if xs[0].ndim == 2:
+        return sum(float(np.vdot(x, y)) for x, y in zip(xs, ys))
+    lanes = xs[0].shape[:-2]
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total = total + (x.reshape(*lanes, 1, -1) @ y.reshape(*lanes, -1, 1))[..., 0, 0]
+    return total
 
 
 def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray,
@@ -136,9 +170,9 @@ def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray
     theta along g. Raises DivergenceError on a non-finite value or a
     probability underflow.
     """
-    n = len(x)
-    if len(meta_x) != n:
-        raise ValueError(f"meta batch size {len(meta_x)} != train batch size {n}")
+    n = x.shape[-2]
+    if meta_x.shape[-2] != n:
+        raise ValueError(f"meta batch size {meta_x.shape[-2]} != train batch size {n}")
     check_one_hot(meta_y_onehot, theta.out_dim)
     layers = theta.layers
     log_q, q = log_softmax(v @ labeler.weight + labeler.bias)
@@ -153,18 +187,17 @@ def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray
            for (w, b), gw, gb in zip(layers, inner[0::2], inner[1::2])]
     z_hat, acts_hat = mlp_forward(hat, meta_x)
     log_p_hat, p_hat = log_softmax(z_hat)
-    l_meta = -float((meta_y_onehot * log_p_hat).sum()) / n
+    l_meta = -(meta_y_onehot * log_p_hat).sum(axis=(-1, -2)) / n
     g = mlp_backward(hat, acts_hat, (p_hat - meta_y_onehot) / n)
 
     dz = mlp_jvp(layers, acts, g)
-    jac = p * (dz - (p * dz).sum(axis=1, keepdims=True))
-    big_g = (inner_lr / n) * (jac - q * jac.sum(axis=1, keepdims=True))
-    phi_grads = [v.T @ big_g, big_g.sum(axis=0, keepdims=True)]
+    jac = p * (dz - (p * dz).sum(axis=-1, keepdims=True))
+    big_g = (inner_lr / n) * (jac - q * jac.sum(axis=-1, keepdims=True))
+    phi_grads = [v.swapaxes(-1, -2) @ big_g, big_g.sum(axis=-2, keepdims=True)]
 
-    report = MetaStepReport(
-        meta_loss=l_meta,
-        grad_phi_norm=float(np.sqrt(sum(float(np.vdot(a, a)) for a in phi_grads))),
-        mean_similarity=sum(float(np.vdot(a, b)) for a, b in zip(inner, g)))
+    report = MetaStepReport(meta_loss=l_meta,
+                            grad_phi_norm=np.sqrt(_lane_vdot(phi_grads, phi_grads)),
+                            mean_similarity=_lane_vdot(inner, g))
     return phi_grads, report
 
 
@@ -193,10 +226,10 @@ def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
     log_q, _ = log_softmax(v @ labeler.weight + labeler.bias)
     z, acts = mlp_forward(theta.layers, x)
     log_p, p = log_softmax(z)
-    n = len(x)
-    l_c = float((p * (log_p - log_q)).sum()) / n
-    l_e = -float((p * log_p).sum()) / n if use_entropy else 0.0
-    if not np.isfinite(l_c + l_e):
+    n = x.shape[-2]
+    l_c = (p * (log_p - log_q)).sum(axis=(-1, -2)) / n
+    l_e = -(p * log_p).sum(axis=(-1, -2)) / n if use_entropy else np.zeros(np.shape(l_c))[()]
+    if not np.all(np.isfinite(l_c + l_e)):
         raise DivergenceError("diverged: non-finite classifier loss")
     # KL plus entropy is the cross-entropy -sum(p log q)
     dz = _soft_label_dz(p, -log_q if use_entropy else log_p - log_q) / n
@@ -209,14 +242,16 @@ def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
 def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
             optimizer) -> tuple[Mlp, float]:
     """One optimizer step of batch-mean cross-entropy on hard class labels
-    (warm-up, baseline and margin oracle). Returns (theta', loss)."""
+    (warm-up, baseline and margin oracle); labels has x's leading axes.
+    Returns (theta', loss)."""
     z, acts = mlp_forward(theta.layers, x)
     log_p, p = log_softmax(z)
-    rows = np.arange(len(x))
-    loss = -float(log_p[rows, labels].sum()) / len(x)
+    n, c = z.shape[-2:]
+    rows, cols = np.arange(labels.size), labels.reshape(-1)
+    loss = -log_p.reshape(-1, c)[rows, cols].reshape(labels.shape).sum(axis=-1) / n
     dz = p.copy()
-    dz[rows, labels] -= 1.0
-    dz /= len(x)
+    dz.reshape(-1, c)[rows, cols] -= 1.0
+    dz /= n
     return theta.with_params(
         optimizer.step(theta.params(), mlp_backward(theta.layers, acts, dz))), loss
 
@@ -241,8 +276,8 @@ def similarity_matrix(theta: Mlp, theta_hat: Mlp, x: np.ndarray, y_hat: np.ndarr
     dz = _soft_label_dz(p, log_p - np.log(y_hat))
     z_hat, acts_hat = mlp_forward(hat, meta_x)
     _, p_hat = log_softmax(z_hat)
-    s = np.zeros((len(x), len(meta_x)))
+    s = 0.0
     for h, d, h2, d2 in zip(acts, mlp_deltas(layers, acts, dz),
                             acts_hat, mlp_deltas(hat, acts_hat, p_hat - meta_y_onehot)):
-        s += (h @ h2.T + 1.0) * (d @ d2.T)
+        s = s + (h @ h2.swapaxes(-1, -2) + 1.0) * (d @ d2.swapaxes(-1, -2))
     return s

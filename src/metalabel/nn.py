@@ -7,10 +7,20 @@ steps in `meta` run on them alone. Optimizers work on the same arrays:
 parameter updates are ordinary numerics, never differentiated. The engine
 form of the network and the losses, which the kernels are checked against,
 lives in `gradcheck`.
+
+Lanes: every kernel and optimizer also takes arrays with leading lane axes,
+so S runs that share a network shape train as one stacked trajectory. A
+weight is then (S, in, out), a bias (S, 1, out) and a batch (S, n, in).
+Transposes swap the last two axes and reductions run on axes -1 and -2, so
+each lane computes exactly what it computes alone: batched matmul calls the
+same BLAS routine per lane, and elementwise IEEE operations are exact per
+element. `stack_lanes`, `Mlp.stack`/`Mlp.lane` and
+`_Optimizer.stack`/`_Optimizer.lane` move between solo and stacked form.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,36 +39,56 @@ class DivergenceError(ArithmeticError):
 # parameters
 
 
+def stack_lanes(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shaped arrays stacked on a new leading lane axis. One array is
+    returned as it is: a group of one carries no lane axis, so a solo run
+    steps on its own arrays."""
+    return arrays[0] if len(arrays) == 1 else np.array(arrays)
+
+
 @dataclass
 class Mlp:
     """Dense network parameters: rectifier hidden layers, identity output.
 
     `layers[i]` is a (weight, bias) pair of float64 arrays with weight
     (in, out) and bias (1, out); consecutive layers chain and the last
-    output width is the class count.
+    output width is the class count. A lane-stacked network puts the same
+    leading lane axes on every array.
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
+        lanes = self.layers[0][0].shape[:-2] if self.layers else ()
         for i, (w, b) in enumerate(self.layers):
-            if w.ndim != 2:
+            if w.ndim < 2 or w.shape[:-2] != lanes:
                 raise ShapeError(f"layer {i} weight must be a matrix, got ndim={w.ndim}")
-            if b.shape != (1, w.shape[1]):
-                raise ShapeError(f"layer {i} bias shape {b.shape}, want (1, {w.shape[1]})")
+            if b.shape != (*lanes, 1, w.shape[-1]):
+                raise ShapeError(f"layer {i} bias shape {b.shape}, "
+                                 f"want {(*lanes, 1, w.shape[-1])}")
         for i in range(len(self.layers) - 1):
-            w_out = self.layers[i][0].shape[1]
-            w_in = self.layers[i + 1][0].shape[0]
+            w_out = self.layers[i][0].shape[-1]
+            w_in = self.layers[i + 1][0].shape[-2]
             if w_out != w_in:
                 raise ShapeError(f"layer {i} outputs {w_out} but layer {i + 1} expects {w_in}")
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0][0].shape[0]
+        return self.layers[0][0].shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
+        return self.layers[-1][0].shape[-1]
+
+    @classmethod
+    def stack(cls, nets: list["Mlp"]) -> "Mlp":
+        """The networks as lanes of one stacked network."""
+        return nets[0].with_params([stack_lanes(list(ps))
+                                    for ps in zip(*(n.params() for n in nets))])
+
+    def lane(self, s: int) -> "Mlp":
+        """Lane s of a stacked network, as views."""
+        return self.with_params([p[s] for p in self.params()])
 
     def params(self) -> list[np.ndarray]:
         """Flat parameter list: layer order, weight before bias."""
@@ -92,7 +122,8 @@ def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
 
 # ---------------------------------------------------------------------------
 # kernels on raw arrays: `layers` is a list of (weight, bias) arrays and
-# parameter lists are flat, layer order, weight before bias (as Mlp.params)
+# parameter lists are flat, layer order, weight before bias (as Mlp.params);
+# rows are on axis -2, so any leading axes are lanes
 
 
 def mlp_logits(layers, x: np.ndarray) -> np.ndarray:
@@ -122,7 +153,7 @@ def mlp_deltas(layers, acts: list[np.ndarray], dz: np.ndarray) -> list[np.ndarra
     given dz with respect to the logits; row i depends only on sample i."""
     deltas = [dz]
     for l in range(len(layers) - 1, 0, -1):
-        deltas.append((deltas[-1] @ layers[l][0].T) * (acts[l] > 0.0))
+        deltas.append((deltas[-1] @ layers[l][0].swapaxes(-1, -2)) * (acts[l] > 0.0))
     return deltas[::-1]
 
 
@@ -130,8 +161,8 @@ def mlp_backward(layers, acts: list[np.ndarray], dz: np.ndarray) -> list[np.ndar
     """Parameter gradients from dz, the gradient with respect to the logits."""
     out = []
     for h, d in zip(acts, mlp_deltas(layers, acts, dz)):
-        out.append(h.T @ d)
-        out.append(d.sum(axis=0, keepdims=True))
+        out.append(h.swapaxes(-1, -2) @ d)
+        out.append(d.sum(axis=-2, keepdims=True))
     return out
 
 
@@ -156,8 +187,8 @@ def log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.all(np.isfinite(z)):
         raise DivergenceError("diverged: non-finite logits")
-    s = z - z.max(axis=1, keepdims=True)
-    logp = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+    s = z - z.max(axis=-1, keepdims=True)
+    logp = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
     p = np.exp(logp)
     if not np.all(p > 0.0):
         raise DivergenceError("diverged: a probability underflowed to 0")
@@ -170,8 +201,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
     non-finite logits."""
     if not np.all(np.isfinite(z)):
         raise DivergenceError("diverged: non-finite logits")
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +210,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def check_one_hot(y: np.ndarray, n_classes: int | None = None) -> None:
+    """One-hot rows on the last axis; leading axes past the rows are lanes."""
     y = np.asarray(y)
-    if y.ndim != 2 or (n_classes is not None and y.shape[1] != n_classes):
+    if y.ndim < 2 or (n_classes is not None and y.shape[-1] != n_classes):
         raise ShapeError("labels must be a one-hot matrix")
-    ok = np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)
+    ok = np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=-1) == 1.0)
     if not ok:
         raise ValueError("labels must be one-hot rows")
 
@@ -205,7 +237,10 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 class _Optimizer:
     """Shared bookkeeping: a subclass names its scalar hyperparameters
     (HYPER) and its per-parameter buffer lists (BUFFERS) once; `state()` and
-    `load_state()` read and write exactly those, plus the step count."""
+    `load_state()` read and write exactly those, plus the step count.
+
+    A lane-stacked optimizer holds (S, ...) buffers; its hyperparameters and
+    step count are shared, because the lanes share a schedule."""
 
     kind: str
     HYPER: tuple[str, ...]
@@ -218,6 +253,22 @@ class _Optimizer:
         for i, (p, g, b) in enumerate(zip(params, grads, slots)):
             if p.shape != b.shape or g.shape != p.shape:
                 raise ShapeError(f"optimizer shape mismatch at slot {i}")
+
+    @classmethod
+    def stack(cls, opts: list["_Optimizer"]) -> "_Optimizer":
+        """The lanes' optimizers as one; hyperparameters and step count are
+        the first lane's."""
+        out = copy.copy(opts[0])
+        for k in cls.BUFFERS:
+            setattr(out, k, [stack_lanes(list(b)) for b in zip(*(getattr(o, k) for o in opts))])
+        return out
+
+    def lane(self, s: int) -> "_Optimizer":
+        """Lane s of a stacked optimizer; its buffers are views."""
+        out = copy.copy(self)
+        for k in self.BUFFERS:
+            setattr(out, k, [b[s] for b in getattr(self, k)])
+        return out
 
     def state(self) -> dict:
         out = {"kind": self.kind}

@@ -20,10 +20,10 @@ from metalabel import gradcheck
 from metalabel.data import make_synthetic, split_dataset, inject_uniform, margins
 from metalabel.harness import (
     TrainConfig,
-    baseline_ce,
-    build_dataset,
+    build_datasets,
     mean_prediction_entropy,
     run_experiment,
+    run_experiments,
 )
 from metalabel.meta import SoftLabeler, meta_step
 from metalabel.nn import init_mlp, make_optimizer, one_hot
@@ -43,31 +43,51 @@ def config_for(seed: int, kind: str, ratio: float, **overrides) -> TrainConfig:
     return TrainConfig(seed=seed, noise_kind=kind, noise_ratio=ratio, **overrides)
 
 
+def datasets_for(cfgs: list[TrainConfig]) -> list:
+    """Cached datasets; the missing ones are built together, so their margin
+    oracles train as lanes."""
+    missing = [c for c in cfgs if c.config_hash() not in _datasets]
+    for cfg, ds in zip(missing, build_datasets(missing)):
+        if isinstance(ds, Exception):
+            raise ds
+        _datasets[cfg.config_hash()] = ds
+    return [_datasets[c.config_hash()] for c in cfgs]
+
+
 def dataset_for(cfg: TrainConfig):
-    key = cfg.config_hash()
-    if key not in _datasets:
-        _datasets[key] = build_dataset(cfg)
-    return _datasets[key]
+    return datasets_for([cfg])[0]
+
+
+def _run_seeds(seed: int, key, config, baseline: bool):
+    """Train every seed of a cell in one call, so the seeds run as lanes of
+    one group; each run's time is its share of the group's."""
+    seeds = SEEDS if seed in SEEDS else (seed,)
+    cfgs = [config(s) for s in seeds]
+    t0 = time.perf_counter()
+    results = run_experiments(cfgs, datasets_for(cfgs), baseline=baseline)
+    share = (time.perf_counter() - t0) / len(seeds)
+    for s, result in zip(seeds, results):
+        if isinstance(result, Exception):
+            raise result
+        _runs[key(s)] = (result, share)
 
 
 def method_run(seed: int, kind: str, ratio: float, **overrides):
-    key = ("m", seed, kind, ratio, tuple(sorted(overrides.items())))
-    if key not in _runs:
-        cfg = config_for(seed, kind, ratio, **overrides)
-        t0 = time.perf_counter()
-        result = run_experiment(cfg, dataset=dataset_for(cfg))
-        _runs[key] = (result, time.perf_counter() - t0)
-    return _runs[key]
+    def key(s):
+        return ("m", s, kind, ratio, tuple(sorted(overrides.items())))
+
+    if key(seed) not in _runs:
+        _run_seeds(seed, key, lambda s: config_for(s, kind, ratio, **overrides), False)
+    return _runs[key(seed)]
 
 
 def baseline_run(seed: int, kind: str, ratio: float):
-    key = ("b", seed, kind, ratio)
-    if key not in _runs:
-        cfg = config_for(seed, kind, ratio)
-        t0 = time.perf_counter()
-        result = baseline_ce(cfg, dataset=dataset_for(cfg))
-        _runs[key] = (result, time.perf_counter() - t0)
-    return _runs[key]
+    def key(s):
+        return ("b", s, kind, ratio)
+
+    if key(seed) not in _runs:
+        _run_seeds(seed, key, lambda s: config_for(s, kind, ratio), True)
+    return _runs[key(seed)]
 
 
 def gap_points(seed: int, kind: str, ratio: float) -> float:

@@ -487,6 +487,16 @@ def test_sweep_failing_cell_keeps_the_others_and_reports_status(tmp_path, capsys
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    sweep = {"schema_version": 1, "base": tiny_config(), "grid": {"seed": [0, 1]}}
+    cfg_path = write_config(tmp_path, sweep, "sweep.json")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_unknown_keys(tmp_path):
     sweep = {"schema_version": 1, "base": tiny_config(), "grid": {"seed": [0]},
              "extra": 1}

@@ -241,7 +241,10 @@ def test_package_import_leaves_the_engine_unloaded():
     src = os.path.dirname(os.path.dirname(metalabel.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = "import sys, metalabel; print('metalabel.engine' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+    # the CLI loads gradcheck, and with it the engine, only for its command
+    for module in ("metalabel", "metalabel.cli"):
+        probe = (f"import sys, {module}; print('metalabel.engine' in sys.modules, "
+                 f"'metalabel.gradcheck' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "False False", module
