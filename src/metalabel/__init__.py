@@ -2,7 +2,6 @@
 
 from .data import (
     Dataset,
-    NoiseSpec,
     UnlabeledLabelError,
     inject_feature_dependent,
     inject_uniform,
@@ -22,7 +21,6 @@ from .harness import (
 )
 from .meta import (
     FeatureExtractor,
-    SoftLabeler,
     conventional_step,
     meta_step,
     similarity_matrix,
@@ -32,8 +30,7 @@ from .nn import Mlp, init_mlp, one_hot
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "NoiseSpec", "UnlabeledLabelError", "TrainConfig",
-    "FeatureExtractor", "SoftLabeler", "Mlp",
+    "Dataset", "UnlabeledLabelError", "TrainConfig", "FeatureExtractor", "Mlp",
     "make_synthetic", "split_dataset", "inject_uniform",
     "inject_feature_dependent", "mark_unlabeled", "save_dataset",
     "load_dataset", "init_mlp", "one_hot", "meta_step", "similarity_matrix",

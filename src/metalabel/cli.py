@@ -48,6 +48,12 @@ def _read_json(path: str):
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
 
 
+def _write_summary(path: str, summary: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _load_config(path: str) -> TrainConfig:
     return TrainConfig.from_dict(_read_json(path))
 
@@ -111,16 +117,11 @@ def cmd_train(args) -> int:
 
     summary = result.summary()
     summary["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as out:
-        json.dump(summary, out, indent=2, sort_keys=True)
-        out.write("\n")
+    _write_summary(os.path.join(args.out, "summary.json"), summary)
     if args.baseline:
         base = baseline_ce(cfg, dataset=ds)
         write_metrics_csv(base.log, os.path.join(args.out, "baseline_metrics.csv"))
-        with open(os.path.join(args.out, "baseline_summary.json"), "w",
-                  encoding="utf-8") as out:
-            json.dump(base.summary(), out, indent=2, sort_keys=True)
-            out.write("\n")
+        _write_summary(os.path.join(args.out, "baseline_summary.json"), base.summary())
     print(f"selected epoch {result.best_epoch}: "
           f"meta {result.best_meta_acc:.4f}, test {result.test_acc_selected:.4f}")
     return 0
@@ -194,9 +195,7 @@ def _run_cells(configs: list[dict], cells: list[list[tuple[str, object]]],
             cell_dir = os.path.join(out_dir, _cell_id(cells[i]))
             os.makedirs(cell_dir, exist_ok=True)
             write_metrics_csv(result.log, os.path.join(cell_dir, "metrics.csv"))
-            with open(os.path.join(cell_dir, "summary.json"), "w", encoding="utf-8") as fh:
-                json.dump(result.summary(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_summary(os.path.join(cell_dir, "summary.json"), result.summary())
 
     results = run_experiments([TrainConfig.from_dict(raw) for raw in configs], on_group=write)
     records = []

@@ -33,19 +33,6 @@ class DegenerateOracleError(ValueError):
 
 
 @dataclass
-class NoiseSpec:
-    kind: str  # "uniform" | "feature-dependent"
-    ratio: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "feature-dependent"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError(f"noise.ratio must be in [0, 1], got {self.ratio}")
-
-
-@dataclass
 class Dataset:
     """Feature matrix plus clean/noisy labels, labeled mask and split tags.
 
@@ -118,11 +105,6 @@ class Dataset:
             raise UnlabeledLabelError(
                 f"label read on unlabeled row(s) {bad.tolist()}")
         return self.y_noisy[rows].copy()
-
-    def copy(self) -> "Dataset":
-        return Dataset(self.x.copy(), self.y_clean.copy(), self.y_noisy.copy(),
-                       self.labeled.copy(), self.split.copy(), self.n_classes,
-                       dict(self.provenance))
 
 
 # ---------------------------------------------------------------------------

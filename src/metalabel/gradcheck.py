@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .engine import Tensor, as_tensor, clip_min, grad, linear, log, mul, relu, softmax, sum_all
-from .meta import SoftLabeler, meta_gradient
-from .nn import ShapeError, check_one_hot, init_mlp, one_hot
+from .meta import meta_gradient
+from .nn import Mlp, ShapeError, check_one_hot, init_mlp, one_hot
 
 PROB_FLOOR = 1e-12  # clamp applied inside losses only, never to stored labels
 
@@ -254,8 +254,8 @@ def _tiny_problem(seed: int):
     t = TINY
     rng = np.random.default_rng(seed)
     theta = init_mlp([t["dims"]] + t["hidden"] + [t["classes"]], rng)
-    labeler = SoftLabeler(rng.normal(size=(t["n_features"], t["classes"])) * 0.5,
-                          rng.normal(size=(1, t["classes"])) * 0.1)
+    labeler = Mlp([(rng.normal(size=(t["n_features"], t["classes"])) * 0.5,
+                    rng.normal(size=(1, t["classes"])) * 0.1)])
     x = rng.normal(size=(t["batch"], t["dims"]))
     v = rng.normal(size=(t["batch"], t["n_features"]))
     mx = rng.normal(size=(t["batch"], t["dims"]))
@@ -288,7 +288,7 @@ def check_meta_gradient(n_seeds: int = 20, tolerance: float = 1e-4,
             theta_hat, _, _ = virtual_update(theta.params(), x, y_hat, inner_lr)
             return meta_loss(theta_hat, mx, my).item()
 
-        w0, b0 = labeler.weight, labeler.bias
+        w0, b0 = labeler.params()
         fd_w = fd_gradient(lambda a: loss_at(a, b0), w0)
         fd_b = fd_gradient(lambda a: loss_at(w0, a), b0)
         worst = max(worst, mixed_error(analytic[0], fd_w),

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import data as dt
 from .data import Dataset, load_dataset
-from .meta import FeatureExtractor, SoftLabeler, ce_step, conventional_step, meta_step
+from .meta import FeatureExtractor, ce_step, conventional_step, meta_step
 from .nn import (
     OPTIMIZERS,
     DivergenceError,
@@ -266,14 +266,13 @@ def derive_seeds(seed: int) -> dict:
     return {k: int(v) for k, v in zip(names, state)}
 
 
-def train_margin_oracle(ds, hidden: list[int], seed, epochs: int = 50,
-                        batch_size: int = 64, lr: float = 1e-2):
-    """Clean-label classifier used only to score decision-boundary margins
-    for feature-dependent noise. Given a list of datasets and a list of
-    seeds, the oracles train as lanes of one group (the datasets must agree
-    in dims, classes and train rows) and a list of classifiers comes back."""
-    solo = isinstance(ds, Dataset)
-    dss, seeds = ([ds], [seed]) if solo else (ds, seed)
+def train_margin_oracle(dss: list[Dataset], hidden: list[int], seeds: list[int],
+                        epochs: int = 50, batch_size: int = 64,
+                        lr: float = 1e-2) -> list[Mlp]:
+    """Clean-label classifiers used only to score decision-boundary margins
+    for feature-dependent noise, one per (dataset, seed) pair. They train as
+    lanes of one group, so the datasets must agree in dims, classes and
+    train rows."""
     sts, sources = [], []
     for d, s in zip(dss, seeds):
         rng = np.random.default_rng(s)
@@ -284,8 +283,7 @@ def train_margin_oracle(ds, hidden: list[int], seed, epochs: int = 50,
         sources.append((d.x, idx, d.y_clean[idx]))
     for epoch in range(epochs):
         _ce_epoch(sts, sources, batch_size, f"margin oracle epoch {epoch}")
-    nets = [st.theta for st in sts]
-    return nets[0] if solo else nets
+    return [st.theta for st in sts]
 
 
 def _groups(items: list[int], key) -> list[list[int]]:
@@ -348,11 +346,25 @@ def _outcome(fn, *args):
         return e
 
 
+def _lanes_or_alone(train, group: list[int]) -> tuple[list, int]:
+    """`train(group)`, which returns one outcome per member, as lanes of one
+    group. If it raises, each member of a larger group is trained alone, so
+    every member ends as it would alone; a group of one is not retrained.
+    Returns the outcomes (a result or the exception raised) and the number
+    of members that reran alone."""
+    out = _outcome(train, group)
+    if not isinstance(out, Exception):
+        return out, 0
+    if len(group) == 1:
+        return [out], 0
+    return [_outcome(lambda i: train([i])[0], i) for i in group], len(group)
+
+
 def build_datasets(cfgs: list[TrainConfig]) -> list:
     """`build_dataset` for each config; the margin oracles of configs that
     could be lanes of one run group train as lanes. Returns, per config, its
     dataset or the exception its build raised; a lane group whose oracles
-    fail retrains each oracle alone, so every config ends as it would alone."""
+    fail retrains each oracle alone (`_lanes_or_alone`)."""
     out = [_outcome(_base_dataset, cfg) for cfg in cfgs]
     need = [i for i, (cfg, ds) in enumerate(zip(cfgs, out))
             if _needs_oracle(cfg) and not isinstance(ds, Exception)]
@@ -365,10 +377,7 @@ def build_datasets(cfgs: list[TrainConfig]) -> list:
                                    batch_size=cfgs[group[0]].batch_size)
 
     for group in _groups(need, lambda i: _lane_key(cfgs[i])):
-        nets = _outcome(train, group)
-        if isinstance(nets, Exception):
-            nets = [_outcome(lambda i: train([i])[0], i) for i in group]
-        oracles.update(zip(group, nets))
+        oracles.update(zip(group, _lanes_or_alone(train, group)[0]))
     for i, cfg in enumerate(cfgs):
         if isinstance(oracles.get(i), Exception):
             out[i] = oracles[i]
@@ -434,7 +443,7 @@ class RunState:
     theta_best: Mlp | None = None
     best_epoch: int = -1
     best_meta_acc: float = -1.0
-    labeler: SoftLabeler | None = None
+    labeler: Mlp | None = None
     extractor: FeatureExtractor | None = None
     opt_phi: object = None
     log: list[EpochRow] = field(default_factory=list)
@@ -516,8 +525,8 @@ _CODEC = [
     ("theta_best", "theta_best", *_MLP),
     ("best_epoch", "best_epoch", _same, _same),
     ("best_meta_acc", "best_meta_acc", float.hex, float.fromhex),
-    ("labeler", "labeler", _optional(lambda s: _layers_to_json([s.params()])[0]),
-     _optional(lambda d: SoftLabeler(*_layers_from_json([d])[0]))),
+    ("labeler", "labeler", _optional(lambda g: _layers_to_json(g.layers)[0]),
+     _optional(lambda d: Mlp(_layers_from_json([d])))),
     ("extractor", "extractor",
      _optional(lambda e: {"mode": e.mode, "in_dim": e.in_dim,
                           "layers": _layers_to_json(e.layers)}),
@@ -556,9 +565,17 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
     if cfg is not None and blob.get("config_hash") != cfg.config_hash():
         raise ValueError(f"checkpoint {path} was written by a different config")
     try:
-        return RunState(**{name: dec(blob[key]) for name, key, _, dec in _CODEC})
+        st = RunState(**{name: dec(blob[key]) for name, key, _, dec in _CODEC})
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
+    g, ex = st.labeler, st.extractor
+    if g is not None and ex is not None and (
+            g.in_dim != ex.n_features or g.out_dim != st.theta.out_dim):
+        raise ValueError(f"checkpoint {path} is malformed: the generator maps {g.in_dim} "
+                         f"features to {g.out_dim} classes, but the extractor gives "
+                         f"{ex.n_features} features and the classifier has "
+                         f"{st.theta.out_dim} classes")
+    return st
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +698,9 @@ class _Phase2Rows(typing.NamedTuple):
         st, ds = ln.st, ln.ds
         if st.extractor is None:
             st.extractor = FeatureExtractor.from_classifier(st.theta, cfg.extractor_features)
-            st.labeler = SoftLabeler.zeros(st.extractor.n_features, ds.n_classes)
+            # zero init makes the initial soft labels uniform over classes
+            f, c = st.extractor.n_features, ds.n_classes
+            st.labeler = Mlp([(np.zeros((f, c)), np.zeros((1, c)))])
             st.opt_phi = make_optimizer(cfg.metanet_optimizer, _shapes(st.labeler),
                                         lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
         rows, meta_rows = ds.indices(dt.TRAIN), ds.indices(dt.META)
@@ -752,8 +771,8 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
             for s, (st, inp) in enumerate(zip(sts, inputs)):
                 # the soft labels before the epoch are recomputed, not kept:
                 # one lane's at a time is all the memory this needs
-                diff = np.abs(st.labeler.soft_labels(inp.feats)
-                              - before[s].soft_labels(inp.feats))
+                diff = np.abs(softmax(mlp_logits(st.labeler.layers, inp.feats))
+                              - softmax(mlp_logits(before[s].layers, inp.feats)))
                 losses.append([float(v) for v in epoch_losses[:, s]]
                               + [float(diff.mean()), float(diff.var())])
 
@@ -784,7 +803,7 @@ class ExperimentResult:
     log: list[EpochRow]
     theta_best: Mlp
     theta_final: Mlp
-    labeler: SoftLabeler | None
+    labeler: Mlp | None
     best_epoch: int
     best_meta_acc: float
     test_acc_selected: float
@@ -885,11 +904,7 @@ def run_experiments(cfgs: list[TrainConfig], datasets: list[Dataset] | None = No
             if not isinstance(out[i], Exception):
                 dss[i] = ds
         for group in _groups([i for i in chunk if i in dss], lambda i: _shape_key(dss[i])):
-            results, reran = _outcome(train, group), 0
-            if isinstance(results, Exception) and len(group) == 1:
-                results = [results]
-            elif isinstance(results, Exception):
-                results, reran = [_outcome(lambda i: train([i])[0], i) for i in group], len(group)
+            results, reran = _lanes_or_alone(train, group)
             for i, result in zip(group, results):
                 out[i] = result
                 del dss[i]

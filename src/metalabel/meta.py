@@ -1,8 +1,9 @@
 """Soft-label generation and the training steps.
 
-The generator is a single dense layer + softmax over frozen features. Its
-update differentiates the meta objective through a one-step virtual SGD
-update of the classifier, i.e. a gradient is pushed through a gradient.
+The generator (MetaLabelNet) is a one-layer `Mlp` over frozen features: the
+softmax of its logits is a row's soft label. Its update differentiates the
+meta objective through a one-step virtual SGD update of the classifier, i.e.
+a gradient is pushed through a gradient.
 
 `meta_gradient`, behind `meta_step`, computes that gradient without a graph:
 the meta gradient with respect to the generator's logits is
@@ -38,8 +39,6 @@ from .nn import (
     mlp_forward,
     mlp_jvp,
     mlp_logits,
-    softmax,
-    stack_lanes,
 )
 
 EXTRACTOR_MODES = ("penultimate", "logits")
@@ -85,42 +84,6 @@ class FeatureExtractor:
 
 
 @dataclass
-class SoftLabeler:
-    """Single dense layer + softmax mapping features to soft labels."""
-
-    weight: np.ndarray  # (F, C)
-    bias: np.ndarray    # (1, C)
-
-    @classmethod
-    def zeros(cls, n_features: int, n_classes: int) -> "SoftLabeler":
-        # zero init makes the initial labels uniform over classes
-        return cls(np.zeros((n_features, n_classes)), np.zeros((1, n_classes)))
-
-    @classmethod
-    def stack(cls, labelers: list["SoftLabeler"]) -> "SoftLabeler":
-        """The generators as lanes of one stacked generator."""
-        return cls(stack_lanes([g.weight for g in labelers]),
-                   stack_lanes([g.bias for g in labelers]))
-
-    def lane(self, s: int) -> "SoftLabeler":
-        return SoftLabeler(self.weight[s], self.bias[s])
-
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[-1]
-
-    def params(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
-
-    def soft_labels(self, v: np.ndarray) -> np.ndarray:
-        """Row distributions over classes for feature rows v."""
-        if v.shape[-1] != self.weight.shape[-2]:
-            raise ValueError(f"feature width {v.shape[-1]} does not match generator "
-                             f"({self.weight.shape[-2]})")
-        return softmax(v @ self.weight + self.bias)
-
-
-@dataclass
 class MetaStepReport:
     """Per-lane values: floats for a solo step, arrays over the lanes."""
 
@@ -159,11 +122,11 @@ def _lane_vdot(xs: list[np.ndarray], ys: list[np.ndarray]):
     return total
 
 
-def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray,
+def meta_gradient(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
                   meta_x: np.ndarray, meta_y_onehot: np.ndarray, *,
                   inner_lr: float) -> tuple[list[np.ndarray], MetaStepReport]:
     """Gradient of the meta loss through the virtual update with respect to
-    the generator's (weight, bias), and the step report; no graph is built.
+    the generator's parameters, and the step report; no graph is built.
 
     Passes: forward and backward at theta on x (the inner gradient), forward
     and backward at theta_hat on the meta batch (g), one forward-mode pass at
@@ -175,7 +138,7 @@ def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray
         raise ValueError(f"meta batch size {meta_x.shape[-2]} != train batch size {n}")
     check_one_hot(meta_y_onehot, theta.out_dim)
     layers = theta.layers
-    log_q, q = log_softmax(v @ labeler.weight + labeler.bias)
+    log_q, q = log_softmax(mlp_logits(labeler.layers, v))
 
     z, acts = mlp_forward(layers, x)
     log_p, p = log_softmax(z)
@@ -193,7 +156,7 @@ def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray
     dz = mlp_jvp(layers, acts, g)
     jac = p * (dz - (p * dz).sum(axis=-1, keepdims=True))
     big_g = (inner_lr / n) * (jac - q * jac.sum(axis=-1, keepdims=True))
-    phi_grads = [v.swapaxes(-1, -2) @ big_g, big_g.sum(axis=-2, keepdims=True)]
+    phi_grads = mlp_backward(labeler.layers, [v], big_g)
 
     report = MetaStepReport(meta_loss=l_meta,
                             grad_phi_norm=np.sqrt(_lane_vdot(phi_grads, phi_grads)),
@@ -201,9 +164,9 @@ def meta_gradient(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray
     return phi_grads, report
 
 
-def meta_step(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray,
+def meta_step(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
               meta_x: np.ndarray, meta_y_onehot: np.ndarray, *,
-              inner_lr: float, optimizer) -> tuple[SoftLabeler, MetaStepReport]:
+              inner_lr: float, optimizer) -> tuple[Mlp, MetaStepReport]:
     """Update the generator by the gradient of the meta loss through the
     virtual update (`meta_gradient`). The classifier is not modified.
 
@@ -211,10 +174,10 @@ def meta_step(labeler: SoftLabeler, theta: Mlp, x: np.ndarray, v: np.ndarray,
     """
     phi_grads, report = meta_gradient(labeler, theta, x, v, meta_x, meta_y_onehot,
                                       inner_lr=inner_lr)
-    return SoftLabeler(*optimizer.step(labeler.params(), phi_grads)), report
+    return labeler.with_params(optimizer.step(labeler.params(), phi_grads)), report
 
 
-def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
+def conventional_step(theta: Mlp, labeler: Mlp, x: np.ndarray,
                       v: np.ndarray, lam: float, optimizer, *,
                       use_entropy: bool = True) -> tuple[Mlp, float, float]:
     """Momentum-SGD step of the classifier on regenerated soft labels.
@@ -223,7 +186,7 @@ def conventional_step(theta: Mlp, labeler: SoftLabeler, x: np.ndarray,
     the loss is the KL classification term plus (optionally) the entropy
     term that keeps predictions peaked. Returns (theta', L_c, L_e).
     """
-    log_q, _ = log_softmax(v @ labeler.weight + labeler.bias)
+    log_q, _ = log_softmax(mlp_logits(labeler.layers, v))
     z, acts = mlp_forward(theta.layers, x)
     log_p, p = log_softmax(z)
     n = x.shape[-2]

@@ -49,6 +49,7 @@ def stack_lanes(arrays: list[np.ndarray]) -> np.ndarray:
 @dataclass
 class Mlp:
     """Dense network parameters: rectifier hidden layers, identity output.
+    Both the classifier and the soft-label generator (one layer) are Mlps.
 
     `layers[i]` is a (weight, bias) pair of float64 arrays with weight
     (in, out) and bias (1, out); consecutive layers chain and the last

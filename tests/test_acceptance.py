@@ -25,8 +25,8 @@ from metalabel.harness import (
     run_experiment,
     run_experiments,
 )
-from metalabel.meta import SoftLabeler, meta_step
-from metalabel.nn import init_mlp, make_optimizer, one_hot
+from metalabel.meta import meta_step
+from metalabel.nn import Mlp, init_mlp, make_optimizer, mlp_logits, one_hot, softmax
 
 SEEDS = (0, 1, 2, 3)
 
@@ -239,8 +239,8 @@ def test_criterion_10_invariant_suites():
 
     # soft-label simplex invariants
     rng = np.random.default_rng(0)
-    lab = SoftLabeler(rng.normal(size=(6, 4)), rng.normal(size=(1, 4)))
-    probs = lab.soft_labels(rng.normal(size=(50, 6)))
+    lab = Mlp([(rng.normal(size=(6, 4)), rng.normal(size=(1, 4)))])
+    probs = softmax(mlp_logits(lab.layers, rng.normal(size=(50, 6))))
     if not (np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
             and np.all(probs > 0.0) and np.all(probs < 1.0)):
         problems.append("soft labels left the open simplex")
@@ -254,7 +254,6 @@ def test_criterion_10_invariant_suites():
     if abs(flips - 0.4 * train.sum()) > 3 * sigma:
         problems.append(f"uniform flip count {flips} outside binomial bounds")
     from metalabel.data import inject_feature_dependent
-    from metalabel.nn import Mlp
     w = np.zeros((6, 4))
     w[np.arange(4), np.arange(4)] = 4.0
     oracle = Mlp([(w, np.zeros((1, 4)))])
@@ -283,7 +282,7 @@ def test_criterion_10_invariant_suites():
     rng = np.random.default_rng(2)
     theta = init_mlp([4, 3, 3], rng)
     before = [p.copy() for p in theta.params()]
-    lab = SoftLabeler(rng.normal(size=(3, 3)), rng.normal(size=(1, 3)))
+    lab = Mlp([(rng.normal(size=(3, 3)), rng.normal(size=(1, 3)))])
     opt = make_optimizer("adam", [p.shape for p in lab.params()], lr=1e-2)
     meta_step(lab, theta, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)),
               rng.normal(size=(5, 4)), one_hot(rng.integers(0, 3, 5), 3),

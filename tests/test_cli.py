@@ -339,6 +339,47 @@ def test_truncated_checkpoint_is_usage_error_naming_the_file(tmp_path, capsys):
     assert str(cp) in capsys.readouterr().err
 
 
+def _mat(a) -> dict:
+    return {"shape": list(a.shape), "hex": [v.hex() for v in a.ravel().tolist()]}
+
+
+def _arr(d: dict) -> np.ndarray:
+    return np.array([float.fromhex(h) for h in d["hex"]]).reshape(d["shape"])
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("change", [
+    lambda w, b: (w, np.vstack([b, b])),
+    lambda w, b: (w[:-1], b),
+    lambda w, b: (np.hstack([w, w]), np.hstack([b, b])),
+], ids=["two-bias-rows", "narrower-than-the-extractor", "more-classes-than-the-classifier"])
+def test_checkpoint_with_an_unfitting_generator_is_usage_error_naming_the_file(
+        tmp_path, capsys, change):
+    cfg = tiny_config()
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    out.mkdir()
+    cp = out / "checkpoint.json"
+
+    def stop(row):
+        if row.epoch == 3:  # the checkpoint holds epochs 0-2, phase 2 from epoch 2
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        harness_mod.run_experiment(TrainConfig.from_dict(cfg), checkpoint_path=str(cp),
+                                   on_epoch=stop)
+    blob = json.loads(cp.read_text())
+    w, b = change(_arr(blob["labeler"]["w"]), _arr(blob["labeler"]["b"]))
+    blob["labeler"] = {"w": _mat(w), "b": _mat(b)}
+    cp.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
+    assert f"checkpoint {cp} is malformed" in capsys.readouterr().err
+
+
 # -- gradcheck ----------------------------------------------------------------------
 
 

@@ -8,7 +8,6 @@ import pytest
 from metalabel.data import (
     Dataset,
     DegenerateOracleError,
-    NoiseSpec,
     UnlabeledLabelError,
     inject_feature_dependent,
     inject_uniform,
@@ -85,17 +84,6 @@ def test_make_synthetic_degenerate_counts():
         make_synthetic(15, classes=2, dims=3, seed=0)  # n < 10 * classes
     with pytest.raises(ValueError):
         make_synthetic(100, classes=5, dims=3, seed=0)  # dims < classes
-
-
-def test_noise_spec_validation():
-    NoiseSpec("uniform", 0.4)
-    with pytest.raises(ValueError):
-        NoiseSpec("gaussian", 0.4)
-    with pytest.raises(ValueError):
-        NoiseSpec("uniform", 1.5)
-
-
-# -- splitting ----------------------------------------------------------------
 
 
 def test_split_exact_sizes_on_balanced_data():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -234,7 +235,7 @@ def test_meta_data_cleanliness_is_load_bearing():
     cfg = small_config(noise_ratio=0.6, total_epochs=14, seed=5)
     clean_ds = build_dataset(cfg)
     rng = np.random.default_rng(99)
-    poisoned = clean_ds.copy()
+    poisoned = copy.deepcopy(clean_ds)
     meta_rows = poisoned.indices("meta")
     flips = rng.integers(1, poisoned.n_classes, size=meta_rows.size)
     bad = (poisoned.y_clean[meta_rows] + flips) % poisoned.n_classes
@@ -354,7 +355,24 @@ def test_divergence_names_the_epoch_and_batch():
     ds = build_dataset(small_config(noise_kind="uniform"))
     with pytest.raises(DivergenceError,
                        match=r"margin oracle epoch \d+, batch \d+: diverged"):
-        train_margin_oracle(ds, [8, 6], seed=0, epochs=3, lr=1e6)
+        train_margin_oracle([ds], [8, 6], seeds=[0], epochs=3, lr=1e6)
+
+
+def test_a_failing_oracle_of_a_lone_config_trains_once(monkeypatch):
+    import metalabel.harness as harness_mod
+    from metalabel.nn import DivergenceError
+
+    lanes = []
+    real = harness_mod.train_margin_oracle
+
+    def counting(dss, *args, **kw):
+        lanes.append(len(dss))
+        return real(dss, *args, **kw)
+
+    monkeypatch.setattr(harness_mod, "train_margin_oracle", counting)
+    with pytest.raises(DivergenceError, match=r"margin oracle epoch \d+, batch \d+: diverged"):
+        build_dataset(small_config(center_scale=1e200))
+    assert lanes == [1]
 
 
 # -- metrics CSV ------------------------------------------------------------------
@@ -406,7 +424,7 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
                                       straight.theta_final.layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
-        assert np.array_equal(resumed.labeler.weight, straight.labeler.weight)
+        assert np.array_equal(resumed.labeler.layers[0][0], straight.labeler.layers[0][0])
 
 
 def test_resume_requires_checkpoint(tmp_path):

@@ -16,16 +16,16 @@ import pytest
 
 from metalabel.cli import main
 from metalabel.data import load_dataset, save_dataset
-from metalabel.meta import SoftLabeler, ce_step, conventional_step, meta_step
-from metalabel.nn import init_mlp, make_optimizer, one_hot
+from metalabel.meta import ce_step, conventional_step, meta_step
+from metalabel.nn import Mlp, init_mlp, make_optimizer, one_hot
 
 # -- kernels -------------------------------------------------------------------
 
 
 def _solo_inputs(rng, n=7, dims=5, feats=4, classes=3):
     theta = init_mlp([dims, 6, 5, classes], rng)
-    labeler = SoftLabeler(rng.normal(size=(feats, classes)) * 0.5,
-                          rng.normal(size=(1, classes)) * 0.1)
+    labeler = Mlp([(rng.normal(size=(feats, classes)) * 0.5,
+                    rng.normal(size=(1, classes)) * 0.1)])
     batch = (rng.normal(size=(n, dims)), rng.normal(size=(n, feats)),
              rng.normal(size=(n, dims)), one_hot(rng.integers(0, classes, n), classes),
              rng.integers(0, classes, n))
@@ -66,7 +66,7 @@ def test_a_stacked_step_equals_its_solo_steps_bit_for_bit(lanes):
 
     # a real lane axis, also for one lane (a group of one carries none)
     theta = runs[0][0].with_params([np.stack(ps) for ps in zip(*(r[0].params() for r in runs))])
-    labeler = SoftLabeler(*[np.stack(ps) for ps in zip(*(r[1].params() for r in runs))])
+    labeler = runs[0][1].with_params([np.stack(ps) for ps in zip(*(r[1].params() for r in runs))])
     batches = [tuple(np.stack([r[2][b][k] for r in runs]) for k in range(5))
                for b in range(3)]
     stacked = _train_steps(theta, labeler, batches, *_optimizers(theta, labeler))

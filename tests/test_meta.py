@@ -16,20 +16,25 @@ from metalabel.gradcheck import (
 from metalabel.meta import (
     FeatureExtractor,
     MetaStepReport,
-    SoftLabeler,
     conventional_step,
     meta_step,
     similarity_matrix,
 )
-from metalabel.nn import Mlp, SgdMomentum, init_mlp, make_optimizer, one_hot
+from metalabel.nn import Mlp, SgdMomentum, init_mlp, make_optimizer, mlp_logits, one_hot
+from metalabel.nn import softmax as nn_softmax
+
+
+def generated(labeler, v):
+    """The generator's soft labels, as training reads them."""
+    return nn_softmax(mlp_logits(labeler.layers, v))
 
 
 @pytest.fixture()
 def tiny():
     rng = np.random.default_rng(0)
     theta = init_mlp([4, 3, 3], rng)
-    labeler = SoftLabeler(rng.normal(size=(3, 3)) * 0.5,
-                          rng.normal(size=(1, 3)) * 0.1)
+    labeler = Mlp([(rng.normal(size=(3, 3)) * 0.5,
+                    rng.normal(size=(1, 3)) * 0.1)])
     x = rng.normal(size=(5, 4))
     v = rng.normal(size=(5, 3))
     mx = rng.normal(size=(5, 4))
@@ -98,25 +103,25 @@ def test_extractor_from_classifier_shape():
 
 
 def test_zero_generator_gives_uniform_labels():
-    lab = SoftLabeler.zeros(6, 4)
-    out = lab.soft_labels(np.random.default_rng(0).normal(size=(5, 6)))
+    lab = Mlp([(np.zeros((6, 4)), np.zeros((1, 4)))])
+    out = generated(lab, np.random.default_rng(0).normal(size=(5, 6)))
     assert np.allclose(out, 0.25)
 
 
 def test_soft_labels_live_on_the_simplex():
     rng = np.random.default_rng(6)
-    lab = SoftLabeler(rng.normal(size=(4, 3)), rng.normal(size=(1, 3)))
-    out = lab.soft_labels(rng.normal(size=(8, 4)))
+    lab = Mlp([(rng.normal(size=(4, 3)), rng.normal(size=(1, 3)))])
+    out = generated(lab, rng.normal(size=(8, 4)))
     assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(out > 0.0)
 
 
 def test_soft_labels_closed_form_single_row():
-    lab = SoftLabeler(np.array([[1.0, -1.0], [0.5, 0.0]]), np.array([[0.1, -0.1]]))
+    lab = Mlp([(np.array([[1.0, -1.0], [0.5, 0.0]]), np.array([[0.1, -0.1]]))])
     v = np.array([[2.0, 3.0]])
-    z = v @ lab.weight + lab.bias
+    z = v @ lab.layers[0][0] + lab.layers[0][1]
     expected = np.exp(z) / np.exp(z).sum()
-    assert np.allclose(lab.soft_labels(v), expected, atol=1e-12)
+    assert np.allclose(generated(lab, v), expected, atol=1e-12)
 
 
 # -- virtual update -------------------------------------------------------------
@@ -133,14 +138,14 @@ def test_virtual_update_fixed_point_at_own_predictions(tiny):
 
 def test_virtual_update_zero_inner_lr_is_identity(tiny):
     theta, labeler, x, v, _, _ = tiny
-    theta_hat, _, _ = virtual_update(theta.params(), x, labeler.soft_labels(v), inner_lr=0.0)
+    theta_hat, _, _ = virtual_update(theta.params(), x, generated(labeler, v), inner_lr=0.0)
     for p, q in zip(theta.params(), theta_hat):
         assert np.array_equal(p, q.value)
 
 
 def test_virtual_update_matches_finite_difference_gradient(tiny):
     theta, labeler, x, v, _, _ = tiny
-    y_hat = labeler.soft_labels(v)
+    y_hat = generated(labeler, v)
     inner_lr = 0.7
     theta_hat, _, _ = virtual_update(theta.params(), x, Tensor(y_hat), inner_lr=inner_lr)
     w0 = theta.layers[0][0]
@@ -207,7 +212,7 @@ def test_meta_step_leaves_classifier_untouched(tiny):
     for p, b in zip(theta.params(), before):
         assert np.array_equal(p, b)
     assert isinstance(report, MetaStepReport)
-    assert not np.array_equal(new_lab.weight, labeler.weight)
+    assert not np.array_equal(new_lab.layers[0][0], labeler.layers[0][0])
 
 
 def test_meta_step_zero_gradient_keeps_generator_fixed():
@@ -215,7 +220,7 @@ def test_meta_step_zero_gradient_keeps_generator_fixed():
     # with the generated labels: meta loss gradient is ~0
     rng = np.random.default_rng(8)
     theta = Mlp([(np.eye(2) * 60.0, np.zeros((1, 2)))])
-    lab = SoftLabeler.zeros(3, 2)
+    lab = Mlp([(np.zeros((3, 2)), np.zeros((1, 2)))])
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     v = rng.normal(size=(2, 3))
     mx, my = x.copy(), one_hot(np.array([0, 1]), 2)
@@ -224,8 +229,8 @@ def test_meta_step_zero_gradient_keeps_generator_fixed():
     new_lab, report = meta_step(lab, theta, x, v, mx, my,
                                 inner_lr=1.0, optimizer=opt)
     assert report.grad_phi_norm < 1e-8
-    assert np.allclose(new_lab.weight, lab.weight, atol=1e-10)
-    assert np.allclose(new_lab.bias, lab.bias, atol=1e-10)
+    assert np.allclose(new_lab.layers[0][0], lab.layers[0][0], atol=1e-10)
+    assert np.allclose(new_lab.layers[0][1], lab.layers[0][1], atol=1e-10)
 
 
 def test_meta_step_requires_matching_batch_sizes(tiny):
@@ -237,7 +242,7 @@ def test_meta_step_requires_matching_batch_sizes(tiny):
 
 def test_meta_step_detached_labels_raise_not_silently_degrade(tiny):
     theta, labeler, x, v, mx, my = tiny
-    y_hat = labeler.soft_labels(v)  # no recorded graph to the generator
+    y_hat = generated(labeler, v)  # no recorded graph to the generator
     theta_hat, _, _ = virtual_update(theta.params(), x, Tensor(y_hat), 1.0)
     with pytest.raises(GradError):
         grad(meta_loss(theta_hat, mx, my), [Tensor(p) for p in labeler.params()])
@@ -250,7 +255,7 @@ def test_similarity_entries_match_per_sample_gradient_products(tiny):
     from metalabel.gradcheck import cce_loss
 
     theta, labeler, x, v, mx, my = tiny
-    y_hat = labeler.soft_labels(v)
+    y_hat = generated(labeler, v)
     theta_hat, _, _ = virtual_update(theta.params(), x, y_hat, 1.0)
     theta_hat = theta.with_params([p.value for p in theta_hat])
     s = similarity_matrix(theta, theta_hat, x, y_hat, mx, my)
@@ -295,7 +300,7 @@ def test_similarity_orthogonal_gradients_vanish():
 
 def test_similarity_matrix_mean_equals_inner_product_of_mean_gradients(tiny):
     theta, labeler, x, v, mx, my = tiny
-    y_hat = labeler.soft_labels(v)
+    y_hat = generated(labeler, v)
     theta_hat, _, inner_grads = virtual_update(theta.params(), x, y_hat, 1.0)
     s = similarity_matrix(theta, theta.with_params([p.value for p in theta_hat]),
                           x, y_hat, mx, my)
@@ -321,7 +326,7 @@ def test_conventional_step_gradient_matches_finite_differences(tiny):
     theta, labeler, x, v, _, _ = tiny
     from metalabel.gradcheck import entropy_loss
 
-    y_hat = labeler.soft_labels(v)
+    y_hat = generated(labeler, v)
 
     def total_loss(params) -> float:
         logits, _ = forward(params, Tensor(x))
@@ -376,8 +381,8 @@ def warmed():
     theta = warmup_phase(cfg, ds)
     extractor = FeatureExtractor.from_classifier(theta)
     rng = np.random.default_rng(1)
-    labeler = SoftLabeler(rng.normal(size=(extractor.n_features, 4)) * 0.5,
-                          rng.normal(size=(1, 4)) * 0.1)
+    labeler = Mlp([(rng.normal(size=(extractor.n_features, 4)) * 0.5,
+                    rng.normal(size=(1, 4)) * 0.1)])
     rows, m_rows = ds.indices("train")[:64], ds.indices("meta")[:64]
     x = ds.x[rows]
     return (theta, labeler, x, extractor(x), ds.x[m_rows],
@@ -415,7 +420,7 @@ def test_classifier_steps_match_engine_at_default_sizes(warmed):
     from metalabel.gradcheck import cce_loss, entropy_loss
 
     theta, labeler, x, v, _, _, labels = warmed
-    y_hat = labeler.soft_labels(v)
+    y_hat = generated(labeler, v)
     params = [Tensor(p) for p in theta.params()]
     for use_entropy in (True, False):
         opt = RecordingOptimizer()
