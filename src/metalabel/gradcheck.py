@@ -270,7 +270,7 @@ def _unrolled_phi_grad(labeler, theta, x, v, mx, my, inner_lr):
 
 
 def _fused_phi_grad(labeler, theta, x, v, mx, my, inner_lr):
-    return meta_gradient(labeler, theta, x, v, mx, my, inner_lr=inner_lr)[0]
+    return meta_gradient(labeler, theta, x, v, mx, my, inner_lr=inner_lr)[0].params()
 
 
 def check_meta_gradient(n_seeds: int = 20, tolerance: float = 1e-4,

@@ -26,7 +26,7 @@ import os
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .nn import (
     DivergenceError,
     Mlp,
     init_mlp,
+    check_one_hot,
     make_optimizer,
     mlp_logits,
     one_hot,
@@ -277,7 +278,7 @@ def train_margin_oracle(dss: list[Dataset], hidden: list[int], seeds: list[int],
     for d, s in zip(dss, seeds):
         rng = np.random.default_rng(s)
         net = init_mlp([d.dims] + list(hidden) + [d.n_classes], rng)
-        sts.append(RunState(theta=net, opt_theta=make_optimizer("sgd-momentum", _shapes(net),
+        sts.append(RunState(theta=net, opt_theta=make_optimizer("sgd-momentum", net.flat.shape,
                                                                  lr=lr), rng=rng))
         idx = d.indices(dt.TRAIN)
         sources.append((d.x, idx, d.y_clean[idx]))
@@ -426,10 +427,6 @@ def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
 # run state and its checkpoint codec
 
 
-def _shapes(net) -> list[tuple[int, ...]]:
-    return [p.shape for p in net.params()]
-
-
 @dataclass
 class RunState:
     """Everything a run changes as it trains; a checkpoint is this state
@@ -455,7 +452,7 @@ class RunState:
         seeds = derive_seeds(cfg.seed)
         theta = init_mlp([ds.dims] + list(cfg.hidden) + [ds.n_classes],
                          np.random.default_rng(seeds["init"]))
-        opt = make_optimizer(cfg.classifier_optimizer, _shapes(theta),
+        opt = make_optimizer(cfg.classifier_optimizer, theta.flat.shape,
                              lr=lr_at(cfg.lr_schedule, 0), weight_decay=cfg.weight_decay)
         return cls(theta=theta, opt_theta=opt, rng=np.random.default_rng(seeds["run"]),
                    theta_best=theta.copy())
@@ -480,23 +477,28 @@ def _layers_from_json(d: list[dict]) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(_mat_from_json(l["w"]), _mat_from_json(l["b"])) for l in d]
 
 
-def _opt_to_json(opt) -> dict:
+def _opt_to_json(opt, net: Mlp) -> dict:
+    """One matrix per parameter array and buffer, split along net's layers."""
     out = opt.state()
     for k in opt.HYPER:
         out[k] = float(out[k]).hex()
     for k in opt.BUFFERS:
-        out[k] = [_mat_to_json(a) for a in out[k]]
+        out[k] = [_mat_to_json(a) for a in net.with_params(out[k]).params()]
     return out
 
 
-def _opt_from_json(d: dict):
+def _opt_from_json(d: dict, net: Mlp):
     cls = OPTIMIZERS[d["kind"]]
     state = dict(d)
     for k in cls.HYPER:
         state[k] = float.fromhex(d[k])
     for k in cls.BUFFERS:
-        state[k] = [_mat_from_json(a) for a in d[k]]
-    opt = cls([a.shape for a in state[cls.BUFFERS[0]]], lr=state["lr"])
+        mats = [_mat_from_json(a) for a in d[k]]
+        if [a.shape for a in mats] != [p.shape for p in net.params()]:
+            raise ValueError(f"optimizer {k} shapes {[a.shape for a in mats]} do not "
+                             f"match the parameters {[p.shape for p in net.params()]}")
+        state[k] = np.concatenate([a.ravel() for a in mats])
+    opt = cls(net.flat.shape, lr=state["lr"])
     opt.load_state(state)
     return opt
 
@@ -507,43 +509,61 @@ def _rng_from_json(state: dict) -> np.random.Generator:
     return rng
 
 
+# A coder takes (value, run): `run` maps RunState fields to values, the whole
+# state when saving and the fields decoded so far when loading.
+
+
+def _plain(f):
+    return lambda v, run: f(v)
+
+
 def _optional(f):
-    return lambda v: None if v is None else f(v)
+    return lambda v, run: None if v is None else f(v, run)
 
 
 def _same(v):
     return v
 
 
-_MLP = (lambda m: {"layers": _layers_to_json(m.layers)},
-        lambda d: Mlp(_layers_from_json(d["layers"])))
+def _opt_coders(net: str) -> tuple:
+    """Coders of the optimizer that steps the network in field `net`, which
+    the file holds before it."""
+    return (lambda opt, run: _opt_to_json(opt, run[net]),
+            lambda d, run: _opt_from_json(d, run[net]))
+
+
+_MLP = (_plain(lambda m: {"layers": _layers_to_json(m.layers)}),
+        _plain(lambda d: Mlp(_layers_from_json(d["layers"]))))
 
 # RunState field, checkpoint key, encoder, decoder; in the order of the file
 _CODEC = [
-    ("epoch_next", "epoch_next", _same, _same),
+    ("epoch_next", "epoch_next", _plain(_same), _plain(_same)),
     ("theta", "theta", *_MLP),
     ("theta_best", "theta_best", *_MLP),
-    ("best_epoch", "best_epoch", _same, _same),
-    ("best_meta_acc", "best_meta_acc", float.hex, float.fromhex),
-    ("labeler", "labeler", _optional(lambda g: _layers_to_json(g.layers)[0]),
-     _optional(lambda d: Mlp(_layers_from_json([d])))),
+    ("best_epoch", "best_epoch", _plain(_same), _plain(_same)),
+    ("best_meta_acc", "best_meta_acc", _plain(float.hex), _plain(float.fromhex)),
+    ("labeler", "labeler", _optional(_plain(lambda g: _layers_to_json(g.layers)[0])),
+     _optional(_plain(lambda d: Mlp(_layers_from_json([d]))))),
     ("extractor", "extractor",
-     _optional(lambda e: {"mode": e.mode, "in_dim": e.in_dim,
-                          "layers": _layers_to_json(e.layers)}),
-     _optional(lambda d: FeatureExtractor(_layers_from_json(d["layers"]), d["mode"],
-                                          d["in_dim"]))),
-    ("opt_theta", "opt_theta", _opt_to_json, _opt_from_json),
-    ("opt_phi", "opt_phi", _optional(_opt_to_json), _optional(_opt_from_json)),
-    ("rng", "rng_state", lambda r: r.bit_generator.state, _rng_from_json),
-    ("log", "log", lambda rows: [asdict(r) for r in rows],
-     lambda rows: [EpochRow(**r) for r in rows]),
+     _optional(_plain(lambda e: {"mode": e.mode, "in_dim": e.in_dim,
+                                 "layers": _layers_to_json(e.layers)})),
+     _optional(_plain(lambda d: FeatureExtractor(_layers_from_json(d["layers"]), d["mode"],
+                                                 d["in_dim"])))),
+    ("opt_theta", "opt_theta", *_opt_coders("theta")),
+    ("opt_phi", "opt_phi", *(_optional(c) for c in _opt_coders("labeler"))),
+    ("rng", "rng_state", _plain(lambda r: r.bit_generator.state), _plain(_rng_from_json)),
+    ("log", "log", _plain(lambda rows: [{c: getattr(r, c) for c in METRICS_COLUMNS}
+                                        for r in rows]),
+     _plain(lambda rows: [EpochRow(**r) for r in rows])),
 ]
+_PHASE2_KEYS = ("extractor", "labeler", "opt_phi")  # all null before phase 2, then all set
 
 
 def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
     """Write the run state atomically (temporary file, then rename)."""
     blob = {"version": CHECKPOINT_VERSION, "config_hash": cfg.config_hash()}
-    blob.update((key, enc(getattr(state, name))) for name, key, enc, _ in _CODEC)
+    run = vars(state)
+    blob.update((key, enc(run[name], run)) for name, key, enc, _ in _CODEC)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(blob))
@@ -564,13 +584,19 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
         raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version}")
     if cfg is not None and blob.get("config_hash") != cfg.config_hash():
         raise ValueError(f"checkpoint {path} was written by a different config")
+    null = [k for k in _PHASE2_KEYS if blob.get(k) is None]
+    if null and len(null) < len(_PHASE2_KEYS):
+        raise ValueError(f"checkpoint {path} is malformed: {', '.join(_PHASE2_KEYS)} must "
+                         f"be all null or all present; null: {', '.join(null)}")
+    run: dict = {}
     try:
-        st = RunState(**{name: dec(blob[key]) for name, key, _, dec in _CODEC})
+        for name, key, _, dec in _CODEC:
+            run[name] = dec(blob[key], run)
+        st = RunState(**run)
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
     g, ex = st.labeler, st.extractor
-    if g is not None and ex is not None and (
-            g.in_dim != ex.n_features or g.out_dim != st.theta.out_dim):
+    if g is not None and (g.in_dim != ex.n_features or g.out_dim != st.theta.out_dim):
         raise ValueError(f"checkpoint {path} is malformed: the generator maps {g.in_dim} "
                          f"features to {g.out_dim} classes, but the extractor gives "
                          f"{ex.n_features} features and the classifier has "
@@ -701,11 +727,12 @@ class _Phase2Rows(typing.NamedTuple):
             # zero init makes the initial soft labels uniform over classes
             f, c = st.extractor.n_features, ds.n_classes
             st.labeler = Mlp([(np.zeros((f, c)), np.zeros((1, c)))])
-            st.opt_phi = make_optimizer(cfg.metanet_optimizer, _shapes(st.labeler),
+            st.opt_phi = make_optimizer(cfg.metanet_optimizer, st.labeler.flat.shape,
                                         lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
         rows, meta_rows = ds.indices(dt.TRAIN), ds.indices(dt.META)
-        return cls(ds.x, rows, st.extractor(ds.x[rows]), meta_rows,
-                   one_hot(ds.y_clean[meta_rows], ds.n_classes))
+        meta_y = one_hot(ds.y_clean[meta_rows], ds.n_classes)
+        check_one_hot(meta_y, ds.n_classes)  # once here; the meta step does not recheck
+        return cls(ds.x, rows, st.extractor(ds.x[rows]), meta_rows, meta_y)
 
 
 def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Rows],
@@ -724,9 +751,9 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
         v = stack_lanes([inp.feats[p] for inp, p in zip(inputs, pos)])
         mx = stack_lanes([inp.x[inp.meta_rows[i]] for inp, i in zip(inputs, m)])
         my = stack_lanes([inp.meta_y[i] for inp, i in zip(inputs, m)])
-        labeler, report = meta_step(labeler, theta, x, v, mx, my,
-                                    inner_lr=cfg.inner_lr, optimizer=opt_phi)
-        theta, lc, le = conventional_step(theta, labeler, x, v, lam, opt_theta,
+        labeler, report, fwd = meta_step(labeler, theta, x, v, mx, my,
+                                         inner_lr=cfg.inner_lr, optimizer=opt_phi)
+        theta, lc, le = conventional_step(theta, labeler, fwd, v, lam, opt_theta,
                                           use_entropy=cfg.entropy_loss)
         return lc, le, report.meta_loss, report.mean_similarity
 

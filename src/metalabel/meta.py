@@ -11,10 +11,19 @@ the meta gradient with respect to the generator's logits is
 (Pearlmutter's R-operator) of the classifier's softmax at theta along g, the
 meta-loss gradient at the virtually updated parameters. This is the batch
 form of the gradient-similarity identity of Ren et al. 2018. It runs on the
-numpy kernels of `nn`, as do the classifier steps, and every parameter is a
-float64 array. The unrolled route, which records the virtual update on the
-autodiff engine and differentiates through it, is the reference this one is
-checked against; it lives in `gradcheck`.
+numpy kernels of `nn`, as do the classifier steps. Every parameter and
+gradient is one flat float64 vector with layer views, so the virtual update
+theta_hat = theta - inner_lr * g is one operation on the vectors. The
+unrolled route, which records the virtual update on the autodiff engine and
+differentiates through it, is the reference this one is checked against; it
+lives in `gradcheck`.
+
+A phase-2 batch runs the classifier forward at theta once. `meta_step`
+computes it (`classifier_pass`: activations, rectifier masks, log p and p)
+for the inner gradient and the forward-mode pass, and returns it;
+`conventional_step` takes it, because the meta step leaves theta as it is.
+The batch runs two classifier forward passes in all: theta on the train
+batch and theta_hat on the meta batch.
 
 Lanes: the generator, the classifier and the batches may carry leading lane
 axes (see `nn`), and every step then advances all lanes at once. Losses are
@@ -26,13 +35,13 @@ solo value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .nn import (
     DivergenceError,
     Mlp,
-    check_one_hot,
     log_softmax,
     mlp_backward,
     mlp_deltas,
@@ -102,6 +111,25 @@ class MetaStepReport:
 # the training steps (numpy kernels)
 
 
+class ClassifierPass(NamedTuple):
+    """The classifier's forward pass at theta on a train batch: each layer's
+    input (acts[0] is the batch), the rectifier masks, and row-wise log p
+    and p of its softmax."""
+
+    acts: list[np.ndarray]
+    masks: list[np.ndarray]
+    log_p: np.ndarray
+    p: np.ndarray
+
+
+def classifier_pass(theta: Mlp, x: np.ndarray) -> ClassifierPass:
+    """The forward pass at theta on x that both steps of a phase-2 batch
+    read. Raises DivergenceError on non-finite logits or a probability
+    underflow."""
+    z, acts, masks = mlp_forward(theta.layers, x)
+    return ClassifierPass(acts, masks, *log_softmax(z))
+
+
 def _soft_label_dz(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-row logit gradient of sum(p * w) with p = softmax(z), w held fixed."""
     return p * (w - (p * w).sum(axis=-1, keepdims=True))
@@ -124,82 +152,82 @@ def _lane_vdot(xs: list[np.ndarray], ys: list[np.ndarray]):
 
 def meta_gradient(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
                   meta_x: np.ndarray, meta_y_onehot: np.ndarray, *,
-                  inner_lr: float) -> tuple[list[np.ndarray], MetaStepReport]:
+                  inner_lr: float) -> tuple[Mlp, MetaStepReport, ClassifierPass]:
     """Gradient of the meta loss through the virtual update with respect to
-    the generator's parameters, and the step report; no graph is built.
+    the generator's parameters (a network of the generator's shape), the
+    step report, and the classifier's pass at theta on x; no graph is built.
 
-    Passes: forward and backward at theta on x (the inner gradient), forward
-    and backward at theta_hat on the meta batch (g), one forward-mode pass at
-    theta along g. Raises DivergenceError on a non-finite value or a
-    probability underflow.
+    Passes: forward at theta on x and backward (the inner gradient), forward
+    and backward at theta_hat on the meta batch (g), one forward-mode pass
+    at theta along g. meta_y_onehot must hold one-hot rows; the caller
+    checks them once, where it builds them. Raises DivergenceError on a
+    non-finite value or a probability underflow.
     """
     n = x.shape[-2]
     if meta_x.shape[-2] != n:
         raise ValueError(f"meta batch size {meta_x.shape[-2]} != train batch size {n}")
-    check_one_hot(meta_y_onehot, theta.out_dim)
-    layers = theta.layers
     log_q, q = log_softmax(mlp_logits(labeler.layers, v))
 
-    z, acts = mlp_forward(layers, x)
-    log_p, p = log_softmax(z)
-    inner = mlp_backward(layers, acts, _soft_label_dz(p, log_p - log_q) / n)
-    if not all(np.all(np.isfinite(g)) for g in inner):
+    fwd = classifier_pass(theta, x)
+    acts, masks, p = fwd.acts, fwd.masks, fwd.p
+    inner = mlp_backward(theta, acts, masks, _soft_label_dz(p, fwd.log_p - log_q) / n)
+    if not np.isfinite(inner.flat).all():
         raise DivergenceError("diverged: non-finite gradient in virtual update")
 
-    hat = [(w - inner_lr * gw, b - inner_lr * gb)
-           for (w, b), gw, gb in zip(layers, inner[0::2], inner[1::2])]
-    z_hat, acts_hat = mlp_forward(hat, meta_x)
+    hat = theta.with_params(theta.flat - inner_lr * inner.flat)
+    z_hat, acts_hat, masks_hat = mlp_forward(hat.layers, meta_x)
     log_p_hat, p_hat = log_softmax(z_hat)
     l_meta = -(meta_y_onehot * log_p_hat).sum(axis=(-1, -2)) / n
-    g = mlp_backward(hat, acts_hat, (p_hat - meta_y_onehot) / n)
+    g = mlp_backward(hat, acts_hat, masks_hat, (p_hat - meta_y_onehot) / n)
 
-    dz = mlp_jvp(layers, acts, g)
+    dz = mlp_jvp(theta.layers, acts, masks, g.params())
     jac = p * (dz - (p * dz).sum(axis=-1, keepdims=True))
     big_g = (inner_lr / n) * (jac - q * jac.sum(axis=-1, keepdims=True))
-    phi_grads = mlp_backward(labeler.layers, [v], big_g)
+    phi_grad = mlp_backward(labeler, [v], [], big_g)
 
+    phi_arrays = phi_grad.params()
     report = MetaStepReport(meta_loss=l_meta,
-                            grad_phi_norm=np.sqrt(_lane_vdot(phi_grads, phi_grads)),
-                            mean_similarity=_lane_vdot(inner, g))
-    return phi_grads, report
+                            grad_phi_norm=np.sqrt(_lane_vdot(phi_arrays, phi_arrays)),
+                            mean_similarity=_lane_vdot(inner.params(), g.params()))
+    return phi_grad, report, fwd
 
 
 def meta_step(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
               meta_x: np.ndarray, meta_y_onehot: np.ndarray, *,
-              inner_lr: float, optimizer) -> tuple[Mlp, MetaStepReport]:
+              inner_lr: float, optimizer) -> tuple[Mlp, MetaStepReport, ClassifierPass]:
     """Update the generator by the gradient of the meta loss through the
-    virtual update (`meta_gradient`). The classifier is not modified.
+    virtual update (`meta_gradient`). The classifier is not modified, so the
+    pass at theta on x it returns is the one `conventional_step` takes.
 
     The optimizer's learning rate is the meta step size.
     """
-    phi_grads, report = meta_gradient(labeler, theta, x, v, meta_x, meta_y_onehot,
-                                      inner_lr=inner_lr)
-    return labeler.with_params(optimizer.step(labeler.params(), phi_grads)), report
+    phi_grad, report, fwd = meta_gradient(labeler, theta, x, v, meta_x, meta_y_onehot,
+                                          inner_lr=inner_lr)
+    return labeler.with_params(optimizer.step(labeler.flat, phi_grad.flat)), report, fwd
 
 
-def conventional_step(theta: Mlp, labeler: Mlp, x: np.ndarray,
+def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
                       v: np.ndarray, lam: float, optimizer, *,
                       use_entropy: bool = True) -> tuple[Mlp, float, float]:
-    """Momentum-SGD step of the classifier on regenerated soft labels.
+    """Momentum-SGD step of the classifier on regenerated soft labels, at
+    fwd = `classifier_pass(theta, x)` (as `meta_step` returns it).
 
     Labels come from the freshly updated generator and act as constants;
     the loss is the KL classification term plus (optionally) the entropy
     term that keeps predictions peaked. Returns (theta', L_c, L_e).
     """
     log_q, _ = log_softmax(mlp_logits(labeler.layers, v))
-    z, acts = mlp_forward(theta.layers, x)
-    log_p, p = log_softmax(z)
-    n = x.shape[-2]
+    log_p, p = fwd.log_p, fwd.p
+    n = p.shape[-2]
     l_c = (p * (log_p - log_q)).sum(axis=(-1, -2)) / n
     l_e = -(p * log_p).sum(axis=(-1, -2)) / n if use_entropy else np.zeros(np.shape(l_c))[()]
-    if not np.all(np.isfinite(l_c + l_e)):
+    if not np.isfinite(l_c + l_e).all():
         raise DivergenceError("diverged: non-finite classifier loss")
     # KL plus entropy is the cross-entropy -sum(p log q)
     dz = _soft_label_dz(p, -log_q if use_entropy else log_p - log_q) / n
     optimizer.lr = lam
-    new_theta = theta.with_params(
-        optimizer.step(theta.params(), mlp_backward(theta.layers, acts, dz)))
-    return new_theta, l_c, l_e
+    grad = mlp_backward(theta, fwd.acts, fwd.masks, dz)
+    return theta.with_params(optimizer.step(theta.flat, grad.flat)), l_c, l_e
 
 
 def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
@@ -207,7 +235,7 @@ def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
     """One optimizer step of batch-mean cross-entropy on hard class labels
     (warm-up, baseline and margin oracle); labels has x's leading axes.
     Returns (theta', loss)."""
-    z, acts = mlp_forward(theta.layers, x)
+    z, acts, masks = mlp_forward(theta.layers, x)
     log_p, p = log_softmax(z)
     n, c = z.shape[-2:]
     rows, cols = np.arange(labels.size), labels.reshape(-1)
@@ -215,8 +243,8 @@ def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
     dz = p.copy()
     dz.reshape(-1, c)[rows, cols] -= 1.0
     dz /= n
-    return theta.with_params(
-        optimizer.step(theta.params(), mlp_backward(theta.layers, acts, dz))), loss
+    grad = mlp_backward(theta, acts, masks, dz)
+    return theta.with_params(optimizer.step(theta.flat, grad.flat)), loss
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +262,13 @@ def similarity_matrix(theta: Mlp, theta_hat: Mlp, x: np.ndarray, y_hat: np.ndarr
     S = sum over layers of (H H'^T + 1) * (D D'^T). Diagnostic only.
     """
     layers, hat = theta.layers, theta_hat.layers
-    z, acts = mlp_forward(layers, x)
+    z, acts, masks = mlp_forward(layers, x)
     log_p, p = log_softmax(z)
     dz = _soft_label_dz(p, log_p - np.log(y_hat))
-    z_hat, acts_hat = mlp_forward(hat, meta_x)
+    z_hat, acts_hat, masks_hat = mlp_forward(hat, meta_x)
     _, p_hat = log_softmax(z_hat)
     s = 0.0
-    for h, d, h2, d2 in zip(acts, mlp_deltas(layers, acts, dz),
-                            acts_hat, mlp_deltas(hat, acts_hat, p_hat - meta_y_onehot)):
+    for h, d, h2, d2 in zip(acts, mlp_deltas(layers, masks, dz),
+                            acts_hat, mlp_deltas(hat, masks_hat, p_hat - meta_y_onehot)):
         s = s + (h @ h2.swapaxes(-1, -2) + 1.0) * (d @ d2.swapaxes(-1, -2))
     return s

@@ -1,27 +1,31 @@
 """MLP parameters and kernels, and first-order optimizers.
 
-Parameters are float64 arrays. The kernels (`mlp_forward`, `mlp_backward`,
-`mlp_jvp`, `log_softmax`, `softmax`) are hand-written numpy passes over the
-fixed network shape: rectifier hidden layers, identity output. The training
-steps in `meta` run on them alone. Optimizers work on the same arrays:
-parameter updates are ordinary numerics, never differentiated. The engine
-form of the network and the losses, which the kernels are checked against,
-lives in `gradcheck`.
+A network keeps all its parameters in one contiguous float64 vector,
+`Mlp.flat`: layer order, weight before bias, each array row-major. Its
+`layers` are (weight, bias) views reshaped from that vector. The kernels
+(`mlp_forward`, `mlp_backward`, `mlp_jvp`, `log_softmax`, `softmax`) are
+hand-written numpy passes over the layers of the fixed network shape:
+rectifier hidden layers, identity output. `mlp_backward` writes a parameter
+gradient into a vector of its own, shaped like the network. The optimizers
+step a whole vector in one pass: parameter updates are ordinary numerics,
+elementwise and never differentiated. The training steps in `meta` run on
+these alone. The engine form of the network and the losses, which the
+kernels are checked against, lives in `gradcheck`.
 
 Lanes: every kernel and optimizer also takes arrays with leading lane axes,
 so S runs that share a network shape train as one stacked trajectory. A
-weight is then (S, in, out), a bias (S, 1, out) and a batch (S, n, in).
-Transposes swap the last two axes and reductions run on axes -1 and -2, so
-each lane computes exactly what it computes alone: batched matmul calls the
-same BLAS routine per lane, and elementwise IEEE operations are exact per
-element. `stack_lanes`, `Mlp.stack`/`Mlp.lane` and
-`_Optimizer.stack`/`_Optimizer.lane` move between solo and stacked form.
+parameter vector is then (S, P), its weight views (S, in, out), its bias
+views (S, 1, out), and a batch is (S, n, in). Transposes swap the last two
+axes and reductions run on axes -1 and -2, so each lane computes exactly
+what it computes alone: batched matmul calls the same BLAS routine per lane,
+and elementwise IEEE operations are exact per element. `stack_lanes`,
+`Mlp.stack`/`Mlp.lane` and `_Optimizer.stack`/`_Optimizer.lane` move between
+solo and stacked form, one call per vector.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,66 +50,90 @@ def stack_lanes(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.array(arrays)
 
 
-@dataclass
+def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> list:
+    """(weight, bias) views of a parameter vector for layer widths `sizes`;
+    leading axes of `flat` are lanes. Each lane's block of an array is
+    contiguous, so every reshape is a view."""
+    lanes = flat.shape[:-1]
+    layers, at = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = at + fan_in * fan_out
+        layers.append((flat[..., at:end].reshape(*lanes, fan_in, fan_out),
+                       flat[..., end:end + fan_out].reshape(*lanes, 1, fan_out)))
+        at = end + fan_out
+    return layers
+
+
 class Mlp:
     """Dense network parameters: rectifier hidden layers, identity output.
     Both the classifier and the soft-label generator (one layer) are Mlps.
 
-    `layers[i]` is a (weight, bias) pair of float64 arrays with weight
-    (in, out) and bias (1, out); consecutive layers chain and the last
-    output width is the class count. A lane-stacked network puts the same
-    leading lane axes on every array.
+    `flat` is the parameter vector (P,), or (S, P) for S lanes; `sizes`
+    the layer widths, input first. `layers[i]` is a (weight, bias) pair of
+    views of `flat`, weight (in, out) and bias (1, out), after the lane
+    axes. A network is never changed in place: a step makes a new vector.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self):
-        lanes = self.layers[0][0].shape[:-2] if self.layers else ()
-        for i, (w, b) in enumerate(self.layers):
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
+        """A network holding a copy of `layers`, (weight, bias) pairs that
+        chain; a lane-stacked network puts the same leading lane axes on
+        every array."""
+        if not layers:
+            raise ShapeError("need at least one layer")
+        lanes = layers[0][0].shape[:-2]
+        for i, (w, b) in enumerate(layers):
             if w.ndim < 2 or w.shape[:-2] != lanes:
                 raise ShapeError(f"layer {i} weight must be a matrix, got ndim={w.ndim}")
             if b.shape != (*lanes, 1, w.shape[-1]):
                 raise ShapeError(f"layer {i} bias shape {b.shape}, "
                                  f"want {(*lanes, 1, w.shape[-1])}")
-        for i in range(len(self.layers) - 1):
-            w_out = self.layers[i][0].shape[-1]
-            w_in = self.layers[i + 1][0].shape[-2]
+        for i in range(len(layers) - 1):
+            w_out = layers[i][0].shape[-1]
+            w_in = layers[i + 1][0].shape[-2]
             if w_out != w_in:
                 raise ShapeError(f"layer {i} outputs {w_out} but layer {i + 1} expects {w_in}")
+        self._bind(np.concatenate([a.reshape(*lanes, -1) for pair in layers for a in pair],
+                                  axis=-1, dtype=np.float64),
+                   (layers[0][0].shape[-2], *(w.shape[-1] for w, _ in layers)))
+
+    def _bind(self, flat: np.ndarray, sizes: tuple[int, ...]) -> None:
+        self.flat = flat
+        self.sizes = sizes
+        self.layers = _layer_views(flat, sizes)
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0][0].shape[-2]
+        return self.sizes[0]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1][0].shape[-1]
+        return self.sizes[-1]
+
+    def with_params(self, flat: np.ndarray) -> "Mlp":
+        """This network's shape on the parameter vector `flat` (any lane
+        axes); the new network's layers are views of `flat`, not copies."""
+        if flat.shape[-1] != self.flat.shape[-1]:
+            raise ShapeError(f"parameter vector length {flat.shape[-1]}, "
+                             f"want {self.flat.shape[-1]}")
+        net = object.__new__(Mlp)
+        net._bind(flat, self.sizes)
+        return net
 
     @classmethod
     def stack(cls, nets: list["Mlp"]) -> "Mlp":
         """The networks as lanes of one stacked network."""
-        return nets[0].with_params([stack_lanes(list(ps))
-                                    for ps in zip(*(n.params() for n in nets))])
+        return nets[0].with_params(stack_lanes([n.flat for n in nets]))
 
     def lane(self, s: int) -> "Mlp":
         """Lane s of a stacked network, as views."""
-        return self.with_params([p[s] for p in self.params()])
+        return self.with_params(self.flat[s])
 
     def params(self) -> list[np.ndarray]:
-        """Flat parameter list: layer order, weight before bias."""
-        out = []
-        for w, b in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
-
-    def with_params(self, flat: list[np.ndarray]) -> "Mlp":
-        if len(flat) != 2 * len(self.layers):
-            raise ShapeError("parameter list length mismatch")
-        return Mlp([(flat[2 * i], flat[2 * i + 1]) for i in range(len(self.layers))])
+        """The arrays as a list: layer order, weight before bias (views)."""
+        return [a for pair in self.layers for a in pair]
 
     def copy(self) -> "Mlp":
-        return Mlp([(w.copy(), b.copy()) for w, b in self.layers])
+        return self.with_params(self.flat.copy())
 
 
 def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
@@ -139,44 +167,56 @@ def mlp_logits(layers, x: np.ndarray) -> np.ndarray:
     return h @ w + b
 
 
-def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Returns (logits, acts): acts[l] is the input of layer l, so acts[0] is
-    x and acts[l > 0] the rectified output of layer l - 1."""
-    acts = [x]
+def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Returns (logits, acts, masks): acts[l] is the input of layer l, so
+    acts[0] is x and acts[l > 0] the rectified output of layer l - 1;
+    masks[l] is where hidden layer l's pre-activation is positive, the
+    rectifier's derivative that every backward and forward-mode pass at this
+    point reads."""
+    acts, masks = [x], []
     for w, b in layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        a = acts[-1] @ w
+        a += b
+        masks.append(a > 0.0)
+        acts.append(np.maximum(a, 0.0, out=a))
     w, b = layers[-1]
-    return acts[-1] @ w + b, acts
+    z = acts[-1] @ w
+    z += b
+    return z, acts, masks
 
 
-def mlp_deltas(layers, acts: list[np.ndarray], dz: np.ndarray) -> list[np.ndarray]:
+def mlp_deltas(layers, masks: list[np.ndarray], dz: np.ndarray) -> list[np.ndarray]:
     """Gradient of the loss with respect to each layer's pre-activation,
     given dz with respect to the logits; row i depends only on sample i."""
     deltas = [dz]
     for l in range(len(layers) - 1, 0, -1):
-        deltas.append((deltas[-1] @ layers[l][0].swapaxes(-1, -2)) * (acts[l] > 0.0))
+        deltas.append((deltas[-1] @ layers[l][0].swapaxes(-1, -2)) * masks[l - 1])
     return deltas[::-1]
 
 
-def mlp_backward(layers, acts: list[np.ndarray], dz: np.ndarray) -> list[np.ndarray]:
-    """Parameter gradients from dz, the gradient with respect to the logits."""
-    out = []
-    for h, d in zip(acts, mlp_deltas(layers, acts, dz)):
-        out.append(h.swapaxes(-1, -2) @ d)
-        out.append(d.sum(axis=-2, keepdims=True))
-    return out
+def mlp_backward(net: Mlp, acts: list[np.ndarray], masks: list[np.ndarray],
+                 dz: np.ndarray) -> Mlp:
+    """Parameter gradients from dz, the gradient with respect to the logits,
+    as a network of net's shape: one new vector, every entry written."""
+    grad = net.with_params(np.empty(net.flat.shape))
+    for (gw, gb), h, d in zip(grad.layers, acts, mlp_deltas(net.layers, masks, dz)):
+        np.matmul(h.swapaxes(-1, -2), d, out=gw)
+        d.sum(axis=-2, keepdims=True, out=gb)
+    return grad
 
 
-def mlp_jvp(layers, acts: list[np.ndarray], tangents: list[np.ndarray]) -> np.ndarray:
+def mlp_jvp(layers, acts: list[np.ndarray], masks: list[np.ndarray],
+            tangents: list[np.ndarray]) -> np.ndarray:
     """Forward-mode derivative of the logits along a parameter direction
-    (a flat list shaped like the parameters), at the point acts came from."""
+    (a flat list shaped like the parameters), at the point acts and masks
+    came from."""
     dh = None
     for l, (w, _) in enumerate(layers):
         da = acts[l] @ tangents[2 * l] + tangents[2 * l + 1]
         if dh is not None:
             da += dh @ w
         if l + 1 < len(layers):
-            dh = da * (acts[l + 1] > 0.0)
+            dh = da * masks[l]
     return da
 
 
@@ -186,12 +226,12 @@ def log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises DivergenceError for non-finite logits and for a probability that
     underflows to 0, the two ways a diverging classifier shows up here.
     """
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DivergenceError("diverged: non-finite logits")
     s = z - z.max(axis=-1, keepdims=True)
     logp = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
     p = np.exp(logp)
-    if not np.all(p > 0.0):
+    if not (p > 0.0).all():
         raise DivergenceError("diverged: a probability underflowed to 0")
     return logp, p
 
@@ -200,7 +240,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting the row max; the one
     formula the engine's softmax shares. Raises DivergenceError for
     non-finite logits."""
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DivergenceError("diverged: non-finite logits")
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -237,23 +277,23 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 class _Optimizer:
     """Shared bookkeeping: a subclass names its scalar hyperparameters
-    (HYPER) and its per-parameter buffer lists (BUFFERS) once; `state()` and
-    `load_state()` read and write exactly those, plus the step count.
+    (HYPER) and its buffers (BUFFERS) once; `state()` and `load_state()`
+    read and write exactly those, plus the step count. Each buffer is one
+    array of the shape of the parameter vector it steps, and `step` updates
+    the whole vector at once with elementwise formulas.
 
-    A lane-stacked optimizer holds (S, ...) buffers; its hyperparameters and
+    A lane-stacked optimizer holds (S, P) buffers; its hyperparameters and
     step count are shared, because the lanes share a schedule."""
 
     kind: str
     HYPER: tuple[str, ...]
     BUFFERS: tuple[str, ...]
 
-    def _check(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        slots = getattr(self, self.BUFFERS[0])
-        if len(params) != len(slots) or len(grads) != len(slots):
-            raise ShapeError("optimizer buffer count mismatch")
-        for i, (p, g, b) in enumerate(zip(params, grads, slots)):
-            if p.shape != b.shape or g.shape != p.shape:
-                raise ShapeError(f"optimizer shape mismatch at slot {i}")
+    def _check(self, params: np.ndarray, grads: np.ndarray) -> None:
+        want = getattr(self, self.BUFFERS[0]).shape
+        if params.shape != want or grads.shape != want:
+            raise ShapeError(f"optimizer shape mismatch: parameters {params.shape}, "
+                             f"gradient {grads.shape}, buffers {want}")
 
     @classmethod
     def stack(cls, opts: list["_Optimizer"]) -> "_Optimizer":
@@ -261,21 +301,21 @@ class _Optimizer:
         the first lane's."""
         out = copy.copy(opts[0])
         for k in cls.BUFFERS:
-            setattr(out, k, [stack_lanes(list(b)) for b in zip(*(getattr(o, k) for o in opts))])
+            setattr(out, k, stack_lanes([getattr(o, k) for o in opts]))
         return out
 
     def lane(self, s: int) -> "_Optimizer":
         """Lane s of a stacked optimizer; its buffers are views."""
         out = copy.copy(self)
         for k in self.BUFFERS:
-            setattr(out, k, [b[s] for b in getattr(self, k)])
+            setattr(out, k, getattr(self, k)[s])
         return out
 
     def state(self) -> dict:
         out = {"kind": self.kind}
         out.update((k, getattr(self, k)) for k in self.HYPER)
         out["step_count"] = self.step_count
-        out.update((k, [b.copy() for b in getattr(self, k)]) for k in self.BUFFERS)
+        out.update((k, getattr(self, k).copy()) for k in self.BUFFERS)
         return out
 
     def load_state(self, state: dict) -> None:
@@ -283,7 +323,7 @@ class _Optimizer:
             setattr(self, k, state[k])
         self.step_count = state["step_count"]
         for k in self.BUFFERS:
-            setattr(self, k, [np.asarray(b, dtype=np.float64).copy() for b in state[k]])
+            setattr(self, k, np.array(state[k], dtype=np.float64))
 
 
 class SgdMomentum(_Optimizer):
@@ -294,23 +334,20 @@ class SgdMomentum(_Optimizer):
     HYPER = ("lr", "momentum", "weight_decay")
     BUFFERS = ("buffers",)
 
-    def __init__(self, shapes: list[tuple[int, ...]], lr: float, momentum: float = 0.9,
+    def __init__(self, shape: tuple[int, ...], lr: float, momentum: float = 0.9,
                  weight_decay: float = 1e-4):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.buffers = [np.zeros(s) for s in shapes]
+        self.buffers = np.zeros(shape)
         self.step_count = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         self._check(params, grads)
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            g = g + self.weight_decay * p
-            self.buffers[i] = self.momentum * self.buffers[i] + g
-            out.append(p - self.lr * self.buffers[i])
+        g = grads + self.weight_decay * params
+        self.buffers = self.momentum * self.buffers + g
         self.step_count += 1
-        return out
+        return params - self.lr * self.buffers
 
 
 class Adam(_Optimizer):
@@ -321,37 +358,35 @@ class Adam(_Optimizer):
     HYPER = ("lr", "beta1", "beta2", "eps", "weight_decay")
     BUFFERS = ("m", "v")
 
-    def __init__(self, shapes: list[tuple[int, ...]], lr: float, beta1: float = 0.9,
+    def __init__(self, shape: tuple[int, ...], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 1e-4):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.step_count = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         self._check(params, grads)
         self.step_count += 1
         t = self.step_count
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            g = g + self.weight_decay * p
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
-        return out
+        g = grads + self.weight_decay * params
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        m_hat = self.m / (1.0 - self.beta1 ** t)
+        v_hat = self.v / (1.0 - self.beta2 ** t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 OPTIMIZERS = {cls.kind: cls for cls in (SgdMomentum, Adam)}
 
 
-def make_optimizer(kind: str, shapes: list[tuple[int, ...]], lr: float,
+def make_optimizer(kind: str, shape: tuple[int, ...], lr: float,
                    weight_decay: float = 1e-4):
+    """An optimizer of `kind` for a parameter vector of `shape`."""
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    return OPTIMIZERS[kind](shapes, lr=lr, weight_decay=weight_decay)
+    return OPTIMIZERS[kind](shape, lr=lr, weight_decay=weight_decay)

@@ -283,7 +283,7 @@ def test_criterion_10_invariant_suites():
     theta = init_mlp([4, 3, 3], rng)
     before = [p.copy() for p in theta.params()]
     lab = Mlp([(rng.normal(size=(3, 3)), rng.normal(size=(1, 3)))])
-    opt = make_optimizer("adam", [p.shape for p in lab.params()], lr=1e-2)
+    opt = make_optimizer("adam", lab.flat.shape, lr=1e-2)
     meta_step(lab, theta, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)),
               rng.normal(size=(5, 4)), one_hot(rng.integers(0, 3, 5), 3),
               inner_lr=1.0, optimizer=opt)

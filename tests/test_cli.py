@@ -380,6 +380,33 @@ def test_checkpoint_with_an_unfitting_generator_is_usage_error_naming_the_file(
     assert f"checkpoint {cp} is malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["extractor", "labeler", "opt_phi"])
+def test_checkpoint_with_part_of_the_phase2_state_is_usage_error_naming_the_file(
+        tmp_path, capsys, key):
+    # the extractor, generator and generator optimizer are built together at
+    # the first phase-2 epoch, so a checkpoint holds all three or none
+    cfg = tiny_config()
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    out.mkdir()
+    cp = out / "checkpoint.json"
+
+    def stop(row):
+        if row.epoch == 3:  # the checkpoint holds epochs 0-2, phase 2 from epoch 2
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        harness_mod.run_experiment(TrainConfig.from_dict(cfg), checkpoint_path=str(cp),
+                                   on_epoch=stop)
+    blob = json.loads(cp.read_text())
+    blob[key] = None
+    cp.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {cp} is malformed" in err and key in err
+
+
 # -- gradcheck ----------------------------------------------------------------------
 
 

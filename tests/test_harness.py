@@ -452,3 +452,48 @@ def test_checkpoint_with_a_vector_weight_is_malformed(tmp_path):
     cp.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match=f"checkpoint {cp} is malformed"):
         load_checkpoint(str(cp), cfg)
+
+
+def test_checkpoint_saved_loaded_and_saved_again_is_the_same_bytes(tmp_path):
+    # mid phase 2, so the generator, extractor and both optimizers are set;
+    # the flat optimizer buffers are written one matrix per parameter array
+    from metalabel.harness import save_checkpoint
+
+    cfg = small_config(total_epochs=6, warmup_epochs=2)
+    cp = tmp_path / "c.json"
+    run_experiment(cfg, checkpoint_path=str(cp))
+    again = tmp_path / "again.json"
+    save_checkpoint(str(again), cfg, load_checkpoint(str(cp), cfg))
+    assert again.read_bytes() == cp.read_bytes()
+
+
+def test_a_phase2_batch_runs_two_classifier_forward_passes(monkeypatch):
+    # theta on the train batch, shared by the meta step and the classifier
+    # step, and theta_hat on the meta batch
+    import metalabel.harness as hmod
+    import metalabel.meta as meta_mod
+
+    cfg = small_config(warmup_epochs=3, total_epochs=4)
+    ds = build_dataset(cfg)
+    ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds))
+    hmod._train([ln], cfg.warmup_epochs, True)
+    inputs = [hmod._Phase2Rows.of(cfg, ln)]
+    batches, passes = [], []
+    real_step, real_forward = hmod.meta_step, meta_mod.mlp_forward
+
+    def counting_step(labeler, theta, x, v, mx, *args, **kw):
+        batches.append((theta, x, mx))
+        return real_step(labeler, theta, x, v, mx, *args, **kw)
+
+    def counting_forward(layers, x):
+        passes.append((layers, x))
+        return real_forward(layers, x)
+
+    monkeypatch.setattr(hmod, "meta_step", counting_step)
+    monkeypatch.setattr(meta_mod, "mlp_forward", counting_forward)
+    hmod._phase2_epoch(cfg, [ln.st], inputs, lr_at(cfg.lr_schedule, 3), "epoch 3")
+    assert len(batches) == math.ceil(inputs[0].rows.size / cfg.batch_size)
+    assert len(passes) == 2 * len(batches)
+    for (theta, x, mx), (at_theta, at_hat) in zip(batches, zip(passes[0::2], passes[1::2])):
+        assert at_theta[0] is theta.layers and at_theta[1] is x
+        assert at_hat[0] is not theta.layers and at_hat[1] is mx

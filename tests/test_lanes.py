@@ -37,9 +37,9 @@ def _train_steps(theta, labeler, batches, opt_theta, opt_phi, opt_ce):
     set of (solo or stacked) arrays; every value each step reports."""
     seen = []
     for x, v, mx, my, labels in batches:
-        labeler, report = meta_step(labeler, theta, x, v, mx, my, inner_lr=0.7,
-                                    optimizer=opt_phi)
-        theta, lc, le = conventional_step(theta, labeler, x, v, 0.05, opt_theta)
+        labeler, report, fwd = meta_step(labeler, theta, x, v, mx, my, inner_lr=0.7,
+                                         optimizer=opt_phi)
+        theta, lc, le = conventional_step(theta, labeler, fwd, v, 0.05, opt_theta)
         theta, loss = ce_step(theta, x, labels, opt_ce)
         seen.append((report.meta_loss, report.grad_phi_norm, report.mean_similarity,
                      lc, le, loss))
@@ -47,10 +47,9 @@ def _train_steps(theta, labeler, batches, opt_theta, opt_phi, opt_ce):
 
 
 def _optimizers(theta, labeler):
-    shapes = [p.shape for p in theta.params()]
-    return (make_optimizer("sgd-momentum", shapes, lr=0.05),
-            make_optimizer("adam", [p.shape for p in labeler.params()], lr=1e-2),
-            make_optimizer("adam", shapes, lr=1e-2))
+    return (make_optimizer("sgd-momentum", theta.flat.shape, lr=0.05),
+            make_optimizer("adam", labeler.flat.shape, lr=1e-2),
+            make_optimizer("adam", theta.flat.shape, lr=1e-2))
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 4])
@@ -65,8 +64,8 @@ def test_a_stacked_step_equals_its_solo_steps_bit_for_bit(lanes):
             for theta, labeler, batches in runs]
 
     # a real lane axis, also for one lane (a group of one carries none)
-    theta = runs[0][0].with_params([np.stack(ps) for ps in zip(*(r[0].params() for r in runs))])
-    labeler = runs[0][1].with_params([np.stack(ps) for ps in zip(*(r[1].params() for r in runs))])
+    theta = runs[0][0].with_params(np.stack([r[0].flat for r in runs]))
+    labeler = runs[0][1].with_params(np.stack([r[1].flat for r in runs]))
     batches = [tuple(np.stack([r[2][b][k] for r in runs]) for k in range(5))
                for b in range(3)]
     stacked = _train_steps(theta, labeler, batches, *_optimizers(theta, labeler))

@@ -16,6 +16,7 @@ from metalabel.gradcheck import (
 from metalabel.meta import (
     FeatureExtractor,
     MetaStepReport,
+    classifier_pass,
     conventional_step,
     meta_step,
     similarity_matrix,
@@ -206,9 +207,9 @@ def test_route_equivalence_holds_for_non_unit_inner_lr():
 def test_meta_step_leaves_classifier_untouched(tiny):
     theta, labeler, x, v, mx, my = tiny
     before = [p.copy() for p in theta.params()]
-    opt = make_optimizer("adam", [p.shape for p in labeler.params()], lr=1e-2)
-    new_lab, report = meta_step(labeler, theta, x, v, mx, my,
-                                inner_lr=1.0, optimizer=opt)
+    opt = make_optimizer("adam", labeler.flat.shape, lr=1e-2)
+    new_lab, report, _ = meta_step(labeler, theta, x, v, mx, my,
+                                   inner_lr=1.0, optimizer=opt)
     for p, b in zip(theta.params(), before):
         assert np.array_equal(p, b)
     assert isinstance(report, MetaStepReport)
@@ -224,10 +225,9 @@ def test_meta_step_zero_gradient_keeps_generator_fixed():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     v = rng.normal(size=(2, 3))
     mx, my = x.copy(), one_hot(np.array([0, 1]), 2)
-    opt = SgdMomentum([p.shape for p in lab.params()], lr=1e-2,
-                      momentum=0.0, weight_decay=0.0)
-    new_lab, report = meta_step(lab, theta, x, v, mx, my,
-                                inner_lr=1.0, optimizer=opt)
+    opt = SgdMomentum(lab.flat.shape, lr=1e-2, momentum=0.0, weight_decay=0.0)
+    new_lab, report, _ = meta_step(lab, theta, x, v, mx, my,
+                                   inner_lr=1.0, optimizer=opt)
     assert report.grad_phi_norm < 1e-8
     assert np.allclose(new_lab.layers[0][0], lab.layers[0][0], atol=1e-10)
     assert np.allclose(new_lab.layers[0][1], lab.layers[0][1], atol=1e-10)
@@ -235,7 +235,7 @@ def test_meta_step_zero_gradient_keeps_generator_fixed():
 
 def test_meta_step_requires_matching_batch_sizes(tiny):
     theta, labeler, x, v, mx, my = tiny
-    opt = make_optimizer("adam", [p.shape for p in labeler.params()], lr=1e-2)
+    opt = make_optimizer("adam", labeler.flat.shape, lr=1e-2)
     with pytest.raises(ValueError):
         meta_step(labeler, theta, x, v, mx[:3], my[:3], inner_lr=1.0, optimizer=opt)
 
@@ -257,7 +257,7 @@ def test_similarity_entries_match_per_sample_gradient_products(tiny):
     theta, labeler, x, v, mx, my = tiny
     y_hat = generated(labeler, v)
     theta_hat, _, _ = virtual_update(theta.params(), x, y_hat, 1.0)
-    theta_hat = theta.with_params([p.value for p in theta_hat])
+    theta_hat = theta.with_params(np.concatenate([p.value.ravel() for p in theta_hat]))
     s = similarity_matrix(theta, theta_hat, x, y_hat, mx, my)
     params = [Tensor(p) for p in theta.params()]
     g_train = []
@@ -302,8 +302,9 @@ def test_similarity_matrix_mean_equals_inner_product_of_mean_gradients(tiny):
     theta, labeler, x, v, mx, my = tiny
     y_hat = generated(labeler, v)
     theta_hat, _, inner_grads = virtual_update(theta.params(), x, y_hat, 1.0)
-    s = similarity_matrix(theta, theta.with_params([p.value for p in theta_hat]),
-                          x, y_hat, mx, my)
+    s = similarity_matrix(
+        theta, theta.with_params(np.concatenate([p.value.ravel() for p in theta_hat])),
+        x, y_hat, mx, my)
     that_grads = grad(meta_loss(theta_hat, mx, my), theta_hat)
     mean_sim = sum(float(np.vdot(a.value, b.value))
                    for a, b in zip(inner_grads, that_grads))
@@ -315,8 +316,8 @@ def test_similarity_matrix_mean_equals_inner_product_of_mean_gradients(tiny):
 
 def test_conventional_step_zero_lr_keeps_parameters(tiny):
     theta, labeler, x, v, _, _ = tiny
-    opt = make_optimizer("sgd-momentum", [p.shape for p in theta.params()], lr=1e-2)
-    new_theta, lc, le = conventional_step(theta, labeler, x, v, 0.0, opt)
+    opt = make_optimizer("sgd-momentum", theta.flat.shape, lr=1e-2)
+    new_theta, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, 0.0, opt)
     for p, q in zip(theta.params(), new_theta.params()):
         assert np.array_equal(p, q)
     assert np.isfinite(lc) and np.isfinite(le)
@@ -345,11 +346,10 @@ def test_conventional_step_gradient_matches_finite_differences(tiny):
 
 def test_repeated_conventional_steps_descend_on_fixed_batch(tiny):
     theta, labeler, x, v, _, _ = tiny
-    opt = SgdMomentum([p.shape for p in theta.params()], lr=1e-2,
-                      momentum=0.0, weight_decay=0.0)
+    opt = SgdMomentum(theta.flat.shape, lr=1e-2, momentum=0.0, weight_decay=0.0)
     losses = []
     for _ in range(10):
-        theta, lc, le = conventional_step(theta, labeler, x, v, 1e-2, opt)
+        theta, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, 1e-2, opt)
         losses.append(lc + le)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -357,17 +357,18 @@ def test_repeated_conventional_steps_descend_on_fixed_batch(tiny):
 
 
 class RecordingOptimizer:
-    """Stands in for an optimizer: records the gradients it is handed and
-    leaves the parameters where they are."""
+    """Stands in for an optimizer of `net`: records the gradient vector it is
+    handed as net's arrays and leaves the parameters where they are."""
 
     lr = 0.0
 
-    def __init__(self):
+    def __init__(self, net):
+        self.net = net
         self.grads = None
 
     def step(self, params, grads):
-        self.grads = [np.array(g) for g in grads]
-        return [np.array(p) for p in params]
+        self.grads = self.net.with_params(np.array(grads)).params()
+        return np.array(params)
 
 
 @pytest.fixture(scope="module")
@@ -407,8 +408,9 @@ def test_fused_meta_gradient_matches_engine_at_default_sizes(warmed):
         mean_sim = sum(float(np.vdot(a.value, b.value))
                        for a, b in zip(inner, grads[2:]))
 
-        phi_grads, report = meta_gradient(labeler, theta, x, v, mx, my,
-                                          inner_lr=inner_lr)
+        phi_grad, report, _ = meta_gradient(labeler, theta, x, v, mx, my,
+                                            inner_lr=inner_lr)
+        phi_grads = phi_grad.params()
         assert_close(phi_grads, [g.value for g in grads[:2]])
         assert report.meta_loss == pytest.approx(l_meta.item(), abs=1e-13)
         assert report.mean_similarity == pytest.approx(mean_sim, abs=1e-12)
@@ -423,8 +425,8 @@ def test_classifier_steps_match_engine_at_default_sizes(warmed):
     y_hat = generated(labeler, v)
     params = [Tensor(p) for p in theta.params()]
     for use_entropy in (True, False):
-        opt = RecordingOptimizer()
-        _, lc, le = conventional_step(theta, labeler, x, v, 1e-2, opt,
+        opt = RecordingOptimizer(theta)
+        _, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, 1e-2, opt,
                                       use_entropy=use_entropy)
         probs = softmax(forward(params, Tensor(x))[0])
         l_c = kl_loss(probs, Tensor(y_hat))
@@ -434,7 +436,7 @@ def test_classifier_steps_match_engine_at_default_sizes(warmed):
         assert lc == pytest.approx(l_c.item(), abs=1e-13)
         assert le == (pytest.approx(l_e.item(), abs=1e-13) if use_entropy else 0.0)
 
-    opt = RecordingOptimizer()
+    opt = RecordingOptimizer(theta)
     _, loss = ce_step(theta, x, labels, opt)
     ref = cce_loss(softmax(forward(params, Tensor(x))[0]), one_hot(labels, 4))
     assert_close(opt.grads, [g.value for g in grad(ref, params)])
@@ -445,9 +447,10 @@ def test_meta_step_applies_the_fused_gradient(tiny):
     from metalabel.meta import meta_gradient
 
     theta, labeler, x, v, mx, my = tiny
-    opt = RecordingOptimizer()
-    _, report = meta_step(labeler, theta, x, v, mx, my, inner_lr=1.0, optimizer=opt)
-    phi_grads, expected = meta_gradient(labeler, theta, x, v, mx, my, inner_lr=1.0)
+    opt = RecordingOptimizer(labeler)
+    _, report, _ = meta_step(labeler, theta, x, v, mx, my, inner_lr=1.0, optimizer=opt)
+    phi_grad, expected, _ = meta_gradient(labeler, theta, x, v, mx, my, inner_lr=1.0)
+    phi_grads = phi_grad.params()
     assert all(np.array_equal(a, b) for a, b in zip(opt.grads, phi_grads))
     assert report == expected
 
@@ -456,8 +459,8 @@ def test_meta_step_divergence_is_a_typed_error(tiny):
     from metalabel.nn import DivergenceError
 
     theta, labeler, x, v, mx, my = tiny
-    opt = make_optimizer("adam", [p.shape for p in labeler.params()], lr=1e-2)
-    huge = theta.with_params([p * 1e6 for p in theta.params()])
+    opt = make_optimizer("adam", labeler.flat.shape, lr=1e-2)
+    huge = theta.with_params(theta.flat * 1e6)
     with pytest.raises(DivergenceError, match="diverged"):
         meta_step(labeler, huge, x, v, mx, my, inner_lr=1e6, optimizer=opt)
     with pytest.raises(DivergenceError, match="diverged"):

@@ -211,63 +211,63 @@ def test_entropy_invariant_to_row_and_class_permutation():
 
 
 def test_sgd_zero_grad_no_decay_is_identity():
-    opt = SgdMomentum([(2, 2)], lr=0.1, momentum=0.0, weight_decay=0.0)
+    opt = SgdMomentum((2, 2), lr=0.1, momentum=0.0, weight_decay=0.0)
     p = np.ones((2, 2))
-    (out,) = opt.step([p], [np.zeros((2, 2))])
+    out = opt.step(p, np.zeros((2, 2)))
     assert np.array_equal(out, p)
 
 
 def test_sgd_first_step_is_plain_descent():
-    opt = SgdMomentum([(1, 3)], lr=0.5, momentum=0.9, weight_decay=0.0)
+    opt = SgdMomentum((1, 3), lr=0.5, momentum=0.9, weight_decay=0.0)
     p = np.zeros((1, 3))
     g = np.array([[1.0, 2.0, 3.0]])
-    (out,) = opt.step([p], [g])
+    out = opt.step(p, g)
     assert np.allclose(out, -0.5 * g)
-    assert np.allclose(opt.buffers[0], g)
+    assert np.allclose(opt.buffers, g)
 
 
 def test_sgd_three_steps_match_hand_unrolled_recurrence():
     lr, mom = 0.1, 0.9
-    opt = SgdMomentum([(1, 1)], lr=lr, momentum=mom, weight_decay=0.0)
+    opt = SgdMomentum((1, 1), lr=lr, momentum=mom, weight_decay=0.0)
     p = np.array([[1.0]])
     g = np.array([[2.0]])
     v = 0.0
     expect = 1.0
     for _ in range(3):
-        (p,) = opt.step([p], [g])
+        p = opt.step(p, g)
         v = mom * v + 2.0
         expect -= lr * v
         assert p[0, 0] == pytest.approx(expect, abs=1e-15)
 
 
 def test_sgd_weight_decay_couples_into_gradient():
-    opt = SgdMomentum([(1, 1)], lr=1.0, momentum=0.0, weight_decay=0.1)
-    (out,) = opt.step([np.array([[2.0]])], [np.array([[0.0]])])
+    opt = SgdMomentum((1, 1), lr=1.0, momentum=0.0, weight_decay=0.1)
+    out = opt.step(np.array([[2.0]]), np.array([[0.0]]))
     assert out[0, 0] == pytest.approx(2.0 - 0.2)
 
 
 def test_adam_zero_grad_no_decay_is_identity():
-    opt = Adam([(2, 1)], lr=0.1, weight_decay=0.0)
+    opt = Adam((2, 1), lr=0.1, weight_decay=0.0)
     p = np.ones((2, 1))
-    (out,) = opt.step([p], [np.zeros((2, 1))])
+    out = opt.step(p, np.zeros((2, 1)))
     assert np.array_equal(out, p)
 
 
 def test_adam_first_step_magnitude():
     # with bias correction the first update has magnitude ~lr
-    opt = Adam([(1, 1)], lr=0.01, weight_decay=0.0)
-    (out,) = opt.step([np.array([[0.0]])], [np.array([[3.0]])])
+    opt = Adam((1, 1), lr=0.01, weight_decay=0.0)
+    out = opt.step(np.array([[0.0]]), np.array([[3.0]]))
     assert out[0, 0] == pytest.approx(-0.01, rel=1e-6)
 
 
 def test_adam_matches_hand_computation_two_steps():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    opt = Adam([(1, 1)], lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
+    opt = Adam((1, 1), lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
     p = np.array([[1.0]])
     m = v = 0.0
     ph = 1.0
     for t, gval in enumerate([0.5, -0.25], start=1):
-        (p,) = opt.step([p], [np.array([[gval]])])
+        p = opt.step(p, np.array([[gval]]))
         m = b1 * m + (1 - b1) * gval
         v = b2 * v + (1 - b2) * gval * gval
         mh, vh = m / (1 - b1 ** t), v / (1 - b2 ** t)
@@ -276,23 +276,68 @@ def test_adam_matches_hand_computation_two_steps():
 
 
 def test_optimizer_shape_mismatch_raises():
-    opt = make_optimizer("sgd-momentum", [(2, 2)], lr=0.1)
+    opt = make_optimizer("sgd-momentum", (2, 2), lr=0.1)
     with pytest.raises(ShapeError):
-        opt.step([np.zeros((2, 3))], [np.zeros((2, 3))])
+        opt.step(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        make_optimizer("newton", [(1, 1)], lr=0.1)
+        make_optimizer("newton", (1, 1), lr=0.1)
     with pytest.raises(ValueError, match="adaptive-moment"):
-        make_optimizer("adaptive-moment", [(1, 1)], lr=0.1)
+        make_optimizer("adaptive-moment", (1, 1), lr=0.1)
 
 
 def test_optimizer_state_roundtrip():
-    opt = Adam([(2, 2)], lr=0.05)
-    opt.step([np.ones((2, 2))], [np.full((2, 2), 0.3)])
-    clone = Adam([(2, 2)], lr=0.05)
+    opt = Adam((2, 2), lr=0.05)
+    opt.step(np.ones((2, 2)), np.full((2, 2), 0.3))
+    clone = Adam((2, 2), lr=0.05)
     clone.load_state(opt.state())
-    a = opt.step([np.ones((2, 2))], [np.full((2, 2), 0.1)])
-    b = clone.step([np.ones((2, 2))], [np.full((2, 2), 0.1)])
+    a = opt.step(np.ones((2, 2)), np.full((2, 2), 0.1))
+    b = clone.step(np.ones((2, 2)), np.full((2, 2), 0.1))
     assert np.array_equal(a[0], b[0])
+
+
+def _per_array_step(kind, arrays, grads, bufs, t, lr=0.05, wd=1e-4):
+    """The optimizer formulas applied array by array; returns the new arrays."""
+    out = []
+    for i, (p, g) in enumerate(zip(arrays, grads)):
+        g = g + wd * p
+        if kind == "sgd-momentum":
+            bufs[0][i] = 0.9 * bufs[0][i] + g
+            out.append(p - lr * bufs[0][i])
+        else:
+            bufs[0][i] = 0.9 * bufs[0][i] + (1.0 - 0.9) * g
+            bufs[1][i] = 0.999 * bufs[1][i] + (1.0 - 0.999) * g * g
+            m_hat = bufs[0][i] / (1.0 - 0.9 ** t)
+            v_hat = bufs[1][i] / (1.0 - 0.999 ** t)
+            out.append(p - lr * m_hat / (np.sqrt(v_hat) + 1e-8))
+    return out
+
+
+@pytest.mark.parametrize("lanes", [None, 4])
+@pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
+def test_a_flat_step_equals_the_per_array_formulas_bit_for_bit(kind, lanes):
+    rng = np.random.default_rng(3)
+    nets = [init_mlp([5, 7, 6, 3], rng) for _ in range(lanes or 1)]
+    net = nets[0] if lanes is None else Mlp.stack(nets)
+    opt = make_optimizer(kind, net.flat.shape, lr=0.05)
+    arrays = [p.copy() for p in net.params()]
+    bufs = [[np.zeros(p.shape) for p in arrays] for _ in opt.BUFFERS]
+    for t in range(1, 4):
+        grad = net.with_params(rng.normal(size=net.flat.shape) * 10.0 ** (t - 2))
+        net = net.with_params(opt.step(net.flat, grad.flat))
+        arrays = _per_array_step(kind, arrays, grad.params(), bufs, t)
+        assert all(np.array_equal(a, b) for a, b in zip(net.params(), arrays))
+    for k, per_array in zip(opt.BUFFERS, bufs):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(net.with_params(getattr(opt, k)).params(), per_array))
+
+
+def test_layers_are_views_of_the_flat_vector():
+    rng = np.random.default_rng(4)
+    nets = [init_mlp([5, 7, 3], rng) for _ in range(3)]
+    for net in (nets[0], Mlp.stack(nets), Mlp.stack(nets).lane(1)):
+        assert all(np.shares_memory(a, net.flat) for a in net.params())
+        assert net.flat.size == sum(a.size for a in net.params())
+    assert np.array_equal(Mlp.stack(nets).lane(1).flat, nets[1].flat)
 
 
 def test_one_hot_roundtrip_and_validation():
@@ -312,14 +357,14 @@ def kernel_net(seed=0):
     net = init_mlp([5, 7, 6, 3], rng)
     layers = net.layers
     x = rng.normal(size=(9, 5))
-    z, acts = mlp_forward(layers, x)
-    return rng, net, layers, x, z, acts
+    z, acts, masks = mlp_forward(layers, x)
+    return rng, net, layers, x, z, acts, masks
 
 
 def test_kernel_forward_matches_mlp_forward_exactly():
     from metalabel.nn import mlp_logits
 
-    _, net, layers, x, z, acts = kernel_net()
+    _, net, layers, x, z, acts, _ = kernel_net()
     logits, hidden = forward(net.params(), Tensor(x))
     assert np.array_equal(z, logits.value)
     assert np.array_equal(acts[-1], hidden.value)
@@ -331,19 +376,19 @@ def test_kernel_backward_matches_engine_gradient():
     from metalabel.engine import grad, mul, sum_all
     from metalabel.nn import mlp_backward
 
-    rng, net, layers, x, _, acts = kernel_net(1)
+    rng, net, layers, x, _, acts, masks = kernel_net(1)
     r = rng.normal(size=(9, 3))
     params = [Tensor(p) for p in net.params()]
     logits, _ = forward(params, Tensor(x))
     ref = grad(sum_all(mul(logits, Tensor(r))), params)
-    for a, b in zip(mlp_backward(layers, acts, r), ref):
+    for a, b in zip(mlp_backward(net, acts, masks, r).params(), ref):
         assert np.allclose(a, b.value, rtol=0, atol=1e-13)
 
 
 def test_kernel_jvp_matches_central_differences():
     from metalabel.nn import mlp_jvp, mlp_logits
 
-    rng, net, layers, x, _, acts = kernel_net(2)
+    rng, net, layers, x, _, acts, masks = kernel_net(2)
     tangents = [rng.normal(size=p.shape) for p in net.params()]
     eps = 1e-6
 
@@ -352,7 +397,7 @@ def test_kernel_jvp_matches_central_differences():
         return mlp_logits(list(zip(flat[0::2], flat[1::2])), x)
 
     fd = (shifted(1.0) - shifted(-1.0)) / (2 * eps)
-    assert np.allclose(mlp_jvp(layers, acts, tangents), fd, rtol=1e-6, atol=1e-8)
+    assert np.allclose(mlp_jvp(layers, acts, masks, tangents), fd, rtol=1e-6, atol=1e-8)
 
 
 def test_log_softmax_matches_softmax_and_flags_divergence():
