@@ -102,7 +102,7 @@ class MetaStepReport:
 
     def __post_init__(self):
         vals = (self.meta_loss, self.grad_phi_norm, self.mean_similarity)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DivergenceError(
                 f"diverged: non-finite meta step report {tuple(np.asarray(vals).tolist())}")
 
@@ -132,7 +132,7 @@ def classifier_pass(theta: Mlp, x: np.ndarray) -> ClassifierPass:
 
 def _soft_label_dz(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-row logit gradient of sum(p * w) with p = softmax(z), w held fixed."""
-    return p * (w - (p * w).sum(axis=-1, keepdims=True))
+    return p * (w - np.add.reduce(p * w, axis=-1, keepdims=True))
 
 
 def _lane_vdot(xs: list[np.ndarray], ys: list[np.ndarray]):
@@ -177,12 +177,12 @@ def meta_gradient(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
     hat = theta.with_params(theta.flat - inner_lr * inner.flat)
     z_hat, acts_hat, masks_hat = mlp_forward(hat.layers, meta_x)
     log_p_hat, p_hat = log_softmax(z_hat)
-    l_meta = -(meta_y_onehot * log_p_hat).sum(axis=(-1, -2)) / n
+    l_meta = -np.add.reduce(meta_y_onehot * log_p_hat, axis=(-1, -2)) / n
     g = mlp_backward(hat, acts_hat, masks_hat, (p_hat - meta_y_onehot) / n)
 
     dz = mlp_jvp(theta.layers, acts, masks, g.params())
-    jac = p * (dz - (p * dz).sum(axis=-1, keepdims=True))
-    big_g = (inner_lr / n) * (jac - q * jac.sum(axis=-1, keepdims=True))
+    jac = p * (dz - np.add.reduce(p * dz, axis=-1, keepdims=True))
+    big_g = (inner_lr / n) * (jac - q * np.add.reduce(jac, axis=-1, keepdims=True))
     phi_grad = mlp_backward(labeler, [v], [], big_g)
 
     phi_arrays = phi_grad.params()
@@ -219,8 +219,9 @@ def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
     log_q, _ = log_softmax(mlp_logits(labeler.layers, v))
     log_p, p = fwd.log_p, fwd.p
     n = p.shape[-2]
-    l_c = (p * (log_p - log_q)).sum(axis=(-1, -2)) / n
-    l_e = -(p * log_p).sum(axis=(-1, -2)) / n if use_entropy else np.zeros(np.shape(l_c))[()]
+    l_c = np.add.reduce(p * (log_p - log_q), axis=(-1, -2)) / n
+    l_e = (-np.add.reduce(p * log_p, axis=(-1, -2)) / n if use_entropy
+           else np.zeros(np.shape(l_c))[()])
     if not np.isfinite(l_c + l_e).all():
         raise DivergenceError("diverged: non-finite classifier loss")
     # KL plus entropy is the cross-entropy -sum(p log q)

@@ -201,7 +201,7 @@ def mlp_backward(net: Mlp, acts: list[np.ndarray], masks: list[np.ndarray],
     grad = net.with_params(np.empty(net.flat.shape))
     for (gw, gb), h, d in zip(grad.layers, acts, mlp_deltas(net.layers, masks, dz)):
         np.matmul(h.swapaxes(-1, -2), d, out=gw)
-        d.sum(axis=-2, keepdims=True, out=gb)
+        np.add.reduce(d, axis=-2, keepdims=True, out=gb)
     return grad
 
 
@@ -228,8 +228,8 @@ def log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.isfinite(z).all():
         raise DivergenceError("diverged: non-finite logits")
-    s = z - z.max(axis=-1, keepdims=True)
-    logp = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    s = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    logp = s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
     p = np.exp(logp)
     if not (p > 0.0).all():
         raise DivergenceError("diverged: a probability underflowed to 0")
