@@ -37,8 +37,8 @@ from .nn import (
     OPTIMIZERS,
     DivergenceError,
     Mlp,
-    init_mlp,
     check_one_hot,
+    init_mlp,
     make_optimizer,
     mlp_logits,
     one_hot,
@@ -521,7 +521,7 @@ def _optional(f):
     return lambda v, run: None if v is None else f(v, run)
 
 
-def _same(v):
+def _same(v, run):
     return v
 
 
@@ -537,10 +537,10 @@ _MLP = (_plain(lambda m: {"layers": _layers_to_json(m.layers)}),
 
 # RunState field, checkpoint key, encoder, decoder; in the order of the file
 _CODEC = [
-    ("epoch_next", "epoch_next", _plain(_same), _plain(_same)),
+    ("epoch_next", "epoch_next", _same, _same),
     ("theta", "theta", *_MLP),
     ("theta_best", "theta_best", *_MLP),
-    ("best_epoch", "best_epoch", _plain(_same), _plain(_same)),
+    ("best_epoch", "best_epoch", _same, _same),
     ("best_meta_acc", "best_meta_acc", _plain(float.hex), _plain(float.fromhex)),
     ("labeler", "labeler", _optional(_plain(lambda g: _layers_to_json(g.layers)[0])),
      _optional(_plain(lambda d: Mlp(_layers_from_json([d]))))),

@@ -150,8 +150,8 @@ def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
 
 
 # ---------------------------------------------------------------------------
-# kernels on raw arrays: `layers` is a list of (weight, bias) arrays and
-# parameter lists are flat, layer order, weight before bias (as Mlp.params);
+# kernels on raw arrays: `layers` is a list of (weight, bias) arrays and a
+# parameter list runs in layer order, weight before bias (as Mlp.params);
 # rows are on axis -2, so any leading axes are lanes
 
 
@@ -208,8 +208,8 @@ def mlp_backward(net: Mlp, acts: list[np.ndarray], masks: list[np.ndarray],
 def mlp_jvp(layers, acts: list[np.ndarray], masks: list[np.ndarray],
             tangents: list[np.ndarray]) -> np.ndarray:
     """Forward-mode derivative of the logits along a parameter direction
-    (a flat list shaped like the parameters), at the point acts and masks
-    came from."""
+    (a list shaped like Mlp.params()), at the point acts and masks came
+    from."""
     dh = None
     for l, (w, _) in enumerate(layers):
         da = acts[l] @ tangents[2 * l] + tangents[2 * l + 1]
