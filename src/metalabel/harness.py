@@ -730,9 +730,10 @@ class _Phase2Rows(typing.NamedTuple):
             st.opt_phi = make_optimizer(cfg.metanet_optimizer, st.labeler.flat.shape,
                                         lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
         rows, meta_rows = ds.indices(dt.TRAIN), ds.indices(dt.META)
+        feats = st.extractor(ds.x[rows])  # first: its transients are the peak of the run
         meta_y = one_hot(ds.y_clean[meta_rows], ds.n_classes)
         check_one_hot(meta_y, ds.n_classes)  # once here; the meta step does not recheck
-        return cls(ds.x, rows, st.extractor(ds.x[rows]), meta_rows, meta_y)
+        return cls(ds.x, rows, feats, meta_rows, meta_y)
 
 
 def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Rows],
