@@ -180,9 +180,7 @@ def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], li
         masks.append(a > 0.0)
         acts.append(np.maximum(a, 0.0, out=a))
     w, b = layers[-1]
-    z = acts[-1] @ w
-    z += b
-    return z, acts, masks
+    return acts[-1] @ w + b, acts, masks
 
 
 def mlp_deltas(layers, masks: list[np.ndarray], dz: np.ndarray) -> list[np.ndarray]:
