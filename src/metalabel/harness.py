@@ -509,31 +509,16 @@ def _rng_from_json(state: dict) -> np.random.Generator:
     return rng
 
 
-# A coder takes (value, run): `run` maps RunState fields to values, the whole
-# state when saving and the fields decoded so far when loading.
-
-
-def _plain(f):
-    return lambda v, run: f(v)
-
-
 def _optional(f):
-    return lambda v, run: None if v is None else f(v, run)
+    return lambda v, *net: None if v is None else f(v, *net)
 
 
-def _same(v, run):
+def _same(v):
     return v
 
 
-def _opt_coders(net: str) -> tuple:
-    """Coders of the optimizer that steps the network in field `net`, which
-    the file holds before it."""
-    return (lambda opt, run: _opt_to_json(opt, run[net]),
-            lambda d, run: _opt_from_json(d, run[net]))
-
-
-_MLP = (_plain(lambda m: {"layers": _layers_to_json(m.layers)}),
-        _plain(lambda d: Mlp(_layers_from_json(d["layers"]))))
+_MLP = (lambda m: {"layers": _layers_to_json(m.layers)},
+        lambda d: Mlp(_layers_from_json(d["layers"])))
 
 # RunState field, checkpoint key, encoder, decoder; in the order of the file
 _CODEC = [
@@ -541,29 +526,38 @@ _CODEC = [
     ("theta", "theta", *_MLP),
     ("theta_best", "theta_best", *_MLP),
     ("best_epoch", "best_epoch", _same, _same),
-    ("best_meta_acc", "best_meta_acc", _plain(float.hex), _plain(float.fromhex)),
-    ("labeler", "labeler", _optional(_plain(lambda g: _layers_to_json(g.layers)[0])),
-     _optional(_plain(lambda d: Mlp(_layers_from_json([d]))))),
+    ("best_meta_acc", "best_meta_acc", float.hex, float.fromhex),
+    ("labeler", "labeler", _optional(lambda g: _layers_to_json(g.layers)[0]),
+     _optional(lambda d: Mlp(_layers_from_json([d])))),
     ("extractor", "extractor",
-     _optional(_plain(lambda e: {"mode": e.mode, "in_dim": e.in_dim,
-                                 "layers": _layers_to_json(e.layers)})),
-     _optional(_plain(lambda d: FeatureExtractor(_layers_from_json(d["layers"]), d["mode"],
-                                                 d["in_dim"])))),
-    ("opt_theta", "opt_theta", *_opt_coders("theta")),
-    ("opt_phi", "opt_phi", *(_optional(c) for c in _opt_coders("labeler"))),
-    ("rng", "rng_state", _plain(lambda r: r.bit_generator.state), _plain(_rng_from_json)),
-    ("log", "log", _plain(lambda rows: [{c: getattr(r, c) for c in METRICS_COLUMNS}
-                                        for r in rows]),
-     _plain(lambda rows: [EpochRow(**r) for r in rows])),
+     _optional(lambda e: {"mode": e.mode, "in_dim": e.in_dim,
+                          "layers": _layers_to_json(e.layers)}),
+     _optional(lambda d: FeatureExtractor(_layers_from_json(d["layers"]), d["mode"],
+                                          d["in_dim"]))),
+    ("opt_theta", "opt_theta", _opt_to_json, _opt_from_json),
+    ("opt_phi", "opt_phi", _optional(_opt_to_json), _optional(_opt_from_json)),
+    ("rng", "rng_state", lambda r: r.bit_generator.state, _rng_from_json),
+    ("log", "log", lambda rows: [{c: getattr(r, c) for c in METRICS_COLUMNS} for r in rows],
+     lambda rows: [EpochRow(**r) for r in rows]),
 ]
+# The network each optimizer steps, which the file holds before it: its
+# coders split the flat buffers along that network's layers.
+_OPT_NET = {"opt_theta": "theta", "opt_phi": "labeler"}
 _PHASE2_KEYS = ("extractor", "labeler", "opt_phi")  # all null before phase 2, then all set
+
+
+def _net_of(name: str, run: dict) -> tuple:
+    """The extra argument of field `name`'s coders: the network an optimizer
+    steps, taken from `run` (the state being saved or the fields decoded so
+    far); none for the other fields."""
+    return (run[_OPT_NET[name]],) if name in _OPT_NET else ()
 
 
 def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
     """Write the run state atomically (temporary file, then rename)."""
     blob = {"version": CHECKPOINT_VERSION, "config_hash": cfg.config_hash()}
     run = vars(state)
-    blob.update((key, enc(run[name], run)) for name, key, enc, _ in _CODEC)
+    blob.update((key, enc(run[name], *_net_of(name, run))) for name, key, enc, _ in _CODEC)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(blob))
@@ -591,7 +585,7 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
     run: dict = {}
     try:
         for name, key, _, dec in _CODEC:
-            run[name] = dec(blob[key], run)
+            run[name] = dec(blob[key], *_net_of(name, run))
         st = RunState(**run)
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
