@@ -17,13 +17,11 @@ from .harness import (
     build_dataset,
     evaluate,
     run_experiment,
-    warmup_phase,
 )
 from .meta import (
     FeatureExtractor,
     conventional_step,
     meta_step,
-    similarity_matrix,
 )
 from .nn import Mlp, init_mlp, one_hot
 
@@ -33,7 +31,6 @@ __all__ = [
     "Dataset", "UnlabeledLabelError", "TrainConfig", "FeatureExtractor", "Mlp",
     "make_synthetic", "split_dataset", "inject_uniform",
     "inject_feature_dependent", "mark_unlabeled", "save_dataset",
-    "load_dataset", "init_mlp", "one_hot", "meta_step", "similarity_matrix",
-    "conventional_step", "baseline_ce", "build_dataset", "evaluate",
-    "run_experiment", "warmup_phase",
+    "load_dataset", "init_mlp", "one_hot", "meta_step", "conventional_step",
+    "baseline_ce", "build_dataset", "evaluate", "run_experiment",
 ]

@@ -309,8 +309,13 @@ def load_dataset(path: str) -> Dataset:
                 rec = np.loadtxt(fh, delimiter=",", dtype=record, comments=None, ndmin=1)
         if len(rec) != n:
             raise ValueError(f"header says {n} rows, the body has {len(rec)}")
-        return Dataset(  # copies: contiguous arrays, not views into the records
-            x=rec["x"].copy(), y_clean=rec["y_clean"].copy(),
+        x = rec["x"].copy()  # copies: contiguous arrays, not views into the records
+        if not np.isfinite(x).all():
+            i, j = np.argwhere(~np.isfinite(x))[0]
+            raise ValueError(f"row {i} (line {i + 3}): x_{j} = {x[i, j]} "
+                             f"is not a finite number")
+        return Dataset(
+            x=x, y_clean=rec["y_clean"].copy(),
             y_noisy=rec["y_noisy"].copy(), labeled=rec["labeled"] != 0,
             split=rec["split"], n_classes=header["c"],
             provenance=header.get("provenance", {}),

@@ -17,7 +17,6 @@ matrices. All values are float64.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ from . import nn
 __all__ = [
     "Tensor",
     "GradError",
-    "no_grad",
     "grad",
     "add",
     "sub",
@@ -52,21 +50,6 @@ __all__ = [
 class GradError(Exception):
     """Raised for invalid differentiation requests (non-scalar output,
     targets not reachable from the output, malformed graphs)."""
-
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (evaluation fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -95,9 +78,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.value)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.value)
 
     @property
     def T(self) -> "Tensor":
@@ -141,12 +121,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(value, parents, vjps) -> Tensor:
-    if _grad_enabled:
-        return Tensor(value, parents, vjps)
-    return Tensor(value)
-
-
 def _sum_to_value(v: np.ndarray, shape) -> np.ndarray:
     """Undo numpy broadcasting: reduce `v` back to `shape` by summation."""
     if v.shape == shape:
@@ -168,8 +142,8 @@ def sum_to(t: Tensor, shape) -> Tensor:
     if t.shape == tuple(shape):
         return t
     src = t.shape
-    return _node(_sum_to_value(t.value, tuple(shape)), (t,),
-                 (lambda g: broadcast_to(g, src),))
+    return Tensor(_sum_to_value(t.value, tuple(shape)), (t,),
+                  (lambda g: broadcast_to(g, src),))
 
 
 def broadcast_to(t: Tensor, shape) -> Tensor:
@@ -177,42 +151,42 @@ def broadcast_to(t: Tensor, shape) -> Tensor:
     if t.shape == tuple(shape):
         return t
     src = t.shape
-    return _node(np.broadcast_to(t.value, tuple(shape)).copy(), (t,),
-                 (lambda g: sum_to(g, src),))
+    return Tensor(np.broadcast_to(t.value, tuple(shape)).copy(), (t,),
+                  (lambda g: sum_to(g, src),))
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.shape, b.shape
-    return _node(a.value + b.value, (a, b),
-                 (lambda g: sum_to(g, sa), lambda g: sum_to(g, sb)))
+    return Tensor(a.value + b.value, (a, b),
+                  (lambda g: sum_to(g, sa), lambda g: sum_to(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.shape, b.shape
-    return _node(a.value - b.value, (a, b),
-                 (lambda g: sum_to(g, sa), lambda g: sum_to(neg(g), sb)))
+    return Tensor(a.value - b.value, (a, b),
+                  (lambda g: sum_to(g, sa), lambda g: sum_to(neg(g), sb)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _node(-a.value, (a,), (lambda g: neg(g),))
+    return Tensor(-a.value, (a,), (lambda g: neg(g),))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.shape, b.shape
-    return _node(a.value * b.value, (a, b),
-                 (lambda g: sum_to(mul(g, b), sa), lambda g: sum_to(mul(g, a), sb)))
+    return Tensor(a.value * b.value, (a, b),
+                  (lambda g: sum_to(mul(g, b), sa), lambda g: sum_to(mul(g, a), sb)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.shape, b.shape
-    return _node(a.value / b.value, (a, b),
-                 (lambda g: sum_to(div(g, b), sa),
-                  lambda g: sum_to(neg(div(mul(g, a), mul(b, b))), sb)))
+    return Tensor(a.value / b.value, (a, b),
+                  (lambda g: sum_to(div(g, b), sa),
+                   lambda g: sum_to(neg(div(mul(g, a), mul(b, b))), sb)))
 
 
 def matmul(a, b) -> Tensor:
@@ -221,70 +195,63 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul needs matrices")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    return _node(a.value @ b.value, (a, b),
-                 (lambda g: matmul(g, transpose(b)),
-                  lambda g: matmul(transpose(a), g)))
+    return Tensor(a.value @ b.value, (a, b),
+                  (lambda g: matmul(g, transpose(b)),
+                   lambda g: matmul(transpose(a), g)))
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.value.ndim != 2:
         raise ValueError("transpose needs a matrix")
-    return _node(a.value.T.copy(), (a,), (lambda g: transpose(g),))
+    return Tensor(a.value.T.copy(), (a,), (lambda g: transpose(g),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = _node(np.exp(a.value), (a,), ())
-    if out._parents:
-        out._vjps = (lambda g: mul(g, out),)
+    out = Tensor(np.exp(a.value), (a,), ())
+    out._vjps = (lambda g: mul(g, out),)
     return out
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.log(a.value), (a,), (lambda g: div(g, a),))
+    return Tensor(np.log(a.value), (a,), (lambda g: div(g, a),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out_val = np.maximum(a.value, 0.0)
-    if not _grad_enabled:
-        return Tensor(out_val)
     mask = Tensor((a.value > 0.0).astype(np.float64))
-    return Tensor(out_val, (a,), (lambda g: mul(g, mask),))
+    return Tensor(np.maximum(a.value, 0.0), (a,), (lambda g: mul(g, mask),))
 
 
 def clip_min(a, floor: float) -> Tensor:
     """Elementwise max(a, floor); gradient passes where a >= floor."""
     a = as_tensor(a)
-    out_val = np.maximum(a.value, floor)
-    if not _grad_enabled:
-        return Tensor(out_val)
     mask = Tensor((a.value >= floor).astype(np.float64))
-    return Tensor(out_val, (a,), (lambda g: mul(g, mask),))
+    return Tensor(np.maximum(a.value, floor), (a,), (lambda g: mul(g, mask),))
 
 
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
     shape = a.shape
-    return _node(a.value.sum(), (a,), (lambda g: broadcast_to(g, shape),))
+    return Tensor(a.value.sum(), (a,), (lambda g: broadcast_to(g, shape),))
 
 
 def sum_rows(a) -> Tensor:
     """Row sums: (N, C) -> (N, 1)."""
     a = as_tensor(a)
     shape = a.shape
-    return _node(a.value.sum(axis=1, keepdims=True), (a,),
-                 (lambda g: broadcast_to(g, shape),))
+    return Tensor(a.value.sum(axis=1, keepdims=True), (a,),
+                  (lambda g: broadcast_to(g, shape),))
 
 
 def sum_cols(a) -> Tensor:
     """Column sums: (N, C) -> (1, C)."""
     a = as_tensor(a)
     shape = a.shape
-    return _node(a.value.sum(axis=0, keepdims=True), (a,),
-                 (lambda g: broadcast_to(g, shape),))
+    return Tensor(a.value.sum(axis=0, keepdims=True), (a,),
+                  (lambda g: broadcast_to(g, shape),))
 
 
 def linear(x, w, b) -> Tensor:
@@ -294,10 +261,10 @@ def linear(x, w, b) -> Tensor:
         raise ValueError(f"linear shape mismatch: x {x.shape} vs w {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ValueError(f"linear bias shape {b.shape}, want (1, {w.shape[1]})")
-    return _node(x.value @ w.value + b.value, (x, w, b),
-                 (lambda g: matmul(g, transpose(w)),
-                  lambda g: matmul(transpose(x), g),
-                  lambda g: sum_cols(g)))
+    return Tensor(x.value @ w.value + b.value, (x, w, b),
+                  (lambda g: matmul(g, transpose(w)),
+                   lambda g: matmul(transpose(x), g),
+                   lambda g: sum_cols(g)))
 
 
 def softmax(logits) -> Tensor:
@@ -311,10 +278,9 @@ def softmax(logits) -> Tensor:
         raise ValueError("softmax needs a matrix of logits")
     if not np.all(np.isfinite(z.value)):
         raise ValueError("softmax requires finite logits")
-    out = _node(nn.softmax(z.value), (z,), ())
-    if out._parents:
-        # vjp: s * (g - rowsum(g * s))
-        out._vjps = (lambda g: mul(out, sub(g, sum_rows(mul(g, out)))),)
+    out = Tensor(nn.softmax(z.value), (z,), ())
+    # vjp: s * (g - rowsum(g * s))
+    out._vjps = (lambda g: mul(out, sub(g, sum_rows(mul(g, out)))),)
     return out
 
 
@@ -341,9 +307,11 @@ def grad(output: Tensor, wrt: Sequence[Tensor], *, create_graph: bool = False,
          allow_unused: bool = False) -> list[Tensor]:
     """Gradients of a scalar `output` with respect to each tensor in `wrt`.
 
-    With create_graph=True the returned gradients carry their own graph and
-    can be differentiated again. Targets that the output does not depend on
-    raise GradError unless allow_unused (then a zero tensor is returned).
+    The backward pass is recorded like any other computation. With
+    create_graph=True the returned gradients carry that graph and can be
+    differentiated again; otherwise they are returned as leaves. Targets
+    that the output does not depend on raise GradError unless allow_unused
+    (then a zero tensor is returned).
     """
     if output.value.ndim != 0:
         raise GradError("grad requires a scalar output")
@@ -362,22 +330,20 @@ def grad(output: Tensor, wrt: Sequence[Tensor], *, create_graph: bool = False,
         return [Tensor(np.zeros(w.shape)) for w in wrt]
 
     grads: dict[int, Tensor] = {id(output): Tensor(1.0)}
-    ctx = contextlib.nullcontext() if create_graph else no_grad()
-    with ctx:
-        for node in reversed(order):
-            nid = id(node)
-            if nid not in grads or nid not in needed:
+    for node in reversed(order):
+        nid = id(node)
+        if nid not in grads or nid not in needed:
+            continue
+        g = grads[nid]
+        for parent, vjp in zip(node._parents, node._vjps):
+            pid = id(parent)
+            if pid not in needed:
                 continue
-            g = grads[nid]
-            for parent, vjp in zip(node._parents, node._vjps):
-                pid = id(parent)
-                if pid not in needed:
-                    continue
-                pg = vjp(g)
-                if pg.shape != parent.shape:  # pragma: no cover - op bug guard
-                    raise GradError(
-                        f"vjp produced shape {pg.shape} for parent {parent.shape}")
-                grads[pid] = pg if pid not in grads else add(grads[pid], pg)
+            pg = vjp(g)
+            if pg.shape != parent.shape:  # pragma: no cover - op bug guard
+                raise GradError(
+                    f"vjp produced shape {pg.shape} for parent {parent.shape}")
+            grads[pid] = pg if pid not in grads else add(grads[pid], pg)
 
     out: list[Tensor] = []
     for w in wrt:
@@ -386,5 +352,5 @@ def grad(output: Tensor, wrt: Sequence[Tensor], *, create_graph: bool = False,
             if not allow_unused:
                 raise GradError("a requested tensor is not reachable from the output")
             gw = Tensor(np.zeros(w.shape))
-        out.append(gw)
+        out.append(gw if create_graph else Tensor(gw.value))
     return out

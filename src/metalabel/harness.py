@@ -32,7 +32,7 @@ import numpy as np
 
 from . import data as dt
 from .data import Dataset, load_dataset
-from .meta import FeatureExtractor, ce_step, conventional_step, meta_step
+from .meta import EXTRACTOR_MODES, FeatureExtractor, ce_step, conventional_step, meta_step
 from .nn import (
     OPTIMIZERS,
     DivergenceError,
@@ -152,7 +152,7 @@ class TrainConfig:
         if not 0.0 <= self.unlabeled_fraction < 1.0:
             raise ConfigError(
                 f"train.unlabeled_fraction must be in [0, 1), got {self.unlabeled_fraction}")
-        if self.extractor_features not in ("penultimate", "logits"):
+        if self.extractor_features not in EXTRACTOR_MODES:
             raise ConfigError(f"train.extractor_features unknown: {self.extractor_features!r}")
         for name in ("classifier_optimizer", "metanet_optimizer"):
             if getattr(self, name) not in OPTIMIZERS:

@@ -44,7 +44,6 @@ from .nn import (
     Mlp,
     log_softmax,
     mlp_backward,
-    mlp_deltas,
     mlp_forward,
     mlp_jvp,
     mlp_logits,
@@ -85,11 +84,10 @@ class FeatureExtractor:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"extractor expects (N, {self.in_dim}) input, got {x.shape}")
-        if self.mode == "logits":
-            return mlp_logits(self.layers, x)
-        for w, b in self.layers:
-            x = np.maximum(x @ w + b, 0.0)
-        return x
+        if not self.layers:
+            return x
+        z = mlp_logits(self.layers, x)
+        return z if self.mode == "logits" else np.maximum(z, 0.0, out=z)
 
 
 @dataclass
@@ -246,30 +244,3 @@ def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
     dz /= n
     grad = mlp_backward(theta, acts, masks, dz)
     return theta.with_params(optimizer.step(theta.flat, grad.flat)), loss
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def similarity_matrix(theta: Mlp, theta_hat: Mlp, x: np.ndarray, y_hat: np.ndarray,
-                      meta_x: np.ndarray, meta_y_onehot: np.ndarray) -> np.ndarray:
-    """S[i, j] = inner product of train sample i's classification-loss
-    gradient (at theta) with meta sample j's cross-entropy gradient (at
-    theta_hat), gradients flattened layer by layer, weight before bias.
-
-    A dense layer's per-sample gradient is the outer product of its input
-    row h and its pre-activation gradient row d, so
-    S = sum over layers of (H H'^T + 1) * (D D'^T). Diagnostic only.
-    """
-    layers, hat = theta.layers, theta_hat.layers
-    z, acts, masks = mlp_forward(layers, x)
-    log_p, p = log_softmax(z)
-    dz = _soft_label_dz(p, log_p - np.log(y_hat))
-    z_hat, acts_hat, masks_hat = mlp_forward(hat, meta_x)
-    _, p_hat = log_softmax(z_hat)
-    s = 0.0
-    for h, d, h2, d2 in zip(acts, mlp_deltas(layers, masks, dz),
-                            acts_hat, mlp_deltas(hat, masks_hat, p_hat - meta_y_onehot)):
-        s = s + (h @ h2.swapaxes(-1, -2) + 1.0) * (d @ d2.swapaxes(-1, -2))
-    return s

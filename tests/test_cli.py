@@ -188,10 +188,11 @@ def _truncate_mid_row(text: str) -> str:
     return "".join(lines[:half]) + lines[half][:lines[half].index(",", 3)]
 
 
-def _non_numeric_cell(text: str) -> str:
+def _non_numeric_cell(text: str, cell: str = "abc") -> str:
+    """Row 3 of the body (line 6 of the file) with `cell` as its x_2."""
     lines = text.splitlines(keepends=True)
     cells = lines[5].split(",")
-    cells[2] = "abc"
+    cells[2] = cell
     lines[5] = ",".join(cells)
     return "".join(lines)
 
@@ -210,6 +211,9 @@ def _non_json_header(text: str) -> str:
     (_non_numeric_cell, "'abc'"),
     (_drop_a_row, "header says 320 rows, the body has 319"),
     (_non_json_header, "line 1 column 1"),
+    *(pytest.param(lambda text, c=c: _non_numeric_cell(text, c),
+                   f"row 3 (line 6): x_2 = {c} is not a finite number", id=f"{c}_cell")
+      for c in ("nan", "inf", "-inf")),
 ])
 def test_malformed_dataset_file_is_usage_error_naming_the_file(tmp_path, capsys,
                                                                corrupt, detail):
@@ -224,6 +228,19 @@ def test_malformed_dataset_file_is_usage_error_naming_the_file(tmp_path, capsys,
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data_path}: ") and detail in err, err
+
+
+def test_eval_on_a_dataset_file_with_a_non_finite_cell_is_usage_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 3}))
+    data_path, out = tmp_path / "data.dsv", tmp_path / "run"
+    assert main(["gen-data", "--config", cfg_path, "--out", str(data_path)]) == 0
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    data_path.write_text(_non_numeric_cell(data_path.read_text(), "nan"))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                 "--dataset", str(data_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_path}: ") and "x_2 = nan" in err, err
 
 
 def test_train_baseline_builds_the_dataset_once(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from metalabel.engine import (
     log,
     matmul,
     mul,
-    no_grad,
     relu,
     softmax,
     sum_all,
@@ -146,21 +145,6 @@ def test_grad_of_unrelated_tensor_raises():
         grad(mul(x, x), [y])
     (gy,) = grad(mul(x, x), [y], allow_unused=True)
     assert gy.value == 0.0
-
-
-def test_detached_tensor_breaks_the_graph():
-    x = Tensor(3.0)
-    y = mul(x, x).detach()
-    with pytest.raises(GradError):
-        grad(mul(y, y), [x])
-
-
-def test_no_grad_blocks_recording():
-    x = Tensor(3.0)
-    with no_grad():
-        y = mul(x, x)
-    with pytest.raises(GradError):
-        grad(y, [x])
 
 
 def test_repeated_operand_accumulates():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metalabel.engine import GradError, Tensor, grad, no_grad, softmax
+from metalabel.engine import GradError, Tensor, grad, softmax
 from metalabel.gradcheck import (
     check_meta_gradient,
     check_route_equivalence,
@@ -19,7 +19,6 @@ from metalabel.meta import (
     classifier_pass,
     conventional_step,
     meta_step,
-    similarity_matrix,
 )
 from metalabel.nn import Mlp, SgdMomentum, init_mlp, make_optimizer, mlp_logits, one_hot
 from metalabel.nn import softmax as nn_softmax
@@ -100,6 +99,18 @@ def test_extractor_from_classifier_shape():
     assert len(ext.layers) == 2
 
 
+def test_extractor_of_a_classifier_without_hidden_layers():
+    # a `hidden: []` classifier: penultimate features are the input itself
+    rng = np.random.default_rng(5)
+    net = init_mlp([5, 3], rng)
+    x = rng.normal(size=(4, 5))
+    ext = FeatureExtractor.from_classifier(net)
+    assert ext.layers == [] and ext.n_features == 5
+    assert np.array_equal(ext(x), x)
+    assert np.array_equal(FeatureExtractor.from_classifier(net, mode="logits")(x),
+                          mlp_logits(net.layers, x))
+
+
 # -- soft-label generation ------------------------------------------------------
 
 
@@ -131,7 +142,7 @@ def test_soft_labels_closed_form_single_row():
 def test_virtual_update_fixed_point_at_own_predictions(tiny):
     theta, _, x, _, _, _ = tiny
     logits, _ = forward(theta.params(), Tensor(x))
-    y_hat = softmax(logits).detach()
+    y_hat = Tensor(softmax(logits).value)
     theta_hat, _, _ = virtual_update(theta.params(), x, Tensor(y_hat.value), inner_lr=1.0)
     for p, q in zip(theta.params(), theta_hat):
         assert np.allclose(p, q.value, atol=1e-13, rtol=0)
@@ -179,9 +190,8 @@ def test_meta_loss_uniform_predictions_are_log_c():
 
 def test_meta_loss_matches_scalar_oracle(tiny):
     theta, _, _, _, mx, my = tiny
-    with no_grad():
-        logits, _ = forward(theta.params(), Tensor(mx))
-        p = softmax(logits).value
+    logits, _ = forward(theta.params(), Tensor(mx))
+    p = softmax(logits).value
     expected = float(np.mean([-np.log(p[i, my[i].argmax()]) for i in range(len(mx))]))
     assert meta_loss(theta.params(), mx, my).item() == pytest.approx(expected, abs=1e-12)
 
@@ -246,69 +256,6 @@ def test_meta_step_detached_labels_raise_not_silently_degrade(tiny):
     theta_hat, _, _ = virtual_update(theta.params(), x, Tensor(y_hat), 1.0)
     with pytest.raises(GradError):
         grad(meta_loss(theta_hat, mx, my), [Tensor(p) for p in labeler.params()])
-
-
-# -- similarity diagnostics -------------------------------------------------------
-
-
-def test_similarity_entries_match_per_sample_gradient_products(tiny):
-    from metalabel.gradcheck import cce_loss
-
-    theta, labeler, x, v, mx, my = tiny
-    y_hat = generated(labeler, v)
-    theta_hat, _, _ = virtual_update(theta.params(), x, y_hat, 1.0)
-    theta_hat = theta.with_params(np.concatenate([p.value.ravel() for p in theta_hat]))
-    s = similarity_matrix(theta, theta_hat, x, y_hat, mx, my)
-    params = [Tensor(p) for p in theta.params()]
-    g_train = []
-    for i in range(x.shape[0]):
-        logits, _ = forward(params, Tensor(x[i:i + 1]))
-        gi = grad(kl_loss(softmax(logits), Tensor(y_hat[i:i + 1])), params)
-        g_train.append(np.concatenate([t.value.ravel() for t in gi]))
-    frozen = [Tensor(p) for p in theta_hat.params()]
-    g_meta = []
-    for j in range(mx.shape[0]):
-        logits, _ = forward(frozen, Tensor(mx[j:j + 1]))
-        gj = grad(cce_loss(softmax(logits), my[j:j + 1]), frozen)
-        g_meta.append(np.concatenate([t.value.ravel() for t in gj]))
-    ref = np.array(g_train) @ np.array(g_meta).T
-    assert np.allclose(s, ref, atol=1e-12)
-    # with identical vectors on both sides the product is the squared norm
-    self_s = np.array(g_train) @ np.array(g_train).T
-    for i, g in enumerate(g_train):
-        assert self_s[i, i] == pytest.approx(float(g @ g), rel=1e-12)
-        assert self_s[i, i] >= 0.0
-
-
-def test_similarity_orthogonal_gradients_vanish():
-    # bias-only gradients: zero inputs kill the weight blocks, and with C=3
-    # the label choices below make the two bias gradients exactly orthogonal
-    theta = Mlp([(np.zeros((2, 3)), np.zeros((1, 3)))])
-    x = np.array([[0.0, 0.0]])
-    raw = np.array([1.0, np.exp(-1.0), np.exp(1.0)])
-    y_hat = (raw / raw.sum()).reshape(1, 3)  # KL gradient ~ [0, 1, -1]
-    mx = np.array([[0.0, 0.0]])
-    my = one_hot(np.array([0]), 3)  # CCE gradient ~ [-2, 1, 1]
-    s = similarity_matrix(theta, theta.copy(), x, y_hat, mx, my)
-    assert abs(s[0, 0]) < 1e-15
-    # sanity: neither side's gradient is the zero vector
-    params = [Tensor(p) for p in theta.params()]
-    logits, _ = forward(params, Tensor(x))
-    g = grad(kl_loss(softmax(logits), Tensor(y_hat)), params)
-    assert max(np.abs(t.value).max() for t in g) > 1e-3
-
-
-def test_similarity_matrix_mean_equals_inner_product_of_mean_gradients(tiny):
-    theta, labeler, x, v, mx, my = tiny
-    y_hat = generated(labeler, v)
-    theta_hat, _, inner_grads = virtual_update(theta.params(), x, y_hat, 1.0)
-    s = similarity_matrix(
-        theta, theta.with_params(np.concatenate([p.value.ravel() for p in theta_hat])),
-        x, y_hat, mx, my)
-    that_grads = grad(meta_loss(theta_hat, mx, my), theta_hat)
-    mean_sim = sum(float(np.vdot(a.value, b.value))
-                   for a, b in zip(inner_grads, that_grads))
-    assert s.mean() == pytest.approx(mean_sim, abs=1e-10)
 
 
 # -- conventional step -------------------------------------------------------------

@@ -10,7 +10,7 @@ directory (so every path an output mentions is relative and equal):
 - `train` on the default config, `--seed 0 --baseline`
 - `train` on tiny configs: uniform noise with `--baseline`; feature-dependent
   noise with `--unlabeled-fraction 0.5`; the `logits` extractor with an adam
-  classifier and the entropy term off
+  classifier and the entropy term off; a classifier without hidden layers
 - `train --resume` from a checkpoint written after epoch 2 (the run resumes
   at epoch 3, in phase 2), then `gen-data` and `eval` of that checkpoint
 - a 4-seed `sweep`, at `--jobs 1` and at `--jobs 2`
@@ -61,6 +61,7 @@ CONFIGS = {
     "fd.json": _tiny({"kind": "feature-dependent", "ratio": 0.4}),
     "logits.json": _tiny(extractor_features="logits", classifier_optimizer="adam",
                          entropy_loss=False),
+    "nohidden.json": {**_tiny(), "model": {"hidden": []}},
     "sweep.json": {"schema_version": 1, "grid": {"seed": [0, 1, 2, 3]},
                    "base": {"schema_version": 1, "noise": {"ratio": 0.6}}},
 }
@@ -69,6 +70,7 @@ FLOWS = [
     ["train", "--config", "uniform.json", "--out", "uniform", "--baseline"],
     ["train", "--config", "fd.json", "--out", "fd", "--unlabeled-fraction", "0.5"],
     ["train", "--config", "logits.json", "--out", "logits"],
+    ["train", "--config", "nohidden.json", "--out", "nohidden"],
     ["train", "--config", "uniform.json", "--out", "resume", "--resume"],
     ["gen-data", "--config", "uniform.json", "--out", "uniform.dsv"],
     ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "uniform.dsv"],
