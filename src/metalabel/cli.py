@@ -76,6 +76,9 @@ def cmd_gen_data(args) -> int:
     if cfg.dataset_path is not None:
         raise ConfigError("gen-data always synthesises a dataset; "
                           f"drop data.path ({cfg.dataset_path}) from the config")
+    parent = os.path.dirname(args.out)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     ds = build_dataset(cfg)
     save_dataset(ds, args.out)
     print(f"wrote {ds.n} rows ({ds.dims} dims, {ds.n_classes} classes) to {args.out}")

@@ -8,8 +8,12 @@ raises, so no training path can consume a masked label by accident.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -22,6 +26,7 @@ SPLITS = (TRAIN, META, TEST)
 
 DATASET_FORMAT_VERSION = 1
 SAVE_BLOCK_ROWS = 1024  # rows formatted per write; bounds the memory a save holds
+HASH_CHUNK_BYTES = 1 << 20  # bytes hashed per read; bounds the memory a hash holds
 
 
 class UnlabeledLabelError(RuntimeError):
@@ -257,16 +262,101 @@ def mark_unlabeled(ds: Dataset, fraction: float, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# persistence: one file, JSON header line + CSV body, bit-exact floats
+# persistence: one file, JSON header line + CSV body, bit-exact floats, and a
+# derived sidecar ".<file name>.parsed" beside it that holds the file's sha256
+# and its validated arrays, so that each version of a file is parsed once
 
 
 def _columns(d: int) -> list[str]:
     return [f"x_{j}" for j in range(d)] + ["y_clean", "y_noisy", "labeled", "split"]
 
 
+@contextlib.contextmanager
+def _replaced_atomically(path: str):
+    """A binary handle on a new, uniquely named file beside `path` that is
+    renamed over `path` when the block ends; on any failure it is removed
+    and `path` is left as it was."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _sidecar_path(path: str) -> str:
+    head, name = os.path.split(path)
+    return os.path.join(head, f".{name}.parsed")
+
+
+def _sidecar_records(n: int, d: int) -> list[tuple[str, np.dtype, tuple]]:
+    """Name, dtype and shape of each array a sidecar holds, in file order."""
+    return [("x", np.dtype(np.float64), (n, d)), ("y_clean", np.dtype(np.int64), (n,)),
+            ("y_noisy", np.dtype(np.int64), (n,)), ("labeled", np.dtype(bool), (n,)),
+            ("split", np.dtype(f"<U{max(map(len, SPLITS))}"), (n,))]
+
+
+def _sha256_line(digest: str) -> bytes:
+    return f"sha256 {digest}\n".encode("ascii")
+
+
+def _write_sidecar(path: str, digest: str, ds: Dataset) -> None:
+    """Store the arrays of `ds`, read from or written to `path` whose bytes
+    hash to `digest`. A sidecar that cannot be written is skipped."""
+    try:
+        with _replaced_atomically(_sidecar_path(path)) as fh:
+            fh.write(_sha256_line(digest))
+            for name, _, _ in _sidecar_records(ds.n, ds.dims):
+                np.lib.format.write_array(fh, getattr(ds, name), version=(1, 0),
+                                          allow_pickle=False)
+    except OSError:
+        pass
+
+
+def _read_sidecar(path: str, digest: str, n: int, d: int) -> list[np.ndarray] | None:
+    """The arrays stored beside `path`, or None unless the sidecar names
+    `digest` and holds every array with the dtype and shape that the header's
+    n and d imply."""
+    arrays = []
+    try:
+        with open(_sidecar_path(path), "rb") as fh:
+            line = _sha256_line(digest)
+            if fh.read(len(line)) != line:
+                return None
+            for _, dtype, shape in _sidecar_records(n, d):
+                if (np.lib.format.read_magic(fh) != (1, 0)
+                        or np.lib.format.read_array_header_1_0(fh) != (shape, False, dtype)):
+                    return None
+                a = np.fromfile(fh, dtype=dtype, count=math.prod(shape))
+                a.shape = shape  # in place, so it keeps owning its data; a short read raises
+                arrays.append(a)
+    except (OSError, ValueError, TypeError):
+        return None
+    return arrays
+
+
+def _sha256(fh) -> str:
+    h = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(HASH_CHUNK_BYTES), b""):
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _rows_text(ds: Dataset, a: int, b: int) -> str:
+    rows = zip(ds.x[a:b].tolist(), ds.y_clean[a:b].tolist(), ds.y_noisy[a:b].tolist(),
+               ds.labeled[a:b].astype(np.int64).tolist(), ds.split[a:b].tolist())
+    return "".join(f"{','.join(map(repr, x))},{yc},{yn},{lab},{tag}\n"
+                   for x, yc, yn, lab, tag in rows)
+
+
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write the header line, the column line, then the rows SAVE_BLOCK_ROWS
-    at a time. Floats are written as repr (shortest round-trip text)."""
+    at a time, into a temporary file that then replaces `path`; then the
+    sidecar. Floats are written as repr (shortest round-trip text)."""
     header = {
         "version": DATASET_FORMAT_VERSION,
         "n": ds.n,
@@ -274,24 +364,30 @@ def save_dataset(ds: Dataset, path: str) -> None:
         "c": ds.n_classes,
         "provenance": ds.provenance,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(",".join(_columns(ds.dims)) + "\n")
-        for a in range(0, ds.n, SAVE_BLOCK_ROWS):
-            b = a + SAVE_BLOCK_ROWS
-            rows = zip(ds.x[a:b].tolist(), ds.y_clean[a:b].tolist(),
-                       ds.y_noisy[a:b].tolist(), ds.labeled[a:b].astype(np.int64).tolist(),
-                       ds.split[a:b].tolist())
-            fh.write("".join(f"{','.join(map(repr, x))},{yc},{yn},{lab},{tag}\n"
-                             for x, yc, yn, lab, tag in rows))
+    if ds.dims == 0:  # its rows would not parse, though the sidecar would read
+        raise ValueError("a dataset file needs at least one feature column")
+    lines = [json.dumps(header, sort_keys=True) + "\n", ",".join(_columns(ds.dims)) + "\n"]
+    blocks = (_rows_text(ds, a, a + SAVE_BLOCK_ROWS) for a in range(0, ds.n, SAVE_BLOCK_ROWS))
+    h = hashlib.sha256()
+    with _replaced_atomically(path) as fh:
+        for text in itertools.chain(lines, blocks):
+            data = text.encode("utf-8")
+            h.update(data)
+            fh.write(data)
+    _write_sidecar(path, h.hexdigest(), ds)
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a file written by save_dataset; the body is parsed by one
-    np.loadtxt. Every way the file can be malformed raises a ValueError
-    whose message starts with the path."""
+    """Read a file written by save_dataset. The header and the column line
+    are checked on the text; the arrays come from the sidecar when it holds
+    the file's sha256, else from one np.loadtxt of the body, after which the
+    sidecar is written. Every way the file can be malformed or unreadable
+    (a missing file aside) raises a ValueError whose message starts with the
+    path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            digest = _sha256(fh.buffer)
+            fh.seek(0)
             header = json.loads(fh.readline())
             version = header.get("version") if isinstance(header, dict) else None
             if version != DATASET_FORMAT_VERSION:
@@ -299,28 +395,37 @@ def load_dataset(path: str) -> Dataset:
             n, d = header["n"], header["d"]
             if fh.readline().rstrip("\n") != ",".join(_columns(d)):
                 raise ValueError("dataset file column header mismatch")
-            # one character more than the longest tag, so that a longer tag
-            # fails validation instead of being cut to a legal one
-            record = np.dtype([("x", np.float64, (d,)), ("y_clean", np.int64),
-                               ("y_noisy", np.int64), ("labeled", np.int64),
-                               ("split", f"<U{max(map(len, SPLITS)) + 1}")])
-            with warnings.catch_warnings():  # an empty body is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                rec = np.loadtxt(fh, delimiter=",", dtype=record, comments=None, ndmin=1)
-        if len(rec) != n:
-            raise ValueError(f"header says {n} rows, the body has {len(rec)}")
-        x = rec["x"].copy()  # copies: contiguous arrays, not views into the records
+            arrays = _read_sidecar(path, digest, n, d)
+            parsed = arrays is None
+            if parsed:
+                # one character more than the longest tag, so that a longer
+                # tag fails validation instead of being cut to a legal one
+                record = np.dtype([("x", np.float64, (d,)), ("y_clean", np.int64),
+                                   ("y_noisy", np.int64), ("labeled", np.int64),
+                                   ("split", f"<U{max(map(len, SPLITS)) + 1}")])
+                with warnings.catch_warnings():  # an empty body is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    rec = np.loadtxt(fh, delimiter=",", dtype=record, comments=None, ndmin=1)
+                # copies: contiguous arrays, not views into the records
+                arrays = [rec["x"].copy(), rec["y_clean"].copy(), rec["y_noisy"].copy(),
+                          rec["labeled"] != 0, rec["split"]]
+        x, y_clean, y_noisy, labeled, split = arrays
+        if len(x) != n:
+            raise ValueError(f"header says {n} rows, the body has {len(x)}")
         if not np.isfinite(x).all():
             i, j = np.argwhere(~np.isfinite(x))[0]
             raise ValueError(f"row {i} (line {i + 3}): x_{j} = {x[i, j]} "
                              f"is not a finite number")
-        return Dataset(
-            x=x, y_clean=rec["y_clean"].copy(),
-            y_noisy=rec["y_noisy"].copy(), labeled=rec["labeled"] != 0,
-            split=rec["split"], n_classes=header["c"],
-            provenance=header.get("provenance", {}),
-        )
+        ds = Dataset(x=x, y_clean=y_clean, y_noisy=y_noisy, labeled=labeled, split=split,
+                     n_classes=header["c"], provenance=header.get("provenance", {}))
     except KeyError as e:
         raise ValueError(f"{path}: the header has no {e} field") from e
     except (ValueError, TypeError) as e:
         raise ValueError(f"{path}: {e}") from e
+    except FileNotFoundError:
+        raise
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror or e}") from e
+    if parsed:
+        _write_sidecar(path, digest, ds)
+    return ds

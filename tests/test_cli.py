@@ -100,6 +100,30 @@ def test_gen_data_rejects_a_dataset_path(tmp_path, capsys, exists):
     assert source.exists() == exists
 
 
+def test_a_label_edited_after_gen_data_is_read(tmp_path):
+    out = tmp_path / "data.dsv"
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(out)]) == 0
+    before = load_dataset(str(out))
+    row = int(np.flatnonzero(before.split == "train")[0])
+    lines = out.read_text().splitlines(keepends=True)
+    cells = lines[row + 2].split(",")
+    cells[-3] = str(1 - int(cells[-3]))  # y_noisy, of two classes
+    lines[row + 2] = ",".join(cells)
+    out.write_text("".join(lines))
+    after = load_dataset(str(out))
+    assert after.y_noisy[row] == 1 - before.y_noisy[row]
+    after.y_noisy[row] = before.y_noisy[row]
+    assert np.array_equal(after.y_noisy, before.y_noisy)
+
+
+def test_gen_data_creates_the_parent_directory(tmp_path):
+    out = tmp_path / "nodir" / "x.dsv"
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(out)]) == 0
+    assert load_dataset(str(out)).n == 320
+
+
 # -- train ------------------------------------------------------------------------
 
 
@@ -466,6 +490,16 @@ def test_eval_prints_single_decimal(tmp_path, capsys):
 def test_eval_missing_checkpoint_is_usage_error(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "none.json"),
                  "--dataset", str(tmp_path / "none.dsv")]) == 2
+
+
+def test_eval_of_a_directory_is_usage_error_naming_it(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 3}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                 "--dataset", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import metalabel.data as data_mod
 from metalabel.data import (
     Dataset,
     DegenerateOracleError,
@@ -362,10 +363,28 @@ def extreme_dataset() -> Dataset:
                    ["train", "train", "meta", "test"], 2)
 
 
-def test_round_trip_is_bit_exact_on_extreme_floats(tmp_path):
+def sidecar(path):
+    return path.parent / f".{path.name}.parsed"
+
+
+LOAD_PATHS = pytest.mark.parametrize("keep_sidecar", [True, False],
+                                     ids=["sidecar-kept", "sidecar-deleted"])
+
+
+def save_for(path, ds, keep_sidecar):
+    """Save ds, then leave its sidecar in place or delete it, so that the
+    next load reads the arrays from the sidecar or parses the text."""
+    save_dataset(ds, str(path))
+    assert sidecar(path).is_file()
+    if not keep_sidecar:
+        sidecar(path).unlink()
+
+
+@LOAD_PATHS
+def test_round_trip_is_bit_exact_on_extreme_floats(tmp_path, keep_sidecar):
     ds = extreme_dataset()
     path = tmp_path / "e.dsv"
-    save_dataset(ds, str(path))
+    save_for(path, ds, keep_sidecar)
     assert path.read_bytes() == reference_bytes(ds)
     back = load_dataset(str(path))
     assert np.array_equal(back.x.view(np.int64), ds.x.view(np.int64))  # -0.0 kept
@@ -384,13 +403,87 @@ def test_one_row_file_loads_as_a_matrix(tmp_path):
     assert np.array_equal(back.x, ds.x)
 
 
-def test_loaded_x_is_a_contiguous_float64_matrix(tmp_path, blobs):
+def test_save_refuses_a_dataset_without_features(tmp_path):
+    ds = Dataset(np.zeros((3, 0)), [0, 1, 0], [0, 1, 0], [True] * 3, ["train"] * 3, 2)
+    with pytest.raises(ValueError, match="feature column"):
+        save_dataset(ds, str(tmp_path / "z.dsv"))
+    assert not list(tmp_path.iterdir())
+
+
+@LOAD_PATHS
+def test_loaded_x_is_a_contiguous_float64_matrix(tmp_path, blobs, keep_sidecar):
     path = tmp_path / "b.dsv"
-    save_dataset(blobs, str(path))
+    save_for(path, blobs, keep_sidecar)
     back = load_dataset(str(path))
     assert back.x.dtype == np.float64
     assert back.x.flags.c_contiguous and back.x.flags.owndata
     assert back.x.shape == blobs.x.shape
+
+
+def assert_same_arrays(a: Dataset, b: Dataset):
+    assert np.array_equal(a.x.view(np.int64), b.x.view(np.int64))
+    for name in ("y_clean", "y_noisy", "labeled", "split"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_a_parse_writes_the_sidecar_that_the_next_load_reads(tmp_path, blobs, monkeypatch):
+    path = tmp_path / "b.dsv"
+    save_for(path, blobs, keep_sidecar=False)
+    parsed = load_dataset(str(path))
+    assert sidecar(path).is_file()
+    monkeypatch.setattr(np, "loadtxt", None)  # a second parse would fail
+    assert_same_arrays(load_dataset(str(path)), parsed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar(path).name, "b.dsv"]
+
+
+def _truncate(path, other):
+    data = sidecar(path).read_bytes()
+    sidecar(path).write_bytes(data[:len(data) // 2])
+
+
+def _foreign(path, other):
+    sidecar(path).write_bytes(sidecar(other).read_bytes())
+
+
+def _directory(path, other):
+    sidecar(path).unlink()
+    sidecar(path).mkdir()
+
+
+@pytest.mark.parametrize("fault", [_truncate, _foreign, _directory],
+                         ids=["truncated", "foreign", "directory"])
+def test_a_faulty_sidecar_falls_back_to_the_text(tmp_path, blobs, fault):
+    path, other = tmp_path / "b.dsv", tmp_path / "other.dsv"
+    save_dataset(inject_uniform(blobs, 0.3, seed=1), str(path))
+    save_dataset(inject_uniform(blobs, 0.3, seed=2), str(other))
+    expected = load_dataset(str(path))
+    fault(path, other)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for _ in range(2):  # the fallback's own sidecar, where it can write one
+        assert_same_arrays(load_dataset(str(path)), expected)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert sidecar(path).is_dir() == (fault is _directory)
+
+
+def test_a_save_that_fails_part_way_leaves_the_old_file(tmp_path, blobs, monkeypatch):
+    path = tmp_path / "b.dsv"
+    save_dataset(blobs, str(path))
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    blocks, rows_text = [], data_mod._rows_text
+
+    def failing(ds, a, b):
+        blocks.append(a)
+        if len(blocks) == 2:
+            raise OSError(28, "No space left on device")
+        return rows_text(ds, a, b)
+
+    monkeypatch.setattr(data_mod, "SAVE_BLOCK_ROWS", 100)
+    monkeypatch.setattr(data_mod, "_rows_text", failing)
+    with pytest.raises(OSError):
+        save_dataset(inject_uniform(blobs, 0.5, seed=3), str(path))
+    assert len(blocks) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_load_rejects_a_long_split_tag(tmp_path, blobs):

@@ -12,14 +12,17 @@ directory (so every path an output mentions is relative and equal):
   noise with `--unlabeled-fraction 0.5`; the `logits` extractor with an adam
   classifier and the entropy term off; a classifier without hidden layers
 - `train --resume` from a checkpoint written after epoch 2 (the run resumes
-  at epoch 3, in phase 2), then `gen-data` and `eval` of that checkpoint
+  at epoch 3, in phase 2), then `gen-data` and `eval` of that checkpoint, on
+  the written file (whose arrays a tree may read from its sidecar) and on a
+  copy of it without the sidecar (which the tree parses)
 - a 4-seed `sweep`, at `--jobs 1` and at `--jobs 2`
 - `gradcheck --trials 20`
 
 Every file written, and every call's exit status, stdout and stderr, are
 then compared after normalising what is meant to vary between runs: the
 `wall_time` column of metrics CSVs is dropped, the `wall_time` values in
-checkpoint logs read 0 and the `timestamp` in summaries reads "". Prints
+checkpoint logs read 0 and the `timestamp` in summaries reads "", and the
+dataset sidecars (`.*.parsed`, derived data) are left out. Prints
 one line per differing file and exits 1 on any difference, 0 otherwise.
 """
 
@@ -27,10 +30,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import fnmatch
 import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -74,6 +79,7 @@ FLOWS = [
     ["train", "--config", "uniform.json", "--out", "resume", "--resume"],
     ["gen-data", "--config", "uniform.json", "--out", "uniform.dsv"],
     ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "uniform.dsv"],
+    ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "unparsed.dsv"],
     ["sweep", "--config", "sweep.json", "--out", "sweep-jobs1"],
     ["sweep", "--config", "sweep.json", "--out", "sweep-jobs2", "--jobs", "2"],
     ["gradcheck", "--trials", "20"],
@@ -107,6 +113,8 @@ def run_flows(src: str, work: str) -> None:
         pass
     calls = []
     for argv in FLOWS:
+        if "unparsed.dsv" in argv:
+            shutil.copyfile("uniform.dsv", "unparsed.dsv")  # the text alone
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -139,7 +147,8 @@ def _normalised(path: str) -> list:
 
 def _files(root: str) -> set[str]:
     return {os.path.relpath(os.path.join(d, f), root)
-            for d, _, fs in os.walk(root) for f in fs}
+            for d, _, fs in os.walk(root) for f in fs
+            if not fnmatch.fnmatch(f, ".*.parsed")}
 
 
 def compare(a: str, b: str) -> list[str]:
