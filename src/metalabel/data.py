@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nn import Mlp, mlp_logits, softmax
+from .nn import Mlp, map_row_blocks, mlp_logits, softmax
 
 TRAIN, META, TEST = "train", "meta", "test"
 SPLITS = (TRAIN, META, TEST)
@@ -207,7 +207,8 @@ def inject_uniform(ds: Dataset, ratio: float, seed: int) -> Dataset:
 def margins(oracle: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row confidence margin (top softmax prob minus runner-up) and the
     runner-up class under the oracle."""
-    probs = softmax(mlp_logits(oracle.layers, x))
+    probs = map_row_blocks(lambda b: softmax(mlp_logits(oracle.layers, b)), x, None,
+                           oracle.out_dim)
     order = np.argsort(-probs, axis=1, kind="stable")
     top, runner = order[:, 0], order[:, 1]
     rows = np.arange(x.shape[0])
@@ -272,7 +273,7 @@ def _columns(d: int) -> list[str]:
 
 
 @contextlib.contextmanager
-def _replaced_atomically(path: str):
+def replaced_atomically(path: str):
     """A binary handle on a new, uniquely named file beside `path` that is
     renamed over `path` when the block ends; on any failure it is removed
     and `path` is left as it was."""
@@ -308,7 +309,7 @@ def _write_sidecar(path: str, digest: str, ds: Dataset) -> None:
     """Store the arrays of `ds`, read from or written to `path` whose bytes
     hash to `digest`. A sidecar that cannot be written is skipped."""
     try:
-        with _replaced_atomically(_sidecar_path(path)) as fh:
+        with replaced_atomically(_sidecar_path(path)) as fh:
             fh.write(_sha256_line(digest))
             for name, _, _ in _sidecar_records(ds.n, ds.dims):
                 np.lib.format.write_array(fh, getattr(ds, name), version=(1, 0),
@@ -369,7 +370,7 @@ def save_dataset(ds: Dataset, path: str) -> None:
     lines = [json.dumps(header, sort_keys=True) + "\n", ",".join(_columns(ds.dims)) + "\n"]
     blocks = (_rows_text(ds, a, a + SAVE_BLOCK_ROWS) for a in range(0, ds.n, SAVE_BLOCK_ROWS))
     h = hashlib.sha256()
-    with _replaced_atomically(path) as fh:
+    with replaced_atomically(path) as fh:
         for text in itertools.chain(lines, blocks):
             data = text.encode("utf-8")
             h.update(data)

@@ -22,7 +22,6 @@ import copy
 import csv
 import hashlib
 import json
-import os
 import time
 import types
 import typing
@@ -40,6 +39,7 @@ from .nn import (
     check_one_hot,
     init_mlp,
     make_optimizer,
+    map_row_blocks,
     mlp_logits,
     one_hot,
     softmax,
@@ -48,7 +48,6 @@ from .nn import (
 
 CHECKPOINT_VERSION = 1
 LANES_MAX = 4  # lanes per group: the cheapest size per lane, measured on 2 cores
-EVAL_CHUNK = 4096  # rows per forward pass in evaluate; bounds its peak memory
 
 
 class ConfigError(ValueError):
@@ -398,7 +397,7 @@ def build_dataset(cfg: TrainConfig) -> Dataset:
 
 def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
     """Argmax accuracy: against clean labels on meta/test, against the noisy
-    labels of labeled rows on train. Runs EVAL_CHUNK rows at a time."""
+    labels of labeled rows on train."""
     if split == dt.TRAIN:
         idx = ds.labeled_train_indices()
         if idx.size == 0:
@@ -409,18 +408,20 @@ def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
         if idx.size == 0:
             raise ValueError(f"empty split {split!r}")
         y = ds.y_clean[idx]
-    hits = 0
-    for start in range(0, idx.size, EVAL_CHUNK):
-        logits = mlp_logits(theta.layers, ds.x[idx[start:start + EVAL_CHUNK]])
-        hits += int(np.count_nonzero(logits.argmax(axis=1) == y[start:start + EVAL_CHUNK]))
-    return hits / idx.size
+    # each block keeps its argmax, not its logits: one column instead of one a class
+    pred = map_row_blocks(lambda x: mlp_logits(theta.layers, x).argmax(axis=1, keepdims=True),
+                          ds.x, idx, 1)
+    return int(np.count_nonzero(pred[:, 0] == y)) / idx.size
 
 
 def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
     """Batch-mean Shannon entropy of softmax predictions on a split."""
-    p = softmax(mlp_logits(theta.layers, ds.x[ds.indices(split)]))
-    p = np.clip(p, 1e-300, 1.0)
-    return float(-(p * np.log(p)).sum(axis=1).mean())
+
+    def entropy(x):
+        p = np.clip(softmax(mlp_logits(theta.layers, x)), 1e-300, 1.0)
+        return -(p * np.log(p)).sum(axis=1, keepdims=True)
+
+    return float(map_row_blocks(entropy, ds.x, ds.indices(split), 1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +555,13 @@ def _net_of(name: str, run: dict) -> tuple:
 
 
 def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
-    """Write the run state atomically (temporary file, then rename)."""
+    """Write the run state atomically (`data.replaced_atomically`): a failed
+    write leaves `path` as it was and no other file."""
     blob = {"version": CHECKPOINT_VERSION, "config_hash": cfg.config_hash()}
     run = vars(state)
     blob.update((key, enc(run[name], *_net_of(name, run))) for name, key, enc, _ in _CODEC)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(blob))
-    os.replace(tmp, path)
+    with dt.replaced_atomically(path) as fh:
+        fh.write(json.dumps(blob).encode("ascii"))
 
 
 def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
@@ -724,7 +724,9 @@ class _Phase2Rows(typing.NamedTuple):
             st.opt_phi = make_optimizer(cfg.metanet_optimizer, st.labeler.flat.shape,
                                         lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
         rows, meta_rows = ds.indices(dt.TRAIN), ds.indices(dt.META)
-        feats = st.extractor(ds.x[rows])  # first: its transients are the peak of the run
+        # one block of rows and its activations at a time: a whole split's would
+        # be several times the features and the peak of a large run
+        feats = map_row_blocks(st.extractor, ds.x, rows, st.extractor.n_features)
         meta_y = one_hot(ds.y_clean[meta_rows], ds.n_classes)
         check_one_hot(meta_y, ds.n_classes)  # once here; the meta step does not recheck
         return cls(ds.x, rows, feats, meta_rows, meta_y)
@@ -755,6 +757,15 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
     losses = _epoch(inputs[0].rows.size, cfg.batch_size, [st.rng for st in sts], where, step)
     _unstack(sts, theta=theta, opt_theta=opt_theta, labeler=labeler, opt_phi=opt_phi)
     return losses
+
+
+def _label_drift(after: Mlp, before: Mlp, feats: np.ndarray) -> np.ndarray:
+    """|softmax(after) - softmax(before)| on every row of feats, per class.
+    The soft labels before an epoch are recomputed, not kept, and one lane's
+    drift at a time is all the memory this needs."""
+    return map_row_blocks(lambda v: np.abs(softmax(mlp_logits(after.layers, v))
+                                           - softmax(mlp_logits(before.layers, v))),
+                          feats, None, after.out_dim)
 
 
 def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
@@ -791,10 +802,7 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
             epoch_losses = _phase2_epoch(cfg, sts, inputs, lam, f"epoch {epoch}")
             losses = []
             for s, (st, inp) in enumerate(zip(sts, inputs)):
-                # the soft labels before the epoch are recomputed, not kept:
-                # one lane's at a time is all the memory this needs
-                diff = np.abs(softmax(mlp_logits(st.labeler.layers, inp.feats))
-                              - softmax(mlp_logits(before[s].layers, inp.feats)))
+                diff = _label_drift(st.labeler, before[s], inp.feats)
                 losses.append([float(v) for v in epoch_losses[:, s]]
                               + [float(diff.mean()), float(diff.var())])
 

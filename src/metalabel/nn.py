@@ -12,6 +12,10 @@ elementwise and never differentiated. The training steps in `meta` run on
 these alone. The engine form of the network and the losses, which the
 kernels are checked against, lives in `gradcheck`.
 
+A pass over a whole split (evaluation, features, soft labels, margins)
+runs through `map_row_blocks`, ROW_BLOCK rows at a time, so its memory is
+its result plus one block of transients.
+
 Lanes: every kernel and optimizer also takes arrays with leading lane axes,
 so S runs that share a network shape train as one stacked trajectory. A
 parameter vector is then (S, P), its weight views (S, in, out), its bias
@@ -26,6 +30,7 @@ solo and stacked form, one call per vector.
 from __future__ import annotations
 
 import copy
+import functools
 
 import numpy as np
 
@@ -50,18 +55,28 @@ def stack_lanes(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.array(arrays)
 
 
+@functools.lru_cache(maxsize=None)
+def _slice_plan(sizes: tuple[int, ...]) -> tuple:
+    """Per layer of widths `sizes`: where its weight starts and ends, where
+    its bias ends, and the two arrays' shapes."""
+    plan, at = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = at + fan_in * fan_out
+        plan.append((at, end, end + fan_out, (fan_in, fan_out), (1, fan_out)))
+        at = end + fan_out
+    return tuple(plan)
+
+
 def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> list:
     """(weight, bias) views of a parameter vector for layer widths `sizes`;
     leading axes of `flat` are lanes. Each lane's block of an array is
     contiguous, so every reshape is a view."""
+    plan = _slice_plan(sizes)
+    if flat.ndim == 1:
+        return [(flat[a:e].reshape(ws), flat[e:f].reshape(bs)) for a, e, f, ws, bs in plan]
     lanes = flat.shape[:-1]
-    layers, at = [], 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        end = at + fan_in * fan_out
-        layers.append((flat[..., at:end].reshape(*lanes, fan_in, fan_out),
-                       flat[..., end:end + fan_out].reshape(*lanes, 1, fan_out)))
-        at = end + fan_out
-    return layers
+    return [(flat[..., a:e].reshape(*lanes, *ws), flat[..., e:f].reshape(*lanes, *bs))
+            for a, e, f, ws, bs in plan]
 
 
 class Mlp:
@@ -150,6 +165,39 @@ def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
 
 
 # ---------------------------------------------------------------------------
+# passes over a whole split
+
+ROW_BLOCK = 4096  # rows per block of a pass over a whole split; bounds its transients
+
+
+def map_row_blocks(fn, x: np.ndarray, rows: np.ndarray | None, width: int) -> np.ndarray:
+    """`fn` over the rows `rows` of x (all of x for None), one ROW_BLOCK of
+    rows at a time, written into one (len(rows), width) float64 array.
+
+    `fn` must be row-wise: row i of its output depends on row i of its
+    input alone. Only one block's gathered rows and transients exist at
+    once, so a pass holds its result plus one block, whatever the split's
+    size. The result is the one-shot `fn(x[rows])` wherever BLAS runs a
+    block's matmul on the kernel it runs the whole split's on. A 1-row tail
+    joins the block before it, because numpy runs a 1-row matmul as a
+    matrix-vector product, whose sums round differently. OpenBLAS also
+    switches kernel for a narrow product (up to 4 output columns) once rows
+    x inputs x outputs passes 10**6, so on a split that large the blocks'
+    last bits can differ from a one-shot pass.
+    """
+    n = x.shape[0] if rows is None else rows.shape[0]
+    out = np.empty((n, width))
+    start = 0
+    while start < n:
+        stop = min(start + ROW_BLOCK, n)
+        if n - stop == 1:
+            stop = n
+        out[start:stop] = fn(x[start:stop] if rows is None else x[rows[start:stop]])
+        start = stop
+    return out
+
+
+# ---------------------------------------------------------------------------
 # kernels on raw arrays: `layers` is a list of (weight, bias) arrays and a
 # parameter list runs in layer order, weight before bias (as Mlp.params);
 # rows are on axis -2, so any leading axes are lanes
@@ -157,14 +205,16 @@ def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
 
 def mlp_logits(layers, x: np.ndarray) -> np.ndarray:
     """Logits only; each hidden activation is freed once the next layer has
-    consumed it."""
+    consumed it, and every bias is added in place."""
     h = x
     for w, b in layers[:-1]:
         h = h @ w
         h += b
         np.maximum(h, 0.0, out=h)
     w, b = layers[-1]
-    return h @ w + b
+    z = h @ w
+    z += b
+    return z
 
 
 def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:

@@ -467,6 +467,32 @@ def test_checkpoint_saved_loaded_and_saved_again_is_the_same_bytes(tmp_path):
     assert again.read_bytes() == cp.read_bytes()
 
 
+def test_a_failed_checkpoint_write_leaves_the_last_checkpoint_and_no_other_file(
+        tmp_path, monkeypatch):
+    import metalabel.harness as hmod
+
+    cfg = small_config(total_epochs=6, warmup_epochs=2)
+    ds = build_dataset(cfg)
+    st = hmod.RunState.fresh(cfg, ds)
+    cp = tmp_path / "checkpoint.json"
+    hmod.save_checkpoint(str(cp), cfg, st)
+    first = cp.read_bytes()
+
+    real_dumps = hmod.json.dumps
+
+    def no_space(obj, *args, **kw):  # on the checkpoint, not on the config hash
+        if isinstance(obj, dict) and "config_hash" in obj:
+            raise OSError(28, "No space left on device")
+        return real_dumps(obj, *args, **kw)
+
+    monkeypatch.setattr(hmod.json, "dumps", no_space)
+    st.epoch_next = 1
+    with pytest.raises(OSError, match="No space left"):
+        hmod.save_checkpoint(str(cp), cfg, st)
+    assert cp.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
+
+
 def test_a_phase2_batch_runs_two_classifier_forward_passes(monkeypatch):
     # theta on the train batch, shared by the meta step and the classifier
     # step, and theta_hat on the meta batch
