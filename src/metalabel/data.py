@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nn import Mlp, map_row_blocks, mlp_logits, softmax
+from .nn import Mlp, mlp_logits, softmax
 
 TRAIN, META, TEST = "train", "meta", "test"
 SPLITS = (TRAIN, META, TEST)
@@ -207,8 +207,7 @@ def inject_uniform(ds: Dataset, ratio: float, seed: int) -> Dataset:
 def margins(oracle: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row confidence margin (top softmax prob minus runner-up) and the
     runner-up class under the oracle."""
-    probs = map_row_blocks(lambda b: softmax(mlp_logits(oracle.layers, b)), x, None,
-                           oracle.out_dim)
+    probs = softmax(mlp_logits(oracle.layers, x))
     order = np.argsort(-probs, axis=1, kind="stable")
     top, runner = order[:, 0], order[:, 1]
     rows = np.arange(x.shape[0])

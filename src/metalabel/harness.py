@@ -42,6 +42,7 @@ from .nn import (
     map_row_blocks,
     mlp_logits,
     one_hot,
+    row_blocks,
     softmax,
     stack_lanes,
 )
@@ -397,7 +398,8 @@ def build_dataset(cfg: TrainConfig) -> Dataset:
 
 def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
     """Argmax accuracy: against clean labels on meta/test, against the noisy
-    labels of labeled rows on train."""
+    labels of labeled rows on train. Runs in row blocks, each reduced to its
+    count of hits."""
     if split == dt.TRAIN:
         idx = ds.labeled_train_indices()
         if idx.size == 0:
@@ -408,20 +410,18 @@ def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
         if idx.size == 0:
             raise ValueError(f"empty split {split!r}")
         y = ds.y_clean[idx]
-    # each block keeps its argmax, not its logits: one column instead of one a class
-    pred = map_row_blocks(lambda x: mlp_logits(theta.layers, x).argmax(axis=1, keepdims=True),
-                          ds.x, idx, 1)
-    return int(np.count_nonzero(pred[:, 0] == y)) / idx.size
+    hits = 0
+    for a, b in row_blocks(idx.size):
+        logits = mlp_logits(theta.layers, ds.x[idx[a:b]])
+        hits += int(np.count_nonzero(logits.argmax(axis=1) == y[a:b]))
+    return hits / idx.size
 
 
 def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
     """Batch-mean Shannon entropy of softmax predictions on a split."""
-
-    def entropy(x):
-        p = np.clip(softmax(mlp_logits(theta.layers, x)), 1e-300, 1.0)
-        return -(p * np.log(p)).sum(axis=1, keepdims=True)
-
-    return float(map_row_blocks(entropy, ds.x, ds.indices(split), 1).mean())
+    p = softmax(mlp_logits(theta.layers, ds.x[ds.indices(split)]))
+    p = np.clip(p, 1e-300, 1.0)
+    return float(-(p * np.log(p)).sum(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +725,11 @@ class _Phase2Rows(typing.NamedTuple):
                                         lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
         rows, meta_rows = ds.indices(dt.TRAIN), ds.indices(dt.META)
         # one block of rows and its activations at a time: a whole split's would
-        # be several times the features and the peak of a large run
-        feats = map_row_blocks(st.extractor, ds.x, rows, st.extractor.n_features)
+        # be several times the features and the peak of a large run. Logits
+        # come from a narrow product, which stays in one piece (map_row_blocks)
+        ex = st.extractor
+        feats = (ex(ds.x[rows]) if ex.mode == "logits"
+                 else map_row_blocks(ex, ds.x, rows, ex.n_features))
         meta_y = one_hot(ds.y_clean[meta_rows], ds.n_classes)
         check_one_hot(meta_y, ds.n_classes)  # once here; the meta step does not recheck
         return cls(ds.x, rows, feats, meta_rows, meta_y)
@@ -762,10 +765,10 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
 def _label_drift(after: Mlp, before: Mlp, feats: np.ndarray) -> np.ndarray:
     """|softmax(after) - softmax(before)| on every row of feats, per class.
     The soft labels before an epoch are recomputed, not kept, and one lane's
-    drift at a time is all the memory this needs."""
-    return map_row_blocks(lambda v: np.abs(softmax(mlp_logits(after.layers, v))
-                                           - softmax(mlp_logits(before.layers, v))),
-                          feats, None, after.out_dim)
+    drift at a time is all the memory this needs. One piece: the generator
+    is a narrow product (map_row_blocks)."""
+    return np.abs(softmax(mlp_logits(after.layers, feats))
+                  - softmax(mlp_logits(before.layers, feats)))
 
 
 def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:

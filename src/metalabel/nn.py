@@ -12,9 +12,9 @@ elementwise and never differentiated. The training steps in `meta` run on
 these alone. The engine form of the network and the losses, which the
 kernels are checked against, lives in `gradcheck`.
 
-A pass over a whole split (evaluation, features, soft labels, margins)
-runs through `map_row_blocks`, ROW_BLOCK rows at a time, so its memory is
-its result plus one block of transients.
+A pass over a whole split through wide layers (evaluation, the phase-2
+features) runs ROW_BLOCK rows at a time (`row_blocks`, `map_row_blocks`),
+so its memory is its result plus one block of transients.
 
 Lanes: every kernel and optimizer also takes arrays with leading lane axes,
 so S runs that share a network shape train as one stacked trajectory. A
@@ -71,12 +71,9 @@ def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> list:
     """(weight, bias) views of a parameter vector for layer widths `sizes`;
     leading axes of `flat` are lanes. Each lane's block of an array is
     contiguous, so every reshape is a view."""
-    plan = _slice_plan(sizes)
-    if flat.ndim == 1:
-        return [(flat[a:e].reshape(ws), flat[e:f].reshape(bs)) for a, e, f, ws, bs in plan]
     lanes = flat.shape[:-1]
     return [(flat[..., a:e].reshape(*lanes, *ws), flat[..., e:f].reshape(*lanes, *bs))
-            for a, e, f, ws, bs in plan]
+            for a, e, f, ws, bs in _slice_plan(sizes)]
 
 
 class Mlp:
@@ -170,30 +167,37 @@ def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
 ROW_BLOCK = 4096  # rows per block of a pass over a whole split; bounds its transients
 
 
-def map_row_blocks(fn, x: np.ndarray, rows: np.ndarray | None, width: int) -> np.ndarray:
-    """`fn` over the rows `rows` of x (all of x for None), one ROW_BLOCK of
-    rows at a time, written into one (len(rows), width) float64 array.
-
-    `fn` must be row-wise: row i of its output depends on row i of its
-    input alone. Only one block's gathered rows and transients exist at
-    once, so a pass holds its result plus one block, whatever the split's
-    size. The result is the one-shot `fn(x[rows])` wherever BLAS runs a
-    block's matmul on the kernel it runs the whole split's on. A 1-row tail
-    joins the block before it, because numpy runs a 1-row matmul as a
-    matrix-vector product, whose sums round differently. OpenBLAS also
-    switches kernel for a narrow product (up to 4 output columns) once rows
-    x inputs x outputs passes 10**6, so on a split that large the blocks'
-    last bits can differ from a one-shot pass.
-    """
-    n = x.shape[0] if rows is None else rows.shape[0]
-    out = np.empty((n, width))
+def row_blocks(n: int):
+    """(start, stop) of each block of a pass over n rows: ROW_BLOCK rows,
+    except that a 1-row tail joins the block before it, because numpy runs
+    a 1-row matmul as a matrix-vector product, whose sums round
+    differently."""
     start = 0
     while start < n:
         stop = min(start + ROW_BLOCK, n)
         if n - stop == 1:
             stop = n
-        out[start:stop] = fn(x[start:stop] if rows is None else x[rows[start:stop]])
+        yield start, stop
         start = stop
+
+
+def map_row_blocks(fn, x: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """`fn` over the rows `rows` of x, one block of `row_blocks` at a time,
+    written into one (len(rows), width) float64 array.
+
+    `fn` must be row-wise: row i of its output depends on row i of its
+    input alone. Only one block's gathered rows and transients exist at
+    once, so a pass holds its result plus one block, whatever the split's
+    size. The result is the one-shot `fn(x[rows])` wherever BLAS runs a
+    block's matmul on the kernel it runs the whole split's on. OpenBLAS does
+    not for a narrow product (2 to 4 output columns, such as logits) once
+    rows x inputs x outputs passes 10**6: on a split that large the blocks'
+    last bits differ. So a pass that keeps the values of such a product (the
+    soft labels, the margins, logits features) runs in one piece.
+    """
+    out = np.empty((rows.shape[0], width))
+    for a, b in row_blocks(rows.shape[0]):
+        out[a:b] = fn(x[rows[a:b]])
     return out
 
 
