@@ -11,20 +11,20 @@ metrics column.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
 import sys
 import time
 
-from .data import load_dataset, save_dataset
+from .data import load_dataset, replace_text, save_dataset
 from .harness import (
     ConfigError,
     METRICS_COLUMNS,
     TrainConfig,
     baseline_ce,
     build_dataset,
+    csv_text,
     evaluate,
     load_checkpoint,
     metrics_row,
@@ -49,9 +49,7 @@ def _read_json(path: str):
 
 
 def _write_summary(path: str, summary: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    replace_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(path: str) -> TrainConfig:
@@ -100,23 +98,17 @@ def cmd_train(args) -> int:
         logged = state.log
     ds = build_dataset(cfg)  # shared by the run and the baseline
 
-    fh = open(metrics_path, "w", newline="", encoding="utf-8")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(METRICS_COLUMNS)
-    fh.flush()
-
-    def on_epoch(row):
-        writer.writerow(metrics_row(row))
+    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
+        # already-logged epochs stay at the top of the metrics file
+        fh.write(csv_text([METRICS_COLUMNS, *map(metrics_row, logged)]))
         fh.flush()
 
-    try:
-        # keep already-logged epochs at the top of the metrics file
-        for row in logged:
-            on_epoch(row)
+        def on_epoch(row):
+            fh.write(csv_text([metrics_row(row)]))
+            fh.flush()
+
         result = run_experiment(cfg, dataset=ds, checkpoint_path=checkpoint_path,
                                 state=state, on_epoch=on_epoch)
-    finally:
-        fh.close()
 
     summary = result.summary()
     summary["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -152,7 +144,12 @@ def cmd_eval(args) -> int:
     if not os.path.exists(args.dataset):
         raise ConfigError(f"dataset file not found: {args.dataset}")
     theta = load_checkpoint(args.checkpoint).theta_best
-    acc = evaluate(theta, load_dataset(args.dataset), args.split)
+    ds = load_dataset(args.dataset)
+    if (ds.dims, ds.n_classes) != (theta.in_dim, theta.out_dim):
+        raise ConfigError(f"dataset {args.dataset} ({ds.dims} features, {ds.n_classes} "
+                          f"classes) does not fit checkpoint {args.checkpoint} "
+                          f"({theta.in_dim} features, {theta.out_dim} classes)")
+    acc = evaluate(theta, ds, args.split)
     print(f"{acc:.6f}")
     return 0
 
@@ -280,12 +277,9 @@ def cmd_sweep(args) -> int:
     records.sort(key=lambda r: r["cell_id"])
     agg_path = os.path.join(args.out, "aggregate.csv")
     cols = ["cell_id"] + keys + SWEEP_RESULTS + ["status"]
-    with open(agg_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for r in records:
-            vals = [r.get(c, "") for c in cols]
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in vals])
+    replace_text(agg_path, csv_text([cols] + [
+        [repr(v) if isinstance(v, float) else v for v in (r.get(c, "") for c in cols)]
+        for r in records]))
     print(f"{len(records)} cells -> {agg_path}")
     failed = [r for r in records if r["status"] != "ok"]
     for r in failed:

@@ -288,6 +288,12 @@ def replaced_atomically(path: str):
         raise
 
 
+def replace_text(path: str, text: str) -> None:
+    """`text` as the UTF-8 content of `path`, through `replaced_atomically`."""
+    with replaced_atomically(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _sidecar_path(path: str) -> str:
     head, name = os.path.split(path)
     return os.path.join(head, f".{name}.parsed")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
+import io
 import json
 import time
 import types
@@ -163,6 +164,10 @@ class TrainConfig:
                 raise ConfigError(f"data fractions must sum to 1, got {fracs}")
         if self.batch_size < 1:
             raise ConfigError("train.batch_size must be positive")
+        if any(w < 1 for w in self.hidden):
+            raise ConfigError(f"model.hidden widths must be positive, got {self.hidden}")
+        if self.oracle_epochs < 0:
+            raise ConfigError(f"train.oracle_epochs must be >= 0, got {self.oracle_epochs}")
         if self.meta_lr < 0 or self.inner_lr < 0:
             raise ConfigError("learning rates must be non-negative")
 
@@ -236,11 +241,15 @@ def metrics_row(r: EpochRow) -> list:
     return [r.epoch, r.phase] + [repr(float(getattr(r, c))) for c in METRICS_COLUMNS[2:]]
 
 
+def csv_text(rows) -> str:
+    """Rows (lists of cells) as CSV text, each ended by "\\n"."""
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
 def write_metrics_csv(rows: list[EpochRow], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        writer.writerows(metrics_row(r) for r in rows)
+    dt.replace_text(path, csv_text([METRICS_COLUMNS, *map(metrics_row, rows)]))
 
 
 def read_metrics_csv(path: str) -> list[EpochRow]:
@@ -479,89 +488,52 @@ def _layers_from_json(d: list[dict]) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _opt_to_json(opt, net: Mlp) -> dict:
-    """One matrix per parameter array and buffer, split along net's layers."""
-    out = opt.state()
-    for k in opt.HYPER:
-        out[k] = float(out[k]).hex()
-    for k in opt.BUFFERS:
-        out[k] = [_mat_to_json(a) for a in net.with_params(out[k]).params()]
+    """Kind, hyperparameters, step count, then each buffer split along net's layers."""
+    out = {"kind": opt.kind}
+    out.update((k, float(getattr(opt, k)).hex()) for k in opt.HYPER)
+    out["step_count"] = opt.step_count
+    out.update((k, [_mat_to_json(a) for a in net.with_params(getattr(opt, k)).params()])
+               for k in opt.BUFFERS)
     return out
 
 
 def _opt_from_json(d: dict, net: Mlp):
     cls = OPTIMIZERS[d["kind"]]
-    state = dict(d)
-    for k in cls.HYPER:
-        state[k] = float.fromhex(d[k])
+    opt = cls(net.flat.shape, **{k: float.fromhex(d[k]) for k in cls.HYPER})
+    opt.step_count = d["step_count"]
     for k in cls.BUFFERS:
         mats = [_mat_from_json(a) for a in d[k]]
         if [a.shape for a in mats] != [p.shape for p in net.params()]:
             raise ValueError(f"optimizer {k} shapes {[a.shape for a in mats]} do not "
                              f"match the parameters {[p.shape for p in net.params()]}")
-        state[k] = np.concatenate([a.ravel() for a in mats])
-    opt = cls(net.flat.shape, lr=state["lr"])
-    opt.load_state(state)
+        setattr(opt, k, np.concatenate([a.ravel() for a in mats]))
     return opt
 
 
-def _rng_from_json(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
-
-
-def _optional(f):
-    return lambda v, *net: None if v is None else f(v, *net)
-
-
-def _same(v):
-    return v
-
-
-_MLP = (lambda m: {"layers": _layers_to_json(m.layers)},
-        lambda d: Mlp(_layers_from_json(d["layers"])))
-
-# RunState field, checkpoint key, encoder, decoder; in the order of the file
-_CODEC = [
-    ("epoch_next", "epoch_next", _same, _same),
-    ("theta", "theta", *_MLP),
-    ("theta_best", "theta_best", *_MLP),
-    ("best_epoch", "best_epoch", _same, _same),
-    ("best_meta_acc", "best_meta_acc", float.hex, float.fromhex),
-    ("labeler", "labeler", _optional(lambda g: _layers_to_json(g.layers)[0]),
-     _optional(lambda d: Mlp(_layers_from_json([d])))),
-    ("extractor", "extractor",
-     _optional(lambda e: {"mode": e.mode, "in_dim": e.in_dim,
-                          "layers": _layers_to_json(e.layers)}),
-     _optional(lambda d: FeatureExtractor(_layers_from_json(d["layers"]), d["mode"],
-                                          d["in_dim"]))),
-    ("opt_theta", "opt_theta", _opt_to_json, _opt_from_json),
-    ("opt_phi", "opt_phi", _optional(_opt_to_json), _optional(_opt_from_json)),
-    ("rng", "rng_state", lambda r: r.bit_generator.state, _rng_from_json),
-    ("log", "log", lambda rows: [{c: getattr(r, c) for c in METRICS_COLUMNS} for r in rows],
-     lambda rows: [EpochRow(**r) for r in rows]),
-]
-# The network each optimizer steps, which the file holds before it: its
-# coders split the flat buffers along that network's layers.
-_OPT_NET = {"opt_theta": "theta", "opt_phi": "labeler"}
 _PHASE2_KEYS = ("extractor", "labeler", "opt_phi")  # all null before phase 2, then all set
-
-
-def _net_of(name: str, run: dict) -> tuple:
-    """The extra argument of field `name`'s coders: the network an optimizer
-    steps, taken from `run` (the state being saved or the fields decoded so
-    far); none for the other fields."""
-    return (run[_OPT_NET[name]],) if name in _OPT_NET else ()
 
 
 def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
     """Write the run state atomically (`data.replaced_atomically`): a failed
     write leaves `path` as it was and no other file."""
-    blob = {"version": CHECKPOINT_VERSION, "config_hash": cfg.config_hash()}
-    run = vars(state)
-    blob.update((key, enc(run[name], *_net_of(name, run))) for name, key, enc, _ in _CODEC)
-    with dt.replaced_atomically(path) as fh:
-        fh.write(json.dumps(blob).encode("ascii"))
+    g, ex = state.labeler, state.extractor
+    blob = {
+        "version": CHECKPOINT_VERSION,
+        "config_hash": cfg.config_hash(),
+        "epoch_next": state.epoch_next,
+        "theta": {"layers": _layers_to_json(state.theta.layers)},
+        "theta_best": {"layers": _layers_to_json(state.theta_best.layers)},
+        "best_epoch": state.best_epoch,
+        "best_meta_acc": float.hex(state.best_meta_acc),
+        "labeler": None if g is None else _layers_to_json(g.layers)[0],
+        "extractor": None if ex is None else {"mode": ex.mode, "in_dim": ex.in_dim,
+                                              "layers": _layers_to_json(ex.layers)},
+        "opt_theta": _opt_to_json(state.opt_theta, state.theta),
+        "opt_phi": None if state.opt_phi is None else _opt_to_json(state.opt_phi, g),
+        "rng_state": state.rng.bit_generator.state,
+        "log": [{c: getattr(r, c) for c in METRICS_COLUMNS} for r in state.log],
+    }
+    dt.replace_text(path, json.dumps(blob))
 
 
 def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
@@ -582,11 +554,25 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
     if null and len(null) < len(_PHASE2_KEYS):
         raise ValueError(f"checkpoint {path} is malformed: {', '.join(_PHASE2_KEYS)} must "
                          f"be all null or all present; null: {', '.join(null)}")
-    run: dict = {}
     try:
-        for name, key, _, dec in _CODEC:
-            run[name] = dec(blob[key], *_net_of(name, run))
-        st = RunState(**run)
+        theta = Mlp(_layers_from_json(blob["theta"]["layers"]))
+        g = None if blob["labeler"] is None else Mlp(_layers_from_json([blob["labeler"]]))
+        ex = blob["extractor"]
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = blob["rng_state"]
+        st = RunState(
+            epoch_next=blob["epoch_next"],
+            theta=theta,
+            theta_best=Mlp(_layers_from_json(blob["theta_best"]["layers"])),
+            best_epoch=blob["best_epoch"],
+            best_meta_acc=float.fromhex(blob["best_meta_acc"]),
+            labeler=g,
+            extractor=None if ex is None else FeatureExtractor(
+                _layers_from_json(ex["layers"]), ex["mode"], ex["in_dim"]),
+            opt_theta=_opt_from_json(blob["opt_theta"], theta),
+            opt_phi=None if blob["opt_phi"] is None else _opt_from_json(blob["opt_phi"], g),
+            rng=rng,
+            log=[EpochRow(**r) for r in blob["log"]])
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
     g, ex = st.labeler, st.extractor

@@ -329,10 +329,10 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 class _Optimizer:
     """Shared bookkeeping: a subclass names its scalar hyperparameters
-    (HYPER) and its buffers (BUFFERS) once; `state()` and `load_state()`
-    read and write exactly those, plus the step count. Each buffer is one
-    array of the shape of the parameter vector it steps, and `step` updates
-    the whole vector at once with elementwise formulas.
+    (HYPER, its constructor's keywords) and its buffers (BUFFERS) once; the
+    checkpoint codec in `harness` writes and reads exactly those, plus the
+    step count. Each buffer is one array of the parameter vector's shape,
+    and `step` updates the whole vector at once with elementwise formulas.
 
     A lane-stacked optimizer holds (S, P) buffers; its hyperparameters and
     step count are shared, because the lanes share a schedule."""
@@ -362,20 +362,6 @@ class _Optimizer:
         for k in self.BUFFERS:
             setattr(out, k, getattr(self, k)[s])
         return out
-
-    def state(self) -> dict:
-        out = {"kind": self.kind}
-        out.update((k, getattr(self, k)) for k in self.HYPER)
-        out["step_count"] = self.step_count
-        out.update((k, getattr(self, k).copy()) for k in self.BUFFERS)
-        return out
-
-    def load_state(self, state: dict) -> None:
-        for k in self.HYPER:
-            setattr(self, k, state[k])
-        self.step_count = state["step_count"]
-        for k in self.BUFFERS:
-            setattr(self, k, np.array(state[k], dtype=np.float64))
 
 
 class SgdMomentum(_Optimizer):

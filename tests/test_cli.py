@@ -502,6 +502,59 @@ def test_eval_of_a_directory_is_usage_error_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
 
 
+@pytest.mark.parametrize("key, value", [("data.dims", 8), ("data.classes", 3)],
+                         ids=["more-features", "more-classes"])
+def test_eval_with_a_dataset_that_does_not_fit_the_checkpoint_names_both_files(
+        tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 3}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    other = write_config(tmp_path, tiny_config(**{key: value}), name="other.json")
+    data_path = tmp_path / "other.dsv"
+    assert main(["gen-data", "--config", other, "--out", str(data_path)]) == 0
+    capsys.readouterr()
+    cp = out / "checkpoint.json"
+    assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset {data_path} " in err and f"checkpoint {cp} " in err, err
+
+
+# -- finished outputs ----------------------------------------------------------------
+
+
+def test_a_failed_output_write_leaves_the_old_file_and_no_other(tmp_path, monkeypatch):
+    # summary.json, the metrics CSVs of a baseline and of sweep cells, and
+    # aggregate.csv are replaced whole: a write that fails leaves the old bytes
+    from metalabel.harness import EpochRow, write_metrics_csv
+
+    summary, metrics = tmp_path / "summary.json", tmp_path / "metrics.csv"
+    cli_mod._write_summary(str(summary), {"test_accuracy": 0.5})
+    write_metrics_csv([EpochRow(0, "warmup", *[0.5] * 10)], str(metrics))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(TypeError):
+        cli_mod._write_summary(str(summary), {"test_accuracy": object()})
+    with pytest.raises(ValueError):
+        write_metrics_csv([EpochRow(1, "warmup", *["not a float"] * 10)], str(metrics))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    sweep = {"schema_version": 1, "base": tiny_config(**{"train.total_epochs": 3}),
+             "grid": {"seed": [0]}}
+    cfg_path = write_config(tmp_path, sweep, "sweep.json")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    files, aggregate = sorted(out.rglob("*")), (out / "aggregate.csv").read_bytes()
+
+    def fail(rows):  # only aggregate.csv; the cell files are written again
+        raise RuntimeError("serialisation failed")
+
+    monkeypatch.setattr(cli_mod, "csv_text", fail)
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        cli_mod.cmd_sweep(cli_mod.build_parser().parse_args(
+            ["sweep", "--config", cfg_path, "--out", str(out)]))
+    assert sorted(out.rglob("*")) == files
+    assert (out / "aggregate.csv").read_bytes() == aggregate
+
+
 # -- sweep -------------------------------------------------------------------------
 
 

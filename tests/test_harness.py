@@ -63,6 +63,11 @@ def test_config_validation_errors():
         small_config(train_frac=0.9)  # fractions no longer sum to 1
     with pytest.raises(ConfigError):
         small_config(unlabeled_fraction=1.0)
+    for change, name in [({"hidden": [0]}, "model.hidden"), ({"hidden": [8, -3]}, "model.hidden"),
+                         ({"oracle_epochs": -2}, "train.oracle_epochs")]:
+        with pytest.raises(ConfigError, match=name):
+            small_config(**change)
+    assert small_config(hidden=[], oracle_epochs=0).hidden == []  # no hidden layer is valid
 
 
 def test_config_dict_roundtrip_and_unknown_keys():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -286,13 +287,20 @@ def test_optimizer_shape_mismatch_raises():
 
 
 def test_optimizer_state_roundtrip():
-    opt = Adam((2, 2), lr=0.05)
-    opt.step(np.ones((2, 2)), np.full((2, 2), 0.3))
-    clone = Adam((2, 2), lr=0.05)
-    clone.load_state(opt.state())
-    a = opt.step(np.ones((2, 2)), np.full((2, 2), 0.1))
-    b = clone.step(np.ones((2, 2)), np.full((2, 2), 0.1))
-    assert np.array_equal(a, b)
+    # an optimizer read back from its checkpoint JSON steps exactly as the original
+    from metalabel.harness import _opt_from_json, _opt_to_json
+
+    rng = np.random.default_rng(0)
+    net = init_mlp([3, 4, 2], rng)
+    for kind in ("sgd-momentum", "adam"):
+        opt = make_optimizer(kind, net.flat.shape, lr=0.05, weight_decay=3e-4)
+        p = opt.step(net.flat, rng.normal(size=net.flat.shape))
+        clone = _opt_from_json(json.loads(json.dumps(_opt_to_json(opt, net))), net)
+        assert type(clone) is type(opt) and clone.step_count == opt.step_count == 1
+        g = rng.normal(size=net.flat.shape)
+        assert np.array_equal(opt.step(p, g), clone.step(p, g))
+        for k in opt.BUFFERS:
+            assert np.array_equal(getattr(opt, k), getattr(clone, k))
 
 
 def _per_array_step(kind, arrays, grads, bufs, t, lr=0.05, wd=1e-4):
