@@ -234,6 +234,9 @@ def cmd_sweep(args) -> int:
     if grid is not None:
         if not isinstance(grid, dict) or not grid:
             raise ConfigError("sweep grid must be a non-empty object")
+        for key, values in grid.items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"sweep grid {key!r} must be a non-empty list of values")
         keys = sorted(grid)
         cells = [list(zip(keys, combo))
                  for combo in itertools.product(*(grid[k] for k in keys))]
@@ -242,7 +245,9 @@ def cmd_sweep(args) -> int:
             raise ConfigError("sweep cells must be a non-empty list of override objects")
         keys_seen: set[str] = set()
         cells = []
-        for c in explicit:
+        for i, c in enumerate(explicit):
+            if not isinstance(c, dict):
+                raise ConfigError(f"sweep cell {i} must be an object of overrides")
             cells.append(sorted(c.items()))
             keys_seen.update(c)
         keys = sorted(keys_seen)

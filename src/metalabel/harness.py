@@ -8,11 +8,12 @@ and a checkpoint, which is the run state serialised, restores it exactly.
 
 Lanes: the epoch loop `_train` trains a group of runs in lockstep, each run a lane
 of one stacked trajectory (see `nn`), and a solo run is a group of one.
-Every lane keeps its own RunState: its RNG (permutations are drawn per lane
-and gathered into (S, batch) positions), its meta sampler, its model
-selection, log and checkpoint. At each epoch the lanes' parameters and
-optimizer buffers are stacked, trained, and split back into the RunStates,
-so between epochs a lane is exactly the run it would be alone.
+Every lane keeps its own RunState: its RNG (each epoch's permutations are
+drawn per lane before its first batch and sliced into (S, batch)
+positions), its model selection, log and checkpoint. At each epoch the
+lanes' parameters and optimizer buffers are stacked, trained, and split
+back into the RunStates, so between epochs a lane is exactly the run it
+would be alone.
 `run_experiments` groups compatible configs, up to LANES_MAX lanes a group.
 """
 
@@ -575,13 +576,42 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
             log=[EpochRow(**r) for r in blob["log"]])
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
-    g, ex = st.labeler, st.extractor
-    if g is not None and (g.in_dim != ex.n_features or g.out_dim != st.theta.out_dim):
-        raise ValueError(f"checkpoint {path} is malformed: the generator maps {g.in_dim} "
-                         f"features to {g.out_dim} classes, but the extractor gives "
-                         f"{ex.n_features} features and the classifier has "
-                         f"{st.theta.out_dim} classes")
+    why = _malformation(st, cfg)
+    if why is not None:
+        raise ValueError(f"checkpoint {path} is malformed: {why}")
     return st
+
+
+def _malformation(st: RunState, cfg: TrainConfig | None) -> str | None:
+    """Why a decoded run state is not one that training (under cfg, when
+    given) writes, or None."""
+    n, g, ex = st.epoch_next, st.labeler, st.extractor
+    ints = (("epoch_next", n, 0), ("best_epoch", st.best_epoch, -1),
+            ("opt_theta.step_count", st.opt_theta.step_count, 0),
+            ("opt_phi.step_count", 0 if st.opt_phi is None else st.opt_phi.step_count, 0))
+    for name, v, low in ints:
+        if type(v) is not int or v < low:  # a bool is an int to isinstance
+            return f"{name} must be an integer >= {low}, got {v!r}"
+    if [r.epoch for r in st.log] != list(range(n)):
+        return f"epoch_next {n} needs a log of epochs 0 to {n - 1}, got {len(st.log)} rows"
+    if any(type(getattr(r, c)) is not float for r in st.log for c in METRICS_COLUMNS[2:]):
+        return f"log values from {METRICS_COLUMNS[2]} on must be floats"
+    if not min(n, 1) - 1 <= st.best_epoch < n:  # -1 only before the first epoch
+        return f"best_epoch {st.best_epoch} is not a logged epoch"
+    if cfg is not None and n > cfg.total_epochs:
+        return f"epoch_next {n} is past train.total_epochs {cfg.total_epochs}"
+    if cfg is not None and (ex is not None) != (n > cfg.warmup_epochs):
+        return (f"{', '.join(_PHASE2_KEYS)} must be {'set' if ex is None else 'null'} at "
+                f"epoch_next {n}, phase 2 starting at epoch {cfg.warmup_epochs}")
+    if ex is not None and ex.mode not in EXTRACTOR_MODES:
+        return f"extractor mode {ex.mode!r} is not one of {EXTRACTOR_MODES}"
+    if ex is not None and ex.in_dim != st.theta.in_dim:
+        return f"the extractor reads {ex.in_dim} features, the classifier {st.theta.in_dim}"
+    if g is not None and (g.in_dim != ex.n_features or g.out_dim != st.theta.out_dim):
+        return (f"the generator maps {g.in_dim} features to {g.out_dim} classes, but the "
+                f"extractor gives {ex.n_features} features and the classifier has "
+                f"{st.theta.out_dim} classes")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +644,22 @@ def _unstack(sts: list[RunState], **stacked) -> None:
             setattr(st, name, value if len(sts) == 1 else value.lane(s))
 
 
-def _epoch(n_rows: int, batch_size: int, rngs: list[np.random.Generator], where: str,
-           step) -> np.ndarray:
-    """One pass over n_rows rows in a fresh shuffled order per lane (drawn
-    from that lane's rng): `step(positions)` trains every lane on one batch,
-    positions an (S, batch) array, and returns k losses per lane. Returns
-    the batch-mean losses, (k, S). A failure is restated as "where, batch
-    B: ..."; a divergence keeps its type (and exit code), anything else
-    becomes a RuntimeError."""
-    order = np.array([rng.permutation(n_rows) for rng in rngs])
+def _epoch(plan: tuple[np.ndarray, ...], batch_size: int, where: str, step) -> np.ndarray:
+    """One pass over an epoch's drawn plan, each member an (S, n_rows) array
+    of positions: `step(*columns)` trains every lane on one batch, given the
+    same (S, batch) column slice of each member, and returns k losses per
+    lane. Returns the batch-mean losses, (k, S). A failure is restated as
+    "where, batch B: ..."; a divergence keeps its type (and exit code),
+    anything else becomes a RuntimeError."""
+    lanes, n_rows = plan[0].shape
     sums, batches = 0.0, 0
     for start in range(0, n_rows, batch_size):
         try:
-            losses = step(order[:, start:start + batch_size])
+            losses = step(*(p[:, start:start + batch_size] for p in plan))
         except Exception as e:
             kind = DivergenceError if isinstance(e, DivergenceError) else RuntimeError
             raise kind(f"{where}, batch {batches}: {e}") from e
-        sums = sums + np.asarray(losses).reshape(-1, len(rngs))
+        sums = sums + np.asarray(losses).reshape(-1, lanes)
         batches += 1
     return sums / batches
 
@@ -650,7 +679,8 @@ def _ce_epoch(sts: list[RunState], sources: list[tuple], batch_size: int,
         theta, loss = ce_step(theta, x, y, opt)
         return (loss,)
 
-    losses = _epoch(sources[0][1].size, batch_size, [st.rng for st in sts], where, step)[0]
+    order = np.array([st.rng.permutation(sources[0][1].size) for st in sts])
+    losses = _epoch((order,), batch_size, where, step)[0]
     _unstack(sts, theta=theta, opt_theta=opt)
     return losses
 
@@ -661,29 +691,6 @@ def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if idx.size == 0:
         raise ValueError("no labeled train rows")
     return ds.x, idx, ds.train_labels(idx)
-
-
-class _MetaSampler:
-    """Cycles an epoch-shuffled order over the n rows of the meta split and
-    returns positions in it; the first order is drawn at the first draw."""
-
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.n = n
-        self.rng = rng
-        self.order = np.arange(0)
-        self.cursor = 0
-
-    def draw(self, n: int) -> np.ndarray:
-        parts = []
-        while n > 0:
-            if self.cursor == self.order.size:
-                self.order = self.rng.permutation(self.n)
-                self.cursor = 0
-            take = min(n, self.order.size - self.cursor)
-            parts.append(self.order[self.cursor:self.cursor + take])
-            self.cursor += take
-            n -= take
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _Phase2Rows(typing.NamedTuple):
@@ -724,15 +731,20 @@ class _Phase2Rows(typing.NamedTuple):
 def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Rows],
                   lam: float, where: str) -> np.ndarray:
     """One phase-2 epoch of every lane: per batch the meta step, then the
-    classifier step. Returns the batch-mean (L_c, L_e, L_meta, similarity)
-    per lane, (4, S)."""
+    classifier step. Each lane's rng draws the epoch's plan before the first
+    batch: a permutation of the train rows, then as many permutations of the
+    meta rows, one after another, as cover the train rows, cut at their
+    count, so every batch pairs train rows with as many meta rows. Returns
+    the batch-mean (L_c, L_e, L_meta, similarity) per lane, (4, S)."""
     theta, opt_theta = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
     labeler, opt_phi = _stacked(sts, "labeler"), _stacked(sts, "opt_phi")
-    samplers = [_MetaSampler(inp.meta_rows.size, st.rng) for inp, st in zip(inputs, sts)]
+    n, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
+    order = np.array([st.rng.permutation(n) for st in sts])
+    meta = np.array([np.concatenate([st.rng.permutation(n_meta)
+                                     for _ in range(-(-n // n_meta))])[:n] for st in sts])
 
-    def step(pos):
+    def step(pos, m):
         nonlocal theta, labeler
-        m = [sampler.draw(pos.shape[1]) for sampler in samplers]
         x = stack_lanes([inp.x[inp.rows[p]] for inp, p in zip(inputs, pos)])
         v = stack_lanes([inp.feats[p] for inp, p in zip(inputs, pos)])
         mx = stack_lanes([inp.x[inp.meta_rows[i]] for inp, i in zip(inputs, m)])
@@ -743,7 +755,7 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
                                           use_entropy=cfg.entropy_loss)
         return lc, le, report.meta_loss, report.mean_similarity
 
-    losses = _epoch(inputs[0].rows.size, cfg.batch_size, [st.rng for st in sts], where, step)
+    losses = _epoch((order, meta), cfg.batch_size, where, step)
     _unstack(sts, theta=theta, opt_theta=opt_theta, labeler=labeler, opt_phi=opt_phi)
     return losses
 
@@ -840,12 +852,13 @@ class ExperimentResult:
 
 
 def _result(ln: _Lane) -> ExperimentResult:
+    """The run's outcome; both test accuracies are the logged ones, of the
+    classifier kept at best_epoch and of the last epoch's."""
     st = ln.st
     return ExperimentResult(
         config=ln.cfg, log=st.log, theta_best=st.theta_best, theta_final=st.theta,
         labeler=st.labeler, best_epoch=st.best_epoch, best_meta_acc=st.best_meta_acc,
-        test_acc_selected=evaluate(st.theta_best, ln.ds, dt.TEST),
-        test_acc_final=evaluate(st.theta, ln.ds, dt.TEST))
+        test_acc_selected=st.log[st.best_epoch].test_acc, test_acc_final=st.log[-1].test_acc)
 
 
 def _check_meta_size(cfg: TrainConfig, ds: Dataset) -> None:

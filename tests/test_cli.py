@@ -448,6 +448,58 @@ def test_checkpoint_with_part_of_the_phase2_state_is_usage_error_naming_the_file
     assert f"checkpoint {cp} is malformed" in err and key in err
 
 
+def _cut_log(blob, n, best):
+    blob.update(epoch_next=n, log=blob["log"][:n], best_epoch=best)
+
+
+def _phase2_null(blob):
+    blob.update(extractor=None, labeler=None, opt_phi=None)
+
+
+@pytest.mark.parametrize("edit, word", [
+    (lambda b: b.update(epoch_next="2"), "epoch_next"),
+    (lambda b: b.update(epoch_next=True), "epoch_next"),
+    (lambda b: b.update(epoch_next=99), "epoch_next"),
+    (lambda b: b.update(epoch_next=-5), "epoch_next"),
+    (lambda b: b.update(best_epoch="x"), "best_epoch"),
+    (lambda b: b.update(best_epoch=4), "best_epoch"),
+    (lambda b: b.update(best_epoch=-1), "best_epoch"),
+    (lambda b: b["opt_theta"].update(step_count="3"), "step_count"),
+    (lambda b: b["opt_phi"].update(step_count=True), "step_count"),
+    (lambda b: b["extractor"].update(mode="bogus"), "mode"),
+    (lambda b: b["extractor"].update(in_dim=7), "extractor reads 7"),
+    (lambda b: b.update(log=b["log"][:1], epoch_next=2), "log"),
+    (lambda b: b.update(log=b["log"][:3]), "log"),
+    (lambda b: b["log"][1].update(epoch=2), "log"),
+    (lambda b: b["log"][3].update(test_acc="x"), "log values"),
+    (lambda b: b["log"][3].update(meta_acc=None), "log values"),
+    (_phase2_null, "must be set"),
+    (lambda b: _cut_log(b, 2, 1), "must be null"),
+], ids=["epoch_next-a-string", "epoch_next-a-bool", "epoch_next-past-the-run",
+        "epoch_next-negative", "best_epoch-a-string", "best_epoch-not-yet-run",
+        "best_epoch-none-after-epochs", "step_count-a-string", "step_count-a-bool",
+        "extractor-mode-unknown", "extractor-in_dim-not-the-classifiers",
+        "log-shorter-than-epoch_next", "log-missing-its-last-row", "log-epochs-out-of-order",
+        "log-value-a-string", "log-value-null",
+        "phase2-members-missing-after-warmup", "phase2-members-before-phase2"])
+def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file(
+        tmp_path, capsys, edit, word):
+    # a finished run of 2 warm-up and 2 phase-2 epochs, one field edited
+    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 4}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    cp = out / "checkpoint.json"
+    blob = json.loads(cp.read_text())
+    edit(blob)
+    cp.write_text(json.dumps(blob))
+    metrics = (out / "metrics.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {cp} is malformed" in err and word in err, err
+    assert (out / "metrics.csv").read_bytes() == metrics
+
+
 # -- gradcheck ----------------------------------------------------------------------
 
 
@@ -638,6 +690,24 @@ def test_sweep_rejects_cells_sharing_a_directory(tmp_path, capsys, sweep):
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
     assert "same directory" in capsys.readouterr().err
     assert not out.exists()  # rejected before any cell ran
+
+
+@pytest.mark.parametrize("sweep, name", [
+    ({"cells": [3]}, "sweep cell 0"),
+    ({"cells": [{"seed": 1}, ["seed", 2]]}, "sweep cell 1"),
+    ({"grid": {"seed": 3}}, "sweep grid 'seed'"),
+    ({"grid": {"seed": []}}, "sweep grid 'seed'"),
+    ({"grid": {"data.path": "ab"}}, "sweep grid 'data.path'"),  # not the paths "a" and "b"
+], ids=["cell-a-number", "cell-a-list", "grid-value-a-number", "grid-value-empty",
+        "grid-value-a-string"])
+def test_sweep_config_of_the_wrong_shape_is_usage_error_naming_the_key(
+        tmp_path, capsys, sweep, name):
+    cfg_path = write_config(tmp_path, {"schema_version": 1, "base": tiny_config(), **sweep},
+                            "sweep.json")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_failing_cell_keeps_the_others_and_reports_status(tmp_path, capsys):

@@ -498,6 +498,45 @@ def test_a_failed_checkpoint_write_leaves_the_last_checkpoint_and_no_other_file(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
 
+@pytest.mark.parametrize("seeds", [[4], [4, 5]], ids=["solo", "two-lanes"])
+def test_a_phase2_epoch_draws_the_train_order_then_the_meta_orders(monkeypatch, seeds):
+    # per lane, the run RNG gives one permutation of the train rows, then
+    # permutations of the meta rows, one after another, cut into the batches;
+    # 336 train rows and 72 meta rows: the fifth meta order is cut, and
+    # batches of 32 straddle the meta orders and end with a short batch
+    import metalabel.harness as hmod
+
+    cfgs = [small_config(seed=s, noise_kind="uniform", train_frac=0.7, meta_frac=0.15,
+                         test_frac=0.15, warmup_epochs=1, total_epochs=2) for s in seeds]
+    dss = [build_dataset(c) for c in cfgs]
+    lanes = [hmod._Lane(c, ds, hmod.RunState.fresh(c, ds)) for c, ds in zip(cfgs, dss)]
+    hmod._train(lanes, 1, True)
+    inputs = [hmod._Phase2Rows.of(c, ln) for c, ln in zip(cfgs, lanes)]
+    n_train, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
+    assert (n_train, n_meta) == (336, 72)
+    rngs = [copy.deepcopy(ln.st.rng) for ln in lanes]
+    seen = []
+    real_step = hmod.meta_step
+
+    def recording(labeler, theta, x, v, mx, *args, **kw):
+        seen.append((x, mx))
+        return real_step(labeler, theta, x, v, mx, *args, **kw)
+
+    monkeypatch.setattr(hmod, "meta_step", recording)
+    hmod._phase2_epoch(cfgs[0], [ln.st for ln in lanes], inputs, 1e-2, "epoch 1")
+    assert len(seen) == math.ceil(n_train / cfgs[0].batch_size)
+    for s, (rng, inp, ln) in enumerate(zip(rngs, inputs, lanes)):
+        order = rng.permutation(n_train)
+        meta = np.concatenate([rng.permutation(n_meta) for _ in range(5)])[:n_train]
+        assert rng.bit_generator.state == ln.st.rng.bit_generator.state  # nothing more
+        for b, (x, mx) in enumerate(seen):
+            cut = slice(b * cfgs[0].batch_size, (b + 1) * cfgs[0].batch_size)
+            if len(lanes) > 1:
+                x, mx = x[s], mx[s]
+            assert np.array_equal(x, inp.x[inp.rows[order[cut]]])
+            assert np.array_equal(mx, inp.x[inp.meta_rows[meta[cut]]])
+
+
 def test_a_phase2_batch_runs_two_classifier_forward_passes(monkeypatch):
     # theta on the train batch, shared by the meta step and the classifier
     # step, and theta_hat on the meta batch
