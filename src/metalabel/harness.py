@@ -24,6 +24,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 import types
 import typing
@@ -33,7 +34,14 @@ import numpy as np
 
 from . import data as dt
 from .data import Dataset, load_dataset
-from .meta import EXTRACTOR_MODES, FeatureExtractor, ce_step, conventional_step, meta_step
+from .meta import (
+    EXTRACTOR_MODES,
+    FeatureExtractor,
+    MetaWork,
+    ce_step,
+    conventional_step,
+    meta_step,
+)
 from .nn import (
     OPTIMIZERS,
     DivergenceError,
@@ -92,6 +100,11 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _finite(number) -> bool:
+    """Whether a JSON number is finite; an int always is, however large."""
+    return not isinstance(number, float) or math.isfinite(number)
+
+
 @dataclass
 class TrainConfig:
     seed: int = 0
@@ -133,6 +146,8 @@ class TrainConfig:
             if not _conforms(value, hint):
                 raise ConfigError(f"{_WIRE_NAME[name]} must be "
                                   f"{type(self).__annotations__[name]}, got {value!r}")
+            if hint is float and not _finite(value):
+                raise ConfigError(f"{_WIRE_NAME[name]} must be finite, got {value!r}")
         if not 0 <= self.warmup_epochs < self.total_epochs:
             raise ConfigError(
                 f"train.warmup_epochs must satisfy 0 <= warmup < total "
@@ -140,6 +155,8 @@ class TrainConfig:
         sched = self.lr_schedule
         if any(len(pair) != 2 for pair in sched):
             raise ConfigError("train.lr_schedule entries must be [epoch, rate] pairs")
+        if not all(_finite(v) for pair in sched for v in pair):
+            raise ConfigError(f"train.lr_schedule epochs and rates must be finite, got {sched}")
         if not sched or sched[0][0] != 0:
             raise ConfigError("train.lr_schedule must start at epoch 0")
         epochs = [int(e) for e, _ in sched]
@@ -171,6 +188,8 @@ class TrainConfig:
             raise ConfigError(f"train.oracle_epochs must be >= 0, got {self.oracle_epochs}")
         if self.meta_lr < 0 or self.inner_lr < 0:
             raise ConfigError("learning rates must be non-negative")
+        if self.weight_decay < 0:
+            raise ConfigError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
 
     # -- JSON wire format (nested sections, unknown keys rejected) ---------
 
@@ -234,6 +253,7 @@ class EpochRow:
 
 
 METRICS_COLUMNS = [f.name for f in fields(EpochRow)]
+_ACCURACIES = ("train_acc", "meta_acc", "test_acc")
 
 
 def metrics_row(r: EpochRow) -> list:
@@ -574,7 +594,7 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
             opt_phi=None if blob["opt_phi"] is None else _opt_from_json(blob["opt_phi"], g),
             rng=rng,
             log=[EpochRow(**r) for r in blob["log"]])
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
     why = _malformation(st, cfg)
     if why is not None:
@@ -592,12 +612,21 @@ def _malformation(st: RunState, cfg: TrainConfig | None) -> str | None:
     for name, v, low in ints:
         if type(v) is not int or v < low:  # a bool is an int to isinstance
             return f"{name} must be an integer >= {low}, got {v!r}"
-    if [r.epoch for r in st.log] != list(range(n)):
+    # the length first: a range of a huge epoch_next would exhaust memory
+    if len(st.log) != n or [r.epoch for r in st.log] != list(range(n)):
         return f"epoch_next {n} needs a log of epochs 0 to {n - 1}, got {len(st.log)} rows"
     if any(type(getattr(r, c)) is not float for r in st.log for c in METRICS_COLUMNS[2:]):
         return f"log values from {METRICS_COLUMNS[2]} on must be floats"
+    for r in st.log:
+        for c in _ACCURACIES:
+            if not 0.0 <= getattr(r, c) <= 1.0:  # NaN fails too
+                return f"log epoch {r.epoch}: {c} {getattr(r, c)!r} is not in [0, 1]"
     if not min(n, 1) - 1 <= st.best_epoch < n:  # -1 only before the first epoch
         return f"best_epoch {st.best_epoch} is not a logged epoch"
+    best = st.log[st.best_epoch].meta_acc if n else -1.0
+    if st.best_meta_acc != best:  # NaN fails too
+        return (f"best_meta_acc {st.best_meta_acc!r} is not the meta_acc {best!r} "
+                f"of best_epoch {st.best_epoch}")
     if cfg is not None and n > cfg.total_epochs:
         return f"epoch_next {n} is past train.total_epochs {cfg.total_epochs}"
     if cfg is not None and (ex is not None) != (n > cfg.warmup_epochs):
@@ -664,6 +693,13 @@ def _epoch(plan: tuple[np.ndarray, ...], batch_size: int, where: str, step) -> n
     return sums / batches
 
 
+def _other(pair: tuple[Mlp, Mlp], net: Mlp) -> Mlp:
+    """The member of a pair of step buffers that is not `net`: a step reads
+    the current network and writes the next into the other, so the two
+    alternate and the network an epoch starts from is never written."""
+    return pair[1] if net is pair[0] else pair[0]
+
+
 def _ce_epoch(sts: list[RunState], sources: list[tuple], batch_size: int,
               where: str) -> np.ndarray:
     """One epoch of cross-entropy steps of each lane's classifier: lane s
@@ -671,12 +707,13 @@ def _ce_epoch(sts: list[RunState], sources: list[tuple], batch_size: int,
     (x, rows, labels). Warm-up, baseline and margin oracle. Returns the
     batch-mean loss per lane."""
     theta, opt = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
+    grad, thetas = theta.blank(), (theta.blank(), theta.blank())
 
     def step(pos):
         nonlocal theta
         x = stack_lanes([x[rows[p]] for (x, rows, _), p in zip(sources, pos)])
         y = stack_lanes([y[p] for (_, _, y), p in zip(sources, pos)])
-        theta, loss = ce_step(theta, x, y, opt)
+        theta, loss = ce_step(theta, x, y, opt, grad=grad, out=_other(thetas, theta))
         return (loss,)
 
     order = np.array([st.rng.permutation(sources[0][1].size) for st in sts])
@@ -734,10 +771,13 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
     classifier step. Each lane's rng draws the epoch's plan before the first
     batch: a permutation of the train rows, then as many permutations of the
     meta rows, one after another, as cover the train rows, cut at their
-    count, so every batch pairs train rows with as many meta rows. Returns
-    the batch-mean (L_c, L_e, L_meta, similarity) per lane, (4, S)."""
+    count, so every batch pairs train rows with as many meta rows. The
+    networks a batch writes are bound once here, so a batch builds none.
+    Returns the batch-mean (L_c, L_e, L_meta, similarity) per lane, (4, S)."""
     theta, opt_theta = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
     labeler, opt_phi = _stacked(sts, "labeler"), _stacked(sts, "opt_phi")
+    work, grad = MetaWork.like(theta, labeler), theta.blank()
+    thetas, labelers = (theta.blank(), theta.blank()), (labeler.blank(), labeler.blank())
     n, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
     order = np.array([st.rng.permutation(n) for st in sts])
     meta = np.array([np.concatenate([st.rng.permutation(n_meta)
@@ -750,9 +790,11 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
         mx = stack_lanes([inp.x[inp.meta_rows[i]] for inp, i in zip(inputs, m)])
         my = stack_lanes([inp.meta_y[i] for inp, i in zip(inputs, m)])
         labeler, report, fwd = meta_step(labeler, theta, x, v, mx, my,
-                                         inner_lr=cfg.inner_lr, optimizer=opt_phi)
+                                         inner_lr=cfg.inner_lr, optimizer=opt_phi,
+                                         work=work, out=_other(labelers, labeler))
         theta, lc, le = conventional_step(theta, labeler, fwd, v, lam, opt_theta,
-                                          use_entropy=cfg.entropy_loss)
+                                          use_entropy=cfg.entropy_loss, grad=grad,
+                                          out=_other(thetas, theta))
         return lc, le, report.meta_loss, report.mean_similarity
 
     losses = _epoch((order, meta), cfg.batch_size, where, step)
@@ -762,11 +804,16 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
 
 def _label_drift(after: Mlp, before: Mlp, feats: np.ndarray) -> np.ndarray:
     """|softmax(after) - softmax(before)| on every row of feats, per class.
-    The soft labels before an epoch are recomputed, not kept, and one lane's
-    drift at a time is all the memory this needs. One piece: the generator
-    is a narrow product (map_row_blocks)."""
-    return np.abs(softmax(mlp_logits(after.layers, feats))
-                  - softmax(mlp_logits(before.layers, feats)))
+    The soft labels before an epoch are recomputed, not kept. Each softmax
+    runs in place on its logits, and the difference and its magnitude in
+    place on the first, so this holds two (rows, classes) arrays at most.
+    Each generator's logits are one piece: the generator is a narrow
+    product (map_row_blocks)."""
+    drift = mlp_logits(after.layers, feats)
+    softmax(drift, out=drift)
+    prior = mlp_logits(before.layers, feats)
+    drift -= softmax(prior, out=prior)
+    return np.abs(drift, out=drift)
 
 
 def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
@@ -803,9 +850,10 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
             epoch_losses = _phase2_epoch(cfg, sts, inputs, lam, f"epoch {epoch}")
             losses = []
             for s, (st, inp) in enumerate(zip(sts, inputs)):
-                diff = _label_drift(st.labeler, before[s], inp.feats)
+                drift = _label_drift(st.labeler, before[s], inp.feats)
                 losses.append([float(v) for v in epoch_losses[:, s]]
-                              + [float(diff.mean()), float(diff.var())])
+                              + [float(drift.mean()), float(drift.var())])
+                del drift  # one lane's drift at a time, and none while evaluate runs
 
         accs = [[evaluate(ln.st.theta, ln.ds, split) for split in (dt.TRAIN, dt.META, dt.TEST)]
                 for ln in lanes]

@@ -25,6 +25,11 @@ for the inner gradient and the forward-mode pass, and returns it;
 The batch runs two classifier forward passes in all: theta on the train
 batch and theta_hat on the meta batch.
 
+Buffers: a batch loop binds its networks once (`MetaWork` for the meta
+gradient, a gradient and the stepped network for each step) and passes
+them in, so a batch builds no network; each step writes every entry of a
+buffer before it reads it. A step given none allocates its own.
+
 Lanes: the generator, the classifier and the batches may carry leading lane
 axes (see `nn`), and every step then advances all lanes at once. Losses are
 reduced over axes (-1, -2), so a step's losses and report fields are arrays
@@ -109,6 +114,20 @@ class MetaStepReport:
 # the training steps (numpy kernels)
 
 
+class MetaWork(NamedTuple):
+    """The networks the meta gradient writes: the inner gradient, theta_hat
+    and g, shaped like the classifier, and the generator's gradient."""
+
+    inner: Mlp
+    hat: Mlp
+    g: Mlp
+    phi_grad: Mlp
+
+    @classmethod
+    def like(cls, theta: Mlp, labeler: Mlp) -> "MetaWork":
+        return cls(theta.blank(), theta.blank(), theta.blank(), labeler.blank())
+
+
 class ClassifierPass(NamedTuple):
     """The classifier's forward pass at theta on a train batch: each layer's
     input (acts[0] is the batch), the rectifier masks, and row-wise log p
@@ -149,11 +168,12 @@ def _lane_vdot(xs: list[np.ndarray], ys: list[np.ndarray]):
 
 
 def meta_gradient(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
-                  meta_x: np.ndarray, meta_y_onehot: np.ndarray, *,
-                  inner_lr: float) -> tuple[Mlp, MetaStepReport, ClassifierPass]:
+                  meta_x: np.ndarray, meta_y_onehot: np.ndarray, *, inner_lr: float,
+                  work: MetaWork | None = None) -> tuple[Mlp, MetaStepReport, ClassifierPass]:
     """Gradient of the meta loss through the virtual update with respect to
-    the generator's parameters (a network of the generator's shape), the
-    step report, and the classifier's pass at theta on x; no graph is built.
+    the generator's parameters (`work.phi_grad`), the step report, and the
+    classifier's pass at theta on x; no graph is built. Without `work`,
+    its networks are new.
 
     Passes: forward at theta on x and backward (the inner gradient), forward
     and backward at theta_hat on the meta batch (g), one forward-mode pass
@@ -164,24 +184,27 @@ def meta_gradient(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
     n = x.shape[-2]
     if meta_x.shape[-2] != n:
         raise ValueError(f"meta batch size {meta_x.shape[-2]} != train batch size {n}")
+    work = MetaWork.like(theta, labeler) if work is None else work
     log_q, q = log_softmax(mlp_logits(labeler.layers, v))
 
     fwd = classifier_pass(theta, x)
     acts, masks, p = fwd.acts, fwd.masks, fwd.p
-    inner = mlp_backward(theta, acts, masks, _soft_label_dz(p, fwd.log_p - log_q) / n)
+    inner = mlp_backward(theta, acts, masks, _soft_label_dz(p, fwd.log_p - log_q) / n,
+                         out=work.inner)
     if not np.isfinite(inner.flat).all():
         raise DivergenceError("diverged: non-finite gradient in virtual update")
 
-    hat = theta.with_params(theta.flat - inner_lr * inner.flat)
+    hat = work.hat
+    np.subtract(theta.flat, inner_lr * inner.flat, out=hat.flat)
     z_hat, acts_hat, masks_hat = mlp_forward(hat.layers, meta_x)
     log_p_hat, p_hat = log_softmax(z_hat)
     l_meta = -np.add.reduce(meta_y_onehot * log_p_hat, axis=(-1, -2)) / n
-    g = mlp_backward(hat, acts_hat, masks_hat, (p_hat - meta_y_onehot) / n)
+    g = mlp_backward(hat, acts_hat, masks_hat, (p_hat - meta_y_onehot) / n, out=work.g)
 
     dz = mlp_jvp(theta.layers, acts, masks, g.params())
     jac = p * (dz - np.add.reduce(p * dz, axis=-1, keepdims=True))
     big_g = (inner_lr / n) * (jac - q * np.add.reduce(jac, axis=-1, keepdims=True))
-    phi_grad = mlp_backward(labeler, [v], [], big_g)
+    phi_grad = mlp_backward(labeler, [v], [], big_g, out=work.phi_grad)
 
     phi_arrays = phi_grad.params()
     report = MetaStepReport(meta_loss=l_meta,
@@ -192,23 +215,30 @@ def meta_gradient(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
 
 def meta_step(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
               meta_x: np.ndarray, meta_y_onehot: np.ndarray, *,
-              inner_lr: float, optimizer) -> tuple[Mlp, MetaStepReport, ClassifierPass]:
+              inner_lr: float, optimizer, work: MetaWork | None = None,
+              out: Mlp | None = None) -> tuple[Mlp, MetaStepReport, ClassifierPass]:
     """Update the generator by the gradient of the meta loss through the
-    virtual update (`meta_gradient`). The classifier is not modified, so the
-    pass at theta on x it returns is the one `conventional_step` takes.
+    virtual update (`meta_gradient`, on `work`), into `out` (not the
+    generator itself) or a new network. The classifier is not modified, so
+    the pass at theta on x it returns is the one `conventional_step` takes.
 
     The optimizer's learning rate is the meta step size.
     """
     phi_grad, report, fwd = meta_gradient(labeler, theta, x, v, meta_x, meta_y_onehot,
-                                          inner_lr=inner_lr)
-    return labeler.with_params(optimizer.step(labeler.flat, phi_grad.flat)), report, fwd
+                                          inner_lr=inner_lr, work=work)
+    out = labeler.blank() if out is None else out
+    optimizer.step(labeler.flat, phi_grad.flat, out=out.flat)
+    return out, report, fwd
 
 
 def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
                       v: np.ndarray, lam: float, optimizer, *,
-                      use_entropy: bool = True) -> tuple[Mlp, float, float]:
+                      use_entropy: bool = True, grad: Mlp | None = None,
+                      out: Mlp | None = None) -> tuple[Mlp, float, float]:
     """Momentum-SGD step of the classifier on regenerated soft labels, at
-    fwd = `classifier_pass(theta, x)` (as `meta_step` returns it).
+    fwd = `classifier_pass(theta, x)` (as `meta_step` returns it). The
+    gradient goes into `grad` and the stepped classifier into `out` (not
+    theta itself), each a new network when not given.
 
     Labels come from the freshly updated generator and act as constants;
     the loss is the KL classification term plus (optionally) the entropy
@@ -225,15 +255,18 @@ def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
     # KL plus entropy is the cross-entropy -sum(p log q)
     dz = _soft_label_dz(p, -log_q if use_entropy else log_p - log_q) / n
     optimizer.lr = lam
-    grad = mlp_backward(theta, fwd.acts, fwd.masks, dz)
-    return theta.with_params(optimizer.step(theta.flat, grad.flat)), l_c, l_e
+    grad = mlp_backward(theta, fwd.acts, fwd.masks, dz, out=grad)
+    out = theta.blank() if out is None else out
+    optimizer.step(theta.flat, grad.flat, out=out.flat)
+    return out, l_c, l_e
 
 
-def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
-            optimizer) -> tuple[Mlp, float]:
+def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray, optimizer, *,
+            grad: Mlp | None = None, out: Mlp | None = None) -> tuple[Mlp, float]:
     """One optimizer step of batch-mean cross-entropy on hard class labels
     (warm-up, baseline and margin oracle); labels has x's leading axes.
-    Returns (theta', loss)."""
+    The gradient and the stepped classifier go into `grad` and `out` (not
+    theta itself), as in `conventional_step`. Returns (theta', loss)."""
     z, acts, masks = mlp_forward(theta.layers, x)
     log_p, p = log_softmax(z)
     n, c = z.shape[-2:]
@@ -242,5 +275,7 @@ def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray,
     dz = p.copy()
     dz.reshape(-1, c)[rows, cols] -= 1.0
     dz /= n
-    grad = mlp_backward(theta, acts, masks, dz)
-    return theta.with_params(optimizer.step(theta.flat, grad.flat)), loss
+    grad = mlp_backward(theta, acts, masks, dz, out=grad)
+    out = theta.blank() if out is None else out
+    optimizer.step(theta.flat, grad.flat, out=out.flat)
+    return out, loss

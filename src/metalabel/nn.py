@@ -6,11 +6,12 @@ A network keeps all its parameters in one contiguous float64 vector,
 (`mlp_forward`, `mlp_backward`, `mlp_jvp`, `log_softmax`, `softmax`) are
 hand-written numpy passes over the layers of the fixed network shape:
 rectifier hidden layers, identity output. `mlp_backward` writes a parameter
-gradient into a vector of its own, shaped like the network. The optimizers
-step a whole vector in one pass: parameter updates are ordinary numerics,
-elementwise and never differentiated. The training steps in `meta` run on
-these alone. The engine form of the network and the losses, which the
-kernels are checked against, lives in `gradcheck`.
+gradient into a network shaped like the given one: `out`, or a new one. The
+optimizers step a whole vector in one pass, into `out` or a new vector:
+parameter updates are ordinary numerics, elementwise and never
+differentiated. The training steps in `meta` run on these alone. The
+engine form of the network and the losses, which the kernels are checked
+against, lives in `gradcheck`.
 
 A pass over a whole split through wide layers (evaluation, the phase-2
 features) runs ROW_BLOCK rows at a time (`row_blocks`, `map_row_blocks`),
@@ -83,7 +84,10 @@ class Mlp:
     `flat` is the parameter vector (P,), or (S, P) for S lanes; `sizes`
     the layer widths, input first. `layers[i]` is a (weight, bias) pair of
     views of `flat`, weight (in, out) and bias (1, out), after the lane
-    axes. A network is never changed in place: a step makes a new vector.
+    axes. A network that a run holds is never changed in place. A batch
+    loop writes gradients, theta_hat and its stepped networks into buffers
+    it binds fresh on each call and never writes after it returns, so a
+    network kept from one epoch is not written by the next.
     """
 
     def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
@@ -146,6 +150,11 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return self.with_params(self.flat.copy())
+
+    def blank(self) -> "Mlp":
+        """This network's shape on a new vector whose entries are not yet
+        written: a buffer for a kernel or a step to fill."""
+        return self.with_params(np.empty(self.flat.shape))
 
 
 def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
@@ -247,10 +256,10 @@ def mlp_deltas(layers, masks: list[np.ndarray], dz: np.ndarray) -> list[np.ndarr
 
 
 def mlp_backward(net: Mlp, acts: list[np.ndarray], masks: list[np.ndarray],
-                 dz: np.ndarray) -> Mlp:
+                 dz: np.ndarray, out: Mlp | None = None) -> Mlp:
     """Parameter gradients from dz, the gradient with respect to the logits,
-    as a network of net's shape: one new vector, every entry written."""
-    grad = net.with_params(np.empty(net.flat.shape))
+    as a network of net's shape: `out`, or a new one, every entry written."""
+    grad = net.blank() if out is None else out
     for (gw, gb), h, d in zip(grad.layers, acts, mlp_deltas(net.layers, masks, dz)):
         np.matmul(h.swapaxes(-1, -2), d, out=gw)
         np.add.reduce(d, axis=-2, keepdims=True, out=gb)
@@ -288,14 +297,17 @@ def log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logp, p
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting the row max; the one
-    formula the engine's softmax shares. Raises DivergenceError for
-    non-finite logits."""
+    formula the engine's softmax shares. Written into `out` (z itself
+    allowed), or a new array. Raises DivergenceError for non-finite
+    logits."""
     if not np.isfinite(z).all():
         raise DivergenceError("diverged: non-finite logits")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +344,8 @@ class _Optimizer:
     (HYPER, its constructor's keywords) and its buffers (BUFFERS) once; the
     checkpoint codec in `harness` writes and reads exactly those, plus the
     step count. Each buffer is one array of the parameter vector's shape,
-    and `step` updates the whole vector at once with elementwise formulas.
+    and `step` updates the whole vector at once with elementwise formulas,
+    into `out` when given, else into a new vector.
 
     A lane-stacked optimizer holds (S, P) buffers; its hyperparameters and
     step count are shared, because the lanes share a schedule."""
@@ -380,12 +393,13 @@ class SgdMomentum(_Optimizer):
         self.buffers = np.zeros(shape)
         self.step_count = 0
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grads: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
         self._check(params, grads)
         g = grads + self.weight_decay * params
         self.buffers = self.momentum * self.buffers + g
         self.step_count += 1
-        return params - self.lr * self.buffers
+        return np.subtract(params, self.lr * self.buffers, out=out)
 
 
 class Adam(_Optimizer):
@@ -407,7 +421,8 @@ class Adam(_Optimizer):
         self.v = np.zeros(shape)
         self.step_count = 0
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grads: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
         self._check(params, grads)
         self.step_count += 1
         t = self.step_count
@@ -416,7 +431,7 @@ class Adam(_Optimizer):
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
         m_hat = self.m / (1.0 - self.beta1 ** t)
         v_hat = self.v / (1.0 - self.beta2 ** t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return np.subtract(params, self.lr * m_hat / (np.sqrt(v_hat) + self.eps), out=out)
 
 
 OPTIMIZERS = {cls.kind: cls for cls in (SgdMomentum, Adam)}

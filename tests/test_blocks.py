@@ -16,6 +16,11 @@ compared through their int64 views, so a last-bit difference (or a sign of
 zero) fails. CI reruns this file with OPENBLAS_NUM_THREADS unset: a matmul
 on a block must give each row the same sums as the matmul on the whole
 split under threaded BLAS too.
+
+The memory tests bound what a pass or a batch loop holds: the label drift
+computes in place, and the batch loops write into buffers bound once per
+epoch, which must give the bits the allocating forms give and leave the
+networks an epoch starts from as they were.
 """
 
 import dataclasses
@@ -29,13 +34,27 @@ from metalabel.data import make_synthetic, margins, split_dataset
 from metalabel.harness import (
     RunState,
     TrainConfig,
+    _ce_epoch,
     _label_drift,
     _Lane,
+    _noisy_rows,
     _Phase2Rows,
+    _phase2_epoch,
+    build_dataset,
     evaluate,
 )
 from metalabel.meta import FeatureExtractor
-from metalabel.nn import Mlp, init_mlp, map_row_blocks, mlp_logits, softmax
+from metalabel.nn import (
+    Adam,
+    Mlp,
+    SgdMomentum,
+    init_mlp,
+    map_row_blocks,
+    mlp_backward,
+    mlp_forward,
+    mlp_logits,
+    softmax,
+)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -163,3 +182,128 @@ def test_phase2_features_hold_one_block_of_transients():
         tracemalloc.stop()
     assert inp.feats.shape == (n_train, cfg.hidden[-1])
     assert peak < inp.feats.nbytes + index + block + 128 * 1024, (peak, inp.feats.nbytes)
+
+
+def test_label_drift_and_its_moments_hold_two_soft_label_arrays():
+    """The drift of 50,000 rows of 16 features over 4 classes, then its mean
+    and variance, peak at most 2.5 (n, c) float64 arrays over the live
+    inputs: each softmax runs in place on its logits and the difference in
+    place on the first, so the peak is the two soft-label arrays plus their
+    row maxima and sums, (n, 1) each. One softmax with its temporaries and
+    the difference beside it held over 4 such arrays."""
+    n, f, c = 50_000, 16, 4
+    rng = np.random.default_rng(9)
+    feats = rng.normal(size=(n, f))
+    after, before = (Mlp([(rng.normal(size=(f, c)), rng.normal(size=(1, c)))])
+                     for _ in range(2))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        drift = _label_drift(after, before, feats)
+        moments = float(drift.mean()), float(drift.var())
+        del drift
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(moments))
+    assert peak <= 2.5 * n * c * 8, (peak, n * c * 8)
+
+
+# -- buffers of the batch loops ----------------------------------------------------
+
+
+def _lanes(make, lanes):
+    """One network (or array) from `make(rng)`, or `lanes` of them stacked."""
+    rng = np.random.default_rng(11)
+    if lanes == 1:
+        return make(rng)
+    parts = [make(rng) for _ in range(lanes)]
+    return Mlp.stack(parts) if isinstance(parts[0], Mlp) else np.stack(parts)
+
+
+@pytest.mark.parametrize("lanes", [1, 4])
+def test_backward_into_a_buffer_gives_the_bits_of_a_new_gradient(lanes):
+    net = _lanes(lambda r: init_mlp([10, 32, 16, 4], r), lanes)
+    x = _lanes(lambda r: r.normal(size=(64, 10)), lanes)
+    dz = _lanes(lambda r: r.normal(size=(64, 4)), lanes)
+    _, acts, masks = mlp_forward(net.layers, x)
+    out = net.blank()
+    out.flat[...] = np.nan  # every entry must be written
+    assert mlp_backward(net, acts, masks, dz, out=out) is out
+    assert same_bits(out.flat, mlp_backward(net, acts, masks, dz).flat)
+
+
+@pytest.mark.parametrize("kind", [SgdMomentum, Adam])
+@pytest.mark.parametrize("lanes", [1, 4])
+def test_a_step_into_a_buffer_gives_the_bits_of_a_new_vector(kind, lanes):
+    params = _lanes(lambda r: r.normal(size=(948,)), lanes)
+    into, new = kind(params.shape, lr=1e-2), kind(params.shape, lr=1e-2)
+    out = np.full(params.shape, np.nan)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        grads = rng.normal(size=params.shape)
+        assert into.step(params, grads, out=out) is out
+        want = new.step(params, grads)
+        assert same_bits(out, want)
+        params = want
+    assert all(same_bits(getattr(into, k), getattr(new, k)) for k in kind.BUFFERS)
+
+
+def _phase2_lanes(lanes: int, batch_size: int = 25):
+    """Configs of `lanes` seeds of a small feature-dependent run (500 train
+    rows), their states at the start of phase 2 and their phase-2 inputs."""
+    cfgs = [TrainConfig(seed=s, n=600, dims=6, classes=3, hidden=[8, 6],
+                        batch_size=batch_size, warmup_epochs=1, total_epochs=3,
+                        oracle_epochs=2) for s in range(lanes)]
+    lns = [_Lane(cfg, ds, RunState.fresh(cfg, ds)) for cfg, ds in
+           ((cfg, build_dataset(cfg)) for cfg in cfgs)]
+    return lns, [_Phase2Rows.of(ln.cfg, ln) for ln in lns]
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_an_epoch_never_writes_the_networks_it_starts_from(lanes):
+    lns, inputs = _phase2_lanes(lanes)
+    cfg, sts = lns[0].cfg, [ln.st for ln in lns]
+    for epoch in range(3):  # each epoch starts from what the one before kept
+        held = [(st.theta, st.labeler) for st in sts]
+        bits = [(theta.flat.copy(), labeler.flat.copy()) for theta, labeler in held]
+        if epoch < 2:
+            _phase2_epoch(cfg, sts, inputs, 1e-2, f"epoch {epoch}")
+        else:
+            _ce_epoch(sts, [_noisy_rows(ln.ds) for ln in lns], cfg.batch_size, "epoch 2")
+        for st, (theta, labeler), (theta_bits, labeler_bits) in zip(sts, held, bits):
+            assert st.theta is not theta
+            assert same_bits(theta.flat, theta_bits) and same_bits(labeler.flat, labeler_bits)
+
+
+def _builds(monkeypatch, fn) -> int:
+    """The networks fn() builds: its calls of Mlp.__init__ and Mlp.with_params."""
+    count = 0
+
+    def counting(method):
+        def wrapper(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(Mlp, "__init__", counting(Mlp.__init__))
+        m.setattr(Mlp, "with_params", counting(Mlp.with_params))
+        fn()
+    return count
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_a_batch_builds_no_network(monkeypatch, lanes):
+    # an epoch of 20 batches builds as many networks as one of 10: its buffers and
+    # the stacking, once per epoch, and none per batch
+    phase2, ce = {}, {}
+    for batch_size in (25, 50):
+        lns, inputs = _phase2_lanes(lanes, batch_size)
+        cfg, sts = lns[0].cfg, [ln.st for ln in lns]
+        sources = [_noisy_rows(ln.ds) for ln in lns]
+        phase2[batch_size] = _builds(
+            monkeypatch, lambda: _phase2_epoch(cfg, sts, inputs, 1e-2, "epoch"))
+        ce[batch_size] = _builds(monkeypatch, lambda: _ce_epoch(sts, sources, batch_size, "epoch"))
+    assert phase2[25] == phase2[50] and ce[25] == ce[50], (phase2, ce)

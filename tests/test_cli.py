@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,6 +478,15 @@ def _phase2_null(blob):
     (lambda b: b["log"][1].update(epoch=2), "log"),
     (lambda b: b["log"][3].update(test_acc="x"), "log values"),
     (lambda b: b["log"][3].update(meta_acc=None), "log values"),
+    (lambda b: b["log"][3].update(test_acc=7.5), "test_acc 7.5"),
+    (lambda b: b["log"][1].update(meta_acc=float("nan")), "meta_acc nan"),
+    (lambda b: b["log"][0].update(train_acc=float("-inf")), "train_acc -inf"),
+    (lambda b: b["log"][2].update(test_acc=-0.25), "test_acc -0.25"),
+    (lambda b: b.update(best_meta_acc=float("nan").hex()), "best_meta_acc nan"),
+    (lambda b: b.update(best_meta_acc=(b["log"][b["best_epoch"]]["meta_acc"] / 2).hex()),
+     "best_meta_acc"),
+    (lambda b: b["rng_state"].update(has_uint32=float("inf")), "OverflowError"),
+    (lambda b: b["rng_state"]["state"].update(inc=-1), "OverflowError"),
     (_phase2_null, "must be set"),
     (lambda b: _cut_log(b, 2, 1), "must be null"),
 ], ids=["epoch_next-a-string", "epoch_next-a-bool", "epoch_next-past-the-run",
@@ -480,7 +494,9 @@ def _phase2_null(blob):
         "best_epoch-none-after-epochs", "step_count-a-string", "step_count-a-bool",
         "extractor-mode-unknown", "extractor-in_dim-not-the-classifiers",
         "log-shorter-than-epoch_next", "log-missing-its-last-row", "log-epochs-out-of-order",
-        "log-value-a-string", "log-value-null",
+        "log-value-a-string", "log-value-null", "log-accuracy-above-1", "log-accuracy-nan",
+        "log-accuracy-infinite", "log-accuracy-negative", "best_meta_acc-nan",
+        "best_meta_acc-not-the-best-epochs", "rng-has_uint32-infinite", "rng-inc-negative",
         "phase2-members-missing-after-warmup", "phase2-members-before-phase2"])
 def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file(
         tmp_path, capsys, edit, word):
@@ -498,6 +514,35 @@ def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file
     err = capsys.readouterr().err
     assert f"checkpoint {cp} is malformed" in err and word in err, err
     assert (out / "metrics.csv").read_bytes() == metrics
+
+
+def test_a_checkpoint_with_a_huge_epoch_next_is_usage_error_in_bounded_memory(tmp_path):
+    # the log is checked against epoch_next before anything of epoch_next's size is
+    # built; the resume runs in a child whose address space is capped, so a build of
+    # that size fails fast there instead of exhausting the machine
+    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 4}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    cp = out / "checkpoint.json"
+    blob = json.loads(cp.read_text())
+    blob["epoch_next"] = 10 ** 9
+    cp.write_text(json.dumps(blob))
+    child = textwrap.dedent("""
+        import os, resource, sys
+        from metalabel.cli import main
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        cap = size + (1 << 30)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        sys.exit(main(sys.argv[1:]))
+    """)
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child, "train", "--config", cfg_path,
+                           "--out", str(out), "--resume"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"checkpoint {cp} is malformed: epoch_next 1000000000" in proc.stderr
 
 
 # -- gradcheck ----------------------------------------------------------------------

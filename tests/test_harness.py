@@ -70,6 +70,24 @@ def test_config_validation_errors():
     assert small_config(hidden=[], oracle_epochs=0).hidden == []  # no hidden layer is valid
 
 
+@pytest.mark.parametrize("change, name", [
+    ({"center_scale": math.nan}, "data.center_scale"),
+    ({"train_frac": math.nan}, "data.train_frac"),
+    ({"meta_frac": math.inf}, "data.meta_frac"),
+    ({"test_frac": -math.inf}, "data.test_frac"),
+    ({"meta_lr": math.inf}, "train.meta_lr"),
+    ({"inner_lr": math.nan}, "train.inner_lr"),
+    ({"weight_decay": math.nan}, "train.weight_decay"),
+    ({"weight_decay": -1.0}, "train.weight_decay"),
+    ({"lr_schedule": [[0, 1e-2], [6, math.nan]]}, "train.lr_schedule"),
+], ids=["center_scale-nan", "train_frac-nan", "meta_frac-inf", "test_frac-minus-inf",
+        "meta_lr-inf", "inner_lr-nan", "weight_decay-nan", "weight_decay-negative",
+        "lr_schedule-rate-nan"])
+def test_a_config_value_out_of_range_is_an_error_naming_the_field(change, name):
+    with pytest.raises(ConfigError, match=name):
+        small_config(**change)
+
+
 def test_config_dict_roundtrip_and_unknown_keys():
     cfg = small_config(unlabeled_fraction=0.25)
     back = TrainConfig.from_dict(cfg.to_dict())

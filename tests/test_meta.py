@@ -313,9 +313,12 @@ class RecordingOptimizer:
         self.net = net
         self.grads = None
 
-    def step(self, params, grads):
+    def step(self, params, grads, out=None):
         self.grads = self.net.with_params(np.array(grads)).params()
-        return np.array(params)
+        if out is None:
+            return np.array(params)
+        out[...] = params
+        return out
 
 
 @pytest.fixture(scope="module")
