@@ -15,7 +15,6 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +22,8 @@ from .nn import Mlp, mlp_logits, softmax
 
 TRAIN, META, TEST = "train", "meta", "test"
 SPLITS = (TRAIN, META, TEST)
+_CODE = {tag: code for code, tag in enumerate(SPLITS)}  # a row's split code indexes SPLITS
+_TAGS = np.array(SPLITS)
 
 DATASET_FORMAT_VERSION = 1
 SAVE_BLOCK_ROWS = 1024  # rows formatted per write; bounds the memory a save holds
@@ -37,42 +38,45 @@ class DegenerateOracleError(ValueError):
     """The margin oracle produces (near-)uniform outputs everywhere."""
 
 
-@dataclass
 class Dataset:
-    """Feature matrix plus clean/noisy labels, labeled mask and split tags.
+    """Feature matrix plus clean/noisy labels, labeled mask and split.
 
-    Invariants (checked on construction): meta and test rows keep
-    y_noisy == y_clean and are always labeled; unlabeled rows occur only in
-    the train split; class indices lie in [0, n_classes).
+    The split is held as `codes`, one int8 a row that indexes SPLITS
+    (train 0, meta 1, test 2). `split` reads it back as the (N,) `<U5` tag
+    array, built from the codes on each read. The constructor takes the
+    split as tags or as int8 codes: tags are checked at full length, so
+    "trainee" is refused rather than cut to "train", and codes must lie in
+    0..2.
+
+    Invariants (checked on construction): fewer than 2**31 rows, so an
+    int32 holds any row position; meta and test rows keep y_noisy ==
+    y_clean and are always labeled; unlabeled rows occur only in the train
+    split; class indices lie in [0, n_classes).
     """
 
-    x: np.ndarray          # (N, D) float64
-    y_clean: np.ndarray    # (N,) int64
-    y_noisy: np.ndarray    # (N,) int64
-    labeled: np.ndarray    # (N,) bool
-    split: np.ndarray      # (N,) {train, meta, test}
-    n_classes: int
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y_clean = np.asarray(self.y_clean, dtype=np.int64)
-        self.y_noisy = np.asarray(self.y_noisy, dtype=np.int64)
-        self.labeled = np.asarray(self.labeled, dtype=bool)
-        self.split = np.asarray(self.split, dtype=str)
-        n = self.x.shape[0]
+    def __init__(self, x, y_clean, y_noisy, labeled, split, n_classes: int,
+                 provenance: dict | None = None):
+        self.x = np.asarray(x, dtype=np.float64)
+        self.y_clean = np.asarray(y_clean, dtype=np.int64)
+        self.y_noisy = np.asarray(y_noisy, dtype=np.int64)
+        self.labeled = np.asarray(labeled, dtype=bool)
+        self.n_classes = n_classes
+        self.provenance = {} if provenance is None else provenance
         if self.x.ndim != 2:
             raise ValueError("x must be a matrix")
-        for name in ("y_clean", "y_noisy", "labeled", "split"):
-            if getattr(self, name).shape != (n,):
+        n = self.x.shape[0]
+        if n >= 2**31:
+            raise ValueError(f"{n} rows; a dataset holds fewer than 2**31")
+        split = np.asarray(split)
+        for name, a in (("y_clean", self.y_clean), ("y_noisy", self.y_noisy),
+                        ("labeled", self.labeled), ("split", split)):
+            if a.shape != (n,):
                 raise ValueError(f"{name} length does not match x")
-        if not np.all(np.isin(self.split, SPLITS)):
-            raise ValueError("split tags must be train/meta/test")
-        self.split = self.split.astype("<U5", copy=False)  # narrowed once validated
+        self.codes = _split_codes(split)
         for y in (self.y_clean, self.y_noisy):
             if y.size and (y.min() < 0 or y.max() >= self.n_classes):
                 raise ValueError("class index out of range")
-        clean_rows = self.split != TRAIN
+        clean_rows = self.codes != _CODE[TRAIN]
         if not np.array_equal(self.y_noisy[clean_rows], self.y_clean[clean_rows]):
             raise ValueError("meta/test rows must keep clean labels")
         if not np.all(self.labeled[clean_rows]):
@@ -88,13 +92,18 @@ class Dataset:
     def dims(self) -> int:
         return self.x.shape[1]
 
+    @property
+    def split(self) -> np.ndarray:
+        """The (N,) `<U5` split tags, built from the codes."""
+        return _TAGS[self.codes]
+
     def indices(self, split: str) -> np.ndarray:
         if split not in SPLITS:
             raise ValueError(f"unknown split {split!r}")
-        return np.flatnonzero(self.split == split)
+        return np.flatnonzero(self.codes == _CODE[split])
 
     def labeled_train_indices(self) -> np.ndarray:
-        return np.flatnonzero((self.split == TRAIN) & self.labeled)
+        return np.flatnonzero((self.codes == _CODE[TRAIN]) & self.labeled)
 
     def train_labels(self, rows: np.ndarray) -> np.ndarray:
         """Guarded read of training labels (the noisy ones).
@@ -103,13 +112,36 @@ class Dataset:
         and ValueError for rows outside the train split.
         """
         rows = np.asarray(rows)
-        if np.any(self.split[rows] != TRAIN):
+        if np.any(self.codes[rows] != _CODE[TRAIN]):
             raise ValueError("train_labels is only defined on the train split")
         if not np.all(self.labeled[rows]):
             bad = rows[~self.labeled[rows]][:5]
             raise UnlabeledLabelError(
                 f"label read on unlabeled row(s) {bad.tolist()}")
         return self.y_noisy[rows].copy()
+
+
+def _split_codes(split: np.ndarray) -> np.ndarray:
+    """The int8 split codes of an (N,) array of int8 codes or of tags."""
+    if split.dtype == np.int8:
+        if split.size and (split.min() < 0 or split.max() >= len(SPLITS)):
+            raise ValueError(f"split codes must lie in 0..{len(SPLITS) - 1}")
+        return split
+    tags = split.astype(str, copy=False)
+    codes = np.full(tags.shape, -1, dtype=np.int8)
+    for tag, code in _CODE.items():
+        codes[tags == tag] = code
+    if np.any(codes < 0):
+        raise ValueError("split tags must be train/meta/test")
+    return codes
+
+
+def _replace(ds: Dataset, **changes) -> Dataset:
+    """A new Dataset: `ds` with the fields in `changes`. Its split passes
+    on as codes, which are only range-checked."""
+    fields = dict(x=ds.x, y_clean=ds.y_clean, y_noisy=ds.y_noisy, labeled=ds.labeled,
+                  split=ds.codes, n_classes=ds.n_classes, provenance=ds.provenance)
+    return Dataset(**{**fields, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +172,7 @@ def make_synthetic(n: int, classes: int, dims: int, seed: int,
     return Dataset(
         x=x, y_clean=y, y_noisy=y.copy(),
         labeled=np.ones(n, dtype=bool),
-        split=np.full(n, TRAIN, dtype="<U5"),
+        split=np.full(n, _CODE[TRAIN], dtype=np.int8),
         n_classes=classes,
         provenance={"synthetic": {"n": n, "classes": classes, "dims": dims,
                                   "seed": seed, "center_scale": center_scale}},
@@ -170,17 +202,16 @@ def split_dataset(ds: Dataset, train_frac: float, meta_frac: float,
     if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must be non-negative and sum to 1, got {fracs}")
     rng = np.random.default_rng(seed)
-    tags = np.empty(ds.n, dtype="<U5")
+    codes = np.empty(ds.n, dtype=np.int8)
     for c in range(ds.n_classes):
         idx = np.flatnonzero(ds.y_clean == c)
         rng.shuffle(idx)
         n_train, n_meta, n_test = _largest_remainder(idx.size, list(fracs))
-        tags[idx[:n_train]] = TRAIN
-        tags[idx[n_train:n_train + n_meta]] = META
-        tags[idx[n_train + n_meta:]] = TEST
-    out = replace(ds, split=tags, y_noisy=ds.y_clean.copy(),
-                  labeled=np.ones(ds.n, dtype=bool))
-    return out
+        codes[idx[:n_train]] = _CODE[TRAIN]
+        codes[idx[n_train:n_train + n_meta]] = _CODE[META]
+        codes[idx[n_train + n_meta:]] = _CODE[TEST]
+    return _replace(ds, split=codes, y_noisy=ds.y_clean.copy(),
+                    labeled=np.ones(ds.n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +232,7 @@ def inject_uniform(ds: Dataset, ratio: float, seed: int) -> Dataset:
     y_noisy[rows] = (ds.y_clean[rows] + offsets[flip]) % ds.n_classes
     prov = dict(ds.provenance)
     prov["noise"] = {"kind": "uniform", "ratio": ratio, "seed": seed}
-    return replace(ds, y_noisy=y_noisy, provenance=prov)
+    return _replace(ds, y_noisy=y_noisy, provenance=prov)
 
 
 def margins(oracle: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +270,7 @@ def inject_feature_dependent(ds: Dataset, ratio: float, oracle: Mlp,
         y_noisy[train_idx[chosen]] = runner[chosen]
     prov = dict(ds.provenance)
     prov["noise"] = {"kind": "feature-dependent", "ratio": ratio, "seed": seed}
-    return replace(ds, y_noisy=y_noisy, provenance=prov)
+    return _replace(ds, y_noisy=y_noisy, provenance=prov)
 
 
 def mark_unlabeled(ds: Dataset, fraction: float, seed: int) -> Dataset:
@@ -258,7 +289,7 @@ def mark_unlabeled(ds: Dataset, fraction: float, seed: int) -> Dataset:
     labeled[masked] = False
     prov = dict(ds.provenance)
     prov["unlabeled"] = {"fraction": fraction, "seed": seed}
-    return replace(ds, labeled=labeled, provenance=prov)
+    return _replace(ds, labeled=labeled, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +334,7 @@ def _sidecar_records(n: int, d: int) -> list[tuple[str, np.dtype, tuple]]:
     """Name, dtype and shape of each array a sidecar holds, in file order."""
     return [("x", np.dtype(np.float64), (n, d)), ("y_clean", np.dtype(np.int64), (n,)),
             ("y_noisy", np.dtype(np.int64), (n,)), ("labeled", np.dtype(bool), (n,)),
-            ("split", np.dtype(f"<U{max(map(len, SPLITS))}"), (n,))]
+            ("codes", np.dtype(np.int8), (n,))]
 
 
 def _sha256_line(digest: str) -> bytes:
@@ -354,7 +385,8 @@ def _sha256(fh) -> str:
 
 def _rows_text(ds: Dataset, a: int, b: int) -> str:
     rows = zip(ds.x[a:b].tolist(), ds.y_clean[a:b].tolist(), ds.y_noisy[a:b].tolist(),
-               ds.labeled[a:b].astype(np.int64).tolist(), ds.split[a:b].tolist())
+               ds.labeled[a:b].astype(np.int64).tolist(),
+               map(SPLITS.__getitem__, ds.codes[a:b].tolist()))
     return "".join(f"{','.join(map(repr, x))},{yc},{yn},{lab},{tag}\n"
                    for x, yc, yn, lab, tag in rows)
 

@@ -532,6 +532,7 @@ def _opt_from_json(d: dict, net: Mlp):
 
 
 _PHASE2_KEYS = ("extractor", "labeler", "opt_phi")  # all null before phase 2, then all set
+_PHASES = ("warmup", "phase2")  # a checkpointed log row's phase: warm-up epochs first
 
 
 def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
@@ -618,11 +619,17 @@ def _malformation(st: RunState, cfg: TrainConfig | None) -> str | None:
     if any(type(getattr(r, c)) is not float for r in st.log for c in METRICS_COLUMNS[2:]):
         return f"log values from {METRICS_COLUMNS[2]} on must be floats"
     for r in st.log:
+        phases = _PHASES if cfg is None else (_PHASES[r.epoch >= cfg.warmup_epochs],)
+        if r.phase not in phases:
+            return f"log epoch {r.epoch}: phase {r.phase!r} is not {' or '.join(phases)}"
         for c in _ACCURACIES:
             if not 0.0 <= getattr(r, c) <= 1.0:  # NaN fails too
                 return f"log epoch {r.epoch}: {c} {getattr(r, c)!r} is not in [0, 1]"
-    if not min(n, 1) - 1 <= st.best_epoch < n:  # -1 only before the first epoch
-        return f"best_epoch {st.best_epoch} is not a logged epoch"
+    # training keeps the earliest epoch of the highest meta_acc, -1 before the first
+    first = max(range(n), key=lambda e: st.log[e].meta_acc, default=-1)
+    if st.best_epoch != first:
+        return (f"best_epoch {st.best_epoch} is not {first}, the first logged epoch "
+                f"of the highest meta_acc")
     best = st.log[st.best_epoch].meta_acc if n else -1.0
     if st.best_meta_acc != best:  # NaN fails too
         return (f"best_meta_acc {st.best_meta_acc!r} is not the meta_acc {best!r} "
@@ -716,7 +723,7 @@ def _ce_epoch(sts: list[RunState], sources: list[tuple], batch_size: int,
         theta, loss = ce_step(theta, x, y, opt, grad=grad, out=_other(thetas, theta))
         return (loss,)
 
-    order = np.array([st.rng.permutation(sources[0][1].size) for st in sts])
+    order = np.array([st.rng.permutation(sources[0][1].size) for st in sts], dtype=np.int32)
     losses = _epoch((order,), batch_size, where, step)[0]
     _unstack(sts, theta=theta, opt_theta=opt)
     return losses
@@ -733,7 +740,7 @@ def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Phase2Rows(typing.NamedTuple):
     """A lane's phase-2 inputs, fixed for one _train call: its train rows
     and their features, its meta rows and their one-hot labels (built once,
-    then gathered per batch)."""
+    then gathered per batch). Rows are int32 positions."""
 
     x: np.ndarray
     rows: np.ndarray
@@ -753,7 +760,7 @@ class _Phase2Rows(typing.NamedTuple):
             st.labeler = Mlp([(np.zeros((f, c)), np.zeros((1, c)))])
             st.opt_phi = make_optimizer(cfg.metanet_optimizer, st.labeler.flat.shape,
                                         lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
-        rows, meta_rows = ds.indices(dt.TRAIN), ds.indices(dt.META)
+        rows, meta_rows = (ds.indices(split).astype(np.int32) for split in (dt.TRAIN, dt.META))
         # one block of rows and its activations at a time: a whole split's would
         # be several times the features and the peak of a large run. Logits
         # come from a narrow product, which stays in one piece (map_row_blocks)
@@ -771,7 +778,8 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
     classifier step. Each lane's rng draws the epoch's plan before the first
     batch: a permutation of the train rows, then as many permutations of the
     meta rows, one after another, as cover the train rows, cut at their
-    count, so every batch pairs train rows with as many meta rows. The
+    count, so every batch pairs train rows with as many meta rows. The plan
+    holds int32 positions: a Dataset holds under 2**31 rows. The
     networks a batch writes are bound once here, so a batch builds none.
     Returns the batch-mean (L_c, L_e, L_meta, similarity) per lane, (4, S)."""
     theta, opt_theta = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
@@ -779,9 +787,10 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
     work, grad = MetaWork.like(theta, labeler), theta.blank()
     thetas, labelers = (theta.blank(), theta.blank()), (labeler.blank(), labeler.blank())
     n, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
-    order = np.array([st.rng.permutation(n) for st in sts])
+    order = np.array([st.rng.permutation(n) for st in sts], dtype=np.int32)
     meta = np.array([np.concatenate([st.rng.permutation(n_meta)
-                                     for _ in range(-(-n // n_meta))])[:n] for st in sts])
+                                     for _ in range(-(-n // n_meta))])[:n] for st in sts],
+                    dtype=np.int32)
 
     def step(pos, m):
         nonlocal theta, labeler
@@ -804,16 +813,19 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
 
 def _label_drift(after: Mlp, before: Mlp, feats: np.ndarray) -> np.ndarray:
     """|softmax(after) - softmax(before)| on every row of feats, per class.
-    The soft labels before an epoch are recomputed, not kept. Each softmax
-    runs in place on its logits, and the difference and its magnitude in
-    place on the first, so this holds two (rows, classes) arrays at most.
-    Each generator's logits are one piece: the generator is a narrow
-    product (map_row_blocks)."""
+    The soft labels before an epoch are recomputed, not kept. Each
+    generator's logits are one piece: the generator is a narrow product
+    (map_row_blocks). The softmaxes, the difference and its magnitude run
+    in place, one block of `row_blocks` at a time, so this holds the two
+    (rows, classes) logits arrays plus one block of transients."""
     drift = mlp_logits(after.layers, feats)
-    softmax(drift, out=drift)
     prior = mlp_logits(before.layers, feats)
-    drift -= softmax(prior, out=prior)
-    return np.abs(drift, out=drift)
+    for a, b in row_blocks(len(feats)):
+        block = drift[a:b]
+        softmax(block, out=block)
+        block -= softmax(prior[a:b], out=prior[a:b])
+        np.abs(block, out=block)
+    return drift
 
 
 def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:

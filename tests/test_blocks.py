@@ -17,9 +17,10 @@ zero) fails. CI reruns this file with OPENBLAS_NUM_THREADS unset: a matmul
 on a block must give each row the same sums as the matmul on the whole
 split under threaded BLAS too.
 
-The memory tests bound what a pass or a batch loop holds: the label drift
-computes in place, and the batch loops write into buffers bound once per
-epoch, which must give the bits the allocating forms give and leave the
+The memory tests bound what a pass, a loaded dataset or a batch loop
+holds: the label drift computes in place in row blocks, a dataset holds one
+byte of split code a row, and the batch loops write into buffers bound once
+per epoch, which must give the bits the allocating forms give and leave the
 networks an epoch starts from as they were.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 import pytest
 
 from metalabel import nn
-from metalabel.data import make_synthetic, margins, split_dataset
+from metalabel.data import load_dataset, make_synthetic, margins, save_dataset, split_dataset
 from metalabel.harness import (
     RunState,
     TrainConfig,
@@ -186,11 +187,13 @@ def test_phase2_features_hold_one_block_of_transients():
 
 def test_label_drift_and_its_moments_hold_two_soft_label_arrays():
     """The drift of 50,000 rows of 16 features over 4 classes, then its mean
-    and variance, peak at most 2.5 (n, c) float64 arrays over the live
-    inputs: each softmax runs in place on its logits and the difference in
-    place on the first, so the peak is the two soft-label arrays plus their
-    row maxima and sums, (n, 1) each. One softmax with its temporaries and
-    the difference beside it held over 4 such arrays."""
+    and variance, peak at most two (n, c) float64 arrays plus one block of
+    ROW_BLOCK rows of (B, c) float64 over the live inputs. The two logits
+    arrays are the peak: each softmax, the difference and its magnitude run
+    in place one block at a time, so the transients are one block's row
+    maxima, row sums and finiteness mask (B x (16 + c) bytes); the variance
+    then holds one (n, c) array beside the drift. A whole-array softmax held
+    its (n, 1) maxima and sums and an (n, c) mask beside both arrays."""
     n, f, c = 50_000, 16, 4
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(n, f))
@@ -206,7 +209,30 @@ def test_label_drift_and_its_moments_hold_two_soft_label_arrays():
     finally:
         tracemalloc.stop()
     assert all(np.isfinite(moments))
-    assert peak <= 2.5 * n * c * 8, (peak, n * c * 8)
+    assert peak <= 2 * n * c * 8 + nn.ROW_BLOCK * c * 8, (peak, n * c * 8)
+
+
+@pytest.mark.parametrize("keep_sidecar", [True, False], ids=["sidecar", "parsed"])
+def test_a_loaded_dataset_holds_one_byte_of_split_a_row(tmp_path, keep_sidecar):
+    """A dataset of 20,000 rows, loaded from its sidecar or parsed from the
+    text, holds per row its d features and two labels (8 bytes each), one
+    byte of labeled mask and one byte of split code, plus 16 KiB of slack
+    for the objects around the arrays (the provenance, the array headers).
+    Split tags of `<U5` held 20 bytes a row."""
+    ds = split_dataset(make_synthetic(20000, 4, 10, seed=1), 0.8, 0.1, 0.1, seed=2)
+    path = tmp_path / "d.dsv"
+    save_dataset(ds, str(path))
+    if not keep_sidecar:
+        (tmp_path / ".d.dsv.parsed").unlink()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        back = load_dataset(str(path))
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert back.n == ds.n and np.array_equal(back.split, ds.split)
+    assert held <= back.n * (8 * back.dims + 2 * 8 + 1 + 1) + 16 * 1024, (held, back.n)
 
 
 # -- buffers of the batch loops ----------------------------------------------------

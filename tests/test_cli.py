@@ -259,6 +259,27 @@ def test_malformed_dataset_file_is_usage_error_naming_the_file(tmp_path, capsys,
     assert err.startswith(f"error: {data_path}: ") and detail in err, err
 
 
+@pytest.mark.parametrize("code", [3, -1])
+def test_a_split_code_out_of_range_in_the_sidecar_is_usage_error_naming_the_file(
+        tmp_path, capsys, code):
+    # the sidecar holds the file's digest, so its arrays are read, and checked
+    # as the text's are: its last record is the split, one int8 code a row
+    data_path = tmp_path / "data.dsv"
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(data_path)]) == 0
+    sidecar = tmp_path / ".data.dsv.parsed"
+    blob = bytearray(sidecar.read_bytes())
+    blob[-1:] = np.int8(code).tobytes()
+    sidecar.write_bytes(bytes(blob))
+    cfg = tiny_config()
+    cfg["data"]["path"] = str(data_path)
+    cfg_path = write_config(tmp_path, cfg, name="train.json")
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_path}: ") and "split codes" in err, err
+
+
 def test_eval_on_a_dataset_file_with_a_non_finite_cell_is_usage_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 3}))
     data_path, out = tmp_path / "data.dsv", tmp_path / "run"
@@ -461,6 +482,15 @@ def _phase2_null(blob):
     blob.update(extractor=None, labeler=None, opt_phi=None)
 
 
+def _best_at(blob, epoch):
+    blob.update(best_epoch=epoch, best_meta_acc=float.hex(blob["log"][epoch]["meta_acc"]))
+
+
+def _tied_later(blob):
+    blob["log"][3]["meta_acc"] = blob["log"][blob["best_epoch"]]["meta_acc"]
+    _best_at(blob, 3)
+
+
 @pytest.mark.parametrize("edit, word", [
     (lambda b: b.update(epoch_next="2"), "epoch_next"),
     (lambda b: b.update(epoch_next=True), "epoch_next"),
@@ -487,6 +517,11 @@ def _phase2_null(blob):
      "best_meta_acc"),
     (lambda b: b["rng_state"].update(has_uint32=float("inf")), "OverflowError"),
     (lambda b: b["rng_state"]["state"].update(inc=-1), "OverflowError"),
+    (lambda b: _best_at(b, 0), "best_epoch 0 is not 1"),
+    (_tied_later, "best_epoch 3 is not 1"),
+    (lambda b: b["log"][1].update(phase="phase2"), "phase 'phase2' is not warmup"),
+    (lambda b: b["log"][2].update(phase="warmup"), "phase 'warmup' is not phase2"),
+    *((lambda b, v=v: b["log"][3].update(phase=v), f"phase {v!r}") for v in (None, 7.5, {}, "x")),
     (_phase2_null, "must be set"),
     (lambda b: _cut_log(b, 2, 1), "must be null"),
 ], ids=["epoch_next-a-string", "epoch_next-a-bool", "epoch_next-past-the-run",
@@ -497,6 +532,9 @@ def _phase2_null(blob):
         "log-value-a-string", "log-value-null", "log-accuracy-above-1", "log-accuracy-nan",
         "log-accuracy-infinite", "log-accuracy-negative", "best_meta_acc-nan",
         "best_meta_acc-not-the-best-epochs", "rng-has_uint32-infinite", "rng-inc-negative",
+        "best_epoch-earlier-than-the-best", "best_epoch-a-later-tie",
+        "log-phase-phase2-in-warmup", "log-phase-warmup-in-phase2", "log-phase-null",
+        "log-phase-a-number", "log-phase-an-object", "log-phase-unknown",
         "phase2-members-missing-after-warmup", "phase2-members-before-phase2"])
 def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file(
         tmp_path, capsys, edit, word):
@@ -514,6 +552,24 @@ def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file
     err = capsys.readouterr().err
     assert f"checkpoint {cp} is malformed" in err and word in err, err
     assert (out / "metrics.csv").read_bytes() == metrics
+
+
+@pytest.mark.parametrize("phase", [None, 7.5, {}, "x", "baseline"])
+def test_eval_of_a_checkpoint_with_an_unknown_log_phase_is_usage_error(tmp_path, capsys,
+                                                                       phase):
+    # without a config, a phase must be one of the two that training logs
+    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 3}))
+    data_path, out = tmp_path / "data.dsv", tmp_path / "run"
+    assert main(["gen-data", "--config", cfg_path, "--out", str(data_path)]) == 0
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    cp = out / "checkpoint.json"
+    blob = json.loads(cp.read_text())
+    blob["log"][0]["phase"] = phase
+    cp.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {cp} is malformed: log epoch 0: phase {phase!r}" in err, err
 
 
 def test_a_checkpoint_with_a_huge_epoch_next_is_usage_error_in_bounded_memory(tmp_path):

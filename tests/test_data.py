@@ -286,6 +286,21 @@ def test_dataset_rejects_split_tags_before_narrowing(tag):
                    ds.split.astype(object), 2).split.dtype == np.dtype("<U5")
 
 
+@pytest.mark.parametrize("code", [3, -1])
+def test_dataset_rejects_a_split_code_out_of_range(code):
+    ds = make_synthetic(100, classes=2, dims=3, seed=1)
+    codes = ds.codes.copy()
+    codes[7] = code
+    with pytest.raises(ValueError, match="split codes"):
+        Dataset(ds.x, ds.y_clean, ds.y_noisy, ds.labeled, codes, 2)
+
+
+def test_dataset_refuses_2_to_the_31_rows():
+    # positions are held as int32; a broadcast row matrix takes no memory
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        Dataset(np.broadcast_to(0.0, (2**31, 1)), [], [], [], [], 2)
+
+
 # -- persistence ----------------------------------------------------------------
 
 
@@ -435,6 +450,28 @@ def test_a_parse_writes_the_sidecar_that_the_next_load_reads(tmp_path, blobs, mo
     monkeypatch.setattr(np, "loadtxt", None)  # a second parse would fail
     assert_same_arrays(load_dataset(str(path)), parsed)
     assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar(path).name, "b.dsv"]
+
+
+def test_a_sidecar_of_split_tags_is_parsed_again_and_rewritten(tmp_path, blobs,
+                                                               monkeypatch):
+    # a sidecar written when the split record held `<U5` tags: its digest
+    # matches, but not its record's dtype, so the text is parsed and the
+    # sidecar rewritten with int8 codes
+    path = tmp_path / "b.dsv"
+    ds = inject_uniform(blobs, 0.3, seed=1)
+    save_dataset(ds, str(path))
+    codes_sidecar = sidecar(path).read_bytes()
+    line = codes_sidecar[:codes_sidecar.index(b"\n") + 1]
+    with open(sidecar(path), "wb") as fh:
+        fh.write(line)
+        for a in (ds.x, ds.y_clean, ds.y_noisy, ds.labeled, ds.split):
+            np.lib.format.write_array(fh, a, version=(1, 0), allow_pickle=False)
+    parses, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+    back = load_dataset(str(path))
+    assert parses == [1]
+    assert_same_arrays(back, ds)
+    assert sidecar(path).read_bytes() == codes_sidecar
 
 
 def _truncate(path, other):

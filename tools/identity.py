@@ -17,6 +17,10 @@ directory (so every path an output mentions is relative and equal):
   copy of it without the sidecar (which the tree parses)
 - a 4-seed `sweep`, at `--jobs 1` and at `--jobs 2`
 - `gradcheck --trials 20`
+- once both trees have run, `eval` of that checkpoint on another copy of the
+  written file, beside which sits the sidecar the *other* tree wrote: a tree
+  reads it, or, where its records differ from the ones the tree writes,
+  parses the text and writes its own
 
 Every file written, and every call's exit status, stdout and stderr, are
 then compared after normalising what is meant to vary between runs: the
@@ -84,11 +88,20 @@ FLOWS = [
     ["sweep", "--config", "sweep.json", "--out", "sweep-jobs2", "--jobs", "2"],
     ["gradcheck", "--trials", "20"],
 ]
+CROSSED = ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "crossed.dsv"]
 RESUME_AT = 3
 
 
 class _Stop(Exception):
     pass
+
+
+def _call(cli, argv: list[str]) -> dict:
+    """`cli.main(argv)`'s exit status and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def run_flows(src: str, work: str) -> None:
@@ -115,11 +128,24 @@ def run_flows(src: str, work: str) -> None:
     for argv in FLOWS:
         if "unparsed.dsv" in argv:
             shutil.copyfile("uniform.dsv", "unparsed.dsv")  # the text alone
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        calls.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
-                      "stderr": err.getvalue()})
+        calls.append(_call(cli, argv))
+    with open(CALLS, "w", encoding="utf-8") as fh:
+        json.dump(calls, fh, indent=1)
+
+
+def run_crossed(src: str, work: str, other: str) -> None:
+    """The CROSSED eval with the package under `src`, inside `work`, on a
+    copy of the file written there beside the sidecar written in `other`;
+    its call is appended to the CALLS record."""
+    sys.path.insert(0, os.path.abspath(src))
+    os.chdir(work)
+    from metalabel import cli
+
+    shutil.copyfile("uniform.dsv", "crossed.dsv")
+    shutil.copyfile(os.path.join(other, ".uniform.dsv.parsed"), ".crossed.dsv.parsed")
+    with open(CALLS, encoding="utf-8") as fh:
+        calls = json.load(fh)
+    calls.append(_call(cli, CROSSED))
     with open(CALLS, "w", encoding="utf-8") as fh:
         json.dump(calls, fh, indent=1)
 
@@ -176,22 +202,26 @@ def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--run":
         run_flows(argv[1], argv[2])
         return 0
+    if len(argv) == 4 and argv[0] == "--crossed":
+        run_crossed(*argv[1:])
+        return 0
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
-        works = []
-        for label, src in zip(("parent", "change"), argv):
-            work = os.path.join(tmp, label)
+        works = [os.path.join(tmp, label) for label in ("parent", "change")]
+        runs = [["--run", src, work] for src, work in zip(argv, works)]
+        runs += [["--crossed", src, work, other]
+                 for src, work, other in zip(argv, works, works[::-1])]
+        for work in works:
             os.makedirs(work)
-            done = subprocess.run([sys.executable, os.path.abspath(__file__), "--run",
-                                   src, work])
+        for run in runs:
+            done = subprocess.run([sys.executable, os.path.abspath(__file__), *run])
             if done.returncode != 0:
-                print(f"the flows failed to run on {src} (exit {done.returncode})")
+                print(f"the flows failed to run on {run[1]} (exit {done.returncode})")
                 return 1
-            works.append(work)
         diffs = compare(*works)
-        calls = len(FLOWS)
+        calls = len(FLOWS) + 1
         files = len(_files(works[0]))
     for line in diffs:
         print(line)
