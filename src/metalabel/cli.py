@@ -52,6 +52,15 @@ def _write_summary(path: str, summary: dict) -> None:
     replace_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+def _make_dirs(path: str) -> None:
+    """Create directory `path` and its parents; one that cannot be created
+    (a file in the way) is a usage error naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create directory {path}: {e.strerror}") from e
+
+
 def _load_config(path: str) -> TrainConfig:
     return TrainConfig.from_dict(_read_json(path))
 
@@ -76,7 +85,7 @@ def cmd_gen_data(args) -> int:
                           f"drop data.path ({cfg.dataset_path}) from the config")
     parent = os.path.dirname(args.out)
     if parent:
-        os.makedirs(parent, exist_ok=True)
+        _make_dirs(parent)
     ds = build_dataset(cfg)
     save_dataset(ds, args.out)
     print(f"wrote {ds.n} rows ({ds.dims} dims, {ds.n_classes} classes) to {args.out}")
@@ -85,7 +94,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dirs(args.out)
     if cfg.dataset_path is not None and not os.path.exists(cfg.dataset_path):
         raise ConfigError(f"dataset file not found: {cfg.dataset_path}")
     metrics_path = os.path.join(args.out, "metrics.csv")
@@ -258,7 +267,7 @@ def cmd_sweep(args) -> int:
         if j != i:
             raise ConfigError(f"sweep cells {j} and {i} map to the same directory "
                               f"{_cell_id(cell)!r}")
-    os.makedirs(args.out, exist_ok=True)
+    _make_dirs(args.out)
 
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -46,7 +46,6 @@ from .nn import (
     OPTIMIZERS,
     DivergenceError,
     Mlp,
-    check_one_hot,
     init_mlp,
     make_optimizer,
     map_row_blocks,
@@ -603,6 +602,10 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
     return st
 
 
+def _hypers(opt) -> dict:
+    return {"kind": opt.kind, **{k: getattr(opt, k) for k in opt.HYPER}}
+
+
 def _malformation(st: RunState, cfg: TrainConfig | None) -> str | None:
     """Why a decoded run state is not one that training (under cfg, when
     given) writes, or None."""
@@ -639,6 +642,14 @@ def _malformation(st: RunState, cfg: TrainConfig | None) -> str | None:
     if cfg is not None and (ex is not None) != (n > cfg.warmup_epochs):
         return (f"{', '.join(_PHASE2_KEYS)} must be {'set' if ex is None else 'null'} at "
                 f"epoch_next {n}, phase 2 starting at epoch {cfg.warmup_epochs}")
+    if cfg is not None:  # the optimizers the config builds; lr as training last set it
+        built = (("opt_theta", cfg.classifier_optimizer, lr_at(cfg.lr_schedule, max(n - 1, 0))),
+                 ("opt_phi", cfg.metanet_optimizer, cfg.meta_lr))
+        for name, kind, lr in built:
+            opt = getattr(st, name)
+            want = make_optimizer(kind, (0,), lr=lr, weight_decay=cfg.weight_decay)
+            if opt is not None and _hypers(opt) != _hypers(want):
+                return f"{name} is {_hypers(opt)}, but the config builds {_hypers(want)}"
     if ex is not None and ex.mode not in EXTRACTOR_MODES:
         return f"extractor mode {ex.mode!r} is not one of {EXTRACTOR_MODES}"
     if ex is not None and ex.in_dim != st.theta.in_dim:
@@ -668,10 +679,9 @@ class _Lane:
 
 def _stacked(sts: list[RunState], name: str):
     """The lanes' `name` members (a network, generator or optimizer) as one
-    lane-stacked object; a group of one keeps its own, with no lane axis
-    (see `stack_lanes`)."""
+    lane-stacked object; a group of one has no lane axis (see `stack_lanes`)."""
     parts = [getattr(st, name) for st in sts]
-    return parts[0] if len(parts) == 1 else type(parts[0]).stack(parts)
+    return type(parts[0]).stack(parts)
 
 
 def _unstack(sts: list[RunState], **stacked) -> None:
@@ -700,28 +710,19 @@ def _epoch(plan: tuple[np.ndarray, ...], batch_size: int, where: str, step) -> n
     return sums / batches
 
 
-def _other(pair: tuple[Mlp, Mlp], net: Mlp) -> Mlp:
-    """The member of a pair of step buffers that is not `net`: a step reads
-    the current network and writes the next into the other, so the two
-    alternate and the network an epoch starts from is never written."""
-    return pair[1] if net is pair[0] else pair[0]
-
-
 def _ce_epoch(sts: list[RunState], sources: list[tuple], batch_size: int,
               where: str) -> np.ndarray:
-    """One epoch of cross-entropy steps of each lane's classifier: lane s
-    trains on rows `rows` of `x` with labels `labels`, sources[s] being
-    (x, rows, labels). Warm-up, baseline and margin oracle. Returns the
-    batch-mean loss per lane."""
-    theta, opt = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
-    grad, thetas = theta.blank(), (theta.blank(), theta.blank())
+    """One epoch of cross-entropy steps of a copy of each lane's classifier,
+    in place: lane s trains on rows `rows` of `x` with labels `labels`,
+    sources[s] being (x, rows, labels). Warm-up, baseline and margin oracle.
+    Returns the batch-mean loss per lane."""
+    theta, opt = _stacked(sts, "theta").copy(), _stacked(sts, "opt_theta")
+    grad = theta.blank()
 
     def step(pos):
-        nonlocal theta
         x = stack_lanes([x[rows[p]] for (x, rows, _), p in zip(sources, pos)])
         y = stack_lanes([y[p] for (_, _, y), p in zip(sources, pos)])
-        theta, loss = ce_step(theta, x, y, opt, grad=grad, out=_other(thetas, theta))
-        return (loss,)
+        return (ce_step(theta, x, y, opt, grad=grad, out=theta)[1],)
 
     order = np.array([st.rng.permutation(sources[0][1].size) for st in sts], dtype=np.int32)
     losses = _epoch((order,), batch_size, where, step)[0]
@@ -768,7 +769,6 @@ class _Phase2Rows(typing.NamedTuple):
         feats = (ex(ds.x[rows]) if ex.mode == "logits"
                  else map_row_blocks(ex, ds.x, rows, ex.n_features))
         meta_y = one_hot(ds.y_clean[meta_rows], ds.n_classes)
-        check_one_hot(meta_y, ds.n_classes)  # once here; the meta step does not recheck
         return cls(ds.x, rows, feats, meta_rows, meta_y)
 
 
@@ -779,13 +779,13 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
     batch: a permutation of the train rows, then as many permutations of the
     meta rows, one after another, as cover the train rows, cut at their
     count, so every batch pairs train rows with as many meta rows. The plan
-    holds int32 positions: a Dataset holds under 2**31 rows. The
-    networks a batch writes are bound once here, so a batch builds none.
+    holds int32 positions: a Dataset holds under 2**31 rows. The epoch
+    steps copies of the lanes' classifiers and generators in place, and
+    binds the other networks a batch writes once, so a batch builds none.
     Returns the batch-mean (L_c, L_e, L_meta, similarity) per lane, (4, S)."""
-    theta, opt_theta = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
-    labeler, opt_phi = _stacked(sts, "labeler"), _stacked(sts, "opt_phi")
+    theta, opt_theta = _stacked(sts, "theta").copy(), _stacked(sts, "opt_theta")
+    labeler, opt_phi = _stacked(sts, "labeler").copy(), _stacked(sts, "opt_phi")
     work, grad = MetaWork.like(theta, labeler), theta.blank()
-    thetas, labelers = (theta.blank(), theta.blank()), (labeler.blank(), labeler.blank())
     n, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
     order = np.array([st.rng.permutation(n) for st in sts], dtype=np.int32)
     meta = np.array([np.concatenate([st.rng.permutation(n_meta)
@@ -793,17 +793,14 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
                     dtype=np.int32)
 
     def step(pos, m):
-        nonlocal theta, labeler
         x = stack_lanes([inp.x[inp.rows[p]] for inp, p in zip(inputs, pos)])
         v = stack_lanes([inp.feats[p] for inp, p in zip(inputs, pos)])
         mx = stack_lanes([inp.x[inp.meta_rows[i]] for inp, i in zip(inputs, m)])
         my = stack_lanes([inp.meta_y[i] for inp, i in zip(inputs, m)])
-        labeler, report, fwd = meta_step(labeler, theta, x, v, mx, my,
-                                         inner_lr=cfg.inner_lr, optimizer=opt_phi,
-                                         work=work, out=_other(labelers, labeler))
-        theta, lc, le = conventional_step(theta, labeler, fwd, v, lam, opt_theta,
-                                          use_entropy=cfg.entropy_loss, grad=grad,
-                                          out=_other(thetas, theta))
+        _, report, fwd = meta_step(labeler, theta, x, v, mx, my, inner_lr=cfg.inner_lr,
+                                   optimizer=opt_phi, work=work, out=labeler)
+        _, lc, le = conventional_step(theta, labeler, fwd, v, lam, opt_theta,
+                                      use_entropy=cfg.entropy_loss, grad=grad, out=theta)
         return lc, le, report.meta_loss, report.mean_similarity
 
     losses = _epoch((order, meta), cfg.batch_size, where, step)

@@ -25,10 +25,11 @@ for the inner gradient and the forward-mode pass, and returns it;
 The batch runs two classifier forward passes in all: theta on the train
 batch and theta_hat on the meta batch.
 
-Buffers: a batch loop binds its networks once (`MetaWork` for the meta
-gradient, a gradient and the stepped network for each step) and passes
-them in, so a batch builds no network; each step writes every entry of a
-buffer before it reads it. A step given none allocates its own.
+Buffers: an epoch trains copies of its lanes' networks, so a network a
+`RunState` holds is never written. Its batch loop binds `MetaWork` and a
+gradient once and passes them in, with `out` the network a step moves, so
+a batch builds no network. A step writes every entry of a buffer before it
+reads it, and reads its network in full before its optimizer writes it.
 
 Lanes: the generator, the classifier and the batches may carry leading lane
 axes (see `nn`), and every step then advances all lanes at once. Losses are
@@ -177,8 +178,8 @@ def meta_gradient(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
 
     Passes: forward at theta on x and backward (the inner gradient), forward
     and backward at theta_hat on the meta batch (g), one forward-mode pass
-    at theta along g. meta_y_onehot must hold one-hot rows; the caller
-    checks them once, where it builds them. Raises DivergenceError on a
+    at theta along g. meta_y_onehot must hold one-hot rows (`nn.one_hot`
+    builds them); they are not checked here. Raises DivergenceError on a
     non-finite value or a probability underflow.
     """
     n = x.shape[-2]
@@ -218,8 +219,9 @@ def meta_step(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
               inner_lr: float, optimizer, work: MetaWork | None = None,
               out: Mlp | None = None) -> tuple[Mlp, MetaStepReport, ClassifierPass]:
     """Update the generator by the gradient of the meta loss through the
-    virtual update (`meta_gradient`, on `work`), into `out` (not the
-    generator itself) or a new network. The classifier is not modified, so
+    virtual update (`meta_gradient`, on `work`), into `out` or a new
+    network. `out` may be the generator itself: the gradient has read it in
+    full before the optimizer writes. The classifier is not modified, so
     the pass at theta on x it returns is the one `conventional_step` takes.
 
     The optimizer's learning rate is the meta step size.
@@ -237,8 +239,9 @@ def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
                       out: Mlp | None = None) -> tuple[Mlp, float, float]:
     """Momentum-SGD step of the classifier on regenerated soft labels, at
     fwd = `classifier_pass(theta, x)` (as `meta_step` returns it). The
-    gradient goes into `grad` and the stepped classifier into `out` (not
-    theta itself), each a new network when not given.
+    gradient goes into `grad` and the stepped classifier into `out`, each a
+    new network when not given. `out` may be theta itself: the gradient has
+    read it in full before the optimizer writes.
 
     Labels come from the freshly updated generator and act as constants;
     the loss is the KL classification term plus (optionally) the entropy
@@ -265,8 +268,8 @@ def ce_step(theta: Mlp, x: np.ndarray, labels: np.ndarray, optimizer, *,
             grad: Mlp | None = None, out: Mlp | None = None) -> tuple[Mlp, float]:
     """One optimizer step of batch-mean cross-entropy on hard class labels
     (warm-up, baseline and margin oracle); labels has x's leading axes.
-    The gradient and the stepped classifier go into `grad` and `out` (not
-    theta itself), as in `conventional_step`. Returns (theta', loss)."""
+    The gradient and the stepped classifier go into `grad` and `out` (theta
+    itself allowed), as in `conventional_step`. Returns (theta', loss)."""
     z, acts, masks = mlp_forward(theta.layers, x)
     log_p, p = log_softmax(z)
     n, c = z.shape[-2:]

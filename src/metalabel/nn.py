@@ -31,7 +31,6 @@ solo and stacked form, one call per vector.
 from __future__ import annotations
 
 import copy
-import functools
 
 import numpy as np
 
@@ -56,8 +55,7 @@ def stack_lanes(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.array(arrays)
 
 
-@functools.lru_cache(maxsize=None)
-def _slice_plan(sizes: tuple[int, ...]) -> tuple:
+def _slice_plan(sizes: tuple[int, ...]) -> list:
     """Per layer of widths `sizes`: where its weight starts and ends, where
     its bias ends, and the two arrays' shapes."""
     plan, at = [], 0
@@ -65,7 +63,7 @@ def _slice_plan(sizes: tuple[int, ...]) -> tuple:
         end = at + fan_in * fan_out
         plan.append((at, end, end + fan_out, (fan_in, fan_out), (1, fan_out)))
         at = end + fan_out
-    return tuple(plan)
+    return plan
 
 
 def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> list:
@@ -84,10 +82,9 @@ class Mlp:
     `flat` is the parameter vector (P,), or (S, P) for S lanes; `sizes`
     the layer widths, input first. `layers[i]` is a (weight, bias) pair of
     views of `flat`, weight (in, out) and bias (1, out), after the lane
-    axes. A network that a run holds is never changed in place. A batch
-    loop writes gradients, theta_hat and its stepped networks into buffers
-    it binds fresh on each call and never writes after it returns, so a
-    network kept from one epoch is not written by the next.
+    axes. An epoch trains copies of its lanes' networks, stepped in place,
+    and writes gradients and theta_hat into buffers it binds fresh, so a
+    network a `RunState` holds is never written.
     """
 
     def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
@@ -345,7 +342,8 @@ class _Optimizer:
     checkpoint codec in `harness` writes and reads exactly those, plus the
     step count. Each buffer is one array of the parameter vector's shape,
     and `step` updates the whole vector at once with elementwise formulas,
-    into `out` when given, else into a new vector.
+    into `out` when given, else into a new vector. `out` may be the
+    parameter vector itself: each element is read before it is written.
 
     A lane-stacked optimizer holds (S, P) buffers; its hyperparameters and
     step count are shared, because the lanes share a schedule."""

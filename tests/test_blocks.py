@@ -19,9 +19,10 @@ split under threaded BLAS too.
 
 The memory tests bound what a pass, a loaded dataset or a batch loop
 holds: the label drift computes in place in row blocks, a dataset holds one
-byte of split code a row, and the batch loops write into buffers bound once
-per epoch, which must give the bits the allocating forms give and leave the
-networks an epoch starts from as they were.
+byte of split code a row, and the batch loops step copies of the lanes'
+networks in place, with buffers bound once per epoch. A step into a buffer
+or into the network it steps must give the bits the allocating form gives,
+and an epoch must leave every network its run states held as it was.
 """
 
 import dataclasses
@@ -44,16 +45,24 @@ from metalabel.harness import (
     build_dataset,
     evaluate,
 )
-from metalabel.meta import FeatureExtractor
+from metalabel.meta import (
+    FeatureExtractor,
+    ce_step,
+    classifier_pass,
+    conventional_step,
+    meta_step,
+)
 from metalabel.nn import (
     Adam,
     Mlp,
     SgdMomentum,
     init_mlp,
+    make_optimizer,
     map_row_blocks,
     mlp_backward,
     mlp_forward,
     mlp_logits,
+    one_hot,
     softmax,
 )
 
@@ -261,18 +270,62 @@ def test_backward_into_a_buffer_gives_the_bits_of_a_new_gradient(lanes):
 
 @pytest.mark.parametrize("kind", [SgdMomentum, Adam])
 @pytest.mark.parametrize("lanes", [1, 4])
-def test_a_step_into_a_buffer_gives_the_bits_of_a_new_vector(kind, lanes):
+@pytest.mark.parametrize("in_place", [False, True], ids=["buffer", "params"])
+def test_a_step_into_a_buffer_gives_the_bits_of_a_new_vector(kind, lanes, in_place):
+    # into a buffer of unwritten entries, or into the parameter vector itself
     params = _lanes(lambda r: r.normal(size=(948,)), lanes)
     into, new = kind(params.shape, lr=1e-2), kind(params.shape, lr=1e-2)
-    out = np.full(params.shape, np.nan)
+    out = params.copy() if in_place else np.full(params.shape, np.nan)
     rng = np.random.default_rng(12)
     for _ in range(5):
         grads = rng.normal(size=params.shape)
-        assert into.step(params, grads, out=out) is out
+        assert into.step(out if in_place else params, grads, out=out) is out
         want = new.step(params, grads)
         assert same_bits(out, want)
         params = want
     assert all(same_bits(getattr(into, k), getattr(new, k)) for k in kind.BUFFERS)
+
+
+def _step_inputs(lanes: int):
+    """A classifier, a generator and one batch of each input a step reads,
+    solo or stacked over `lanes`."""
+    theta = _lanes(lambda r: init_mlp([5, 6, 3], r), lanes)
+    labeler = _lanes(lambda r: Mlp([(r.normal(size=(4, 3)), r.normal(size=(1, 3)))]), lanes)
+    x, mx = (_lanes(lambda r: r.normal(size=(16, 5)), lanes) for _ in range(2))
+    v = _lanes(lambda r: r.normal(size=(16, 4)), lanes)
+    my = _lanes(lambda r: one_hot(r.integers(0, 3, 16), 3), lanes)
+    labels = _lanes(lambda r: r.integers(0, 3, 16), lanes)
+    return theta, labeler, x, v, mx, my, labels
+
+
+@pytest.mark.parametrize("step", ["ce_step", "meta_step", "conventional_step"])
+@pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_a_step_into_the_network_it_steps_gives_the_bits_of_a_new_network(step, kind, lanes):
+    theta, labeler, x, v, mx, my, labels = _step_inputs(lanes)
+
+    def run(net, opt, out):
+        """One step of `net` (the generator for meta_step, else the
+        classifier): the stepped network and the values the step reports."""
+        if step == "ce_step":
+            return ce_step(net, x, labels, opt, out=out)
+        if step == "meta_step":
+            g, report, _ = meta_step(net, theta, x, v, mx, my, inner_lr=0.7, optimizer=opt,
+                                     out=out)
+            return g, report.meta_loss, report.grad_phi_norm, report.mean_similarity
+        return conventional_step(net, labeler, classifier_pass(net, x), v, 0.05, opt, out=out)
+
+    net = labeler if step == "meta_step" else theta
+    new_opt, own_opt = (make_optimizer(kind, net.flat.shape, lr=0.05) for _ in range(2))
+    new, own = net, net.copy()
+    for _ in range(3):
+        new, *new_values = run(new, new_opt, None)
+        stepped, *own_values = run(own, own_opt, own)
+        assert stepped is own and same_bits(own.flat, new.flat)
+        for a, b in zip(own_values, new_values):
+            assert same_bits(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    assert own_opt.step_count == new_opt.step_count == 3
+    assert all(same_bits(getattr(own_opt, k), getattr(new_opt, k)) for k in own_opt.BUFFERS)
 
 
 def _phase2_lanes(lanes: int, batch_size: int = 25):
@@ -286,20 +339,28 @@ def _phase2_lanes(lanes: int, batch_size: int = 25):
     return lns, [_Phase2Rows.of(ln.cfg, ln) for ln in lns]
 
 
-@pytest.mark.parametrize("lanes", [1, 3])
+def _held(st: RunState) -> list[np.ndarray]:
+    """The arrays of every network a run state holds: the classifier, the
+    generator (the label drift reads it after the epoch), the classifier
+    kept by model selection and the extractor's layers."""
+    return [st.theta.flat, st.labeler.flat, st.theta_best.flat,
+            *(a for pair in st.extractor.layers for a in pair)]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
 def test_an_epoch_never_writes_the_networks_it_starts_from(lanes):
     lns, inputs = _phase2_lanes(lanes)
     cfg, sts = lns[0].cfg, [ln.st for ln in lns]
-    for epoch in range(3):  # each epoch starts from what the one before kept
-        held = [(st.theta, st.labeler) for st in sts]
-        bits = [(theta.flat.copy(), labeler.flat.copy()) for theta, labeler in held]
-        if epoch < 2:
+    for epoch in range(4):  # each epoch starts from what the one before kept
+        held = [_held(st) for st in sts]
+        bits = [[a.copy() for a in arrays] for arrays in held]
+        if epoch % 2 == 0:
             _phase2_epoch(cfg, sts, inputs, 1e-2, f"epoch {epoch}")
         else:
-            _ce_epoch(sts, [_noisy_rows(ln.ds) for ln in lns], cfg.batch_size, "epoch 2")
-        for st, (theta, labeler), (theta_bits, labeler_bits) in zip(sts, held, bits):
-            assert st.theta is not theta
-            assert same_bits(theta.flat, theta_bits) and same_bits(labeler.flat, labeler_bits)
+            _ce_epoch(sts, [_noisy_rows(ln.ds) for ln in lns], cfg.batch_size, f"epoch {epoch}")
+        for st, arrays, arrays_bits in zip(sts, held, bits):
+            assert st.theta.flat is not arrays[0]
+            assert all(same_bits(a, b) for a, b in zip(arrays, arrays_bits))
 
 
 def _builds(monkeypatch, fn) -> int:

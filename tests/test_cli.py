@@ -11,6 +11,7 @@ import pytest
 
 import metalabel.cli as cli_mod
 import metalabel.harness as harness_mod
+import metalabel.nn as nn_mod
 from metalabel.cli import main
 from metalabel.data import load_dataset
 from metalabel.harness import TrainConfig, build_dataset
@@ -127,6 +128,26 @@ def test_gen_data_creates_the_parent_directory(tmp_path):
     assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
                  "--out", str(out)]) == 0
     assert load_dataset(str(out)).n == 320
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_an_output_directory_a_file_stands_in_the_way_of_is_usage_error_naming_it(
+        tmp_path, capsys, command, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    cfg = tiny_config(**{"train.total_epochs": 3})
+    if command == "sweep":
+        cfg = {"schema_version": 1, "base": cfg, "grid": {"seed": [0]}}
+    # the directory to create: --out itself, or the parent of gen-data's file
+    target = afile / "sub" if below else afile
+    out = target / "x.dsv" if command == "gen-data" else target
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create directory {target}: " in err, err
+    assert afile.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
 
 
 # -- train ------------------------------------------------------------------------
@@ -486,6 +507,21 @@ def _best_at(blob, epoch):
     blob.update(best_epoch=epoch, best_meta_acc=float.hex(blob["log"][epoch]["meta_acc"]))
 
 
+def _hyper(key, name, value):
+    return lambda b: b[key].update({name: float(value).hex()})
+
+
+def _rekind(blob, key, kind, buffers):
+    """blob[key] rewritten as a `kind` record at its defaults, lr and
+    weight_decay kept, each of `buffers` holding the first old buffer."""
+    old = blob[key]
+    rec = nn_mod.OPTIMIZERS[kind]((0,), lr=1.0)
+    blob[key] = {"kind": kind, **{k: float(getattr(rec, k)).hex() for k in rec.HYPER},
+                 "lr": old["lr"], "weight_decay": old["weight_decay"],
+                 "step_count": old["step_count"],
+                 **{k: old["m" if "m" in old else "buffers"] for k in buffers}}
+
+
 def _tied_later(blob):
     blob["log"][3]["meta_acc"] = blob["log"][blob["best_epoch"]]["meta_acc"]
     _best_at(blob, 3)
@@ -524,6 +560,17 @@ def _tied_later(blob):
     *((lambda b, v=v: b["log"][3].update(phase=v), f"phase {v!r}") for v in (None, 7.5, {}, "x")),
     (_phase2_null, "must be set"),
     (lambda b: _cut_log(b, 2, 1), "must be null"),
+    (_hyper("opt_theta", "weight_decay", 0.5), "opt_theta is"),
+    (_hyper("opt_theta", "weight_decay", -3), "opt_theta is"),
+    (_hyper("opt_theta", "weight_decay", float("nan")), "opt_theta is"),
+    (_hyper("opt_theta", "momentum", 5), "opt_theta is"),
+    (_hyper("opt_theta", "lr", 0.02), "opt_theta is"),
+    (_hyper("opt_phi", "lr", 10), "opt_phi is"),
+    (_hyper("opt_phi", "lr", float("inf")), "opt_phi is"),
+    (_hyper("opt_phi", "eps", 0), "opt_phi is"),
+    (_hyper("opt_phi", "beta2", 0.99), "opt_phi is"),
+    (lambda b: _rekind(b, "opt_phi", "sgd-momentum", ["buffers"]), "opt_phi is"),
+    (lambda b: _rekind(b, "opt_theta", "adam", ["m", "v"]), "opt_theta is"),
 ], ids=["epoch_next-a-string", "epoch_next-a-bool", "epoch_next-past-the-run",
         "epoch_next-negative", "best_epoch-a-string", "best_epoch-not-yet-run",
         "best_epoch-none-after-epochs", "step_count-a-string", "step_count-a-bool",
@@ -535,7 +582,12 @@ def _tied_later(blob):
         "best_epoch-earlier-than-the-best", "best_epoch-a-later-tie",
         "log-phase-phase2-in-warmup", "log-phase-warmup-in-phase2", "log-phase-null",
         "log-phase-a-number", "log-phase-an-object", "log-phase-unknown",
-        "phase2-members-missing-after-warmup", "phase2-members-before-phase2"])
+        "phase2-members-missing-after-warmup", "phase2-members-before-phase2",
+        "opt_theta-weight_decay-not-the-configs", "opt_theta-weight_decay-negative",
+        "opt_theta-weight_decay-nan", "opt_theta-momentum-5", "opt_theta-lr-not-the-schedules",
+        "opt_phi-lr-not-meta_lr", "opt_phi-lr-infinite", "opt_phi-eps-0",
+        "opt_phi-beta2-not-the-default", "opt_phi-sgd-not-the-configs-adam",
+        "opt_theta-adam-not-the-configs-sgd"])
 def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file(
         tmp_path, capsys, edit, word):
     # a finished run of 2 warm-up and 2 phase-2 epochs, one field edited

@@ -418,7 +418,8 @@ def test_metrics_csv_roundtrip(tmp_path):
 
 def test_checkpoint_resume_is_bit_exact(tmp_path):
     # resume at the last warm-up epoch, at the first phase-2 epoch (the
-    # extractor and generator are built after the resume) and mid phase 2
+    # extractor and generator are built after the resume), mid phase 2 and
+    # at the schedule's drop at epoch 6 (the checkpoint holds epoch 5's rate)
     cfg = small_config(seed=7)
     ds = build_dataset(cfg)
     straight = run_experiment(cfg, dataset=ds)
@@ -426,7 +427,7 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
     class Stop(Exception):
         pass
 
-    for resume_at in (cfg.warmup_epochs - 1, cfg.warmup_epochs, 5):
+    for resume_at in (cfg.warmup_epochs - 1, cfg.warmup_epochs, 5, 6):
         cp = str(tmp_path / f"checkpoint{resume_at}.json")
 
         def stop(row):

@@ -15,6 +15,9 @@ directory (so every path an output mentions is relative and equal):
   at epoch 3, in phase 2), then `gen-data` and `eval` of that checkpoint, on
   the written file (whose arrays a tree may read from its sidecar) and on a
   copy of it without the sidecar (which the tree parses)
+- `train --resume` from a checkpoint written after epoch 0, in its own
+  directory: the run resumes inside warm-up, takes a cross-entropy epoch on
+  the restored classifier and builds the extractor and generator from it
 - a 4-seed `sweep`, at `--jobs 1` and at `--jobs 2`
 - `gradcheck --trials 20`
 - once both trees have run, `eval` of that checkpoint on another copy of the
@@ -81,6 +84,7 @@ FLOWS = [
     ["train", "--config", "logits.json", "--out", "logits"],
     ["train", "--config", "nohidden.json", "--out", "nohidden"],
     ["train", "--config", "uniform.json", "--out", "resume", "--resume"],
+    ["train", "--config", "uniform.json", "--out", "resume-warmup", "--resume"],
     ["gen-data", "--config", "uniform.json", "--out", "uniform.dsv"],
     ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "uniform.dsv"],
     ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "unparsed.dsv"],
@@ -89,7 +93,7 @@ FLOWS = [
     ["gradcheck", "--trials", "20"],
 ]
 CROSSED = ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "crossed.dsv"]
-RESUME_AT = 3
+RESUMES = {"resume": 3, "resume-warmup": 1}  # directory: the epoch the run resumes at
 
 
 class _Stop(Exception):
@@ -114,16 +118,18 @@ def run_flows(src: str, work: str) -> None:
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
 
-    def stop(row):
-        if row.epoch == RESUME_AT:
-            raise _Stop
+    for directory, epoch in RESUMES.items():
+        def stop(row, epoch=epoch):
+            if row.epoch == epoch:
+                raise _Stop
 
-    os.makedirs("resume")
-    try:
-        harness.run_experiment(harness.TrainConfig.from_dict(CONFIGS["uniform.json"]),
-                               checkpoint_path="resume/checkpoint.json", on_epoch=stop)
-    except _Stop:
-        pass
+        os.makedirs(directory)
+        try:
+            harness.run_experiment(harness.TrainConfig.from_dict(CONFIGS["uniform.json"]),
+                                   checkpoint_path=f"{directory}/checkpoint.json",
+                                   on_epoch=stop)
+        except _Stop:
+            pass
     calls = []
     for argv in FLOWS:
         if "unparsed.dsv" in argv:
