@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from .data import load_dataset, replace_text, save_dataset
+from .data import load_dataset, read_json, replace_text, save_dataset
 from .harness import (
     ConfigError,
     METRICS_COLUMNS,
@@ -30,6 +30,7 @@ from .harness import (
     metrics_row,
     run_experiment,
     run_experiments,
+    summary,
     write_metrics_csv,
 )
 
@@ -38,18 +39,8 @@ RUNTIME_ERROR = 1
 SWEEP_RESULTS = ["selected_epoch", "meta_accuracy", "test_accuracy", "final_test_accuracy"]
 
 
-def _read_json(path: str):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-
-
-def _write_summary(path: str, summary: dict) -> None:
-    replace_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+def _write_summary(path: str, body: dict) -> None:
+    replace_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 def _make_dirs(path: str) -> None:
@@ -62,7 +53,7 @@ def _make_dirs(path: str) -> None:
 
 
 def _load_config(path: str) -> TrainConfig:
-    return TrainConfig.from_dict(_read_json(path))
+    return TrainConfig.from_dict(read_json(path, "config"))
 
 
 def _apply_overrides(cfg: TrainConfig, args) -> TrainConfig:
@@ -83,6 +74,8 @@ def cmd_gen_data(args) -> int:
     if cfg.dataset_path is not None:
         raise ConfigError("gen-data always synthesises a dataset; "
                           f"drop data.path ({cfg.dataset_path}) from the config")
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory; gen-data writes a file")
     parent = os.path.dirname(args.out)
     if parent:
         _make_dirs(parent)
@@ -95,14 +88,10 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     _make_dirs(args.out)
-    if cfg.dataset_path is not None and not os.path.exists(cfg.dataset_path):
-        raise ConfigError(f"dataset file not found: {cfg.dataset_path}")
     metrics_path = os.path.join(args.out, "metrics.csv")
     checkpoint_path = os.path.join(args.out, "checkpoint.json")
     state, logged = None, []
     if args.resume:
-        if not os.path.exists(checkpoint_path):
-            raise ConfigError(f"checkpoint not found: {checkpoint_path}")
         state = load_checkpoint(checkpoint_path, cfg)
         logged = state.log
     ds = build_dataset(cfg)  # shared by the run and the baseline
@@ -116,18 +105,18 @@ def cmd_train(args) -> int:
             fh.write(csv_text([metrics_row(row)]))
             fh.flush()
 
-        result = run_experiment(cfg, dataset=ds, checkpoint_path=checkpoint_path,
-                                state=state, on_epoch=on_epoch)
+        st = run_experiment(cfg, dataset=ds, checkpoint_path=checkpoint_path,
+                            state=state, on_epoch=on_epoch)
 
-    summary = result.summary()
-    summary["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _write_summary(os.path.join(args.out, "summary.json"), summary)
+    run = summary(cfg, st)
+    _write_summary(os.path.join(args.out, "summary.json"),
+                   {**run, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")})
     if args.baseline:
         base = baseline_ce(cfg, dataset=ds)
         write_metrics_csv(base.log, os.path.join(args.out, "baseline_metrics.csv"))
-        _write_summary(os.path.join(args.out, "baseline_summary.json"), base.summary())
-    print(f"selected epoch {result.best_epoch}: "
-          f"meta {result.best_meta_acc:.4f}, test {result.test_acc_selected:.4f}")
+        _write_summary(os.path.join(args.out, "baseline_summary.json"), summary(cfg, base))
+    print(f"selected epoch {run['selected_epoch']}: "
+          f"meta {run['meta_accuracy']:.4f}, test {run['test_accuracy']:.4f}")
     return 0
 
 
@@ -148,10 +137,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    if not os.path.exists(args.dataset):
-        raise ConfigError(f"dataset file not found: {args.dataset}")
     theta = load_checkpoint(args.checkpoint).theta_best
     ds = load_dataset(args.dataset)
     if (ds.dims, ds.n_classes) != (theta.in_dim, theta.out_dim):
@@ -194,27 +179,27 @@ def _run_cells(configs: list[dict], cells: list[list[tuple[str, object]]],
     cell's directory as soon as its group ends. A failure does not abort
     the sweep: a record's status is "ok" or the failure message. Also
     returns the lane groups trained, as (lanes, lanes rerun alone)."""
+    cfgs = [TrainConfig.from_dict(raw) for raw in configs]
     groups: list[tuple[int, int]] = []
 
-    def write(indices, results, reran):
+    def write(indices, outcomes, reran):
         groups.append((len(indices), reran))
-        for i, result in zip(indices, results):
-            if isinstance(result, Exception):
+        for i, st in zip(indices, outcomes):
+            if isinstance(st, Exception):
                 continue
             cell_dir = os.path.join(out_dir, _cell_id(cells[i]))
             os.makedirs(cell_dir, exist_ok=True)
-            write_metrics_csv(result.log, os.path.join(cell_dir, "metrics.csv"))
-            _write_summary(os.path.join(cell_dir, "summary.json"), result.summary())
+            write_metrics_csv(st.log, os.path.join(cell_dir, "metrics.csv"))
+            _write_summary(os.path.join(cell_dir, "summary.json"), summary(cfgs[i], st))
 
-    results = run_experiments([TrainConfig.from_dict(raw) for raw in configs], on_group=write)
     records = []
-    for overrides, result in zip(cells, results):
+    for cfg, overrides, st in zip(cfgs, cells, run_experiments(cfgs, on_group=write)):
         record = {"cell_id": _cell_id(overrides), **dict(overrides)}
-        if isinstance(result, Exception):
-            record["status"] = str(result) or type(result).__name__
+        if isinstance(st, Exception):
+            record["status"] = str(st) or type(st).__name__
         else:
-            summary = result.summary()
-            record.update({k: summary[k] for k in SWEEP_RESULTS}, status="ok")
+            cell = summary(cfg, st)
+            record.update({k: cell[k] for k in SWEEP_RESULTS}, status="ok")
         records.append(record)
     return records, groups
 
@@ -226,7 +211,7 @@ def _plural(n: int, word: str) -> str:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    raw = _read_json(args.config)
+    raw = read_json(args.config, "config")
     if not isinstance(raw, dict):
         raise ConfigError("sweep config must be a JSON object")
     unknown = set(raw) - {"schema_version", "base", "grid", "cells"}

@@ -325,6 +325,21 @@ def replace_text(path: str, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
+def read_json(path: str, what: str):
+    """The JSON value in file `path`. A file that is missing, cannot be read
+    (a directory, no permission) or is not JSON in UTF-8 raises a
+    ValueError that names it as `what`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as e:
+        raise ValueError(f"{what} not found: {path}") from e
+    except OSError as e:
+        raise ValueError(f"{what} {path} cannot be read: {e.strerror}") from e
+    except ValueError as e:
+        raise ValueError(f"{what} {path} is not valid JSON: {e}") from e
+
+
 def _sidecar_path(path: str) -> str:
     head, name = os.path.split(path)
     return os.path.join(head, f".{name}.parsed")
@@ -419,9 +434,8 @@ def load_dataset(path: str) -> Dataset:
     """Read a file written by save_dataset. The header and the column line
     are checked on the text; the arrays come from the sidecar when it holds
     the file's sha256, else from one np.loadtxt of the body, after which the
-    sidecar is written. Every way the file can be malformed or unreadable
-    (a missing file aside) raises a ValueError whose message starts with the
-    path."""
+    sidecar is written. Every way the file can be missing, malformed or
+    unreadable raises a ValueError whose message starts with the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             digest = _sha256(fh.buffer)
@@ -460,8 +474,6 @@ def load_dataset(path: str) -> Dataset:
         raise ValueError(f"{path}: the header has no {e} field") from e
     except (ValueError, TypeError) as e:
         raise ValueError(f"{path}: {e}") from e
-    except FileNotFoundError:
-        raise
     except OSError as e:
         raise ValueError(f"{path}: {e.strerror or e}") from e
     if parsed:

@@ -561,11 +561,7 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
     """Restore a run state; when cfg is given its hash must match the one
     the checkpoint was written under. Every way the file can be unreadable
     raises a ValueError that names it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"checkpoint {path} is not valid JSON: {e}") from e
+    blob = dt.read_json(path, "checkpoint")
     version = blob.get("version") if isinstance(blob, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version}")
@@ -652,8 +648,16 @@ def _malformation(st: RunState, cfg: TrainConfig | None) -> str | None:
                 return f"{name} is {_hypers(opt)}, but the config builds {_hypers(want)}"
     if ex is not None and ex.mode not in EXTRACTOR_MODES:
         return f"extractor mode {ex.mode!r} is not one of {EXTRACTOR_MODES}"
+    if ex is not None and cfg is not None and ex.mode != cfg.extractor_features:
+        return f"extractor mode {ex.mode!r} is not train.extractor_features"
     if ex is not None and ex.in_dim != st.theta.in_dim:
         return f"the extractor reads {ex.in_dim} features, the classifier {st.theta.in_dim}"
+    if ex is not None:  # the classifier as warm-up left it; penultimate drops the output layer
+        sizes = st.theta.sizes if ex.mode == "logits" else st.theta.sizes[:-1]
+        shapes = [(w.shape, b.shape) for w, b in ex.layers]
+        if shapes != [((a, z), (1, z)) for a, z in zip(sizes, sizes[1:])]:
+            return (f"{ex.mode} extractor layers {shapes} do not fit the classifier's "
+                    f"widths {list(st.theta.sizes)}")
     if g is not None and (g.in_dim != ex.n_features or g.out_dim != st.theta.out_dim):
         return (f"the generator maps {g.in_dim} features to {g.out_dim} classes, but the "
                 f"extractor gives {ex.n_features} features and the classifier has "
@@ -773,7 +777,7 @@ class _Phase2Rows(typing.NamedTuple):
 
 
 def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Rows],
-                  lam: float, where: str) -> np.ndarray:
+                  where: str) -> np.ndarray:
     """One phase-2 epoch of every lane: per batch the meta step, then the
     classifier step. Each lane's rng draws the epoch's plan before the first
     batch: a permutation of the train rows, then as many permutations of the
@@ -799,7 +803,7 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
         my = stack_lanes([inp.meta_y[i] for inp, i in zip(inputs, m)])
         _, report, fwd = meta_step(labeler, theta, x, v, mx, my, inner_lr=cfg.inner_lr,
                                    optimizer=opt_phi, work=work, out=labeler)
-        _, lc, le = conventional_step(theta, labeler, fwd, v, lam, opt_theta,
+        _, lc, le = conventional_step(theta, labeler, fwd, v, opt_theta,
                                       use_entropy=cfg.entropy_loss, grad=grad, out=theta)
         return lc, le, report.meta_loss, report.mean_similarity
 
@@ -825,7 +829,7 @@ def _label_drift(after: Mlp, before: Mlp, feats: np.ndarray) -> np.ndarray:
     return drift
 
 
-def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
+def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
     """Train every lane from its epoch_next up to epoch `until`, in lockstep.
 
     The lanes share the train.* fields of their configs (the first lane's
@@ -837,15 +841,15 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
     accuracy (earliest epoch on ties), logs its row and passes it to its
     `on_epoch`, and writes its checkpoint when it has a path. A row's
     wall_time is the group's epoch time divided by the number of lanes.
+    Returns the lanes' RunStates.
     """
     nan = float("nan")
     cfg, sts = lanes[0].cfg, [ln.st for ln in lanes]
     inputs = None
     for epoch in range(sts[0].epoch_next, until):
         t0 = time.perf_counter()
-        lam = lr_at(cfg.lr_schedule, epoch)
-        for st in sts:
-            st.opt_theta.lr = lam
+        for st in sts:  # the one place the classifier's rate is set
+            st.opt_theta.lr = lr_at(cfg.lr_schedule, epoch)
         if not phase2 or epoch < cfg.warmup_epochs:
             phase, label = ("warmup", "warm-up") if phase2 else ("baseline", "baseline")
             loss_c = _ce_epoch(sts, [_noisy_rows(ln.ds) for ln in lanes], cfg.batch_size,
@@ -856,7 +860,7 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
             if inputs is None:
                 inputs = [_Phase2Rows.of(cfg, ln) for ln in lanes]
             before = [st.labeler for st in sts]
-            epoch_losses = _phase2_epoch(cfg, sts, inputs, lam, f"epoch {epoch}")
+            epoch_losses = _phase2_epoch(cfg, sts, inputs, f"epoch {epoch}")
             losses = []
             for s, (st, inp) in enumerate(zip(sts, inputs)):
                 drift = _label_drift(st.labeler, before[s], inp.feats)
@@ -879,43 +883,11 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> None:
                 ln.on_epoch(row)
             if ln.checkpoint_path is not None:
                 save_checkpoint(ln.checkpoint_path, ln.cfg, st)
+    return sts
 
 
 # ---------------------------------------------------------------------------
 # entry points
-
-
-@dataclass
-class ExperimentResult:
-    config: TrainConfig
-    log: list[EpochRow]
-    theta_best: Mlp
-    theta_final: Mlp
-    labeler: Mlp | None
-    best_epoch: int
-    best_meta_acc: float
-    test_acc_selected: float
-    test_acc_final: float
-
-    def summary(self) -> dict:
-        return {
-            "schema_version": 1,
-            "selected_epoch": self.best_epoch,
-            "meta_accuracy": self.best_meta_acc,
-            "test_accuracy": self.test_acc_selected,
-            "final_test_accuracy": self.test_acc_final,
-            "config_hash": self.config.config_hash(),
-        }
-
-
-def _result(ln: _Lane) -> ExperimentResult:
-    """The run's outcome; both test accuracies are the logged ones, of the
-    classifier kept at best_epoch and of the last epoch's."""
-    st = ln.st
-    return ExperimentResult(
-        config=ln.cfg, log=st.log, theta_best=st.theta_best, theta_final=st.theta,
-        labeler=st.labeler, best_epoch=st.best_epoch, best_meta_acc=st.best_meta_acc,
-        test_acc_selected=st.log[st.best_epoch].test_acc, test_acc_final=st.log[-1].test_acc)
 
 
 def _check_meta_size(cfg: TrainConfig, ds: Dataset) -> None:
@@ -925,17 +897,24 @@ def _check_meta_size(cfg: TrainConfig, ds: Dataset) -> None:
             f"train.batch_size {cfg.batch_size} exceeds meta split size {meta_size}")
 
 
-def _run_lanes(lanes: list[_Lane], until: int, phase2: bool) -> list[ExperimentResult]:
-    _train(lanes, until, phase2)
-    return [_result(ln) for ln in lanes]
+def summary(cfg: TrainConfig, st: RunState) -> dict:
+    """The summary.json body of a finished run; its test accuracies are logged ones."""
+    return {
+        "schema_version": 1,
+        "selected_epoch": st.best_epoch,
+        "meta_accuracy": st.best_meta_acc,
+        "test_accuracy": st.log[st.best_epoch].test_acc,
+        "final_test_accuracy": st.log[-1].test_acc,
+        "config_hash": cfg.config_hash(),
+    }
 
 
 def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
                    checkpoint_path: str | None = None,
                    state: RunState | None = None,
-                   on_epoch=None) -> ExperimentResult:
-    """Warm-up, then phase-2 epochs; per-epoch metrics; keep the classifier
-    with the best meta accuracy and score it on test. A group of one lane.
+                   on_epoch=None) -> RunState:
+    """Warm-up, then phase-2 epochs, a group of one lane. Returns the run's
+    RunState: `theta` is the last epoch's classifier, `theta_best` the kept one.
 
     With checkpoint_path set, the run state is written after every epoch.
     A `state` read back by load_checkpoint continues that run bit-exactly;
@@ -946,15 +925,14 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
     ds = dataset if dataset is not None else build_dataset(cfg)
     _check_meta_size(cfg, ds)
     st = state if state is not None else RunState.fresh(cfg, ds)
-    return _run_lanes([_Lane(cfg, ds, st, checkpoint_path, on_epoch)],
-                      cfg.total_epochs, True)[0]
+    return _train([_Lane(cfg, ds, st, checkpoint_path, on_epoch)], cfg.total_epochs, True)[0]
 
 
-def baseline_ce(cfg: TrainConfig, dataset: Dataset | None = None) -> ExperimentResult:
+def baseline_ce(cfg: TrainConfig, dataset: Dataset | None = None) -> RunState:
     """Plain cross-entropy on noisy labels with the identical budget,
     schedule and model-selection protocol; the comparison baseline."""
     ds = dataset if dataset is not None else build_dataset(cfg)
-    return _run_lanes([_Lane(cfg, ds, RunState.fresh(cfg, ds))], cfg.total_epochs, False)[0]
+    return _train([_Lane(cfg, ds, RunState.fresh(cfg, ds))], cfg.total_epochs, False)[0]
 
 
 def _shape_key(ds: Dataset) -> tuple:
@@ -965,7 +943,7 @@ def _shape_key(ds: Dataset) -> tuple:
 def run_experiments(cfgs: list[TrainConfig], datasets: list[Dataset] | None = None, *,
                     baseline: bool = False, on_group=None) -> list:
     """`run_experiment` (or, with baseline, `baseline_ce`) for every config;
-    returns, per config, its ExperimentResult or the exception it raised.
+    returns, per config, its finished RunState or the exception it raised.
 
     Configs that agree on everything but seed, noise.* and data.path, and
     whose datasets agree in dims, classes and the row counts of each split
@@ -974,15 +952,15 @@ def run_experiments(cfgs: list[TrainConfig], datasets: list[Dataset] | None = No
     group's lanes reruns alone, so every config ends exactly as it would
     alone. Without `datasets`, each group's datasets are built (margin
     oracles as lanes) when the group trains and dropped after. After each
-    group, `on_group(indices, results, lanes rerun alone)` gets its configs'
-    indices and outcomes.
+    group, `on_group(indices, outcomes, lanes rerun alone)` gets its
+    configs' indices and outcomes.
     """
     out: list = [None] * len(cfgs)
     dss: dict[int, Dataset] = {}
 
     def train(group):
-        return _run_lanes([_Lane(cfgs[i], dss[i], RunState.fresh(cfgs[i], dss[i]))
-                           for i in group], cfgs[group[0]].total_epochs, not baseline)
+        return _train([_Lane(cfgs[i], dss[i], RunState.fresh(cfgs[i], dss[i]))
+                       for i in group], cfgs[group[0]].total_epochs, not baseline)
 
     for chunk in _groups(list(range(len(cfgs))), lambda i: _lane_key(cfgs[i])):
         built = (build_datasets([cfgs[i] for i in chunk]) if datasets is None
@@ -1001,10 +979,3 @@ def run_experiments(cfgs: list[TrainConfig], datasets: list[Dataset] | None = No
                 on_group(group, results, reran)
     return out
 
-
-def warmup_phase(cfg: TrainConfig, ds: Dataset) -> Mlp:
-    """The classifier after cfg.warmup_epochs of cross-entropy on the noisy
-    labels of labeled rows, exactly as a full run has it at warm-up end."""
-    ln = _Lane(cfg, ds, RunState.fresh(cfg, ds))
-    _train([ln], cfg.warmup_epochs, True)
-    return ln.st.theta

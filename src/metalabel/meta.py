@@ -234,14 +234,15 @@ def meta_step(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
 
 
 def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
-                      v: np.ndarray, lam: float, optimizer, *,
+                      v: np.ndarray, optimizer, *,
                       use_entropy: bool = True, grad: Mlp | None = None,
                       out: Mlp | None = None) -> tuple[Mlp, float, float]:
-    """Momentum-SGD step of the classifier on regenerated soft labels, at
-    fwd = `classifier_pass(theta, x)` (as `meta_step` returns it). The
-    gradient goes into `grad` and the stepped classifier into `out`, each a
-    new network when not given. `out` may be theta itself: the gradient has
-    read it in full before the optimizer writes.
+    """One optimizer step of the classifier on regenerated soft labels, at
+    fwd = `classifier_pass(theta, x)` (as `meta_step` returns it), at the
+    optimizer's learning rate, as in `ce_step`. The gradient goes into
+    `grad` and the stepped classifier into `out`, each a new network when
+    not given. `out` may be theta itself: the gradient has read it in full
+    before the optimizer writes.
 
     Labels come from the freshly updated generator and act as constants;
     the loss is the KL classification term plus (optionally) the entropy
@@ -257,7 +258,6 @@ def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
         raise DivergenceError("diverged: non-finite classifier loss")
     # KL plus entropy is the cross-entropy -sum(p log q)
     dz = _soft_label_dz(p, -log_q if use_entropy else log_p - log_q) / n
-    optimizer.lr = lam
     grad = mlp_backward(theta, fwd.acts, fwd.masks, dz, out=grad)
     out = theta.blank() if out is None else out
     optimizer.step(theta.flat, grad.flat, out=out.flat)

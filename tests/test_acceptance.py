@@ -90,10 +90,15 @@ def baseline_run(seed: int, kind: str, ratio: float):
     return _runs[key(seed)]
 
 
+def selected(st) -> float:
+    """A finished run's test accuracy at its meta-selected epoch."""
+    return st.log[st.best_epoch].test_acc
+
+
 def gap_points(seed: int, kind: str, ratio: float) -> float:
     method, _ = method_run(seed, kind, ratio)
     base, _ = baseline_run(seed, kind, ratio)
-    return 100.0 * (method.test_acc_selected - base.test_acc_final)
+    return 100.0 * (selected(method) - base.log[-1].test_acc)
 
 
 # -- criterion 1: second-order gradient correctness ------------------------------
@@ -168,8 +173,7 @@ def test_criterion_06_unlabeled_mode_holds_accuracy():
         cfg = config_for(s, "feature-dependent", 0.4, unlabeled_fraction=0.5)
         ds = dataset_for(cfg)
         assert (~ds.labeled).sum() == round(0.5 * ds.indices("train").size)
-        diffs.append(100.0 * (unlabeled.test_acc_selected
-                              - labeled.test_acc_selected))
+        diffs.append(100.0 * (selected(unlabeled) - selected(labeled)))
     ok = sum(d >= -3.0 for d in diffs) >= 3
     report(6, ok, "unlabeled-minus-labeled " + ", ".join(f"{d:+.1f}" for d in diffs)
            + " points (need >= -3.0 in 3/4); label guard never fired")
@@ -198,8 +202,7 @@ def test_criterion_08_skipping_warmup_hurts():
     for s in SEEDS:
         default, _ = method_run(s, "feature-dependent", 0.6)
         no_warmup, _ = method_run(s, "feature-dependent", 0.6, warmup_epochs=0)
-        drops.append(100.0 * (default.test_acc_selected
-                              - no_warmup.test_acc_selected))
+        drops.append(100.0 * (selected(default) - selected(no_warmup)))
     ok = float(np.mean(drops)) >= 2.0
     report(8, ok, "default-minus-no-warmup " + ", ".join(f"{d:+.1f}" for d in drops)
            + f" points, mean {np.mean(drops):.1f} (need >= 2.0)")
@@ -273,9 +276,8 @@ def test_criterion_10_invariant_suites():
                       lr_schedule=[[0, 1e-2]], oracle_epochs=10)
     a, b = run_experiment(cfg), run_experiment(cfg)
     same = all(np.array_equal(wa, wb) and np.array_equal(ba, bb)
-               for (wa, ba), (wb, bb) in zip(a.theta_final.layers, b.theta_final.layers))
-    if not (same and a.best_epoch == b.best_epoch
-            and a.test_acc_selected == b.test_acc_selected):
+               for (wa, ba), (wb, bb) in zip(a.theta.layers, b.theta.layers))
+    if not (same and a.best_epoch == b.best_epoch and selected(a) == selected(b)):
         problems.append("repeat runs were not bit-identical")
 
     # classifier isolation of the meta step

@@ -313,7 +313,7 @@ def test_a_step_into_the_network_it_steps_gives_the_bits_of_a_new_network(step, 
             g, report, _ = meta_step(net, theta, x, v, mx, my, inner_lr=0.7, optimizer=opt,
                                      out=out)
             return g, report.meta_loss, report.grad_phi_norm, report.mean_similarity
-        return conventional_step(net, labeler, classifier_pass(net, x), v, 0.05, opt, out=out)
+        return conventional_step(net, labeler, classifier_pass(net, x), v, opt, out=out)
 
     net = labeler if step == "meta_step" else theta
     new_opt, own_opt = (make_optimizer(kind, net.flat.shape, lr=0.05) for _ in range(2))
@@ -355,7 +355,7 @@ def test_an_epoch_never_writes_the_networks_it_starts_from(lanes):
         held = [_held(st) for st in sts]
         bits = [[a.copy() for a in arrays] for arrays in held]
         if epoch % 2 == 0:
-            _phase2_epoch(cfg, sts, inputs, 1e-2, f"epoch {epoch}")
+            _phase2_epoch(cfg, sts, inputs, f"epoch {epoch}")
         else:
             _ce_epoch(sts, [_noisy_rows(ln.ds) for ln in lns], cfg.batch_size, f"epoch {epoch}")
         for st, arrays, arrays_bits in zip(sts, held, bits):
@@ -391,6 +391,6 @@ def test_a_batch_builds_no_network(monkeypatch, lanes):
         cfg, sts = lns[0].cfg, [ln.st for ln in lns]
         sources = [_noisy_rows(ln.ds) for ln in lns]
         phase2[batch_size] = _builds(
-            monkeypatch, lambda: _phase2_epoch(cfg, sts, inputs, 1e-2, "epoch"))
+            monkeypatch, lambda: _phase2_epoch(cfg, sts, inputs, "epoch"))
         ce[batch_size] = _builds(monkeypatch, lambda: _ce_epoch(sts, sources, batch_size, "epoch"))
     assert phase2[25] == phase2[50] and ce[25] == ce[50], (phase2, ce)

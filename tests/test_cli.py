@@ -123,6 +123,20 @@ def test_a_label_edited_after_gen_data_is_read(tmp_path):
     assert np.array_equal(after.y_noisy, before.y_noisy)
 
 
+def test_gen_data_into_a_directory_is_usage_error_before_the_dataset_is_built(
+        tmp_path, capsys, monkeypatch):
+    def build(cfg):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(cli_mod, "build_dataset", build)
+    cfg_path = write_config(tmp_path, tiny_config(**{"noise.kind": "feature-dependent"}))
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"--out {out} is a directory" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_gen_data_creates_the_parent_directory(tmp_path):
     out = tmp_path / "nodir" / "x.dsv"
     assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
@@ -167,12 +181,14 @@ def test_config_type_error_is_usage_error_naming_the_field(tmp_path, capsys, key
     assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
-def test_invalid_json_config_names_the_file(tmp_path, capsys):
+@pytest.mark.parametrize("text", [b'{"schema_version": 1,', b'\xff{}'],
+                         ids=["truncated", "not-utf-8"])
+def test_invalid_json_config_names_the_file(tmp_path, capsys, text):
     bad = tmp_path / "broken.json"
-    bad.write_text('{"schema_version": 1,')
+    bad.write_bytes(text)
     for command in ("train", "sweep"):
         assert main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert str(bad) in capsys.readouterr().err
+        assert f"config {bad} is not valid JSON" in capsys.readouterr().err
 
 
 
@@ -223,6 +239,32 @@ def test_train_unlabeled_override(tmp_path):
                  "--unlabeled-fraction", "0.5"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert 0.0 <= summary["test_accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "eval", "resume", "data.path"])
+def test_a_directory_given_as_an_input_file_is_usage_error_naming_it(tmp_path, capsys,
+                                                                    command):
+    cfg = tiny_config(**{"train.total_epochs": 3})
+    cfg_path = write_config(tmp_path, cfg)
+    out, folder = tmp_path / "run", tmp_path / "folder"
+    folder.mkdir()
+    if command in ("eval", "resume"):
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    if command == "resume":  # the checkpoint in --out is a directory
+        folder = out / "checkpoint.json"
+        folder.unlink()
+        folder.mkdir()
+    argv = {"train": ["train", "--config", str(folder), "--out", str(out)],
+            "sweep": ["sweep", "--config", str(folder), "--out", str(out)],
+            "eval": ["eval", "--checkpoint", str(folder), "--dataset", str(tmp_path / "x.dsv")],
+            "resume": ["train", "--config", cfg_path, "--out", str(out), "--resume"],
+            "data.path": ["train", "--config", write_config(
+                tmp_path, tiny_config(**{"data.path": str(folder)}), "path.json"),
+                          "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err and "Is a directory" in err, err
 
 
 def test_train_missing_dataset_file_is_usage_error(tmp_path):
@@ -417,6 +459,9 @@ def test_truncated_checkpoint_is_usage_error_naming_the_file(tmp_path, capsys):
     assert (out / "metrics.csv").read_text() == metrics  # not truncated by the failed resume
     assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]) == 2
     assert str(cp) in capsys.readouterr().err
+    cp.write_bytes(b"\xff" + cp.read_bytes())  # not UTF-8
+    assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]) == 2
+    assert f"checkpoint {cp} is not valid JSON" in capsys.readouterr().err
     # valid JSON with a field missing
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
     blob = json.loads(cp.read_text())
@@ -539,6 +584,9 @@ def _tied_later(blob):
     (lambda b: b["opt_phi"].update(step_count=True), "step_count"),
     (lambda b: b["extractor"].update(mode="bogus"), "mode"),
     (lambda b: b["extractor"].update(in_dim=7), "extractor reads 7"),
+    (lambda b: b["extractor"].update(mode="logits"), "train.extractor_features"),
+    (lambda b: b["extractor"].update(layers=[{"w": _mat(np.zeros((5, 4))),
+                                              "b": _mat(np.zeros((1, 4)))}]), "extractor layers"),
     (lambda b: b.update(log=b["log"][:1], epoch_next=2), "log"),
     (lambda b: b.update(log=b["log"][:3]), "log"),
     (lambda b: b["log"][1].update(epoch=2), "log"),
@@ -575,6 +623,7 @@ def _tied_later(blob):
         "epoch_next-negative", "best_epoch-a-string", "best_epoch-not-yet-run",
         "best_epoch-none-after-epochs", "step_count-a-string", "step_count-a-bool",
         "extractor-mode-unknown", "extractor-in_dim-not-the-classifiers",
+        "extractor-mode-not-the-configs", "extractor-layers-not-the-classifiers",
         "log-shorter-than-epoch_next", "log-missing-its-last-row", "log-epochs-out-of-order",
         "log-value-a-string", "log-value-null", "log-accuracy-above-1", "log-accuracy-nan",
         "log-accuracy-infinite", "log-accuracy-negative", "best_meta_acc-nan",

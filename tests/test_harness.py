@@ -19,7 +19,6 @@ from metalabel.harness import (
     lr_at,
     read_metrics_csv,
     run_experiment,
-    warmup_phase,
     write_metrics_csv,
 )
 from metalabel.nn import Mlp, init_mlp
@@ -35,6 +34,14 @@ def small_config(**kw) -> TrainConfig:
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def warmed_up(cfg: TrainConfig, ds: Dataset) -> Mlp:
+    """The classifier after cfg.warmup_epochs of cross-entropy on the noisy
+    labels: the baseline ignores warmup_epochs, so one stopped where warm-up
+    ends (test_baseline_and_method_share_the_warmup pins that equality)."""
+    short = dataclasses.replace(cfg, warmup_epochs=0, total_epochs=cfg.warmup_epochs)
+    return baseline_ce(short, dataset=ds).theta
 
 
 def rows_equal(a, b) -> bool:
@@ -168,12 +175,14 @@ def test_evaluate_rejects_empty_split():
 
 
 def test_warmup_zero_epochs_returns_initialization():
-    cfg = small_config(warmup_epochs=0, noise_ratio=0.0, noise_kind="uniform")
+    # phase 2 starts from the initialization: its extractor is that classifier's
+    cfg = small_config(warmup_epochs=0, total_epochs=1, noise_ratio=0.0, noise_kind="uniform")
     ds = build_dataset(cfg)
-    theta = warmup_phase(cfg, ds)
     init = init_mlp([cfg.dims] + cfg.hidden + [cfg.classes],
                     np.random.default_rng(derive_seeds(cfg.seed)["init"]))
-    for (w, b), (wi, bi) in zip(theta.layers, init.layers):
+    extractor = run_experiment(cfg, dataset=ds).extractor
+    assert len(extractor.layers) == len(init.layers) - 1
+    for (w, b), (wi, bi) in zip(extractor.layers, init.layers):
         assert np.array_equal(w, wi)
         assert np.array_equal(b, bi)
 
@@ -181,7 +190,7 @@ def test_warmup_zero_epochs_returns_initialization():
 def test_warmup_is_deterministic():
     cfg = small_config(noise_ratio=0.2)
     ds = build_dataset(cfg)
-    a, b = warmup_phase(cfg, ds), warmup_phase(cfg, ds)
+    a, b = warmed_up(cfg, ds), warmed_up(cfg, ds)
     for (wa, _), (wb, _) in zip(a.layers, b.layers):
         assert np.array_equal(wa, wb)
 
@@ -190,7 +199,7 @@ def test_warmup_fits_clean_separable_blobs():
     cfg = small_config(noise_ratio=0.0, noise_kind="uniform", warmup_epochs=30,
                        total_epochs=31, center_scale=6.0)
     ds = build_dataset(cfg)
-    theta = warmup_phase(cfg, ds)
+    theta = warmed_up(cfg, ds)
     assert evaluate(theta, ds, "train") >= 0.95
 
 
@@ -200,7 +209,7 @@ def test_warmup_requires_labeled_rows():
     all_unlabeled = Dataset(ds.x, ds.y_clean, ds.y_noisy,
                             ds.split != "train", ds.split, ds.n_classes)
     with pytest.raises(ValueError):
-        warmup_phase(cfg, all_unlabeled)
+        warmed_up(cfg, all_unlabeled)
 
 
 # -- full runs --------------------------------------------------------------------
@@ -266,7 +275,8 @@ def test_meta_data_cleanliness_is_load_bearing():
     poisoned.y_noisy[meta_rows] = bad
     res_clean = run_experiment(cfg, dataset=clean_ds)
     res_poisoned = run_experiment(cfg, dataset=poisoned)
-    assert res_poisoned.test_acc_selected < res_clean.test_acc_selected
+    assert (res_poisoned.log[res_poisoned.best_epoch].test_acc
+            < res_clean.log[res_clean.best_epoch].test_acc)
 
 
 def test_phase2_batch_count_per_epoch(monkeypatch):
@@ -291,7 +301,7 @@ def test_method_matches_baseline_on_clean_default_config():
     ds = build_dataset(cfg)
     method = run_experiment(cfg, dataset=ds)
     base = baseline_ce(cfg, dataset=ds)
-    assert abs(method.test_acc_selected - base.test_acc_final) <= 0.01
+    assert abs(method.log[method.best_epoch].test_acc - base.log[-1].test_acc) <= 0.01
 
 
 def test_unlabeled_mode_completes_without_guard_firing():
@@ -319,7 +329,7 @@ def test_baseline_is_deterministic_and_tagged():
 
 def test_baseline_and_method_share_the_warmup():
     # one epoch loop: the method's warm-up epochs are the baseline's first
-    # epochs, and warmup_phase returns the classifier they end with
+    # epochs, and phase 2 extracts its features from the classifier they end with
     cfg = small_config(noise_kind="uniform")
     ds = build_dataset(cfg)
     method, base = run_experiment(cfg, dataset=ds), baseline_ce(cfg, dataset=ds)
@@ -328,10 +338,10 @@ def test_baseline_and_method_share_the_warmup():
         assert rows_equal(dataclasses.replace(m, phase="baseline"), b)
     assert not rows_equal(dataclasses.replace(method.log[cfg.warmup_epochs], phase="baseline"),
                           base.log[cfg.warmup_epochs])
-    # the baseline ignores warmup_epochs, so this one stops where warm-up ends
-    short = baseline_ce(dataclasses.replace(cfg, warmup_epochs=0,
-                                            total_epochs=cfg.warmup_epochs), dataset=ds)
-    for (w, b), (ws, bs) in zip(warmup_phase(cfg, ds).layers, short.theta_final.layers):
+    # the baseline ignores warmup_epochs, so warmed_up's stops where warm-up ends
+    short = warmed_up(cfg, ds)
+    assert len(method.extractor.layers) == len(short.layers) - 1  # penultimate
+    for (w, b), (ws, bs) in zip(method.extractor.layers, short.layers):
         assert np.array_equal(w, ws)
         assert np.array_equal(b, bs)
 
@@ -443,9 +453,7 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
         assert len(resumed.log) == len(straight.log)
         assert all(rows_equal(a, b) for a, b in zip(resumed.log, straight.log))
         assert resumed.best_epoch == straight.best_epoch
-        assert resumed.test_acc_selected == straight.test_acc_selected
-        for (wa, ba), (wb, bb) in zip(resumed.theta_final.layers,
-                                      straight.theta_final.layers):
+        for (wa, ba), (wb, bb) in zip(resumed.theta.layers, straight.theta.layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
         assert np.array_equal(resumed.labeler.layers[0][0], straight.labeler.layers[0][0])
@@ -453,8 +461,10 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
 
 def test_resume_requires_checkpoint(tmp_path):
     cfg = small_config()
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ValueError, match="checkpoint not found: .*nope.json"):
         load_checkpoint(str(tmp_path / "nope.json"), cfg)
+    with pytest.raises(ValueError, match=f"checkpoint {tmp_path} cannot be read"):
+        load_checkpoint(str(tmp_path), cfg)
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
@@ -542,7 +552,7 @@ def test_a_phase2_epoch_draws_the_train_order_then_the_meta_orders(monkeypatch, 
         return real_step(labeler, theta, x, v, mx, *args, **kw)
 
     monkeypatch.setattr(hmod, "meta_step", recording)
-    hmod._phase2_epoch(cfgs[0], [ln.st for ln in lanes], inputs, 1e-2, "epoch 1")
+    hmod._phase2_epoch(cfgs[0], [ln.st for ln in lanes], inputs, "epoch 1")
     assert len(seen) == math.ceil(n_train / cfgs[0].batch_size)
     for s, (rng, inp, ln) in enumerate(zip(rngs, inputs, lanes)):
         order = rng.permutation(n_train)
@@ -580,7 +590,7 @@ def test_a_phase2_batch_runs_two_classifier_forward_passes(monkeypatch):
 
     monkeypatch.setattr(hmod, "meta_step", counting_step)
     monkeypatch.setattr(meta_mod, "mlp_forward", counting_forward)
-    hmod._phase2_epoch(cfg, [ln.st], inputs, lr_at(cfg.lr_schedule, 3), "epoch 3")
+    hmod._phase2_epoch(cfg, [ln.st], inputs, "epoch 3")
     assert len(batches) == math.ceil(inputs[0].rows.size / cfg.batch_size)
     assert len(passes) == 2 * len(batches)
     for (theta, x, mx), (at_theta, at_hat) in zip(batches, zip(passes[0::2], passes[1::2])):

@@ -39,7 +39,7 @@ def _train_steps(theta, labeler, batches, opt_theta, opt_phi, opt_ce):
     for x, v, mx, my, labels in batches:
         labeler, report, fwd = meta_step(labeler, theta, x, v, mx, my, inner_lr=0.7,
                                          optimizer=opt_phi)
-        theta, lc, le = conventional_step(theta, labeler, fwd, v, 0.05, opt_theta)
+        theta, lc, le = conventional_step(theta, labeler, fwd, v, opt_theta)
         theta, loss = ce_step(theta, x, labels, opt_ce)
         seen.append((report.meta_loss, report.grad_phi_norm, report.mean_similarity,
                      lc, le, loss))
@@ -210,13 +210,13 @@ def test_sweep_writes_each_group_as_it_ends(tmp_path, capsys, monkeypatch):
     import metalabel.harness as harness
 
     seen = []
-    run_lanes = harness._run_lanes
+    train = harness._train
 
     def recording(lanes, *args):
         seen.append(len(list((tmp_path / "laned").glob("*/summary.json"))))
-        return run_lanes(lanes, *args)
+        return train(lanes, *args)
 
-    monkeypatch.setattr(harness, "_run_lanes", recording)
+    monkeypatch.setattr(harness, "_train", recording)
     code, _ = sweep(tmp_path, "laned", fd_config(), {"seed": list(range(5))}, capsys)
     assert code == 0
     assert seen == [0, 4]

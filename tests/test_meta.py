@@ -263,8 +263,9 @@ def test_meta_step_detached_labels_raise_not_silently_degrade(tiny):
 
 def test_conventional_step_zero_lr_keeps_parameters(tiny):
     theta, labeler, x, v, _, _ = tiny
-    opt = make_optimizer("sgd-momentum", theta.flat.shape, lr=1e-2)
-    new_theta, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, 0.0, opt)
+    opt = make_optimizer("sgd-momentum", theta.flat.shape, lr=0.0)
+    new_theta, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, opt)
+    assert opt.lr == 0.0  # the step runs at the optimizer's rate and leaves it
     for p, q in zip(theta.params(), new_theta.params()):
         assert np.array_equal(p, q)
     assert np.isfinite(lc) and np.isfinite(le)
@@ -296,7 +297,7 @@ def test_repeated_conventional_steps_descend_on_fixed_batch(tiny):
     opt = SgdMomentum(theta.flat.shape, lr=1e-2, momentum=0.0, weight_decay=0.0)
     losses = []
     for _ in range(10):
-        theta, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, 1e-2, opt)
+        theta, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, opt)
         losses.append(lc + le)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -306,8 +307,6 @@ def test_repeated_conventional_steps_descend_on_fixed_batch(tiny):
 class RecordingOptimizer:
     """Stands in for an optimizer of `net`: records the gradient vector it is
     handed as net's arrays and leaves the parameters where they are."""
-
-    lr = 0.0
 
     def __init__(self, net):
         self.net = net
@@ -325,11 +324,13 @@ class RecordingOptimizer:
 def warmed():
     # default sizes (10 dims, hidden [32, 16], 4 classes, batch 64) after the
     # default 15-epoch warm-up
-    from metalabel.harness import TrainConfig, build_dataset, warmup_phase
+    from metalabel.harness import TrainConfig, baseline_ce, build_dataset
 
     cfg = TrainConfig(seed=0, noise_kind="uniform")
     ds = build_dataset(cfg)
-    theta = warmup_phase(cfg, ds)
+    # the baseline ignores warmup_epochs: 15 epochs of it are the warm-up
+    theta = baseline_ce(TrainConfig(seed=0, noise_kind="uniform", warmup_epochs=0,
+                                    total_epochs=cfg.warmup_epochs), ds).theta
     extractor = FeatureExtractor.from_classifier(theta)
     rng = np.random.default_rng(1)
     labeler = Mlp([(rng.normal(size=(extractor.n_features, 4)) * 0.5,
@@ -376,7 +377,7 @@ def test_classifier_steps_match_engine_at_default_sizes(warmed):
     params = [Tensor(p) for p in theta.params()]
     for use_entropy in (True, False):
         opt = RecordingOptimizer(theta)
-        _, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, 1e-2, opt,
+        _, lc, le = conventional_step(theta, labeler, classifier_pass(theta, x), v, opt,
                                       use_entropy=use_entropy)
         probs = softmax(forward(params, Tensor(x))[0])
         l_c = kl_loss(probs, Tensor(y_hat))
