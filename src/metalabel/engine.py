@@ -79,13 +79,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.value)
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def __repr__(self):
-        return f"Tensor({self.value!r})"
-
     # -- operators --------------------------------------------------------
 
     def __add__(self, other):
@@ -96,25 +89,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:

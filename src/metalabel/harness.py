@@ -9,11 +9,11 @@ and a checkpoint, which is the run state serialised, restores it exactly.
 Lanes: the epoch loop `_train` trains a group of runs in lockstep, each run a lane
 of one stacked trajectory (see `nn`), and a solo run is a group of one.
 Every lane keeps its own RunState: its RNG (each epoch's permutations are
-drawn per lane before its first batch and sliced into (S, batch)
-positions), its model selection, log and checkpoint. At each epoch the
-lanes' parameters and optimizer buffers are stacked, trained, and split
-back into the RunStates, so between epochs a lane is exactly the run it
-would be alone.
+drawn per lane before its first batch, and the batch loop gathers their
+rows a block of batches at a time), its model selection, log and
+checkpoint. At each epoch the lanes' parameters and optimizer buffers are
+stacked, trained, and split back into the RunStates, so between epochs a
+lane is exactly the run it would be alone.
 `run_experiments` groups compatible configs, up to LANES_MAX lanes a group.
 """
 
@@ -43,6 +43,7 @@ from .meta import (
     meta_step,
 )
 from .nn import (
+    GATHER_ROWS,
     OPTIMIZERS,
     DivergenceError,
     Mlp,
@@ -53,7 +54,6 @@ from .nn import (
     one_hot,
     row_blocks,
     softmax,
-    stack_lanes,
 )
 
 CHECKPOINT_VERSION = 1
@@ -185,8 +185,9 @@ class TrainConfig:
             raise ConfigError(f"model.hidden widths must be positive, got {self.hidden}")
         if self.oracle_epochs < 0:
             raise ConfigError(f"train.oracle_epochs must be >= 0, got {self.oracle_epochs}")
-        if self.meta_lr < 0 or self.inner_lr < 0:
-            raise ConfigError("learning rates must be non-negative")
+        for name in ("meta_lr", "inner_lr"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"train.{name} must be >= 0, got {getattr(self, name)}")
         if self.weight_decay < 0:
             raise ConfigError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
 
@@ -694,23 +695,49 @@ def _unstack(sts: list[RunState], **stacked) -> None:
             setattr(st, name, value if len(sts) == 1 else value.lane(s))
 
 
-def _epoch(plan: tuple[np.ndarray, ...], batch_size: int, where: str, step) -> np.ndarray:
-    """One pass over an epoch's drawn plan, each member an (S, n_rows) array
-    of positions: `step(*columns)` trains every lane on one batch, given the
-    same (S, batch) column slice of each member, and returns k losses per
-    lane. Returns the batch-mean losses, (k, S). A failure is restated as
-    "where, batch B: ..."; a divergence keeps its type (and exit code),
+class _Gather(typing.NamedTuple):
+    """One input of an epoch's batches: lane s's batch holds the rows
+    `sources[s][rows[s][order[s, batch]]]` (with `rows` None, the rows
+    `sources[s][order[s, batch]]`). `order` is the lanes' drawn positions,
+    an (S, n_rows) int32 array."""
+
+    sources: typing.Sequence[np.ndarray]
+    rows: typing.Sequence[np.ndarray] | None
+    order: np.ndarray
+
+
+def _epoch(inputs: tuple[_Gather, ...], batch_size: int, where: str, step) -> np.ndarray:
+    """One pass over an epoch's drawn plan: `step(*batch)` trains every lane
+    on one batch, given each input's (S, batch) rows (no lane axis for a
+    group of one), and returns k losses per lane. The rows are gathered a
+    block of whole batches at a time (GATHER_ROWS rows, at least one batch)
+    into buffers bound once per epoch, and a batch gets views of them. A
+    block composes its positions, so their int32 to intp cast is paid once
+    per block. Returns the batch-mean losses, (k, S). A failure is restated
+    as "where, batch B: ..."; a divergence keeps its type (and exit code),
     anything else becomes a RuntimeError."""
-    lanes, n_rows = plan[0].shape
+    lanes, n_rows = inputs[0].order.shape
+    block = max(GATHER_ROWS // batch_size, 1) * batch_size
+    bufs = [np.empty((lanes, block, *g.sources[0].shape[1:]), g.sources[0].dtype)
+            for g in inputs]
     sums, batches = 0.0, 0
-    for start in range(0, n_rows, batch_size):
-        try:
-            losses = step(*(p[:, start:start + batch_size] for p in plan))
-        except Exception as e:
-            kind = DivergenceError if isinstance(e, DivergenceError) else RuntimeError
-            raise kind(f"{where}, batch {batches}: {e}") from e
-        sums = sums + np.asarray(losses).reshape(-1, lanes)
-        batches += 1
+    for a in range(0, n_rows, block):
+        b = min(a + block, n_rows)
+        for g, buf in zip(inputs, bufs):
+            for s, src in enumerate(g.sources):
+                pos = g.order[s, a:b] if g.rows is None else g.rows[s][g.order[s, a:b]]
+                # positions are drawn in range: "clip" writes into `out` unbuffered
+                src.take(pos, axis=0, out=buf[s, :b - a], mode="clip")
+        for start in range(0, b - a, batch_size):
+            cut = slice(start, min(start + batch_size, b - a))
+            at = (slice(None), cut) if lanes > 1 else (0, cut)
+            try:
+                losses = step(*(buf[at] for buf in bufs))
+            except Exception as e:
+                kind = DivergenceError if isinstance(e, DivergenceError) else RuntimeError
+                raise kind(f"{where}, batch {batches}: {e}") from e
+            sums = sums + np.asarray(losses).reshape(-1, lanes)
+            batches += 1
     return sums / batches
 
 
@@ -718,18 +745,19 @@ def _ce_epoch(sts: list[RunState], sources: list[tuple], batch_size: int,
               where: str) -> np.ndarray:
     """One epoch of cross-entropy steps of a copy of each lane's classifier,
     in place: lane s trains on rows `rows` of `x` with labels `labels`,
-    sources[s] being (x, rows, labels). Warm-up, baseline and margin oracle.
-    Returns the batch-mean loss per lane."""
+    sources[s] being (x, rows, labels), gathered by `_epoch` a block of
+    batches at a time. Warm-up, baseline and margin oracle. Returns the
+    batch-mean loss per lane."""
     theta, opt = _stacked(sts, "theta").copy(), _stacked(sts, "opt_theta")
     grad = theta.blank()
 
-    def step(pos):
-        x = stack_lanes([x[rows[p]] for (x, rows, _), p in zip(sources, pos)])
-        y = stack_lanes([y[p] for (_, _, y), p in zip(sources, pos)])
+    def step(x, y):
         return (ce_step(theta, x, y, opt, grad=grad, out=theta)[1],)
 
     order = np.array([st.rng.permutation(sources[0][1].size) for st in sts], dtype=np.int32)
-    losses = _epoch((order,), batch_size, where, step)[0]
+    xs, rows, labels = zip(*sources)
+    losses = _epoch((_Gather(xs, rows, order), _Gather(labels, None, order)),
+                    batch_size, where, step)[0]
     _unstack(sts, theta=theta, opt_theta=opt)
     return losses
 
@@ -745,7 +773,8 @@ def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Phase2Rows(typing.NamedTuple):
     """A lane's phase-2 inputs, fixed for one _train call: its train rows
     and their features, its meta rows and their one-hot labels (built once,
-    then gathered per batch). Rows are int32 positions."""
+    then gathered by `_epoch` a block of batches at a time). Rows are int32
+    positions."""
 
     x: np.ndarray
     rows: np.ndarray
@@ -796,18 +825,19 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
                                      for _ in range(-(-n // n_meta))])[:n] for st in sts],
                     dtype=np.int32)
 
-    def step(pos, m):
-        x = stack_lanes([inp.x[inp.rows[p]] for inp, p in zip(inputs, pos)])
-        v = stack_lanes([inp.feats[p] for inp, p in zip(inputs, pos)])
-        mx = stack_lanes([inp.x[inp.meta_rows[i]] for inp, i in zip(inputs, m)])
-        my = stack_lanes([inp.meta_y[i] for inp, i in zip(inputs, m)])
+    def step(x, v, mx, my):
         _, report, fwd = meta_step(labeler, theta, x, v, mx, my, inner_lr=cfg.inner_lr,
                                    optimizer=opt_phi, work=work, out=labeler)
         _, lc, le = conventional_step(theta, labeler, fwd, v, opt_theta,
                                       use_entropy=cfg.entropy_loss, grad=grad, out=theta)
         return lc, le, report.meta_loss, report.mean_similarity
 
-    losses = _epoch((order, meta), cfg.batch_size, where, step)
+    xs = [inp.x for inp in inputs]
+    losses = _epoch((_Gather(xs, [inp.rows for inp in inputs], order),
+                     _Gather([inp.feats for inp in inputs], None, order),
+                     _Gather(xs, [inp.meta_rows for inp in inputs], meta),
+                     _Gather([inp.meta_y for inp in inputs], None, meta)),
+                    cfg.batch_size, where, step)
     _unstack(sts, theta=theta, opt_theta=opt_theta, labeler=labeler, opt_phi=opt_phi)
     return losses
 

@@ -15,7 +15,8 @@ against, lives in `gradcheck`.
 
 A pass over a whole split through wide layers (evaluation, the phase-2
 features) runs ROW_BLOCK rows at a time (`row_blocks`, `map_row_blocks`),
-so its memory is its result plus one block of transients.
+so its memory is its result plus one block of transients. A batch loop
+gathers its batches' rows GATHER_ROWS at a time (`harness._epoch`).
 
 Lanes: every kernel and optimizer also takes arrays with leading lane axes,
 so S runs that share a network shape train as one stacked trajectory. A
@@ -171,6 +172,7 @@ def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
 # passes over a whole split
 
 ROW_BLOCK = 4096  # rows per block of a pass over a whole split; bounds its transients
+GATHER_ROWS = 256  # rows a batch loop gathers at once, in whole batches (at least one)
 
 
 def row_blocks(n: int):
@@ -278,15 +280,30 @@ def mlp_jvp(layers, acts: list[np.ndarray], masks: list[np.ndarray],
     return da
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """The row maxima of finite z, keeping the class axis: column 0 copied,
+    then columns 1 to c-1 folded in one at a time. A few calls over whole
+    columns beat `np.maximum.reduce`, which loops over the short rows. The
+    maximum of finite values does not depend on the order it is taken in,
+    except that a tie of +0 and -0 may give either zero, which changes no
+    bit of a softmax (see `log_softmax`)."""
+    m = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(m, z[..., j:j + 1], out=m)
+    return m
+
+
 def log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (log p, p) for p = softmax(z).
 
     Raises DivergenceError for non-finite logits and for a probability that
     underflows to 0, the two ways a diverging classifier shows up here.
+    A row max tied between +0 and -0 leaves every bit as it is: the tie puts
+    exp(0) = 1 twice into the row sum, so log(sum) >= log 2 > 0.
     """
     if not np.isfinite(z).all():
         raise DivergenceError("diverged: non-finite logits")
-    s = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    s = z - _row_max(z)
     logp = s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
     p = np.exp(logp)
     if not (p > 0.0).all():
@@ -301,7 +318,7 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     logits."""
     if not np.isfinite(z).all():
         raise DivergenceError("diverged: non-finite logits")
-    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    e = np.subtract(z, _row_max(z), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

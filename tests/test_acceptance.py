@@ -11,6 +11,7 @@ to see the lines as they complete):
   baseline on the identical dataset.
 """
 
+import json
 import math
 import time
 
@@ -43,15 +44,25 @@ def config_for(seed: int, kind: str, ratio: float, **overrides) -> TrainConfig:
     return TrainConfig(seed=seed, noise_kind=kind, noise_ratio=ratio, **overrides)
 
 
+def data_key(cfg: TrainConfig) -> str:
+    """The config fields `build_dataset` reads: the seed, data.*, noise.*,
+    model.hidden, and the margin oracle's and the unlabeled marking's train.*
+    fields. Configs that differ elsewhere (an ablation) share a dataset."""
+    raw = cfg.to_dict()
+    train = {k: raw["train"][k] for k in ("batch_size", "oracle_epochs", "unlabeled_fraction")}
+    return json.dumps([raw["seed"], raw["data"], raw["noise"], raw["model"]["hidden"], train],
+                      sort_keys=True)
+
+
 def datasets_for(cfgs: list[TrainConfig]) -> list:
-    """Cached datasets; the missing ones are built together, so their margin
-    oracles train as lanes."""
-    missing = [c for c in cfgs if c.config_hash() not in _datasets]
+    """Cached datasets, keyed by `data_key`; the missing ones are built
+    together, so their margin oracles train as lanes."""
+    missing = list({data_key(c): c for c in cfgs if data_key(c) not in _datasets}.values())
     for cfg, ds in zip(missing, build_datasets(missing)):
         if isinstance(ds, Exception):
             raise ds
-        _datasets[cfg.config_hash()] = ds
-    return [_datasets[c.config_hash()] for c in cfgs]
+        _datasets[data_key(cfg)] = ds
+    return [_datasets[data_key(c)] for c in cfgs]
 
 
 def dataset_for(cfg: TrainConfig):

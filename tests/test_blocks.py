@@ -22,16 +22,20 @@ holds: the label drift computes in place in row blocks, a dataset holds one
 byte of split code a row, and the batch loops step copies of the lanes'
 networks in place, with buffers bound once per epoch. A step into a buffer
 or into the network it steps must give the bits the allocating form gives,
-and an epoch must leave every network its run states held as it was.
+and an epoch must leave every network its run states held as it was. The
+batch loops gather their rows a block of batches at a time into buffers of
+one block: an epoch must give the bits of per-batch gathers, wherever its
+blocks and batches end.
 """
 
+import copy
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from metalabel import nn
+from metalabel import harness, nn
 from metalabel.data import load_dataset, make_synthetic, margins, save_dataset, split_dataset
 from metalabel.harness import (
     RunState,
@@ -42,6 +46,7 @@ from metalabel.harness import (
     _noisy_rows,
     _Phase2Rows,
     _phase2_epoch,
+    _stacked,
     build_dataset,
     evaluate,
 )
@@ -64,6 +69,7 @@ from metalabel.nn import (
     mlp_logits,
     one_hot,
     softmax,
+    stack_lanes,
 )
 
 
@@ -394,3 +400,118 @@ def test_a_batch_builds_no_network(monkeypatch, lanes):
             monkeypatch, lambda: _phase2_epoch(cfg, sts, inputs, "epoch"))
         ce[batch_size] = _builds(monkeypatch, lambda: _ce_epoch(sts, sources, batch_size, "epoch"))
     assert phase2[25] == phase2[50] and ce[25] == ce[50], (phase2, ce)
+
+
+# -- gathering a block of batches at a time -------------------------------------------
+
+
+def _per_batch_phase2(cfg, sts, inputs):
+    """A phase-2 epoch whose every batch gathers its own rows from the plan
+    and stacks the lanes' rows, on new networks: the reference the blocked
+    gathers of `_phase2_epoch` must equal. Returns the networks, optimizers
+    and batch-mean losses (4, S)."""
+    theta, opt_theta = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
+    labeler, opt_phi = _stacked(sts, "labeler"), _stacked(sts, "opt_phi")
+    n, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
+    order = [st.rng.permutation(n) for st in sts]
+    meta = [np.concatenate([st.rng.permutation(n_meta) for _ in range(-(-n // n_meta))])[:n]
+            for st in sts]
+    sums, batches = 0.0, 0
+    for start in range(0, n, cfg.batch_size):
+        cut = slice(start, start + cfg.batch_size)
+        x = stack_lanes([inp.x[inp.rows[o[cut]]] for inp, o in zip(inputs, order)])
+        v = stack_lanes([inp.feats[o[cut]] for inp, o in zip(inputs, order)])
+        mx = stack_lanes([inp.x[inp.meta_rows[m[cut]]] for inp, m in zip(inputs, meta)])
+        my = stack_lanes([inp.meta_y[m[cut]] for inp, m in zip(inputs, meta)])
+        labeler, report, fwd = meta_step(labeler, theta, x, v, mx, my, inner_lr=cfg.inner_lr,
+                                         optimizer=opt_phi)
+        theta, lc, le = conventional_step(theta, labeler, fwd, v, opt_theta,
+                                          use_entropy=cfg.entropy_loss)
+        losses = (lc, le, report.meta_loss, report.mean_similarity)
+        sums = sums + np.asarray(losses).reshape(-1, len(sts))
+        batches += 1
+    return (theta, opt_theta, labeler, opt_phi), sums / batches
+
+
+def _per_batch_ce(sts, sources, batch_size):
+    """The cross-entropy epoch with per-batch gathers, as `_per_batch_phase2`."""
+    theta, opt = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
+    order = [st.rng.permutation(sources[0][1].size) for st in sts]
+    sums, batches = 0.0, 0
+    for start in range(0, order[0].size, batch_size):
+        cut = slice(start, start + batch_size)
+        x = stack_lanes([x[rows[o[cut]]] for (x, rows, _), o in zip(sources, order)])
+        y = stack_lanes([y[o[cut]] for (_, _, y), o in zip(sources, order)])
+        theta, loss = ce_step(theta, x, y, opt)
+        sums = sums + np.asarray((loss,)).reshape(-1, len(sts))
+        batches += 1
+    return (theta, opt), (sums / batches)[0]
+
+
+def _lane_bits(stacked, s: int, lanes: int) -> list[np.ndarray]:
+    """Lane s of stacked networks and optimizers, as flat arrays."""
+    out = []
+    for obj in stacked:
+        part = obj if lanes == 1 else obj.lane(s)
+        out += [part.flat] if isinstance(part, Mlp) else [getattr(part, k) for k in part.BUFFERS]
+    return out
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_a_block_gathered_epoch_equals_per_batch_gathers(monkeypatch, lanes):
+    # 501 train rows in batches of 30 and blocks of 3 batches (90 rows): five
+    # blocks end mid-epoch, and the last block holds one batch and a 21-row one
+    monkeypatch.setattr(harness, "GATHER_ROWS", 100)
+    lns, inputs = _phase2_lanes(lanes, batch_size=30)
+    cfg, sts = lns[0].cfg, [ln.st for ln in lns]
+    assert inputs[0].rows.size == 501
+    for epoch in range(2):
+        ref_sts = [dataclasses.replace(st, rng=copy.deepcopy(st.rng)) for st in sts]
+        if epoch == 0:
+            want, want_losses = _per_batch_phase2(cfg, ref_sts, inputs)
+            losses = _phase2_epoch(cfg, sts, inputs, "epoch")
+            got = [(st.theta, st.opt_theta, st.labeler, st.opt_phi) for st in sts]
+        else:
+            sources = [_noisy_rows(ln.ds) for ln in lns]
+            want, want_losses = _per_batch_ce(ref_sts, sources, cfg.batch_size)
+            losses = _ce_epoch(sts, sources, cfg.batch_size, "epoch")
+            got = [(st.theta, st.opt_theta) for st in sts]
+        assert same_bits(losses, want_losses)
+        for s, st in enumerate(sts):
+            assert st.rng.bit_generator.state == ref_sts[s].rng.bit_generator.state
+            assert all(same_bits(a, b) for a, b in
+                       zip(_lane_bits(got[s], 0, 1), _lane_bits(want, s, lanes)))
+
+
+def test_an_epoch_gathers_into_buffers_of_one_block():
+    """A pass of `_epoch` over 20,000 rows of 3 lanes, whose step keeps
+    nothing, peaks under its buffers, one block of every input for every
+    lane, plus one block's positions (composed as int32, and numpy's intp
+    copies of them in the fancy index and in the take: 4 + 8 + 8 bytes a
+    row) and 32 KiB of slack for numpy's index buffers and the small
+    objects. Positions composed for the whole epoch would hold 80,000 bytes
+    a lane. Every batch's rows are views of the same buffers."""
+    lanes, n, d, batch_size = 3, 20_000, 10, 64
+    rng = np.random.default_rng(13)
+    xs = [rng.normal(size=(n + 7, d)) for _ in range(lanes)]
+    rows = [rng.permutation(n + 7)[:n].astype(np.int32) for _ in range(lanes)]
+    labels = [rng.integers(0, 4, n) for _ in range(lanes)]
+    order = np.array([rng.permutation(n) for _ in range(lanes)], dtype=np.int32)
+    bases = set()
+
+    def step(x, y):
+        bases.update((id(x.base), id(y.base)))
+        return (np.zeros(lanes),)
+
+    block = (harness.GATHER_ROWS // batch_size) * batch_size
+    buffers = lanes * block * (d + 1) * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        harness._epoch((harness._Gather(xs, rows, order), harness._Gather(labels, None, order)),
+                       batch_size, "epoch", step)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(bases) == 2
+    assert peak < buffers + block * (4 + 8 + 8) + 32 * 1024, (peak, buffers)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,34 @@ def test_config_validation_errors():
 def test_a_config_value_out_of_range_is_an_error_naming_the_field(change, name):
     with pytest.raises(ConfigError, match=name):
         small_config(**change)
+
+
+def _with(section: str | None, key: str, value) -> dict:
+    """The wire form of small_config() with one value replaced: `key` in
+    `section`, or at the top level for section None."""
+    raw = small_config().to_dict()
+    (raw if section is None else raw[section])[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("raw, name", [
+    (_with("train", "lr_schedule", [[0, 0.0]]), "train.lr_schedule"),
+    (_with("train", "lr_schedule", [[0, 1e-2], [6, -1e-3]]), "train.lr_schedule"),
+    (_with("train", "extractor_features", "hidden"), "train.extractor_features"),
+    (_with("train", "classifier_optimizer", "sgd"), "train.classifier_optimizer"),
+    (_with("train", "metanet_optimizer", "rmsprop"), "train.metanet_optimizer"),
+    (_with("train", "batch_size", 0), "train.batch_size"),
+    (_with("train", "meta_lr", -1e-2), "train.meta_lr"),
+    (_with("train", "inner_lr", -1.0), "train.inner_lr"),
+    ([small_config().to_dict()], "config"),
+    (_with(None, "train", [["batch_size", 32]]), "train"),
+], ids=["lr_schedule-rate-zero", "lr_schedule-rate-negative", "extractor_features-unknown",
+        "classifier_optimizer-unknown", "metanet_optimizer-unknown", "batch_size-zero",
+        "meta_lr-negative", "inner_lr-negative", "config-not-an-object",
+        "section-not-an-object"])
+def test_a_rejected_config_is_an_error_naming_the_field(raw, name):
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} "):
+        TrainConfig.from_dict(raw)
 
 
 def test_config_dict_roundtrip_and_unknown_keys():
@@ -391,6 +420,65 @@ def test_divergence_names_the_epoch_and_batch():
         train_margin_oracle([ds], [8, 6], seeds=[0], epochs=3, lr=1e6)
 
 
+def _phase2_lane(theta: Mlp | None = None):
+    """A one-hidden-layer run (3 classes) set up for its first phase-2
+    epoch, epoch 1, from `theta` (its initialisation when None), and its
+    phase-2 inputs."""
+    import metalabel.harness as hmod
+
+    cfg = small_config(noise_kind="uniform", hidden=[4], warmup_epochs=1, total_epochs=2)
+    ds = build_dataset(cfg)
+    ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds))
+    if theta is not None:
+        ln.st.theta = theta
+    return cfg, ln, [hmod._Phase2Rows.of(cfg, ln)]
+
+
+def test_a_gradient_that_overflows_in_the_virtual_update_names_the_batch():
+    # every hidden activation is 1e307 and the output weights are zero, so the
+    # logits are the finite output bias; a generator that gives class 1 a
+    # log-probability near -700 makes that logit's soft-label gradient about
+    # 58, and the output weights' inner gradient, 1e307 x 58, overflows
+    import metalabel.harness as hmod
+    from metalabel.nn import DivergenceError
+
+    theta = Mlp([(np.zeros((6, 4)), np.full((1, 4), 1e307)),
+                 (np.zeros((4, 3)), np.array([[0.0, 3.0, 0.0]]))])
+    cfg, ln, inputs = _phase2_lane(theta)
+    ln.st.labeler.layers[0][1][...] = [[0.0, -700.0, 0.0]]
+    with pytest.raises(DivergenceError, match=r"^epoch 1, batch 0: diverged: non-finite "
+                                              r"gradient in virtual update$"):
+        hmod._phase2_epoch(cfg, [ln.st], inputs, "epoch 1")
+
+
+def test_a_non_finite_classifier_loss_names_the_batch(monkeypatch):
+    # log_softmax rejects a probability that underflows to 0, so a generator
+    # log-probability it returns is above about -745 and the loss is finite;
+    # the loss guard stands behind it. One near -1e308, injected into the
+    # classifier step's log_softmax, makes the batch's KL sum overflow
+    import metalabel.harness as hmod
+    import metalabel.meta as meta_mod
+    from metalabel.nn import DivergenceError
+
+    cfg, ln, inputs = _phase2_lane()
+    real_step, real_log_softmax = hmod.conventional_step, meta_mod.log_softmax
+
+    def underflowed(z):
+        log_q, q = real_log_softmax(z)
+        log_q[..., 0] = -1e308
+        return log_q, q
+
+    def injecting(*args, **kw):
+        with monkeypatch.context() as m:  # the step's one log_softmax: the generator's
+            m.setattr(meta_mod, "log_softmax", underflowed)
+            return real_step(*args, **kw)
+
+    monkeypatch.setattr(hmod, "conventional_step", injecting)
+    with pytest.raises(DivergenceError,
+                       match=r"^epoch 1, batch 0: diverged: non-finite classifier loss$"):
+        hmod._phase2_epoch(cfg, [ln.st], inputs, "epoch 1")
+
+
 def test_a_failing_oracle_of_a_lone_config_trains_once(monkeypatch):
     import metalabel.harness as harness_mod
     from metalabel.nn import DivergenceError
@@ -548,7 +636,7 @@ def test_a_phase2_epoch_draws_the_train_order_then_the_meta_orders(monkeypatch, 
     real_step = hmod.meta_step
 
     def recording(labeler, theta, x, v, mx, *args, **kw):
-        seen.append((x, mx))
+        seen.append((x.copy(), mx.copy()))  # views of buffers the next block rewrites
         return real_step(labeler, theta, x, v, mx, *args, **kw)
 
     monkeypatch.setattr(hmod, "meta_step", recording)

@@ -220,3 +220,73 @@ def test_sweep_writes_each_group_as_it_ends(tmp_path, capsys, monkeypatch):
     code, _ = sweep(tmp_path, "laned", fd_config(), {"seed": list(range(5))}, capsys)
     assert code == 0
     assert seen == [0, 4]
+
+
+# -- the row max of the softmaxes --------------------------------------------------
+
+
+def _old_log_softmax(z):
+    """log_softmax as it took its row max with np.maximum.reduce."""
+    s = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    logp = s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
+    return logp, np.exp(logp)
+
+
+def _old_softmax(z):
+    e = np.subtract(z, z.max(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _logits(rng, shape, ties: bool):
+    """Logits of a wide spread, or, with ties, rows of zeros of either sign
+    among negative values, so the row max is a tie of +0 and -0."""
+    if ties:
+        return rng.choice([-0.0, 0.0, -1.0, -2.5], size=shape)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+
+
+def _shapes(classes: int) -> list[tuple[int, ...]]:
+    """One row, a batch, and lanes (one or several, of one row or more)."""
+    return [(1, classes), (64, classes), (3, 1, classes), (4, 64, classes),
+            (2, 3, 37, classes)]
+
+
+@pytest.mark.parametrize("classes", range(1, 17))
+def test_the_row_max_is_the_reduced_max(classes):
+    # the same bits wherever the maximum is one value; a tie of +0 and -0 may
+    # give either zero (numpy's reduce returns the other one from 9 classes up)
+    from metalabel.nn import _row_max
+
+    rng = np.random.default_rng(classes)
+    for shape, ties in ((s, t) for s in _shapes(classes) for t in (False, True)):
+        for _ in range(10):
+            z = _logits(rng, shape, ties)
+            want = np.maximum.reduce(z, axis=-1, keepdims=True)
+            got = _row_max(z)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            if not ties:
+                assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("classes", range(1, 17))
+def test_the_softmaxes_give_the_bits_of_the_reduced_max_formula(classes):
+    # a +-0 tie cannot show: it puts exp(0) = 1 twice into the row sum, so
+    # log(sum) >= log 2 and every entry of s - log(sum) has the one sign
+    from metalabel.nn import log_softmax, softmax
+
+    rng = np.random.default_rng(100 + classes)
+    for shape, ties in ((s, t) for s in _shapes(classes) for t in (False, True)):
+        for _ in range(10):
+            z = _logits(rng, shape, ties)
+            (logp, p), (want_logp, want_p) = log_softmax(z), _old_log_softmax(z)
+            assert _same_bits(logp, want_logp) and _same_bits(p, want_p)
+            assert _same_bits(softmax(z), _old_softmax(z))
+            inplace = z.copy()
+            assert softmax(inplace, out=inplace) is inplace
+            assert _same_bits(inplace, _old_softmax(z))
