@@ -37,10 +37,22 @@ def scalar_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     return h
 
 
+SIMPLEX_GRID = 2 ** 16
+
+
+def _on_simplex(r: list[float]) -> list[float]:
+    """r normalized and snapped to multiples of 1/SIMPLEX_GRID, the last
+    entry taking the remainder, so the row sums to exactly 1. A row left as
+    v / sum(r) can sum to 1 -+ an ulp, and then its exact KL to a row of the
+    other sign is negative."""
+    k = [round(v / sum(r) * SIMPLEX_GRID) for v in r[:-1]]
+    return [c / SIMPLEX_GRID for c in k + [SIMPLEX_GRID - sum(k)]]
+
+
 simplex_rows = st.lists(
     st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
     min_size=1, max_size=4,
-).map(lambda rows: np.array([[v / sum(r) for v in r] for r in rows]))
+).map(lambda rows: np.array([_on_simplex(r) for r in rows]))
 
 
 # -- forward pass -------------------------------------------------------------
