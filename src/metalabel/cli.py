@@ -52,12 +52,10 @@ def _make_dirs(path: str) -> None:
         raise ConfigError(f"cannot create directory {path}: {e.strerror}") from e
 
 
-def _load_config(path: str) -> TrainConfig:
-    return TrainConfig.from_dict(read_json(path, "config"))
-
-
-def _apply_overrides(cfg: TrainConfig, args) -> TrainConfig:
-    raw = cfg.to_dict()
+def _load_config(args) -> TrainConfig:
+    """The --config file, validated, then with --seed and
+    --unlabeled-fraction applied when given."""
+    raw = TrainConfig.from_dict(read_json(args.config, "config")).to_dict()
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     if getattr(args, "unlabeled_fraction", None) is not None:
@@ -70,7 +68,7 @@ def _apply_overrides(cfg: TrainConfig, args) -> TrainConfig:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _load_config(args)
     if cfg.dataset_path is not None:
         raise ConfigError("gen-data always synthesises a dataset; "
                           f"drop data.path ({cfg.dataset_path}) from the config")
@@ -86,19 +84,16 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _load_config(args)
     _make_dirs(args.out)
     metrics_path = os.path.join(args.out, "metrics.csv")
     checkpoint_path = os.path.join(args.out, "checkpoint.json")
-    state, logged = None, []
-    if args.resume:
-        state = load_checkpoint(checkpoint_path, cfg)
-        logged = state.log
+    state = load_checkpoint(checkpoint_path, cfg) if args.resume else None
     ds = build_dataset(cfg)  # shared by the run and the baseline
 
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         # already-logged epochs stay at the top of the metrics file
-        fh.write(csv_text([METRICS_COLUMNS, *map(metrics_row, logged)]))
+        fh.write(csv_text([METRICS_COLUMNS, *map(metrics_row, state.log if state else [])]))
         fh.flush()
 
         def on_epoch(row):

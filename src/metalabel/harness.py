@@ -19,6 +19,7 @@ lane is exactly the run it would be alone.
 
 from __future__ import annotations
 
+import base64
 import copy
 import csv
 import hashlib
@@ -47,6 +48,7 @@ from .nn import (
     OPTIMIZERS,
     DivergenceError,
     Mlp,
+    _layer_views,
     init_mlp,
     make_optimizer,
     map_row_blocks,
@@ -56,7 +58,7 @@ from .nn import (
     softmax,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LANES_MAX = 4  # lanes per group: the cheapest size per lane, measured on 2 cores
 
 
@@ -220,8 +222,12 @@ class TrainConfig:
         return cls(**kwargs)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return hashlib.sha256(_canonical(self.to_dict()).encode()).hexdigest()[:16]
+
+
+def _canonical(raw) -> str:
+    """A JSON value as canonical text: sorted keys, no spaces."""
+    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
 
 def lr_at(schedule: list[list[float]], epoch: int) -> float:
@@ -253,13 +259,13 @@ class EpochRow:
 
 
 METRICS_COLUMNS = [f.name for f in fields(EpochRow)]
-_ACCURACIES = ("train_acc", "meta_acc", "test_acc")
+_LOGGED = METRICS_COLUMNS[2:]  # the float columns: a row's place gives its epoch and phase
 
 
 def metrics_row(r: EpochRow) -> list:
     """One metrics.csv record: epoch and phase as they are, every other
     column as the repr of a float (exact round trip)."""
-    return [r.epoch, r.phase] + [repr(float(getattr(r, c))) for c in METRICS_COLUMNS[2:]]
+    return [r.epoch, r.phase] + [repr(float(getattr(r, c))) for c in _LOGGED]
 
 
 def csv_text(rows) -> str:
@@ -355,6 +361,9 @@ def _base_dataset(cfg: TrainConfig) -> Dataset:
                            center_scale=cfg.center_scale)
     ds = dt.split_dataset(ds, cfg.train_frac, cfg.meta_frac, cfg.test_frac,
                           seeds["split"])
+    if ds.indices(dt.TRAIN).size == 0:  # the margin oracle would train on nothing
+        raise ConfigError(f"data.train_frac {cfg.train_frac} leaves no train rows "
+                          f"of data.n {cfg.n}")
     if cfg.noise_kind == "uniform" and cfg.noise_ratio > 0.0:
         ds = dt.inject_uniform(ds, cfg.noise_ratio, seeds["noise"])
     return ds
@@ -460,17 +469,15 @@ def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
 
 @dataclass
 class RunState:
-    """Everything a run changes as it trains; a checkpoint is this state
-    serialised. Phase-2 members (labeler, extractor, opt_phi) stay None
-    until the first phase-2 epoch builds them."""
+    """Everything a run changes as it trains, as a checkpoint stores it.
+    Phase-2 members (labeler, extractor, opt_phi) stay None until the first
+    phase-2 epoch builds them. The log is the one record of the epochs run:
+    the next epoch and the kept one are read from it."""
 
     theta: Mlp
     opt_theta: object
     rng: np.random.Generator
-    epoch_next: int = 0
     theta_best: Mlp | None = None
-    best_epoch: int = -1
-    best_meta_acc: float = -1.0
     labeler: Mlp | None = None
     extractor: FeatureExtractor | None = None
     opt_phi: object = None
@@ -488,182 +495,131 @@ class RunState:
         return cls(theta=theta, opt_theta=opt, rng=np.random.default_rng(seeds["run"]),
                    theta_best=theta.copy())
 
+    @property
+    def epoch_next(self) -> int:
+        return len(self.log)
 
-def _mat_to_json(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "hex": [v.hex() for v in a.ravel().tolist()]}
+    @property
+    def best_epoch(self) -> int:
+        """The first logged epoch of the highest meta_acc, -1 before the first."""
+        return max(range(len(self.log)), key=lambda e: self.log[e].meta_acc, default=-1)
 
-
-def _mat_from_json(d: dict) -> np.ndarray:
-    if len(d["shape"]) != 2:  # a checkpoint holds one run: no lane axis
-        raise ValueError(f"expected a matrix, got shape {d['shape']}")
-    vals = [float.fromhex(h) for h in d["hex"]]
-    return np.array(vals, dtype=np.float64).reshape(d["shape"])
-
-
-def _layers_to_json(layers) -> list[dict]:
-    return [{"w": _mat_to_json(w), "b": _mat_to_json(b)} for w, b in layers]
+    @property
+    def best_meta_acc(self) -> float:
+        return self.log[self.best_epoch].meta_acc if self.log else -1.0
 
 
-def _layers_from_json(d: list[dict]) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(_mat_from_json(l["w"]), _mat_from_json(l["b"])) for l in d]
+def _b64(arrays) -> str:
+    """The arrays' entries as one vector: base64 of little-endian float64 bytes."""
+    return base64.b64encode(b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)).decode()
 
 
-def _opt_to_json(opt, net: Mlp) -> dict:
-    """Kind, hyperparameters, step count, then each buffer split along net's layers."""
-    out = {"kind": opt.kind}
-    out.update((k, float(getattr(opt, k)).hex()) for k in opt.HYPER)
-    out["step_count"] = opt.step_count
-    out.update((k, [_mat_to_json(a) for a in net.with_params(getattr(opt, k)).params()])
-               for k in opt.BUFFERS)
-    return out
-
-
-def _opt_from_json(d: dict, net: Mlp):
-    cls = OPTIMIZERS[d["kind"]]
-    opt = cls(net.flat.shape, **{k: float.fromhex(d[k]) for k in cls.HYPER})
-    opt.step_count = d["step_count"]
-    for k in cls.BUFFERS:
-        mats = [_mat_from_json(a) for a in d[k]]
-        if [a.shape for a in mats] != [p.shape for p in net.params()]:
-            raise ValueError(f"optimizer {k} shapes {[a.shape for a in mats]} do not "
-                             f"match the parameters {[p.shape for p in net.params()]}")
-        setattr(opt, k, np.concatenate([a.ravel() for a in mats]))
-    return opt
-
-
-_PHASE2_KEYS = ("extractor", "labeler", "opt_phi")  # all null before phase 2, then all set
-_PHASES = ("warmup", "phase2")  # a checkpointed log row's phase: warm-up epochs first
+def _vector(text, name: str, sizes) -> np.ndarray:
+    """The vector `_b64` wrote for layers of widths `sizes`; `name` is its
+    member, for the message when its length is not theirs."""
+    raw = base64.b64decode(text, validate=True)
+    want = sum((a + 1) * z for a, z in zip(sizes, sizes[1:]))
+    if len(raw) != 8 * want:
+        raise ValueError(f"{name} holds {len(raw) / 8:g} floats, layer widths "
+                         f"{list(sizes)} need {want}")
+    return np.frombuffer(raw, "<f8").astype(np.float64)
 
 
 def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
-    """Write the run state atomically (`data.replaced_atomically`): a failed
-    write leaves `path` as it was and no other file."""
-    g, ex = state.labeler, state.extractor
+    """Write the run state as checkpoint version 2 (what training cannot
+    derive; see `load_checkpoint`), atomically (`data.replaced_atomically`):
+    a failed write leaves `path` as it was and no other file."""
+    ex = state.extractor
+
+    def buffers(opt):
+        return None if opt is None else {k: _b64([getattr(opt, k)]) for k in opt.BUFFERS}
+
     blob = {
         "version": CHECKPOINT_VERSION,
-        "config_hash": cfg.config_hash(),
-        "epoch_next": state.epoch_next,
-        "theta": {"layers": _layers_to_json(state.theta.layers)},
-        "theta_best": {"layers": _layers_to_json(state.theta_best.layers)},
-        "best_epoch": state.best_epoch,
-        "best_meta_acc": float.hex(state.best_meta_acc),
-        "labeler": None if g is None else _layers_to_json(g.layers)[0],
-        "extractor": None if ex is None else {"mode": ex.mode, "in_dim": ex.in_dim,
-                                              "layers": _layers_to_json(ex.layers)},
-        "opt_theta": _opt_to_json(state.opt_theta, state.theta),
-        "opt_phi": None if state.opt_phi is None else _opt_to_json(state.opt_phi, g),
+        "config": cfg.to_dict(),
+        "sizes": list(state.theta.sizes),
+        "theta": _b64([state.theta.flat]),
+        "theta_best": _b64([state.theta_best.flat]),
+        "labeler": None if state.labeler is None else _b64([state.labeler.flat]),
+        "extractor": None if ex is None else _b64([a for pair in ex.layers for a in pair]),
+        "opt_theta": buffers(state.opt_theta),
+        "opt_phi": buffers(state.opt_phi),
         "rng_state": state.rng.bit_generator.state,
-        "log": [{c: getattr(r, c) for c in METRICS_COLUMNS} for r in state.log],
+        "log": [{c: getattr(r, c) for c in _LOGGED} for r in state.log],
     }
     dt.replace_text(path, json.dumps(blob))
 
 
 def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
-    """Restore a run state; when cfg is given its hash must match the one
-    the checkpoint was written under. Every way the file can be unreadable
-    raises a ValueError that names it."""
+    """Restore a run state from a version 2 checkpoint under the config it
+    holds, which cfg, when given, must equal as canonical JSON. The file
+    holds the classifier's widths `sizes`, each network and optimizer buffer
+    as one `_b64` vector, the RNG state and the log rows without epoch and
+    phase, which follow from a row's place. The optimizers follow from the
+    config (the classifier's lr is the schedule's at the last logged epoch),
+    the extractor's mode and widths from the config and `sizes`; the step
+    counts read 0 until `run_experiment` counts them on its dataset. Every
+    way the file can be unreadable raises a ValueError that names it."""
     blob = dt.read_json(path, "checkpoint")
     version = blob.get("version") if isinstance(blob, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version}")
-    if cfg is not None and blob.get("config_hash") != cfg.config_hash():
+    if cfg is not None and _canonical(blob.get("config")) != _canonical(cfg.to_dict()):
         raise ValueError(f"checkpoint {path} was written by a different config")
-    null = [k for k in _PHASE2_KEYS if blob.get(k) is None]
-    if null and len(null) < len(_PHASE2_KEYS):
-        raise ValueError(f"checkpoint {path} is malformed: {', '.join(_PHASE2_KEYS)} must "
-                         f"be all null or all present; null: {', '.join(null)}")
     try:
-        theta = Mlp(_layers_from_json(blob["theta"]["layers"]))
-        g = None if blob["labeler"] is None else Mlp(_layers_from_json([blob["labeler"]]))
-        ex = blob["extractor"]
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = blob["rng_state"]
-        st = RunState(
-            epoch_next=blob["epoch_next"],
-            theta=theta,
-            theta_best=Mlp(_layers_from_json(blob["theta_best"]["layers"])),
-            best_epoch=blob["best_epoch"],
-            best_meta_acc=float.fromhex(blob["best_meta_acc"]),
-            labeler=g,
-            extractor=None if ex is None else FeatureExtractor(
-                _layers_from_json(ex["layers"]), ex["mode"], ex["in_dim"]),
-            opt_theta=_opt_from_json(blob["opt_theta"], theta),
-            opt_phi=None if blob["opt_phi"] is None else _opt_from_json(blob["opt_phi"], g),
-            rng=rng,
-            log=[EpochRow(**r) for r in blob["log"]])
+        return _decode(blob, cfg or TrainConfig.from_dict(blob["config"]))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
-        raise ValueError(f"checkpoint {path} is malformed: {e!r}") from e
-    why = _malformation(st, cfg)
-    if why is not None:
-        raise ValueError(f"checkpoint {path} is malformed: {why}")
-    return st
+        why = e if isinstance(e, ValueError) else repr(e)
+        raise ValueError(f"checkpoint {path} is malformed: {why}") from e
 
 
-def _hypers(opt) -> dict:
-    return {"kind": opt.kind, **{k: getattr(opt, k) for k in opt.HYPER}}
-
-
-def _malformation(st: RunState, cfg: TrainConfig | None) -> str | None:
-    """Why a decoded run state is not one that training (under cfg, when
-    given) writes, or None."""
-    n, g, ex = st.epoch_next, st.labeler, st.extractor
-    ints = (("epoch_next", n, 0), ("best_epoch", st.best_epoch, -1),
-            ("opt_theta.step_count", st.opt_theta.step_count, 0),
-            ("opt_phi.step_count", 0 if st.opt_phi is None else st.opt_phi.step_count, 0))
-    for name, v, low in ints:
-        if type(v) is not int or v < low:  # a bool is an int to isinstance
-            return f"{name} must be an integer >= {low}, got {v!r}"
-    # the length first: a range of a huge epoch_next would exhaust memory
-    if len(st.log) != n or [r.epoch for r in st.log] != list(range(n)):
-        return f"epoch_next {n} needs a log of epochs 0 to {n - 1}, got {len(st.log)} rows"
-    if any(type(getattr(r, c)) is not float for r in st.log for c in METRICS_COLUMNS[2:]):
-        return f"log values from {METRICS_COLUMNS[2]} on must be floats"
-    for r in st.log:
-        phases = _PHASES if cfg is None else (_PHASES[r.epoch >= cfg.warmup_epochs],)
-        if r.phase not in phases:
-            return f"log epoch {r.epoch}: phase {r.phase!r} is not {' or '.join(phases)}"
-        for c in _ACCURACIES:
+def _decode(blob: dict, cfg: TrainConfig) -> RunState:
+    """The run state of a version 2 record written under cfg; raises on
+    what training never writes."""
+    sizes = blob["sizes"]
+    if (not isinstance(sizes, list) or len(sizes) < 2
+            or any(type(w) is not int or w < 1 for w in sizes)):
+        raise ValueError(f"sizes {sizes!r} are not two or more positive integers")
+    log = [EpochRow(e, "phase2" if e >= cfg.warmup_epochs else "warmup", **r)
+           for e, r in enumerate(blob["log"])]
+    for r in log:
+        if any(type(getattr(r, c)) is not float for c in _LOGGED):
+            raise ValueError(f"log epoch {r.epoch}: values must be floats")
+        for c in ("train_acc", "meta_acc", "test_acc"):
             if not 0.0 <= getattr(r, c) <= 1.0:  # NaN fails too
-                return f"log epoch {r.epoch}: {c} {getattr(r, c)!r} is not in [0, 1]"
-    # training keeps the earliest epoch of the highest meta_acc, -1 before the first
-    first = max(range(n), key=lambda e: st.log[e].meta_acc, default=-1)
-    if st.best_epoch != first:
-        return (f"best_epoch {st.best_epoch} is not {first}, the first logged epoch "
-                f"of the highest meta_acc")
-    best = st.log[st.best_epoch].meta_acc if n else -1.0
-    if st.best_meta_acc != best:  # NaN fails too
-        return (f"best_meta_acc {st.best_meta_acc!r} is not the meta_acc {best!r} "
-                f"of best_epoch {st.best_epoch}")
-    if cfg is not None and n > cfg.total_epochs:
-        return f"epoch_next {n} is past train.total_epochs {cfg.total_epochs}"
-    if cfg is not None and (ex is not None) != (n > cfg.warmup_epochs):
-        return (f"{', '.join(_PHASE2_KEYS)} must be {'set' if ex is None else 'null'} at "
-                f"epoch_next {n}, phase 2 starting at epoch {cfg.warmup_epochs}")
-    if cfg is not None:  # the optimizers the config builds; lr as training last set it
-        built = (("opt_theta", cfg.classifier_optimizer, lr_at(cfg.lr_schedule, max(n - 1, 0))),
-                 ("opt_phi", cfg.metanet_optimizer, cfg.meta_lr))
-        for name, kind, lr in built:
-            opt = getattr(st, name)
-            want = make_optimizer(kind, (0,), lr=lr, weight_decay=cfg.weight_decay)
-            if opt is not None and _hypers(opt) != _hypers(want):
-                return f"{name} is {_hypers(opt)}, but the config builds {_hypers(want)}"
-    if ex is not None and ex.mode not in EXTRACTOR_MODES:
-        return f"extractor mode {ex.mode!r} is not one of {EXTRACTOR_MODES}"
-    if ex is not None and cfg is not None and ex.mode != cfg.extractor_features:
-        return f"extractor mode {ex.mode!r} is not train.extractor_features"
-    if ex is not None and ex.in_dim != st.theta.in_dim:
-        return f"the extractor reads {ex.in_dim} features, the classifier {st.theta.in_dim}"
-    if ex is not None:  # the classifier as warm-up left it; penultimate drops the output layer
-        sizes = st.theta.sizes if ex.mode == "logits" else st.theta.sizes[:-1]
-        shapes = [(w.shape, b.shape) for w, b in ex.layers]
-        if shapes != [((a, z), (1, z)) for a, z in zip(sizes, sizes[1:])]:
-            return (f"{ex.mode} extractor layers {shapes} do not fit the classifier's "
-                    f"widths {list(st.theta.sizes)}")
-    if g is not None and (g.in_dim != ex.n_features or g.out_dim != st.theta.out_dim):
-        return (f"the generator maps {g.in_dim} features to {g.out_dim} classes, but the "
-                f"extractor gives {ex.n_features} features and the classifier has "
-                f"{st.theta.out_dim} classes")
-    return None
+                raise ValueError(f"log epoch {r.epoch}: {c} {getattr(r, c)!r} is not in [0, 1]")
+    n = len(log)
+    if n > cfg.total_epochs:
+        raise ValueError(f"the log's {n} epochs run past train.total_epochs {cfg.total_epochs}")
+    phase2 = n > cfg.warmup_epochs
+    for k in ("extractor", "labeler", "opt_phi"):  # built together at phase 2's start
+        if (blob[k] is not None) != phase2:
+            raise ValueError(f"{k} must be {'set' if phase2 else 'null'} after {n} epochs, "
+                             f"phase 2 starting at epoch {cfg.warmup_epochs}")
+
+    def layers(key, widths):
+        return _layer_views(_vector(blob[key], key, widths), widths)
+
+    def optimizer(key, kind, net, lr):
+        opt = make_optimizer(kind, net.flat.shape, lr=lr, weight_decay=cfg.weight_decay)
+        for k in opt.BUFFERS:
+            setattr(opt, k, _vector(blob[key][k], f"{key}.{k}", net.sizes))
+        return opt
+
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = blob["rng_state"]
+    theta = Mlp(layers("theta", sizes))
+    st = RunState(theta=theta, rng=rng, log=log,
+                  opt_theta=optimizer("opt_theta", cfg.classifier_optimizer, theta,
+                                      lr_at(cfg.lr_schedule, n - 1)),
+                  theta_best=Mlp(layers("theta_best", sizes)))
+    if phase2:
+        ex_sizes = sizes if cfg.extractor_features == "logits" else sizes[:-1]
+        st.extractor = FeatureExtractor(layers("extractor", ex_sizes), cfg.extractor_features,
+                                        sizes[0])
+        st.labeler = Mlp(layers("labeler", [ex_sizes[-1], sizes[-1]]))
+        st.opt_phi = optimizer("opt_phi", cfg.metanet_optimizer, st.labeler, cfg.meta_lr)
+    return st
 
 
 # ---------------------------------------------------------------------------
@@ -904,11 +860,9 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
         for ln, lane_accs, lane_losses in zip(lanes, accs, losses):
             st = ln.st
             if lane_accs[1] > st.best_meta_acc:
-                st.best_meta_acc, st.best_epoch = lane_accs[1], epoch
                 st.theta_best = st.theta.copy()
             row = EpochRow(epoch, phase, *lane_accs, *lane_losses, wall_time)
             st.log.append(row)
-            st.epoch_next = epoch + 1
             if ln.on_epoch is not None:
                 ln.on_epoch(row)
             if ln.checkpoint_path is not None:
@@ -925,6 +879,19 @@ def _check_meta_size(cfg: TrainConfig, ds: Dataset) -> None:
     if cfg.batch_size > meta_size:
         raise ConfigError(
             f"train.batch_size {cfg.batch_size} exceeds meta split size {meta_size}")
+
+
+def _count_steps(cfg: TrainConfig, ds: Dataset, st: RunState) -> None:
+    """Set st's step counts to those its logged epochs made on ds, one a
+    batch: warm-up steps the classifier over the labeled train rows, phase 2
+    the classifier and the generator over all train rows."""
+    labeled, rows = (-(-idx.size // cfg.batch_size)
+                     for idx in (ds.labeled_train_indices(), ds.indices(dt.TRAIN)))
+    warmup = min(st.epoch_next, cfg.warmup_epochs)
+    phase2 = (st.epoch_next - warmup) * rows
+    st.opt_theta.step_count = warmup * labeled + phase2
+    if st.opt_phi is not None:
+        st.opt_phi.step_count = phase2
 
 
 def summary(cfg: TrainConfig, st: RunState) -> dict:
@@ -947,14 +914,16 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
     RunState: `theta` is the last epoch's classifier, `theta_best` the kept one.
 
     With checkpoint_path set, the run state is written after every epoch.
-    A `state` read back by load_checkpoint continues that run bit-exactly;
-    without one the run starts fresh. `on_epoch(row)` runs after each
+    A `state` read back by load_checkpoint continues that run bit-exactly
+    (its step counts are counted on this dataset); without one the run
+    starts fresh. `on_epoch(row)` runs after each
     logged epoch (for incremental metrics flushing); failures abort with
     epoch/batch context.
     """
     ds = dataset if dataset is not None else build_dataset(cfg)
     _check_meta_size(cfg, ds)
     st = state if state is not None else RunState.fresh(cfg, ds)
+    _count_steps(cfg, ds, st)
     return _train([_Lane(cfg, ds, st, checkpoint_path, on_epoch)], cfg.total_epochs, True)[0]
 
 

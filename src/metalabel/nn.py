@@ -354,19 +354,17 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 class _Optimizer:
-    """Shared bookkeeping: a subclass names its scalar hyperparameters
-    (HYPER, its constructor's keywords) and its buffers (BUFFERS) once; the
-    checkpoint codec in `harness` writes and reads exactly those, plus the
-    step count. Each buffer is one array of the parameter vector's shape,
-    and `step` updates the whole vector at once with elementwise formulas,
-    into `out` when given, else into a new vector. `out` may be the
-    parameter vector itself: each element is read before it is written.
+    """Shared bookkeeping: a subclass names its buffers (BUFFERS) once, the
+    state a checkpoint stores (`harness` derives the kind, hyperparameters
+    and step count). Each buffer is one array of the parameter vector's
+    shape, and `step` updates the whole vector at once with elementwise
+    formulas, into `out` when given, else into a new vector. `out` may be
+    the parameter vector itself: each element is read before it is written.
 
     A lane-stacked optimizer holds (S, P) buffers; its hyperparameters and
     step count are shared, because the lanes share a schedule."""
 
     kind: str
-    HYPER: tuple[str, ...]
     BUFFERS: tuple[str, ...]
 
     def _check(self, params: np.ndarray, grads: np.ndarray) -> None:
@@ -397,7 +395,6 @@ class SgdMomentum(_Optimizer):
     coupling (g includes weight_decay*p)."""
 
     kind = "sgd-momentum"
-    HYPER = ("lr", "momentum", "weight_decay")
     BUFFERS = ("buffers",)
 
     def __init__(self, shape: tuple[int, ...], lr: float, momentum: float = 0.9,
@@ -422,7 +419,6 @@ class Adam(_Optimizer):
     into the gradient (classic L2), decays 0.9/0.999, epsilon 1e-8."""
 
     kind = "adam"
-    HYPER = ("lr", "beta1", "beta2", "eps", "weight_decay")
     BUFFERS = ("m", "v")
 
     def __init__(self, shape: tuple[int, ...], lr: float, beta1: float = 0.9,

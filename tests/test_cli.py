@@ -1,9 +1,6 @@
+import base64
 import csv
 import json
-import os
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +8,6 @@ import pytest
 
 import metalabel.cli as cli_mod
 import metalabel.harness as harness_mod
-import metalabel.nn as nn_mod
 from metalabel.cli import main
 from metalabel.data import load_dataset
 from metalabel.harness import TrainConfig, build_dataset
@@ -274,6 +270,55 @@ def test_train_missing_dataset_file_is_usage_error(tmp_path):
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
 
 
+def test_a_dataset_file_with_an_unlabeled_fraction_marks_its_train_rows(tmp_path):
+    # the file's train rows are marked from the config seed, as those of the
+    # synthesised dataset it was written from are
+    data_path = tmp_path / "data.dsv"
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(data_path)]) == 0
+    half = {"train.unlabeled_fraction": 0.5}
+    on_file = TrainConfig.from_dict(tiny_config(**{"data.path": str(data_path), **half}))
+    ds, plain = build_dataset(on_file), load_dataset(str(data_path))
+    assert np.array_equal(ds.labeled, build_dataset(on_file).labeled)
+    assert np.array_equal(ds.labeled, build_dataset(TrainConfig.from_dict(
+        tiny_config(**half))).labeled)
+    assert np.array_equal(ds.x, plain.x) and np.array_equal(ds.y_noisy, plain.y_noisy)
+    train = plain.indices("train")
+    assert np.count_nonzero(~ds.labeled) == np.count_nonzero(~ds.labeled[train]) \
+        == round(0.5 * train.size)
+    cfg_path = write_config(tmp_path, on_file.to_dict(), "path.json")
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_a_dataset_file_with_unlabeled_rows_and_an_unlabeled_fraction_is_usage_error(
+        tmp_path, capsys):
+    data_path = tmp_path / "data.dsv"
+    half = tiny_config(**{"train.unlabeled_fraction": 0.5})
+    assert main(["gen-data", "--config", write_config(tmp_path, half),
+                 "--out", str(data_path)]) == 0
+    cfg = tiny_config(**{"data.path": str(data_path), "train.unlabeled_fraction": 0.25})
+    capsys.readouterr()
+    assert main(["train", "--config", write_config(tmp_path, cfg, "path.json"),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "dataset file already carries unlabeled rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_an_empty_train_split_is_usage_error_naming_train_frac(tmp_path, capsys,
+                                                              monkeypatch, command):
+    # with feature-dependent noise the margin oracle would train on no rows
+    cfg = tiny_config(**{"data.n": 120, "data.train_frac": 0.0, "data.meta_frac": 0.5,
+                         "data.test_frac": 0.5, "noise.kind": "feature-dependent"})
+
+    def refuse(*args, **kw):
+        raise AssertionError("the margin oracle trained")
+
+    monkeypatch.setattr(harness_mod, "train_margin_oracle", refuse)
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: data.train_frac 0.0 leaves no train rows" in capsys.readouterr().err
+
+
 def _truncate_mid_row(text: str) -> str:
     lines = text.splitlines(keepends=True)
     half = len(lines) // 2
@@ -298,11 +343,25 @@ def _non_json_header(text: str) -> str:
     return "version 1\n" + text.split("\n", 1)[1]
 
 
+def _renamed_column(text: str) -> str:
+    header, columns, body = text.split("\n", 2)
+    return "\n".join([header, columns.replace("x_1", "x_one"), body])
+
+
+def _header_without_classes(text: str) -> str:
+    header, rest = text.split("\n", 1)
+    fields = json.loads(header)
+    del fields["c"]
+    return json.dumps(fields) + "\n" + rest
+
+
 @pytest.mark.parametrize("corrupt, detail", [
     (_truncate_mid_row, "columns"),
     (_non_numeric_cell, "'abc'"),
     (_drop_a_row, "header says 320 rows, the body has 319"),
     (_non_json_header, "line 1 column 1"),
+    (_renamed_column, "column header mismatch"),
+    (_header_without_classes, "the header has no 'c' field"),
     *(pytest.param(lambda text, c=c: _non_numeric_cell(text, c),
                    f"row 3 (line 6): x_2 = {c} is not a finite number", id=f"{c}_cell")
       for c in ("nan", "inf", "-inf")),
@@ -472,45 +531,51 @@ def test_truncated_checkpoint_is_usage_error_naming_the_file(tmp_path, capsys):
     assert str(cp) in capsys.readouterr().err
 
 
-def _mat(a) -> dict:
-    return {"shape": list(a.shape), "hex": [v.hex() for v in a.ravel().tolist()]}
-
-
-def _arr(d: dict) -> np.ndarray:
-    return np.array([float.fromhex(h) for h in d["hex"]]).reshape(d["shape"])
-
-
 class _Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("change", [
-    lambda w, b: (w, np.vstack([b, b])),
-    lambda w, b: (w[:-1], b),
-    lambda w, b: (np.hstack([w, w]), np.hstack([b, b])),
-], ids=["two-bias-rows", "narrower-than-the-extractor", "more-classes-than-the-classifier"])
-def test_checkpoint_with_an_unfitting_generator_is_usage_error_naming_the_file(
-        tmp_path, capsys, change):
-    cfg = tiny_config()
-    cfg_path = write_config(tmp_path, cfg)
-    out = tmp_path / "run"
-    out.mkdir()
-    cp = out / "checkpoint.json"
+def _finished_run(tmp_path) -> tuple[str, Path, Path]:
+    """A finished run of 2 warm-up and 2 phase-2 epochs and its dataset
+    file: the config's path, the checkpoint and the dataset."""
+    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 4}))
+    data_path, out = tmp_path / "data.dsv", tmp_path / "run"
+    assert main(["gen-data", "--config", cfg_path, "--out", str(data_path)]) == 0
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    return cfg_path, out / "checkpoint.json", data_path
 
-    def stop(row):
-        if row.epoch == 3:  # the checkpoint holds epochs 0-2, phase 2 from epoch 2
-            raise _Stop
 
-    with pytest.raises(_Stop):
-        harness_mod.run_experiment(TrainConfig.from_dict(cfg), checkpoint_path=str(cp),
-                                   on_epoch=stop)
+def test_a_version_1_checkpoint_is_usage_error_naming_the_file_and_version(tmp_path,
+                                                                          capsys):
+    cfg_path, cp, data_path = _finished_run(tmp_path)
+    cfg = TrainConfig.from_dict(json.loads(Path(cfg_path).read_text()))
+    cp.write_text(json.dumps({"version": 1, "config_hash": cfg.config_hash(),
+                              "epoch_next": 4}))
+    capsys.readouterr()
+    for argv in (["train", "--config", cfg_path, "--out", str(cp.parent), "--resume"],
+                 ["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {cp}: unsupported checkpoint version 1" in err, err
+
+
+@pytest.mark.parametrize("key", ["theta", "theta_best", "extractor", "labeler",
+                                 "opt_theta.buffers", "opt_phi.m", "opt_phi.v"])
+def test_a_checkpoint_vector_one_float_short_is_usage_error_naming_the_member(
+        tmp_path, capsys, key):
+    # each vector's length follows from sizes, the config and the class count
+    cfg_path, cp, data_path = _finished_run(tmp_path)
     blob = json.loads(cp.read_text())
-    w, b = change(_arr(blob["labeler"]["w"]), _arr(blob["labeler"]["b"]))
-    blob["labeler"] = {"w": _mat(w), "b": _mat(b)}
+    *path, last = key.split(".")
+    rec = blob[path[0]] if path else blob
+    rec[last] = base64.b64encode(base64.b64decode(rec[last])[:-8]).decode()
     cp.write_text(json.dumps(blob))
     capsys.readouterr()
-    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
-    assert f"checkpoint {cp} is malformed" in capsys.readouterr().err
+    for argv in (["train", "--config", cfg_path, "--out", str(cp.parent), "--resume"],
+                 ["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {cp} is malformed: {key} holds " in err, err
 
 
 @pytest.mark.parametrize("key", ["extractor", "labeler", "opt_phi"])
@@ -540,166 +605,37 @@ def test_checkpoint_with_part_of_the_phase2_state_is_usage_error_naming_the_file
     assert f"checkpoint {cp} is malformed" in err and key in err
 
 
-def _cut_log(blob, n, best):
-    blob.update(epoch_next=n, log=blob["log"][:n], best_epoch=best)
-
-
-def _phase2_null(blob):
-    blob.update(extractor=None, labeler=None, opt_phi=None)
-
-
-def _best_at(blob, epoch):
-    blob.update(best_epoch=epoch, best_meta_acc=float.hex(blob["log"][epoch]["meta_acc"]))
-
-
-def _hyper(key, name, value):
-    return lambda b: b[key].update({name: float(value).hex()})
-
-
-def _rekind(blob, key, kind, buffers):
-    """blob[key] rewritten as a `kind` record at its defaults, lr and
-    weight_decay kept, each of `buffers` holding the first old buffer."""
-    old = blob[key]
-    rec = nn_mod.OPTIMIZERS[kind]((0,), lr=1.0)
-    blob[key] = {"kind": kind, **{k: float(getattr(rec, k)).hex() for k in rec.HYPER},
-                 "lr": old["lr"], "weight_decay": old["weight_decay"],
-                 "step_count": old["step_count"],
-                 **{k: old["m" if "m" in old else "buffers"] for k in buffers}}
-
-
-def _tied_later(blob):
-    blob["log"][3]["meta_acc"] = blob["log"][blob["best_epoch"]]["meta_acc"]
-    _best_at(blob, 3)
-
-
 @pytest.mark.parametrize("edit, word", [
-    (lambda b: b.update(epoch_next="2"), "epoch_next"),
-    (lambda b: b.update(epoch_next=True), "epoch_next"),
-    (lambda b: b.update(epoch_next=99), "epoch_next"),
-    (lambda b: b.update(epoch_next=-5), "epoch_next"),
-    (lambda b: b.update(best_epoch="x"), "best_epoch"),
-    (lambda b: b.update(best_epoch=4), "best_epoch"),
-    (lambda b: b.update(best_epoch=-1), "best_epoch"),
-    (lambda b: b["opt_theta"].update(step_count="3"), "step_count"),
-    (lambda b: b["opt_phi"].update(step_count=True), "step_count"),
-    (lambda b: b["extractor"].update(mode="bogus"), "mode"),
-    (lambda b: b["extractor"].update(in_dim=7), "extractor reads 7"),
-    (lambda b: b["extractor"].update(mode="logits"), "train.extractor_features"),
-    (lambda b: b["extractor"].update(layers=[{"w": _mat(np.zeros((5, 4))),
-                                              "b": _mat(np.zeros((1, 4)))}]), "extractor layers"),
-    (lambda b: b.update(log=b["log"][:1], epoch_next=2), "log"),
-    (lambda b: b.update(log=b["log"][:3]), "log"),
-    (lambda b: b["log"][1].update(epoch=2), "log"),
-    (lambda b: b["log"][3].update(test_acc="x"), "log values"),
-    (lambda b: b["log"][3].update(meta_acc=None), "log values"),
+    (lambda b: b["log"][3].update(test_acc="x"), "log epoch 3: values"),
+    (lambda b: b["log"][3].update(meta_acc=None), "log epoch 3: values"),
     (lambda b: b["log"][3].update(test_acc=7.5), "test_acc 7.5"),
     (lambda b: b["log"][1].update(meta_acc=float("nan")), "meta_acc nan"),
     (lambda b: b["log"][0].update(train_acc=float("-inf")), "train_acc -inf"),
     (lambda b: b["log"][2].update(test_acc=-0.25), "test_acc -0.25"),
-    (lambda b: b.update(best_meta_acc=float("nan").hex()), "best_meta_acc nan"),
-    (lambda b: b.update(best_meta_acc=(b["log"][b["best_epoch"]]["meta_acc"] / 2).hex()),
-     "best_meta_acc"),
     (lambda b: b["rng_state"].update(has_uint32=float("inf")), "OverflowError"),
     (lambda b: b["rng_state"]["state"].update(inc=-1), "OverflowError"),
-    (lambda b: _best_at(b, 0), "best_epoch 0 is not 1"),
-    (_tied_later, "best_epoch 3 is not 1"),
-    (lambda b: b["log"][1].update(phase="phase2"), "phase 'phase2' is not warmup"),
-    (lambda b: b["log"][2].update(phase="warmup"), "phase 'warmup' is not phase2"),
-    *((lambda b, v=v: b["log"][3].update(phase=v), f"phase {v!r}") for v in (None, 7.5, {}, "x")),
-    (_phase2_null, "must be set"),
-    (lambda b: _cut_log(b, 2, 1), "must be null"),
-    (_hyper("opt_theta", "weight_decay", 0.5), "opt_theta is"),
-    (_hyper("opt_theta", "weight_decay", -3), "opt_theta is"),
-    (_hyper("opt_theta", "weight_decay", float("nan")), "opt_theta is"),
-    (_hyper("opt_theta", "momentum", 5), "opt_theta is"),
-    (_hyper("opt_theta", "lr", 0.02), "opt_theta is"),
-    (_hyper("opt_phi", "lr", 10), "opt_phi is"),
-    (_hyper("opt_phi", "lr", float("inf")), "opt_phi is"),
-    (_hyper("opt_phi", "eps", 0), "opt_phi is"),
-    (_hyper("opt_phi", "beta2", 0.99), "opt_phi is"),
-    (lambda b: _rekind(b, "opt_phi", "sgd-momentum", ["buffers"]), "opt_phi is"),
-    (lambda b: _rekind(b, "opt_theta", "adam", ["m", "v"]), "opt_theta is"),
-], ids=["epoch_next-a-string", "epoch_next-a-bool", "epoch_next-past-the-run",
-        "epoch_next-negative", "best_epoch-a-string", "best_epoch-not-yet-run",
-        "best_epoch-none-after-epochs", "step_count-a-string", "step_count-a-bool",
-        "extractor-mode-unknown", "extractor-in_dim-not-the-classifiers",
-        "extractor-mode-not-the-configs", "extractor-layers-not-the-classifiers",
-        "log-shorter-than-epoch_next", "log-missing-its-last-row", "log-epochs-out-of-order",
-        "log-value-a-string", "log-value-null", "log-accuracy-above-1", "log-accuracy-nan",
-        "log-accuracy-infinite", "log-accuracy-negative", "best_meta_acc-nan",
-        "best_meta_acc-not-the-best-epochs", "rng-has_uint32-infinite", "rng-inc-negative",
-        "best_epoch-earlier-than-the-best", "best_epoch-a-later-tie",
-        "log-phase-phase2-in-warmup", "log-phase-warmup-in-phase2", "log-phase-null",
-        "log-phase-a-number", "log-phase-an-object", "log-phase-unknown",
-        "phase2-members-missing-after-warmup", "phase2-members-before-phase2",
-        "opt_theta-weight_decay-not-the-configs", "opt_theta-weight_decay-negative",
-        "opt_theta-weight_decay-nan", "opt_theta-momentum-5", "opt_theta-lr-not-the-schedules",
-        "opt_phi-lr-not-meta_lr", "opt_phi-lr-infinite", "opt_phi-eps-0",
-        "opt_phi-beta2-not-the-default", "opt_phi-sgd-not-the-configs-adam",
-        "opt_theta-adam-not-the-configs-sgd"])
+    (lambda b: b.update(extractor=None, labeler=None, opt_phi=None), "must be set"),
+    (lambda b: b.update(log=b["log"][:2]), "must be null"),
+    (lambda b: b["log"].append(b["log"][-1]), "past train.total_epochs 4"),
+    (lambda b: b["log"][1].update(epoch=1), "epoch"),
+    (lambda b: b["opt_phi"].update(buffers=b["opt_phi"].pop("m")), "KeyError('m')"),
+], ids=["log-value-a-string", "log-value-null", "log-accuracy-above-1", "log-accuracy-nan",
+        "log-accuracy-infinite", "log-accuracy-negative", "rng-has_uint32-infinite",
+        "rng-inc-negative", "phase2-members-missing-after-warmup",
+        "phase2-members-before-phase2", "log-past-total_epochs", "log-row-with-an-epoch",
+        "opt_phi-buffers-of-another-kind"])
 def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file(
         tmp_path, capsys, edit, word):
-    # a finished run of 2 warm-up and 2 phase-2 epochs, one field edited
-    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 4}))
-    out = tmp_path / "run"
-    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
-    cp = out / "checkpoint.json"
+    cfg_path, cp, _ = _finished_run(tmp_path)
     blob = json.loads(cp.read_text())
     edit(blob)
     cp.write_text(json.dumps(blob))
-    metrics = (out / "metrics.csv").read_bytes()
+    metrics = (cp.parent / "metrics.csv").read_bytes()
     capsys.readouterr()
-    assert main(["train", "--config", cfg_path, "--out", str(out), "--resume"]) == 2
+    assert main(["train", "--config", cfg_path, "--out", str(cp.parent), "--resume"]) == 2
     err = capsys.readouterr().err
     assert f"checkpoint {cp} is malformed" in err and word in err, err
-    assert (out / "metrics.csv").read_bytes() == metrics
-
-
-@pytest.mark.parametrize("phase", [None, 7.5, {}, "x", "baseline"])
-def test_eval_of_a_checkpoint_with_an_unknown_log_phase_is_usage_error(tmp_path, capsys,
-                                                                       phase):
-    # without a config, a phase must be one of the two that training logs
-    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 3}))
-    data_path, out = tmp_path / "data.dsv", tmp_path / "run"
-    assert main(["gen-data", "--config", cfg_path, "--out", str(data_path)]) == 0
-    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
-    cp = out / "checkpoint.json"
-    blob = json.loads(cp.read_text())
-    blob["log"][0]["phase"] = phase
-    cp.write_text(json.dumps(blob))
-    capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]) == 2
-    err = capsys.readouterr().err
-    assert f"checkpoint {cp} is malformed: log epoch 0: phase {phase!r}" in err, err
-
-
-def test_a_checkpoint_with_a_huge_epoch_next_is_usage_error_in_bounded_memory(tmp_path):
-    # the log is checked against epoch_next before anything of epoch_next's size is
-    # built; the resume runs in a child whose address space is capped, so a build of
-    # that size fails fast there instead of exhausting the machine
-    cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 4}))
-    out = tmp_path / "run"
-    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
-    cp = out / "checkpoint.json"
-    blob = json.loads(cp.read_text())
-    blob["epoch_next"] = 10 ** 9
-    cp.write_text(json.dumps(blob))
-    child = textwrap.dedent("""
-        import os, resource, sys
-        from metalabel.cli import main
-        with open("/proc/self/statm") as fh:
-            size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-        cap = size + (1 << 30)
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-        sys.exit(main(sys.argv[1:]))
-    """)
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", child, "train", "--config", cfg_path,
-                           "--out", str(out), "--resume"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert f"checkpoint {cp} is malformed: epoch_next 1000000000" in proc.stderr
+    assert (cp.parent / "metrics.csv").read_bytes() == metrics
 
 
 # -- gradcheck ----------------------------------------------------------------------
@@ -900,8 +836,15 @@ def test_sweep_rejects_cells_sharing_a_directory(tmp_path, capsys, sweep):
     ({"grid": {"seed": 3}}, "sweep grid 'seed'"),
     ({"grid": {"seed": []}}, "sweep grid 'seed'"),
     ({"grid": {"data.path": "ab"}}, "sweep grid 'data.path'"),  # not the paths "a" and "b"
+    ({"grid": {"seed.x": [1]}}, "sweep grid key 'seed.x' does not match the config layout"),
+    ({"grid": {}}, "sweep grid must be a non-empty object"),
+    ({"grid": [["seed", [1]]]}, "sweep grid must be a non-empty object"),
+    ({"cells": []}, "sweep cells must be a non-empty list"),
+    ({"cells": {"seed": 1}}, "sweep cells must be a non-empty list"),
+    ({"grid": {"seed": [1]}, "cells": [{"seed": 2}]}, "exactly one of 'grid' or 'cells'"),
 ], ids=["cell-a-number", "cell-a-list", "grid-value-a-number", "grid-value-empty",
-        "grid-value-a-string"])
+        "grid-value-a-string", "grid-key-through-a-number", "grid-empty", "grid-a-list",
+        "cells-empty", "cells-an-object", "grid-and-cells"])
 def test_sweep_config_of_the_wrong_shape_is_usage_error_naming_the_key(
         tmp_path, capsys, sweep, name):
     cfg_path = write_config(tmp_path, {"schema_version": 1, "base": tiny_config(), **sweep},
@@ -909,6 +852,24 @@ def test_sweep_config_of_the_wrong_shape_is_usage_error_naming_the_key(
     out = tmp_path / "s"
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ([{"schema_version": 1}], "sweep config must be a JSON object"),
+    ("sweep", "sweep config must be a JSON object"),
+    ({"grid": {"seed": [1]}}, "sweep config requires schema_version = 1"),
+    ({"schema_version": 2, "grid": {"seed": [1]}}, "sweep config requires schema_version = 1"),
+    ({"schema_version": 1}, "exactly one of 'grid' or 'cells'"),
+    ({"schema_version": 1, "base": {"schema_version": 1}}, "exactly one of 'grid' or 'cells'"),
+], ids=["a-list", "a-string", "no-schema_version", "schema_version-2", "neither",
+        "a-base-alone"])
+def test_a_sweep_config_file_of_the_wrong_shape_is_usage_error(tmp_path, capsys, sweep,
+                                                              message):
+    cfg_path = write_config(tmp_path, sweep, "sweep.json")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -255,6 +255,11 @@ def test_unlabeled_guard_raises_on_masked_read(blobs):
     assert np.array_equal(out.train_labels(visible), out.y_noisy[visible])
 
 
+def test_indices_of_an_unknown_split_raises(blobs):
+    with pytest.raises(ValueError, match="unknown split 'bogus'"):
+        blobs.indices("bogus")
+
+
 def test_train_labels_rejects_non_train_rows(blobs):
     meta_rows = blobs.indices("meta")[:2]
     with pytest.raises(ValueError):

@@ -514,11 +514,18 @@ def test_metrics_csv_roundtrip(tmp_path):
 # -- checkpoint / resume ------------------------------------------------------------
 
 
-def test_checkpoint_resume_is_bit_exact(tmp_path):
+@pytest.mark.parametrize("kw", [
+    {},
+    {"classifier_optimizer": "adam", "unlabeled_fraction": 0.5},
+], ids=["sgd", "adam-half-unlabeled"])
+def test_checkpoint_resume_is_bit_exact(tmp_path, kw):
     # resume at the last warm-up epoch, at the first phase-2 epoch (the
     # extractor and generator are built after the resume), mid phase 2 and
-    # at the schedule's drop at epoch 6 (the checkpoint holds epoch 5's rate)
-    cfg = small_config(seed=7)
+    # at the schedule's drop at epoch 6 (the checkpoint holds epoch 5's rate).
+    # The step counts are not stored: with an adam classifier they feed its
+    # bias correction, and with half the train rows unlabeled a warm-up epoch
+    # takes half the batches of a phase-2 epoch
+    cfg = small_config(seed=7, **kw)
     ds = build_dataset(cfg)
     straight = run_experiment(cfg, dataset=ds)
 
@@ -541,6 +548,8 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
         assert len(resumed.log) == len(straight.log)
         assert all(rows_equal(a, b) for a, b in zip(resumed.log, straight.log))
         assert resumed.best_epoch == straight.best_epoch
+        for name in ("opt_theta", "opt_phi"):
+            assert getattr(resumed, name).step_count == getattr(straight, name).step_count
         for (wa, ba), (wb, bb) in zip(resumed.theta.layers, straight.theta.layers):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
@@ -562,23 +571,23 @@ def test_checkpoint_rejects_other_config(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(cp, small_config(seed=123, total_epochs=6, warmup_epochs=2))
 
-def test_checkpoint_with_a_vector_weight_is_malformed(tmp_path):
-    # parameters are plain arrays, so the Mlp shape checks are what reject a
-    # weight that is not a matrix
+
+@pytest.mark.parametrize("sizes", [[6], [6, 0, 3], [6, 8.0, 6, 3], "6,8,6,3", None],
+                         ids=["one-width", "a-zero-width", "a-float-width", "a-string", "null"])
+def test_checkpoint_with_sizes_of_no_network_is_malformed(tmp_path, sizes):
+    # every vector's length follows from sizes, so they must be layer widths
     cfg = small_config(total_epochs=6, warmup_epochs=2)
     cp = tmp_path / "c.json"
     run_experiment(cfg, checkpoint_path=str(cp))
     blob = json.loads(cp.read_text())
-    w = blob["theta"]["layers"][0]["w"]
-    w["shape"] = [w["shape"][0] * w["shape"][1]]
+    blob["sizes"] = sizes
     cp.write_text(json.dumps(blob))
-    with pytest.raises(ValueError, match=f"checkpoint {cp} is malformed"):
+    with pytest.raises(ValueError, match=f"checkpoint {cp} is malformed: sizes"):
         load_checkpoint(str(cp), cfg)
 
 
 def test_checkpoint_saved_loaded_and_saved_again_is_the_same_bytes(tmp_path):
-    # mid phase 2, so the generator, extractor and both optimizers are set;
-    # the flat optimizer buffers are written one matrix per parameter array
+    # mid phase 2, so the generator, extractor and both optimizers are set
     from metalabel.harness import save_checkpoint
 
     cfg = small_config(total_epochs=6, warmup_epochs=2)
@@ -603,12 +612,12 @@ def test_a_failed_checkpoint_write_leaves_the_last_checkpoint_and_no_other_file(
     real_dumps = hmod.json.dumps
 
     def no_space(obj, *args, **kw):  # on the checkpoint, not on the config hash
-        if isinstance(obj, dict) and "config_hash" in obj:
+        if isinstance(obj, dict) and "version" in obj:
             raise OSError(28, "No space left on device")
         return real_dumps(obj, *args, **kw)
 
     monkeypatch.setattr(hmod.json, "dumps", no_space)
-    st.epoch_next = 1
+    st.rng.random()  # a state whose write would change the file
     with pytest.raises(OSError, match="No space left"):
         hmod.save_checkpoint(str(cp), cfg, st)
     assert cp.read_bytes() == first
