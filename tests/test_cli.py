@@ -578,6 +578,31 @@ def test_a_checkpoint_vector_one_float_short_is_usage_error_naming_the_member(
         assert f"checkpoint {cp} is malformed: {key} holds " in err, err
 
 
+def _b64(a) -> str:
+    return base64.b64encode(np.asarray(a, "<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize("change", [
+    lambda w, b: (w, np.vstack([b, b])),
+    lambda w, b: (w[:-1], b),
+    lambda w, b: (np.hstack([w, w]), np.hstack([b, b])),
+], ids=["two-bias-rows", "narrower-than-the-extractor", "more-classes-than-the-classifier"])
+def test_checkpoint_with_an_unfitting_generator_is_usage_error_naming_the_file(
+        tmp_path, capsys, change):
+    # the generator's vector is read for the extractor's width and the class count
+    cfg_path, cp, _ = _finished_run(tmp_path)
+    blob = json.loads(cp.read_text())
+    c = blob["sizes"][-1]
+    flat = np.frombuffer(base64.b64decode(blob["labeler"]), "<f8")
+    w, b = change(flat[:-c].reshape(-1, c), flat[-c:].reshape(1, c))
+    blob["labeler"] = _b64(np.concatenate([w.ravel(), b.ravel()]))
+    cp.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(cp.parent), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {cp} is malformed: labeler holds {w.size + b.size} floats" in err, err
+
+
 @pytest.mark.parametrize("key", ["extractor", "labeler", "opt_phi"])
 def test_checkpoint_with_part_of_the_phase2_state_is_usage_error_naming_the_file(
         tmp_path, capsys, key):
@@ -619,11 +644,18 @@ def test_checkpoint_with_part_of_the_phase2_state_is_usage_error_naming_the_file
     (lambda b: b["log"].append(b["log"][-1]), "past train.total_epochs 4"),
     (lambda b: b["log"][1].update(epoch=1), "epoch"),
     (lambda b: b["opt_phi"].update(buffers=b["opt_phi"].pop("m")), "KeyError('m')"),
+    (lambda b: b.update(theta=b["theta"][:-4] + "!!!!"), "Only base64 data is allowed"),
+    (lambda b: b.update(theta_best={"shape": [5, 6], "hex": ["0x0p+0"] * 30}), "TypeError"),
+    (lambda b: b["opt_theta"].update(buffers=_b64(np.zeros(
+        len(base64.b64decode(b["opt_theta"]["buffers"])) // 8 + 1))),
+     "opt_theta.buffers holds"),
+    (lambda b: b.update(rng_state="PCG64"), "TypeError('state must be a dict')"),
 ], ids=["log-value-a-string", "log-value-null", "log-accuracy-above-1", "log-accuracy-nan",
         "log-accuracy-infinite", "log-accuracy-negative", "rng-has_uint32-infinite",
         "rng-inc-negative", "phase2-members-missing-after-warmup",
         "phase2-members-before-phase2", "log-past-total_epochs", "log-row-with-an-epoch",
-        "opt_phi-buffers-of-another-kind"])
+        "opt_phi-buffers-of-another-kind", "vector-not-base64", "vector-a-version-1-matrix",
+        "vector-one-float-long", "rng-not-an-object"])
 def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file(
         tmp_path, capsys, edit, word):
     cfg_path, cp, _ = _finished_run(tmp_path)
@@ -637,6 +669,56 @@ def test_a_checkpoint_field_training_never_writes_is_usage_error_naming_the_file
     assert f"checkpoint {cp} is malformed" in err and word in err, err
     assert (cp.parent / "metrics.csv").read_bytes() == metrics
 
+
+
+@pytest.mark.parametrize("edit, word", [
+    (lambda b: b.pop("config"), "KeyError('config')"),
+    (lambda b: b.update(config="tiny"), "config must be a JSON object"),
+    (lambda b: b["config"].update(extra=1), "unknown config keys: ['extra']"),
+    (lambda b: b["config"]["train"].update(total_epochs=3), "past train.total_epochs 3"),
+    (lambda b: b["log"][0].update(phase="warmup"), "phase"),
+    (lambda b: b["log"][2].update(meta_acc=1.5), "meta_acc 1.5"),
+    (lambda b: b.update(sizes=[5, 6, 4, 3]), "theta holds"),
+], ids=["config-missing", "config-not-an-object", "config-unknown-key",
+        "log-past-the-configs-total_epochs", "log-row-with-a-phase", "log-accuracy-above-1",
+        "sizes-not-the-vectors"])
+def test_eval_of_a_checkpoint_training_never_writes_is_usage_error_naming_the_file(
+        tmp_path, capsys, edit, word):
+    # without a config given, eval reads the checkpoint under the config it holds
+    _, cp, data_path = _finished_run(tmp_path)
+    blob = json.loads(cp.read_text())
+    edit(blob)
+    cp.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {cp} is malformed" in err and word in err, err
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1), ("train.total_epochs", 6),
+                                        ("train.meta_lr", 0.02)])
+def test_a_resume_under_another_config_is_usage_error_naming_the_file(tmp_path, capsys,
+                                                                      key, value):
+    _, cp, _ = _finished_run(tmp_path)
+    other = write_config(tmp_path, tiny_config(**{"train.total_epochs": 4, key: value}),
+                         "other.json")
+    metrics = (cp.parent / "metrics.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--config", other, "--out", str(cp.parent), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {cp} was written by a different config" in err, err
+    assert (cp.parent / "metrics.csv").read_bytes() == metrics
+
+
+def test_a_resume_under_the_config_with_its_defaults_spelled_out_continues(tmp_path):
+    # the stored config is compared as the config it reads as, not as its text
+    cfg_path, cp, _ = _finished_run(tmp_path)
+    spelled = TrainConfig.from_dict(json.loads(Path(cfg_path).read_text())).to_dict()
+    assert spelled != json.loads(Path(cfg_path).read_text())
+    spelled_path = write_config(tmp_path, spelled, "spelled.json")
+    before = cp.read_bytes()
+    assert main(["train", "--config", spelled_path, "--out", str(cp.parent), "--resume"]) == 0
+    assert cp.read_bytes() == before  # the run had finished: nothing more to train
 
 # -- gradcheck ----------------------------------------------------------------------
 
