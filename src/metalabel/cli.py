@@ -138,7 +138,10 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"dataset {args.dataset} ({ds.dims} features, {ds.n_classes} "
                           f"classes) does not fit checkpoint {args.checkpoint} "
                           f"({theta.in_dim} features, {theta.out_dim} classes)")
-    acc = evaluate(theta, ds, args.split)
+    try:
+        acc = evaluate(theta, ds, args.split)
+    except ValueError as e:  # a split with no rows to score
+        raise ValueError(f"{args.dataset}: {e}") from e
     print(f"{acc:.6f}")
     return 0
 

@@ -254,8 +254,6 @@ def softmax(logits) -> Tensor:
     z = as_tensor(logits)
     if z.value.ndim != 2:
         raise ValueError("softmax needs a matrix of logits")
-    if not np.all(np.isfinite(z.value)):
-        raise ValueError("softmax requires finite logits")
     out = Tensor(nn.softmax(z.value), (z,), ())
     # vjp: s * (g - rowsum(g * s))
     out._vjps = (lambda g: mul(out, sub(g, sum_rows(mul(g, out)))),)
@@ -281,15 +279,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # parents before children
 
 
-def grad(output: Tensor, wrt: Sequence[Tensor], *, create_graph: bool = False,
-         allow_unused: bool = False) -> list[Tensor]:
+def grad(output: Tensor, wrt: Sequence[Tensor], *, create_graph: bool = False) -> list[Tensor]:
     """Gradients of a scalar `output` with respect to each tensor in `wrt`.
 
     The backward pass is recorded like any other computation. With
     create_graph=True the returned gradients carry that graph and can be
-    differentiated again; otherwise they are returned as leaves. Targets
-    that the output does not depend on raise GradError unless allow_unused
-    (then a zero tensor is returned).
+    differentiated again; otherwise they are returned as leaves. A target
+    that the output does not depend on raises GradError.
     """
     if output.value.ndim != 0:
         raise GradError("grad requires a scalar output")
@@ -302,10 +298,6 @@ def grad(output: Tensor, wrt: Sequence[Tensor], *, create_graph: bool = False,
     for node in order:  # parents first
         if id(node) in wrt_ids or any(id(p) in needed for p in node._parents):
             needed.add(id(node))
-    if id(output) not in needed:
-        if not allow_unused:
-            raise GradError("output does not depend on any requested tensor")
-        return [Tensor(np.zeros(w.shape)) for w in wrt]
 
     grads: dict[int, Tensor] = {id(output): Tensor(1.0)}
     for node in reversed(order):
@@ -323,12 +315,6 @@ def grad(output: Tensor, wrt: Sequence[Tensor], *, create_graph: bool = False,
                     f"vjp produced shape {pg.shape} for parent {parent.shape}")
             grads[pid] = pg if pid not in grads else add(grads[pid], pg)
 
-    out: list[Tensor] = []
-    for w in wrt:
-        gw = grads.get(id(w))
-        if gw is None:
-            if not allow_unused:
-                raise GradError("a requested tensor is not reachable from the output")
-            gw = Tensor(np.zeros(w.shape))
-        out.append(gw if create_graph else Tensor(gw.value))
-    return out
+    if any(id(w) not in grads for w in wrt):
+        raise GradError("a requested tensor is not reachable from the output")
+    return [grads[id(w)] if create_graph else Tensor(grads[id(w)].value) for w in wrt]

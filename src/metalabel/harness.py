@@ -351,6 +351,8 @@ def _base_dataset(cfg: TrainConfig) -> Dataset:
     seeds = derive_seeds(cfg.seed)
     if cfg.dataset_path is not None:
         ds = load_dataset(cfg.dataset_path)
+        if ds.labeled_train_indices().size == 0:  # before any output is written
+            raise ConfigError(f"{cfg.dataset_path}: no labeled train rows")
         if cfg.unlabeled_fraction > 0.0:
             if not np.all(ds.labeled):
                 raise ConfigError("dataset file already carries unlabeled rows; "
@@ -515,14 +517,17 @@ def _b64(arrays) -> str:
 
 
 def _vector(text, name: str, sizes) -> np.ndarray:
-    """The vector `_b64` wrote for layers of widths `sizes`; `name` is its
-    member, for the message when its length is not theirs."""
+    """The vector `_b64` wrote for layers of widths `sizes`, each entry finite
+    as training writes it; `name` is its member, for the messages."""
     raw = base64.b64decode(text, validate=True)
     want = sum((a + 1) * z for a, z in zip(sizes, sizes[1:]))
     if len(raw) != 8 * want:
         raise ValueError(f"{name} holds {len(raw) / 8:g} floats, layer widths "
                          f"{list(sizes)} need {want}")
-    return np.frombuffer(raw, "<f8").astype(np.float64)
+    vec = np.frombuffer(raw, "<f8").astype(np.float64)
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} holds a non-finite entry")
+    return vec
 
 
 def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:

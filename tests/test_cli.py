@@ -9,7 +9,7 @@ import pytest
 import metalabel.cli as cli_mod
 import metalabel.harness as harness_mod
 from metalabel.cli import main
-from metalabel.data import load_dataset
+from metalabel.data import load_dataset, save_dataset
 from metalabel.harness import TrainConfig, build_dataset
 
 
@@ -348,6 +348,16 @@ def _renamed_column(text: str) -> str:
     return "\n".join([header, columns.replace("x_1", "x_one"), body])
 
 
+def _class_out_of_range(text: str) -> str:
+    """Row 3 of the body with y_clean (the column after x_0..x_4) set to the
+    class count."""
+    lines = text.splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[5] = "2"
+    lines[5] = ",".join(cells)
+    return "".join(lines)
+
+
 def _header_without_classes(text: str) -> str:
     header, rest = text.split("\n", 1)
     fields = json.loads(header)
@@ -362,6 +372,7 @@ def _header_without_classes(text: str) -> str:
     (_non_json_header, "line 1 column 1"),
     (_renamed_column, "column header mismatch"),
     (_header_without_classes, "the header has no 'c' field"),
+    (_class_out_of_range, "class index out of range"),
     *(pytest.param(lambda text, c=c: _non_numeric_cell(text, c),
                    f"row 3 (line 6): x_2 = {c} is not a finite number", id=f"{c}_cell")
       for c in ("nan", "inf", "-inf")),
@@ -413,6 +424,46 @@ def test_eval_on_a_dataset_file_with_a_non_finite_cell_is_usage_error(tmp_path, 
                  "--dataset", str(data_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data_path}: ") and "x_2 = nan" in err, err
+
+
+def _unlabel_the_train_rows(ds) -> None:
+    ds.labeled[ds.indices("train")] = False
+
+
+def _move_the_test_rows_to_meta(ds) -> None:
+    ds.codes[ds.indices("test")] = ds.codes[ds.indices("meta")[0]]
+
+
+@pytest.mark.parametrize("edit, split, detail", [
+    (_unlabel_the_train_rows, "train", "train split has no labeled rows to evaluate"),
+    (_move_the_test_rows_to_meta, "test", "empty split 'test'"),
+], ids=["no-labeled-train-rows", "no-test-rows"])
+def test_eval_of_a_split_with_no_rows_to_score_is_usage_error_naming_the_file(
+        tmp_path, capsys, edit, split, detail):
+    _, cp, data_path = _finished_run(tmp_path)
+    ds = load_dataset(str(data_path))
+    edit(ds)
+    save_dataset(ds, str(data_path))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path),
+                 "--split", split]) == 2
+    assert capsys.readouterr().err == f"error: {data_path}: {detail}\n"
+
+
+def test_a_dataset_file_without_labeled_train_rows_is_usage_error_naming_it(tmp_path,
+                                                                          capsys):
+    data_path, out = tmp_path / "data.dsv", tmp_path / "r"
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
+                 "--out", str(data_path)]) == 0
+    ds = load_dataset(str(data_path))
+    _unlabel_the_train_rows(ds)
+    save_dataset(ds, str(data_path))
+    capsys.readouterr()
+    cfg = tiny_config(**{"data.path": str(data_path)})
+    assert main(["train", "--config", write_config(tmp_path, cfg, "path.json"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {data_path}: no labeled train rows\n"
+    assert not list(out.iterdir())
 
 
 def test_train_baseline_builds_the_dataset_once(tmp_path, monkeypatch):
@@ -496,6 +547,22 @@ def test_train_divergence_is_a_runtime_error_naming_epoch_and_batch(tmp_path, ca
         assert where in err and "diverged" in err, err
 
 
+def test_a_step_that_writes_non_finite_parameters_stops_its_batch(tmp_path, capsys):
+    # one batch an epoch; the first step overflows 70 of the 83 parameters,
+    # so nothing is logged or kept from that classifier
+    cfg = tiny_config(**{"data": {"n": 480, "dims": 6, "classes": 3, "train_frac": 0.4,
+                                  "meta_frac": 0.45, "test_frac": 0.15},
+                         "noise.ratio": 0.2, "model.hidden": [8], "train.batch_size": 200,
+                         "train.lr_schedule": [[0, 1e308]], "train.weight_decay": 100})
+    out = tmp_path / "r"
+    capsys.readouterr()
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("runtime failure: epoch 0 (warm-up), batch 0: "
+                                       "diverged: non-finite parameters\n")
+    assert (out / "metrics.csv").read_text().count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
+
+
 def test_train_resume_without_checkpoint_is_usage_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_config())
     out = tmp_path / "run"
@@ -559,23 +626,43 @@ def test_a_version_1_checkpoint_is_usage_error_naming_the_file_and_version(tmp_p
         assert f"checkpoint {cp}: unsupported checkpoint version 1" in err, err
 
 
-@pytest.mark.parametrize("key", ["theta", "theta_best", "extractor", "labeler",
-                                 "opt_theta.buffers", "opt_phi.m", "opt_phi.v"])
+def _one_float_short(vec: np.ndarray) -> np.ndarray:
+    return vec[:-1]
+
+
+def _one_entry(value: float):
+    def corrupt(vec: np.ndarray) -> np.ndarray:
+        vec[len(vec) // 2] = value
+        return vec
+    return corrupt
+
+
+_MEMBERS = ["theta", "theta_best", "extractor", "labeler", "opt_theta.buffers", "opt_phi.m",
+            "opt_phi.v"]
+
+
+@pytest.mark.parametrize("key, corrupt, detail", [
+    *(pytest.param(key, _one_float_short, "floats, layer widths", id=key) for key in _MEMBERS),
+    *(pytest.param(key, _one_entry(value), "a non-finite entry",
+                   id=f"{key}-{value}")
+      for value in (np.nan, np.inf, -np.inf) for key in _MEMBERS),
+])
 def test_a_checkpoint_vector_one_float_short_is_usage_error_naming_the_member(
-        tmp_path, capsys, key):
-    # each vector's length follows from sizes, the config and the class count
+        tmp_path, capsys, key, corrupt, detail):
+    # each vector's length follows from sizes, the config and the class count,
+    # and training never writes a non-finite entry
     cfg_path, cp, data_path = _finished_run(tmp_path)
     blob = json.loads(cp.read_text())
     *path, last = key.split(".")
     rec = blob[path[0]] if path else blob
-    rec[last] = base64.b64encode(base64.b64decode(rec[last])[:-8]).decode()
+    rec[last] = _b64(corrupt(np.frombuffer(base64.b64decode(rec[last]), "<f8").copy()))
     cp.write_text(json.dumps(blob))
     capsys.readouterr()
     for argv in (["train", "--config", cfg_path, "--out", str(cp.parent), "--resume"],
                  ["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"checkpoint {cp} is malformed: {key} holds " in err, err
+        assert f"checkpoint {cp} is malformed: {key} holds " in err and detail in err, err
 
 
 def _b64(a) -> str:

@@ -420,17 +420,15 @@ def test_divergence_names_the_epoch_and_batch():
         train_margin_oracle([ds], [8, 6], seeds=[0], epochs=3, lr=1e6)
 
 
-def _phase2_lane(theta: Mlp | None = None):
+def _phase2_lane(theta: Mlp):
     """A one-hidden-layer run (3 classes) set up for its first phase-2
-    epoch, epoch 1, from `theta` (its initialisation when None), and its
-    phase-2 inputs."""
+    epoch, epoch 1, from `theta`, and its phase-2 inputs."""
     import metalabel.harness as hmod
 
     cfg = small_config(noise_kind="uniform", hidden=[4], warmup_epochs=1, total_epochs=2)
     ds = build_dataset(cfg)
     ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds))
-    if theta is not None:
-        ln.st.theta = theta
+    ln.st.theta = theta
     return cfg, ln, [hmod._Phase2Rows.of(cfg, ln)]
 
 
@@ -448,34 +446,6 @@ def test_a_gradient_that_overflows_in_the_virtual_update_names_the_batch():
     ln.st.labeler.layers[0][1][...] = [[0.0, -700.0, 0.0]]
     with pytest.raises(DivergenceError, match=r"^epoch 1, batch 0: diverged: non-finite "
                                               r"gradient in virtual update$"):
-        hmod._phase2_epoch(cfg, [ln.st], inputs, "epoch 1")
-
-
-def test_a_non_finite_classifier_loss_names_the_batch(monkeypatch):
-    # log_softmax rejects a probability that underflows to 0, so a generator
-    # log-probability it returns is above about -745 and the loss is finite;
-    # the loss guard stands behind it. One near -1e308, injected into the
-    # classifier step's log_softmax, makes the batch's KL sum overflow
-    import metalabel.harness as hmod
-    import metalabel.meta as meta_mod
-    from metalabel.nn import DivergenceError
-
-    cfg, ln, inputs = _phase2_lane()
-    real_step, real_log_softmax = hmod.conventional_step, meta_mod.log_softmax
-
-    def underflowed(z):
-        log_q, q = real_log_softmax(z)
-        log_q[..., 0] = -1e308
-        return log_q, q
-
-    def injecting(*args, **kw):
-        with monkeypatch.context() as m:  # the step's one log_softmax: the generator's
-            m.setattr(meta_mod, "log_softmax", underflowed)
-            return real_step(*args, **kw)
-
-    monkeypatch.setattr(hmod, "conventional_step", injecting)
-    with pytest.raises(DivergenceError,
-                       match=r"^epoch 1, batch 0: diverged: non-finite classifier loss$"):
         hmod._phase2_epoch(cfg, [ln.st], inputs, "epoch 1")
 
 

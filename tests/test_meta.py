@@ -214,6 +214,33 @@ def test_route_equivalence_holds_for_non_unit_inner_lr():
     assert report.passed, report.line()
 
 
+@pytest.mark.parametrize("analytic, reference", [
+    (np.full((2, 3), np.nan), np.zeros((2, 3))),
+    (np.array([[1.0, np.nan, 0.0]]), np.array([[1.0, 2.0, 0.0]])),
+    (np.array([[1.0, 1e-9, 0.0]]), np.array([[1.0, -np.inf, 0.0]])),
+], ids=["all-nan", "one-nan", "reference-inf"])
+def test_a_non_finite_entry_is_an_error_of_inf(analytic, reference):
+    assert mixed_error(analytic, reference) == np.inf
+    assert mixed_error(analytic, reference, small=np.inf) == np.inf
+    assert mixed_error(reference, analytic) == np.inf
+
+
+@pytest.mark.parametrize("check", [check_meta_gradient, check_route_equivalence])
+def test_a_nan_in_the_fused_gradient_fails_the_meta_checks(monkeypatch, check):
+    import metalabel.gradcheck as gradcheck_mod
+
+    real = gradcheck_mod._fused_phi_grad
+
+    def one_nan(*args):
+        grads = real(*args)
+        grads[0][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(gradcheck_mod, "_fused_phi_grad", one_nan)
+    report = check(n_seeds=2)
+    assert report.worst_err == np.inf and not report.passed
+
+
 def test_meta_step_leaves_classifier_untouched(tiny):
     theta, labeler, x, v, mx, my = tiny
     before = [p.copy() for p in theta.params()]

@@ -356,6 +356,29 @@ def test_a_flat_step_equals_the_per_array_formulas_bit_for_bit(kind, lanes):
                    for a, b in zip(net.with_params(getattr(opt, k)).params(), per_array))
 
 
+@pytest.mark.parametrize("kind, param, grad, lr", [
+    *(pytest.param(kind, 0.0, g, 1e-3, id=f"{kind}-{name}")
+      for kind in ("sgd-momentum", "adam") for name, g in (("inf", np.inf), ("nan", np.nan))),
+    *(pytest.param(kind, -1.5e308, 1.0, 1e308, id=f"{kind}-update-overflows")
+      for kind in ("sgd-momentum", "adam")),
+    # adam divides by the root of v, so a v that overflows would only zero the update
+    pytest.param("adam", 0.0, 1e200, 1e-3, id="adam-second-moment-overflows"),
+])
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_a_step_that_writes_a_non_finite_entry_diverges(kind, param, grad, lr, lanes):
+    # one entry of one lane goes non-finite; the rest step from zero to zero
+    from metalabel.nn import DivergenceError
+
+    shape = (5,) if lanes is None else (lanes, 5)
+    opt = make_optimizer(kind, shape, lr=lr, weight_decay=0.0)
+    params, grads = np.zeros(shape), np.zeros(shape)
+    assert np.array_equal(opt.step(params, grads), params)
+    last = (-1,) * len(shape)
+    params[last], grads[last] = param, grad
+    with pytest.raises(DivergenceError, match="^diverged: non-finite parameters$"):
+        opt.step(params, grads, out=params)
+
+
 def test_layers_are_views_of_the_flat_vector():
     rng = np.random.default_rng(4)
     nets = [init_mlp([5, 7, 3], rng) for _ in range(3)]
@@ -433,8 +456,9 @@ def test_log_softmax_matches_softmax_and_flags_divergence():
     # exp amplifies the rounding of log p by |log p| (up to ~340 here)
     assert np.allclose(p, softmax(Tensor(z)).value, rtol=1e-12, atol=0)
     assert np.allclose(log_p, np.log(softmax(Tensor(z)).value), rtol=1e-14, atol=0)
-    with pytest.raises(DivergenceError, match="non-finite logits"):
-        log_softmax(np.array([[np.inf, 0.0]]))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DivergenceError, match="non-finite logits"):
+            log_softmax(np.array([[0.0, 1.0], [bad, 0.0]]))
     with pytest.raises(DivergenceError, match="underflowed"):
         log_softmax(np.array([[0.0, -1e4]]))
 
