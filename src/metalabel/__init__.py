@@ -18,17 +18,13 @@ from .harness import (
     evaluate,
     run_experiment,
 )
-from .meta import (
-    FeatureExtractor,
-    conventional_step,
-    meta_step,
-)
+from .meta import conventional_step, meta_step
 from .nn import Mlp, init_mlp, one_hot
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "UnlabeledLabelError", "TrainConfig", "FeatureExtractor", "Mlp",
+    "Dataset", "UnlabeledLabelError", "TrainConfig", "Mlp",
     "make_synthetic", "split_dataset", "inject_uniform",
     "inject_feature_dependent", "mark_unlabeled", "save_dataset",
     "load_dataset", "init_mlp", "one_hot", "meta_step", "conventional_step",

@@ -17,6 +17,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .data import load_dataset, read_json, replace_text, save_dataset
 from .harness import (
     ConfigError,
@@ -50,6 +52,14 @@ def _make_dirs(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create directory {path}: {e.strerror}") from e
+
+
+def _check_fit(theta, ds, dataset: str, checkpoint: str) -> None:
+    """Refuse a dataset whose feature or class count is not the checkpoint classifier's."""
+    if (ds.dims, ds.n_classes) != (theta.in_dim, theta.out_dim):
+        raise ConfigError(f"dataset {dataset} ({ds.dims} features, {ds.n_classes} classes) "
+                          f"does not fit checkpoint {checkpoint} "
+                          f"({theta.in_dim} features, {theta.out_dim} classes)")
 
 
 def _load_config(args) -> TrainConfig:
@@ -90,6 +100,8 @@ def cmd_train(args) -> int:
     checkpoint_path = os.path.join(args.out, "checkpoint.json")
     state = load_checkpoint(checkpoint_path, cfg) if args.resume else None
     ds = build_dataset(cfg)  # shared by the run and the baseline
+    if state is not None:
+        _check_fit(state.theta, ds, cfg.dataset_path or f"of {args.config}", checkpoint_path)
 
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         # already-logged epochs stay at the top of the metrics file
@@ -134,10 +146,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_eval(args) -> int:
     theta = load_checkpoint(args.checkpoint).theta_best
     ds = load_dataset(args.dataset)
-    if (ds.dims, ds.n_classes) != (theta.in_dim, theta.out_dim):
-        raise ConfigError(f"dataset {args.dataset} ({ds.dims} features, {ds.n_classes} "
-                          f"classes) does not fit checkpoint {args.checkpoint} "
-                          f"({theta.in_dim} features, {theta.out_dim} classes)")
+    _check_fit(theta, ds, args.dataset, args.checkpoint)
     try:
         acc = evaluate(theta, ds, args.split)
     except ValueError as e:  # a split with no rows to score
@@ -338,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the steps and softmax catch every non-finite value
+            return args.func(args)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

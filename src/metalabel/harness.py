@@ -37,10 +37,10 @@ from . import data as dt
 from .data import Dataset, load_dataset
 from .meta import (
     EXTRACTOR_MODES,
-    FeatureExtractor,
     MetaWork,
     ce_step,
     conventional_step,
+    extract_features,
     meta_step,
 )
 from .nn import (
@@ -48,12 +48,12 @@ from .nn import (
     OPTIMIZERS,
     DivergenceError,
     Mlp,
-    _layer_views,
     init_mlp,
     make_optimizer,
     map_row_blocks,
     mlp_logits,
     one_hot,
+    param_count,
     row_blocks,
     softmax,
 )
@@ -346,18 +346,14 @@ def _needs_oracle(cfg: TrainConfig) -> bool:
 
 
 def _base_dataset(cfg: TrainConfig) -> Dataset:
-    """The dataset before feature-dependent noise and unlabeled marking,
-    or the finished dataset read from data.path."""
+    """The dataset before feature-dependent noise and unlabeled marking:
+    synthesised, or read from data.path."""
     seeds = derive_seeds(cfg.seed)
     if cfg.dataset_path is not None:
         ds = load_dataset(cfg.dataset_path)
-        if ds.labeled_train_indices().size == 0:  # before any output is written
-            raise ConfigError(f"{cfg.dataset_path}: no labeled train rows")
-        if cfg.unlabeled_fraction > 0.0:
-            if not np.all(ds.labeled):
-                raise ConfigError("dataset file already carries unlabeled rows; "
-                                  "drop train.unlabeled_fraction or regenerate")
-            ds = dt.mark_unlabeled(ds, cfg.unlabeled_fraction, seeds["unlabeled"])
+        if cfg.unlabeled_fraction > 0.0 and not np.all(ds.labeled):
+            raise ConfigError("dataset file already carries unlabeled rows; "
+                              "drop train.unlabeled_fraction or regenerate")
         return ds
     ds = dt.make_synthetic(cfg.n, cfg.classes, cfg.dims, seeds["data"],
                            center_scale=cfg.center_scale)
@@ -372,11 +368,17 @@ def _base_dataset(cfg: TrainConfig) -> Dataset:
 
 
 def _finish_dataset(cfg: TrainConfig, ds: Dataset, oracle: Mlp | None) -> Dataset:
+    """`_base_dataset`'s dataset with feature-dependent noise from `oracle`
+    and unlabeled rows marked; refused when no labeled train row is left."""
     seeds = derive_seeds(cfg.seed)
     if oracle is not None:
         ds = dt.inject_feature_dependent(ds, cfg.noise_ratio, oracle, seeds["noise"])
-    if cfg.dataset_path is None and cfg.unlabeled_fraction > 0.0:
+    if cfg.unlabeled_fraction > 0.0:
         ds = dt.mark_unlabeled(ds, cfg.unlabeled_fraction, seeds["unlabeled"])
+    if ds.labeled_train_indices().size == 0:  # before any output is written
+        raise ConfigError(f"train.unlabeled_fraction {cfg.unlabeled_fraction} leaves no labeled "
+                          "train rows" if cfg.unlabeled_fraction > 0.0
+                          else f"{cfg.dataset_path}: no labeled train rows")
     return ds
 
 
@@ -473,29 +475,41 @@ def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
 class RunState:
     """Everything a run changes as it trains, as a checkpoint stores it.
     Phase-2 members (labeler, extractor, opt_phi) stay None until the first
-    phase-2 epoch builds them. The log is the one record of the epochs run:
-    the next epoch and the kept one are read from it."""
+    phase-2 epoch builds them (`begin_phase2`). The log is the one record of
+    the epochs run: the next epoch and the kept one are read from it."""
 
     theta: Mlp
     opt_theta: object
     rng: np.random.Generator
     theta_best: Mlp | None = None
     labeler: Mlp | None = None
-    extractor: FeatureExtractor | None = None
+    extractor: Mlp | None = None
     opt_phi: object = None
     log: list[EpochRow] = field(default_factory=list)
 
     @classmethod
-    def fresh(cls, cfg: TrainConfig, ds: Dataset) -> "RunState":
-        """The classifier at its initialisation, its optimizer and the run
-        RNG, each drawn from its own substream of the config seed."""
+    def fresh(cls, cfg: TrainConfig, dims: int, classes: int) -> "RunState":
+        """The classifier of `dims` inputs and `classes` outputs at its
+        initialisation, its optimizer and the run RNG, each drawn from its
+        own substream of the config seed."""
         seeds = derive_seeds(cfg.seed)
-        theta = init_mlp([ds.dims] + list(cfg.hidden) + [ds.n_classes],
+        theta = init_mlp([dims] + list(cfg.hidden) + [classes],
                          np.random.default_rng(seeds["init"]))
         opt = make_optimizer(cfg.classifier_optimizer, theta.flat.shape,
                              lr=lr_at(cfg.lr_schedule, 0), weight_decay=cfg.weight_decay)
         return cls(theta=theta, opt_theta=opt, rng=np.random.default_rng(seeds["run"]),
                    theta_best=theta.copy())
+
+    def begin_phase2(self, cfg: TrainConfig) -> None:
+        """Build the phase-2 members from the classifier as it stands: the
+        frozen extractor (all its layers but the output one in "penultimate"
+        mode), the zero generator (uniform soft labels) and its optimizer."""
+        self.extractor = self.theta.prefix(
+            len(self.theta.layers) - (cfg.extractor_features == "penultimate"))
+        f, c = self.extractor.out_dim, self.theta.out_dim
+        self.labeler = Mlp([(np.zeros((f, c)), np.zeros((1, c)))])
+        self.opt_phi = make_optimizer(cfg.metanet_optimizer, self.labeler.flat.shape,
+                                      lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
 
     @property
     def epoch_next(self) -> int:
@@ -520,11 +534,11 @@ def _vector(text, name: str, sizes) -> np.ndarray:
     """The vector `_b64` wrote for layers of widths `sizes`, each entry finite
     as training writes it; `name` is its member, for the messages."""
     raw = base64.b64decode(text, validate=True)
-    want = sum((a + 1) * z for a, z in zip(sizes, sizes[1:]))
+    want = param_count(sizes)
     if len(raw) != 8 * want:
         raise ValueError(f"{name} holds {len(raw) / 8:g} floats, layer widths "
                          f"{list(sizes)} need {want}")
-    vec = np.frombuffer(raw, "<f8").astype(np.float64)
+    vec = np.frombuffer(raw, "<f8")
     if not np.isfinite(vec).all():
         raise ValueError(f"{name} holds a non-finite entry")
     return vec
@@ -534,7 +548,6 @@ def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
     """Write the run state as checkpoint version 2 (what training cannot
     derive; see `load_checkpoint`), atomically (`data.replaced_atomically`):
     a failed write leaves `path` as it was and no other file."""
-    ex = state.extractor
 
     def buffers(opt):
         return None if opt is None else {k: _b64([getattr(opt, k)]) for k in opt.BUFFERS}
@@ -546,7 +559,7 @@ def save_checkpoint(path: str, cfg: TrainConfig, state: RunState) -> None:
         "theta": _b64([state.theta.flat]),
         "theta_best": _b64([state.theta_best.flat]),
         "labeler": None if state.labeler is None else _b64([state.labeler.flat]),
-        "extractor": None if ex is None else _b64([a for pair in ex.layers for a in pair]),
+        "extractor": None if state.extractor is None else _b64([state.extractor.flat]),
         "opt_theta": buffers(state.opt_theta),
         "opt_phi": buffers(state.opt_phi),
         "rng_state": state.rng.bit_generator.state,
@@ -560,11 +573,11 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
     holds, which cfg, when given, must equal as canonical JSON. The file
     holds the classifier's widths `sizes`, each network and optimizer buffer
     as one `_b64` vector, the RNG state and the log rows without epoch and
-    phase, which follow from a row's place. The optimizers follow from the
-    config (the classifier's lr is the schedule's at the last logged epoch),
-    the extractor's mode and widths from the config and `sizes`; the step
-    counts read 0 until `run_experiment` counts them on its dataset. Every
-    way the file can be unreadable raises a ValueError that names it."""
+    phase, which follow from a row's place. The rest follows from the config
+    and `sizes`, whose hidden widths must be model.hidden (see `_decode`);
+    the step counts read 0 until `run_experiment` counts them on its
+    dataset. Every way the file can be unreadable raises a ValueError that
+    names it."""
     blob = dt.read_json(path, "checkpoint")
     version = blob.get("version") if isinstance(blob, dict) else None
     if version != CHECKPOINT_VERSION:
@@ -579,12 +592,16 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
 
 
 def _decode(blob: dict, cfg: TrainConfig) -> RunState:
-    """The run state of a version 2 record written under cfg; raises on
-    what training never writes."""
+    """The run state of a version 2 record written under cfg, built as
+    training builds it (`RunState.fresh`, then `begin_phase2` in phase 2)
+    and each stored vector read into it; raises on what training never writes."""
     sizes = blob["sizes"]
     if (not isinstance(sizes, list) or len(sizes) < 2
             or any(type(w) is not int or w < 1 for w in sizes)):
         raise ValueError(f"sizes {sizes!r} are not two or more positive integers")
+    theta = _vector(blob["theta"], "theta", sizes)  # before anything of that size is built
+    if sizes[1:-1] != cfg.hidden:
+        raise ValueError(f"sizes {sizes} do not carry model.hidden {cfg.hidden}")
     log = [EpochRow(e, "phase2" if e >= cfg.warmup_epochs else "warmup", **r)
            for e, r in enumerate(blob["log"])]
     for r in log:
@@ -602,28 +619,20 @@ def _decode(blob: dict, cfg: TrainConfig) -> RunState:
             raise ValueError(f"{k} must be {'set' if phase2 else 'null'} after {n} epochs, "
                              f"phase 2 starting at epoch {cfg.warmup_epochs}")
 
-    def layers(key, widths):
-        return _layer_views(_vector(blob[key], key, widths), widths)
-
-    def optimizer(key, kind, net, lr):
-        opt = make_optimizer(kind, net.flat.shape, lr=lr, weight_decay=cfg.weight_decay)
-        for k in opt.BUFFERS:
-            setattr(opt, k, _vector(blob[key][k], f"{key}.{k}", net.sizes))
-        return opt
-
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = blob["rng_state"]
-    theta = Mlp(layers("theta", sizes))
-    st = RunState(theta=theta, rng=rng, log=log,
-                  opt_theta=optimizer("opt_theta", cfg.classifier_optimizer, theta,
-                                      lr_at(cfg.lr_schedule, n - 1)),
-                  theta_best=Mlp(layers("theta_best", sizes)))
+    st = RunState.fresh(cfg, sizes[0], sizes[-1])
+    st.log = log
+    st.rng.bit_generator.state = blob["rng_state"]
     if phase2:
-        ex_sizes = sizes if cfg.extractor_features == "logits" else sizes[:-1]
-        st.extractor = FeatureExtractor(layers("extractor", ex_sizes), cfg.extractor_features,
-                                        sizes[0])
-        st.labeler = Mlp(layers("labeler", [ex_sizes[-1], sizes[-1]]))
-        st.opt_phi = optimizer("opt_phi", cfg.metanet_optimizer, st.labeler, cfg.meta_lr)
+        st.begin_phase2(cfg)
+    st.theta.flat[...] = theta
+    for key in ("theta_best", "extractor", "labeler"):  # a phase-2 member None before it
+        net = getattr(st, key)
+        if net is not None:
+            net.flat[...] = _vector(blob[key], key, net.sizes)
+    for key, net in (("opt_theta", st.theta), ("opt_phi", st.labeler)):
+        opt = getattr(st, key)
+        for k in opt.BUFFERS if opt is not None else ():
+            getattr(opt, k)[...] = _vector(blob[key][k], f"{key}.{k}", net.sizes)
     return st
 
 
@@ -745,23 +754,17 @@ class _Phase2Rows(typing.NamedTuple):
 
     @classmethod
     def of(cls, cfg: TrainConfig, ln: _Lane) -> "_Phase2Rows":
-        """Also builds the lane's extractor, generator and generator
-        optimizer when it has none yet."""
+        """Also begins the lane's phase 2 (`RunState.begin_phase2`) if need be."""
         st, ds = ln.st, ln.ds
         if st.extractor is None:
-            st.extractor = FeatureExtractor.from_classifier(st.theta, cfg.extractor_features)
-            # zero init makes the initial soft labels uniform over classes
-            f, c = st.extractor.n_features, ds.n_classes
-            st.labeler = Mlp([(np.zeros((f, c)), np.zeros((1, c)))])
-            st.opt_phi = make_optimizer(cfg.metanet_optimizer, st.labeler.flat.shape,
-                                        lr=cfg.meta_lr, weight_decay=cfg.weight_decay)
+            st.begin_phase2(cfg)
         rows, meta_rows = (ds.indices(split).astype(np.int32) for split in (dt.TRAIN, dt.META))
         # one block of rows and its activations at a time: a whole split's would
         # be several times the features and the peak of a large run. Logits
         # come from a narrow product, which stays in one piece (map_row_blocks)
-        ex = st.extractor
-        feats = (ex(ds.x[rows]) if ex.mode == "logits"
-                 else map_row_blocks(ex, ds.x, rows, ex.n_features))
+        ex, mode = st.extractor, cfg.extractor_features
+        feats = (extract_features(ex, ds.x[rows], mode) if mode == "logits" else
+                 map_row_blocks(lambda x: extract_features(ex, x, mode), ds.x, rows, ex.out_dim))
         meta_y = one_hot(ds.y_clean[meta_rows], ds.n_classes)
         return cls(ds.x, rows, feats, meta_rows, meta_y)
 
@@ -927,7 +930,7 @@ def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
     """
     ds = dataset if dataset is not None else build_dataset(cfg)
     _check_meta_size(cfg, ds)
-    st = state if state is not None else RunState.fresh(cfg, ds)
+    st = state if state is not None else RunState.fresh(cfg, ds.dims, ds.n_classes)
     _count_steps(cfg, ds, st)
     return _train([_Lane(cfg, ds, st, checkpoint_path, on_epoch)], cfg.total_epochs, True)[0]
 
@@ -936,7 +939,8 @@ def baseline_ce(cfg: TrainConfig, dataset: Dataset | None = None) -> RunState:
     """Plain cross-entropy on noisy labels with the identical budget,
     schedule and model-selection protocol; the comparison baseline."""
     ds = dataset if dataset is not None else build_dataset(cfg)
-    return _train([_Lane(cfg, ds, RunState.fresh(cfg, ds))], cfg.total_epochs, False)[0]
+    st = RunState.fresh(cfg, ds.dims, ds.n_classes)
+    return _train([_Lane(cfg, ds, st)], cfg.total_epochs, False)[0]
 
 
 def _shape_key(ds: Dataset) -> tuple:
@@ -963,7 +967,8 @@ def run_experiments(cfgs: list[TrainConfig], datasets: list[Dataset] | None = No
     dss: dict[int, Dataset] = {}
 
     def train(group):
-        return _train([_Lane(cfgs[i], dss[i], RunState.fresh(cfgs[i], dss[i]))
+        return _train([_Lane(cfgs[i], dss[i], RunState.fresh(cfgs[i], dss[i].dims,
+                                                             dss[i].n_classes))
                        for i in group], cfgs[group[0]].total_epochs, not baseline)
 
     for chunk in _groups(list(range(len(cfgs))), lambda i: _lane_key(cfgs[i])):

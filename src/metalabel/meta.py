@@ -1,9 +1,9 @@
 """Soft-label generation and the training steps.
 
-The generator (MetaLabelNet) is a one-layer `Mlp` over frozen features: the
-softmax of its logits is a row's soft label. Its update differentiates the
-meta objective through a one-step virtual SGD update of the classifier, i.e.
-a gradient is pushed through a gradient.
+The generator (MetaLabelNet) is a one-layer `Mlp` over frozen features
+(`extract_features`): the softmax of its logits is a row's soft label. Its
+update differentiates the meta objective through a one-step virtual SGD
+update of the classifier, i.e. a gradient is pushed through a gradient.
 
 `meta_gradient`, behind `meta_step`, computes that gradient without a graph:
 the meta gradient with respect to the generator's logits is
@@ -58,42 +58,13 @@ from .nn import (
 EXTRACTOR_MODES = ("penultimate", "logits")
 
 
-@dataclass
-class FeatureExtractor:
-    """Frozen copy of a trained classifier used as an encoder.
-
-    "penultimate" drops the output layer and returns the last hidden
-    activation; "logits" keeps the whole network and returns its pre-softmax
-    output. Immutable after creation: built from deep copies.
-    """
-
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    mode: str
-    in_dim: int
-
-    @classmethod
-    def from_classifier(cls, net: Mlp, mode: str = "penultimate") -> "FeatureExtractor":
-        if mode not in EXTRACTOR_MODES:
-            raise ValueError(f"extractor mode must be one of {EXTRACTOR_MODES}")
-        frozen = net.copy()
-        kept = frozen.layers[:-1] if mode == "penultimate" else frozen.layers
-        return cls(layers=kept, mode=mode, in_dim=net.in_dim)
-
-    @property
-    def n_features(self) -> int:
-        if not self.layers:
-            return self.in_dim
-        return self.layers[-1][0].shape[1]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Encode rows of x; deterministic, never differentiated."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(f"extractor expects (N, {self.in_dim}) input, got {x.shape}")
-        if not self.layers:
-            return x
-        z = mlp_logits(self.layers, x)
-        return z if self.mode == "logits" else np.maximum(z, 0.0, out=z)
+def extract_features(extractor: Mlp, x: np.ndarray, mode: str) -> np.ndarray:
+    """The frozen features of rows x: the logits of `extractor` (a classifier's
+    `Mlp.prefix`), rectified in "penultimate" mode, or x if it has no layer."""
+    if not extractor.layers:
+        return x
+    z = mlp_logits(extractor.layers, x)
+    return z if mode == "logits" else np.maximum(z, 0.0, out=z)
 
 
 @dataclass

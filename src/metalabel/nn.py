@@ -56,6 +56,11 @@ def stack_lanes(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.array(arrays)
 
 
+def param_count(sizes) -> int:
+    """The length of the parameter vector of layer widths `sizes`."""
+    return sum((a + 1) * z for a, z in zip(sizes, sizes[1:]))
+
+
 def _slice_plan(sizes: tuple[int, ...]) -> list:
     """Per layer of widths `sizes`: where its weight starts and ends, where
     its bias ends, and the two arrays' shapes."""
@@ -78,7 +83,8 @@ def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> list:
 
 class Mlp:
     """Dense network parameters: rectifier hidden layers, identity output.
-    Both the classifier and the soft-label generator (one layer) are Mlps.
+    The classifier, the soft-label generator (one layer) and the frozen
+    extractor (a `prefix` of the classifier, perhaps of no layer) are Mlps.
 
     `flat` is the parameter vector (P,), or (S, P) for S lanes; `sizes`
     the layer widths, input first. `layers[i]` is a (weight, bias) pair of
@@ -148,6 +154,12 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return self.with_params(self.flat.copy())
+
+    def prefix(self, k: int) -> "Mlp":
+        """A copy of the first k layers; k = 0 gives a network of no layer."""
+        net = object.__new__(Mlp)
+        net._bind(self.flat[..., :param_count(self.sizes[:k + 1])].copy(), self.sizes[:k + 1])
+        return net
 
     def blank(self) -> "Mlp":
         """This network's shape on a new vector whose entries are not yet

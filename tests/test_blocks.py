@@ -51,10 +51,10 @@ from metalabel.harness import (
     evaluate,
 )
 from metalabel.meta import (
-    FeatureExtractor,
     ce_step,
     classifier_pass,
     conventional_step,
+    extract_features,
     meta_step,
 )
 from metalabel.nn import (
@@ -116,7 +116,7 @@ def big():
     ds = split_dataset(make_synthetic(N_ROWS * 5 // 4 + 4, 4, 10, seed=3), 0.8, 0.1, 0.1,
                        seed=4)
     assert ds.indices("train").size >= N_ROWS
-    return cfg, ds, RunState.fresh(cfg, ds).theta
+    return cfg, ds, RunState.fresh(cfg, ds.dims, ds.n_classes).theta
 
 
 def test_evaluate_equals_the_one_shot_accuracy(big):
@@ -131,17 +131,18 @@ def test_evaluate_equals_the_one_shot_accuracy(big):
 def test_phase2_features_equal_the_one_shot_extractor(big, mode):
     cfg, ds, theta = big
     cfg = dataclasses.replace(cfg, extractor_features=mode)
-    st = RunState.fresh(cfg, ds)
+    st = RunState.fresh(cfg, ds.dims, ds.n_classes)
     st.theta = theta
     feats = _Phase2Rows.of(cfg, _Lane(cfg, ds, st)).feats
-    one_shot = FeatureExtractor.from_classifier(theta, mode)(ds.x[ds.indices("train")])
+    ex = theta.prefix(len(theta.layers) - (mode == "penultimate"))
+    one_shot = extract_features(ex, ds.x[ds.indices("train")], mode)
     assert same_bits(feats, one_shot)
 
 
 def test_label_drift_equals_the_one_shot_columns(big):
     _, ds, theta = big
     rng = np.random.default_rng(5)
-    feats = FeatureExtractor.from_classifier(theta)(ds.x[ds.indices("train")])
+    feats = extract_features(theta.prefix(2), ds.x[ds.indices("train")], "penultimate")
     after, before = (Mlp([(rng.normal(size=(16, 4)), rng.normal(size=(1, 4)))])
                      for _ in range(2))
     one_shot = np.abs(softmax(mlp_logits(after.layers, feats))
@@ -185,7 +186,7 @@ def test_phase2_features_hold_one_block_of_transients():
     """
     cfg = TrainConfig(dims=10, classes=4, hidden=[32, 16])
     ds = split_dataset(make_synthetic(20000, 4, 10, seed=1), 0.8, 0.1, 0.1, seed=2)
-    ln = _Lane(cfg, ds, RunState.fresh(cfg, ds))
+    ln = _Lane(cfg, ds, RunState.fresh(cfg, ds.dims, ds.n_classes))
     n_train, n_meta = ds.indices("train").size, ds.indices("meta").size
     index = 8 * (n_train + n_meta) + ds.n + 8 * n_meta * ds.n_classes
     block = 8 * nn.ROW_BLOCK * (ds.dims + sum(cfg.hidden))
@@ -340,7 +341,7 @@ def _phase2_lanes(lanes: int, batch_size: int = 25):
     cfgs = [TrainConfig(seed=s, n=600, dims=6, classes=3, hidden=[8, 6],
                         batch_size=batch_size, warmup_epochs=1, total_epochs=3,
                         oracle_epochs=2) for s in range(lanes)]
-    lns = [_Lane(cfg, ds, RunState.fresh(cfg, ds)) for cfg, ds in
+    lns = [_Lane(cfg, ds, RunState.fresh(cfg, ds.dims, ds.n_classes)) for cfg, ds in
            ((cfg, build_dataset(cfg)) for cfg in cfgs)]
     return lns, [_Phase2Rows.of(ln.cfg, ln) for ln in lns]
 
@@ -348,9 +349,8 @@ def _phase2_lanes(lanes: int, batch_size: int = 25):
 def _held(st: RunState) -> list[np.ndarray]:
     """The arrays of every network a run state holds: the classifier, the
     generator (the label drift reads it after the epoch), the classifier
-    kept by model selection and the extractor's layers."""
-    return [st.theta.flat, st.labeler.flat, st.theta_best.flat,
-            *(a for pair in st.extractor.layers for a in pair)]
+    kept by model selection and the extractor."""
+    return [st.theta.flat, st.labeler.flat, st.theta_best.flat, st.extractor.flat]
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])

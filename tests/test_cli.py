@@ -466,6 +466,28 @@ def test_a_dataset_file_without_labeled_train_rows_is_usage_error_naming_it(tmp_
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("on_file", [False, True], ids=["synthesised", "data.path"])
+def test_an_unlabeled_fraction_that_marks_every_train_row_is_usage_error_naming_it(
+        tmp_path, capsys, on_file):
+    # 60 train rows, round(0.995 * 60) = 60 of them marked unlabeled; refused
+    # before anything is written
+    cfg = tiny_config(**{"data.n": 120, "data.train_frac": 0.5, "data.meta_frac": 0.25,
+                         "data.test_frac": 0.25})
+    if on_file:
+        data_path = tmp_path / "data.dsv"
+        assert main(["gen-data", "--config", write_config(tmp_path, cfg),
+                     "--out", str(data_path)]) == 0
+        cfg["data"]["path"] = str(data_path)
+    cfg["train"]["unlabeled_fraction"] = 0.995
+    out = tmp_path / "r"
+    capsys.readouterr()
+    assert main(["train", "--config", write_config(tmp_path, cfg, "marked.json"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: train.unlabeled_fraction 0.995 leaves no "
+                                       "labeled train rows\n")
+    assert not list(out.iterdir())
+
+
 def test_train_baseline_builds_the_dataset_once(tmp_path, monkeypatch):
     calls = []
 
@@ -547,6 +569,7 @@ def test_train_divergence_is_a_runtime_error_naming_epoch_and_batch(tmp_path, ca
         assert where in err and "diverged" in err, err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # its one line is all stderr holds
 def test_a_step_that_writes_non_finite_parameters_stops_its_batch(tmp_path, capsys):
     # one batch an epoch; the first step overflows 70 of the 83 parameters,
     # so nothing is logged or kept from that classifier
@@ -780,6 +803,62 @@ def test_eval_of_a_checkpoint_training_never_writes_is_usage_error_naming_the_fi
     assert main(["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]) == 2
     err = capsys.readouterr().err
     assert f"checkpoint {cp} is malformed" in err and word in err, err
+
+
+def test_a_checkpoint_whose_sizes_are_not_model_hidden_is_usage_error_naming_it(tmp_path,
+                                                                              capsys):
+    # a [5, 3, 2] network with vectors that fit it, under the config's hidden
+    # widths [6, 4]
+    cfg_path, cp, data_path = _finished_run(tmp_path)
+    narrow = write_config(tmp_path, tiny_config(**{"train.total_epochs": 4,
+                                                   "model.hidden": [3]}), "narrow.json")
+    assert main(["train", "--config", narrow, "--out", str(tmp_path / "narrow")]) == 0
+    blob = json.loads((tmp_path / "narrow" / "checkpoint.json").read_text())
+    blob["config"] = json.loads(cp.read_text())["config"]
+    cp.write_text(json.dumps(blob))
+    before = {p.name: p.read_bytes() for p in cp.parent.iterdir()}
+    capsys.readouterr()
+    for argv in (["train", "--config", cfg_path, "--out", str(cp.parent), "--resume"],
+                 ["eval", "--checkpoint", str(cp), "--dataset", str(data_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (f"checkpoint {cp} is malformed: sizes [5, 3, 2] do not carry model.hidden "
+                "[6, 4]") in err, err
+    assert {p.name: p.read_bytes() for p in cp.parent.iterdir()} == before
+
+
+@pytest.mark.parametrize("written, epochs", [
+    ({"data.dims": 6}, 1),
+    ({"data.dims": 6}, 3),
+    ({"data.classes": 3}, 3),
+], ids=["more-features-in-warm-up", "more-features-in-phase-2", "more-classes"])
+def test_a_resume_on_a_dataset_that_does_not_fit_the_checkpoint_names_both_files(
+        tmp_path, capsys, written, epochs):
+    # the data.path file is written again, narrower, after the checkpoint of
+    # `epochs` epochs (phase 2 begins at epoch 2); refused before any output
+    data_path, out = tmp_path / "data.dsv", tmp_path / "run"
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config(**written)),
+                 "--out", str(data_path)]) == 0
+    cfg = tiny_config(**{"data.path": str(data_path)})
+    out.mkdir()
+    cp = out / "checkpoint.json"
+
+    def stop(row):
+        if row.epoch == epochs:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        harness_mod.run_experiment(TrainConfig.from_dict(cfg), checkpoint_path=str(cp),
+                                   on_epoch=stop)
+    before = cp.read_bytes()
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config(), "narrow.json"),
+                 "--out", str(data_path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", write_config(tmp_path, cfg, "path.json"),
+                 "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset {data_path} (5 features, 2 classes) does not fit checkpoint {cp} " in err
+    assert cp.read_bytes() == before and [p.name for p in out.iterdir()] == ["checkpoint.json"]
 
 
 @pytest.mark.parametrize("key, value", [("seed", 1), ("train.total_epochs", 6),

@@ -427,7 +427,7 @@ def _phase2_lane(theta: Mlp):
 
     cfg = small_config(noise_kind="uniform", hidden=[4], warmup_epochs=1, total_epochs=2)
     ds = build_dataset(cfg)
-    ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds))
+    ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds.dims, ds.n_classes))
     ln.st.theta = theta
     return cfg, ln, [hmod._Phase2Rows.of(cfg, ln)]
 
@@ -487,14 +487,17 @@ def test_metrics_csv_roundtrip(tmp_path):
 @pytest.mark.parametrize("kw", [
     {},
     {"classifier_optimizer": "adam", "unlabeled_fraction": 0.5},
-], ids=["sgd", "adam-half-unlabeled"])
+    {"extractor_features": "logits", "metanet_optimizer": "sgd-momentum"},
+    {"hidden": []},
+], ids=["sgd", "adam-half-unlabeled", "logits-sgd-generator", "no-hidden-layer"])
 def test_checkpoint_resume_is_bit_exact(tmp_path, kw):
     # resume at the last warm-up epoch, at the first phase-2 epoch (the
     # extractor and generator are built after the resume), mid phase 2 and
-    # at the schedule's drop at epoch 6 (the checkpoint holds epoch 5's rate).
+    # at the schedule's drop at epoch 6 (the epoch loop sets the rate).
     # The step counts are not stored: with an adam classifier they feed its
     # bias correction, and with half the train rows unlabeled a warm-up epoch
-    # takes half the batches of a phase-2 epoch
+    # takes half the batches of a phase-2 epoch. The extractor is the whole
+    # classifier in logits mode and no layer without hidden layers
     cfg = small_config(seed=7, **kw)
     ds = build_dataset(cfg)
     straight = run_experiment(cfg, dataset=ds)
@@ -524,6 +527,24 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, kw):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
         assert np.array_equal(resumed.labeler.layers[0][0], straight.labeler.layers[0][0])
+
+
+@pytest.mark.parametrize("mode, hidden, width", [
+    ("penultimate", [8, 6], 6), ("logits", [8, 6], 3), ("penultimate", [], 6), ("logits", [], 3),
+])
+def test_phase2_begins_with_a_copied_prefix_and_a_zero_generator(mode, hidden, width):
+    from metalabel.harness import RunState
+
+    cfg = small_config(extractor_features=mode, hidden=hidden, metanet_optimizer="sgd-momentum")
+    st = RunState.fresh(cfg, 6, 3)
+    st.begin_phase2(cfg)
+    k = len(hidden) + (mode == "logits")
+    assert st.extractor.sizes == st.theta.sizes[:k + 1] and st.extractor.out_dim == width
+    assert np.array_equal(st.extractor.flat, st.theta.flat[:st.extractor.flat.size])
+    assert not np.shares_memory(st.extractor.flat, st.theta.flat)
+    assert st.labeler.sizes == (width, 3) and not st.labeler.flat.any()
+    assert (st.opt_phi.kind, st.opt_phi.lr) == ("sgd-momentum", cfg.meta_lr)
+    assert st.opt_phi.buffers.shape == st.labeler.flat.shape
 
 
 def test_resume_requires_checkpoint(tmp_path):
@@ -574,7 +595,7 @@ def test_a_failed_checkpoint_write_leaves_the_last_checkpoint_and_no_other_file(
 
     cfg = small_config(total_epochs=6, warmup_epochs=2)
     ds = build_dataset(cfg)
-    st = hmod.RunState.fresh(cfg, ds)
+    st = hmod.RunState.fresh(cfg, ds.dims, ds.n_classes)
     cp = tmp_path / "checkpoint.json"
     hmod.save_checkpoint(str(cp), cfg, st)
     first = cp.read_bytes()
@@ -605,7 +626,8 @@ def test_a_phase2_epoch_draws_the_train_order_then_the_meta_orders(monkeypatch, 
     cfgs = [small_config(seed=s, noise_kind="uniform", train_frac=0.7, meta_frac=0.15,
                          test_frac=0.15, warmup_epochs=1, total_epochs=2) for s in seeds]
     dss = [build_dataset(c) for c in cfgs]
-    lanes = [hmod._Lane(c, ds, hmod.RunState.fresh(c, ds)) for c, ds in zip(cfgs, dss)]
+    lanes = [hmod._Lane(c, ds, hmod.RunState.fresh(c, ds.dims, ds.n_classes))
+             for c, ds in zip(cfgs, dss)]
     hmod._train(lanes, 1, True)
     inputs = [hmod._Phase2Rows.of(c, ln) for c, ln in zip(cfgs, lanes)]
     n_train, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
@@ -641,7 +663,7 @@ def test_a_phase2_batch_runs_two_classifier_forward_passes(monkeypatch):
 
     cfg = small_config(warmup_epochs=3, total_epochs=4)
     ds = build_dataset(cfg)
-    ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds))
+    ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds.dims, ds.n_classes))
     hmod._train([ln], cfg.warmup_epochs, True)
     inputs = [hmod._Phase2Rows.of(cfg, ln)]
     batches, passes = [], []

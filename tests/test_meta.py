@@ -14,13 +14,21 @@ from metalabel.gradcheck import (
     virtual_update,
 )
 from metalabel.meta import (
-    FeatureExtractor,
     MetaStepReport,
     classifier_pass,
     conventional_step,
+    extract_features,
     meta_step,
 )
-from metalabel.nn import Mlp, SgdMomentum, init_mlp, make_optimizer, mlp_logits, one_hot
+from metalabel.nn import (
+    Mlp,
+    SgdMomentum,
+    init_mlp,
+    make_optimizer,
+    mlp_logits,
+    one_hot,
+    param_count,
+)
 from metalabel.nn import softmax as nn_softmax
 
 
@@ -49,54 +57,50 @@ def test_extractor_matches_full_network_hidden_output():
     rng = np.random.default_rng(1)
     net = init_mlp([6, 5, 4, 3], rng)
     x = rng.normal(size=(7, 6))
-    ext = FeatureExtractor.from_classifier(net)
+    feats = extract_features(net.prefix(2), x, "penultimate")
     _, hidden = forward(net.params(), Tensor(x))
-    assert np.array_equal(ext(x), hidden.value)
-    assert ext(x).shape == (7, 4)
+    assert np.array_equal(feats, hidden.value)
+    assert feats.shape == (7, 4)
 
 
-def test_extractor_is_deterministic_and_frozen():
+def test_a_prefix_is_a_frozen_copy():
     rng = np.random.default_rng(2)
     net = init_mlp([4, 3, 2], rng)
-    ext = FeatureExtractor.from_classifier(net)
+    ext = net.prefix(1)
     x = rng.normal(size=(5, 4))
-    before = ext(x)
+    before = extract_features(ext, x, "penultimate")
     # mutate the source network in place; the extractor must not move
     for w, b in net.layers:
         w += 100.0
-    assert np.array_equal(ext(x), before)
-    assert np.array_equal(ext(x), ext(x))
+    assert np.array_equal(extract_features(ext, x, "penultimate"), before)
 
 
 def test_extractor_zero_input_zero_bias_gives_zero_features():
     net = Mlp([(np.random.default_rng(0).normal(size=(3, 4)), np.zeros((1, 4))),
                (np.zeros((4, 2)), np.zeros((1, 2)))])
-    ext = FeatureExtractor.from_classifier(net)
-    assert np.array_equal(ext(np.zeros((2, 3))), np.zeros((2, 4)))
+    assert np.array_equal(extract_features(net.prefix(1), np.zeros((2, 3)), "penultimate"),
+                          np.zeros((2, 4)))
 
 
-def test_extractor_layer_count_and_width():
-    net = init_mlp([10, 32, 16, 4], np.random.default_rng(3))
-    ext = FeatureExtractor.from_classifier(net)
-    assert len(ext.layers) == len(net.layers) - 1
-    assert ext.n_features == 16
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_prefix_holds_the_first_k_layers(k):
+    # its vector is the leading slice of the network's: layer order, weight first
+    net = init_mlp([6, 8, 5, 3], np.random.default_rng(0))
+    ext = net.prefix(k)
+    assert ext.sizes == (6, 8, 5, 3)[:k + 1] and len(ext.layers) == k
+    assert ext.flat.size == param_count(ext.sizes)
+    assert np.array_equal(ext.flat, net.flat[:ext.flat.size])
+    assert ext.out_dim == (6, 8, 5, 3)[k]
 
 
 def test_extractor_logits_mode_returns_pre_softmax_output():
     rng = np.random.default_rng(4)
     net = init_mlp([5, 4, 3], rng)
     x = rng.normal(size=(6, 5))
-    ext = FeatureExtractor.from_classifier(net, mode="logits")
     logits, _ = forward(net.params(), Tensor(x))
-    assert np.array_equal(ext(x), logits.value)
-    assert ext.n_features == 3
-
-
-def test_extractor_from_classifier_shape():
-    net = init_mlp([6, 8, 5, 3], np.random.default_rng(0))
-    ext = FeatureExtractor.from_classifier(net)
-    assert ext.n_features == 5
-    assert len(ext.layers) == 2
+    assert np.array_equal(extract_features(net.prefix(2), x, "logits"), logits.value)
+    assert np.array_equal(extract_features(net.prefix(2), x, "logits"),
+                          mlp_logits(net.layers, x))
 
 
 def test_extractor_of_a_classifier_without_hidden_layers():
@@ -104,10 +108,10 @@ def test_extractor_of_a_classifier_without_hidden_layers():
     rng = np.random.default_rng(5)
     net = init_mlp([5, 3], rng)
     x = rng.normal(size=(4, 5))
-    ext = FeatureExtractor.from_classifier(net)
-    assert ext.layers == [] and ext.n_features == 5
-    assert np.array_equal(ext(x), x)
-    assert np.array_equal(FeatureExtractor.from_classifier(net, mode="logits")(x),
+    ext = net.prefix(0)
+    assert ext.layers == [] and ext.sizes == (5,) and ext.flat.size == 0
+    assert np.array_equal(extract_features(ext, x, "penultimate"), x)
+    assert np.array_equal(extract_features(net.prefix(1), x, "logits"),
                           mlp_logits(net.layers, x))
 
 
@@ -358,13 +362,13 @@ def warmed():
     # the baseline ignores warmup_epochs: 15 epochs of it are the warm-up
     theta = baseline_ce(TrainConfig(seed=0, noise_kind="uniform", warmup_epochs=0,
                                     total_epochs=cfg.warmup_epochs), ds).theta
-    extractor = FeatureExtractor.from_classifier(theta)
+    extractor = theta.prefix(len(theta.layers) - 1)
     rng = np.random.default_rng(1)
-    labeler = Mlp([(rng.normal(size=(extractor.n_features, 4)) * 0.5,
+    labeler = Mlp([(rng.normal(size=(extractor.out_dim, 4)) * 0.5,
                     rng.normal(size=(1, 4)) * 0.1)])
     rows, m_rows = ds.indices("train")[:64], ds.indices("meta")[:64]
     x = ds.x[rows]
-    return (theta, labeler, x, extractor(x), ds.x[m_rows],
+    return (theta, labeler, x, extract_features(extractor, x, "penultimate"), ds.x[m_rows],
             one_hot(ds.y_clean[m_rows], 4), ds.y_noisy[rows])
 
 

@@ -18,6 +18,9 @@ directory (so every path an output mentions is relative and equal):
 - `train --resume` from a checkpoint written after epoch 0, in its own
   directory: the run resumes inside warm-up, takes a cross-entropy epoch on
   the restored classifier and builds the extractor and generator from it
+- `train --resume` of the `logits` and the no-hidden-layer configs from a
+  checkpoint written after epoch 2, each in its own directory: the run
+  resumes in phase 2 with the whole classifier, or no layer, as extractor
 - a 4-seed `sweep`, at `--jobs 1` and at `--jobs 2`
 - `gradcheck --trials 20`
 - once both trees have run, `eval` of that checkpoint on another copy of the
@@ -85,6 +88,8 @@ FLOWS = [
     ["train", "--config", "nohidden.json", "--out", "nohidden"],
     ["train", "--config", "uniform.json", "--out", "resume", "--resume"],
     ["train", "--config", "uniform.json", "--out", "resume-warmup", "--resume"],
+    ["train", "--config", "logits.json", "--out", "resume-logits", "--resume"],
+    ["train", "--config", "nohidden.json", "--out", "resume-nohidden", "--resume"],
     ["gen-data", "--config", "uniform.json", "--out", "uniform.dsv"],
     ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "uniform.dsv"],
     ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "unparsed.dsv"],
@@ -93,7 +98,9 @@ FLOWS = [
     ["gradcheck", "--trials", "20"],
 ]
 CROSSED = ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "crossed.dsv"]
-RESUMES = {"resume": 3, "resume-warmup": 1}  # directory: the epoch the run resumes at
+# directory: the config and the epoch the run resumes at
+RESUMES = {"resume": ("uniform.json", 3), "resume-warmup": ("uniform.json", 1),
+           "resume-logits": ("logits.json", 3), "resume-nohidden": ("nohidden.json", 3)}
 
 
 class _Stop(Exception):
@@ -118,14 +125,14 @@ def run_flows(src: str, work: str) -> None:
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
 
-    for directory, epoch in RESUMES.items():
+    for directory, (name, epoch) in RESUMES.items():
         def stop(row, epoch=epoch):
             if row.epoch == epoch:
                 raise _Stop
 
         os.makedirs(directory)
         try:
-            harness.run_experiment(harness.TrainConfig.from_dict(CONFIGS["uniform.json"]),
+            harness.run_experiment(harness.TrainConfig.from_dict(CONFIGS[name]),
                                    checkpoint_path=f"{directory}/checkpoint.json",
                                    on_epoch=stop)
         except _Stop:
