@@ -2,7 +2,6 @@
 
 from .data import (
     Dataset,
-    UnlabeledLabelError,
     inject_feature_dependent,
     inject_uniform,
     load_dataset,
@@ -24,7 +23,7 @@ from .nn import Mlp, init_mlp, one_hot
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "UnlabeledLabelError", "TrainConfig", "Mlp",
+    "Dataset", "TrainConfig", "Mlp",
     "make_synthetic", "split_dataset", "inject_uniform",
     "inject_feature_dependent", "mark_unlabeled", "save_dataset",
     "load_dataset", "init_mlp", "one_hot", "meta_step", "conventional_step",

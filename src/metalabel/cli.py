@@ -26,6 +26,7 @@ from .harness import (
     TrainConfig,
     baseline_ce,
     build_dataset,
+    check_view,
     csv_text,
     evaluate,
     load_checkpoint,
@@ -54,10 +55,10 @@ def _make_dirs(path: str) -> None:
         raise ConfigError(f"cannot create directory {path}: {e.strerror}") from e
 
 
-def _check_fit(theta, ds, dataset: str, checkpoint: str) -> None:
-    """Refuse a dataset whose feature or class count is not the checkpoint classifier's."""
-    if (ds.dims, ds.n_classes) != (theta.in_dim, theta.out_dim):
-        raise ConfigError(f"dataset {dataset} ({ds.dims} features, {ds.n_classes} classes) "
+def _check_fit(theta, view, dataset: str, checkpoint: str) -> None:
+    """Refuse a dataset view whose feature or class count is not the checkpoint classifier's."""
+    if (view.dims, view.n_classes) != (theta.in_dim, theta.out_dim):
+        raise ConfigError(f"dataset {dataset} ({view.dims} features, {view.n_classes} classes) "
                           f"does not fit checkpoint {checkpoint} "
                           f"({theta.in_dim} features, {theta.out_dim} classes)")
 
@@ -99,9 +100,10 @@ def cmd_train(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.csv")
     checkpoint_path = os.path.join(args.out, "checkpoint.json")
     state = load_checkpoint(checkpoint_path, cfg) if args.resume else None
-    ds = build_dataset(cfg)  # shared by the run and the baseline
+    view = build_dataset(cfg).view()  # for the run and the baseline; the Dataset goes
     if state is not None:
-        _check_fit(state.theta, ds, cfg.dataset_path or f"of {args.config}", checkpoint_path)
+        _check_fit(state.theta, view, cfg.dataset_path or f"of {args.config}", checkpoint_path)
+    check_view(cfg, view)  # before any output
 
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         # already-logged epochs stay at the top of the metrics file
@@ -112,14 +114,14 @@ def cmd_train(args) -> int:
             fh.write(csv_text([metrics_row(row)]))
             fh.flush()
 
-        st = run_experiment(cfg, dataset=ds, checkpoint_path=checkpoint_path,
+        st = run_experiment(cfg, view, checkpoint_path=checkpoint_path,
                             state=state, on_epoch=on_epoch)
 
     run = summary(cfg, st)
     _write_summary(os.path.join(args.out, "summary.json"),
                    {**run, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")})
     if args.baseline:
-        base = baseline_ce(cfg, dataset=ds)
+        base = baseline_ce(cfg, view)
         write_metrics_csv(base.log, os.path.join(args.out, "baseline_metrics.csv"))
         _write_summary(os.path.join(args.out, "baseline_summary.json"), summary(cfg, base))
     print(f"selected epoch {run['selected_epoch']}: "
@@ -145,10 +147,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_eval(args) -> int:
     theta = load_checkpoint(args.checkpoint).theta_best
-    ds = load_dataset(args.dataset)
-    _check_fit(theta, ds, args.dataset, args.checkpoint)
+    view = load_dataset(args.dataset).view()
+    _check_fit(theta, view, args.dataset, args.checkpoint)
     try:
-        acc = evaluate(theta, ds, args.split)
+        acc = evaluate(theta, view, args.split)
     except ValueError as e:  # a split with no rows to score
         raise ValueError(f"{args.dataset}: {e}") from e
     print(f"{acc:.6f}")

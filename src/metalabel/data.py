@@ -2,8 +2,8 @@
 
 All operations are pure: they return a new Dataset and never mutate their
 input. Verified-clean rows (meta and test splits) are never touched by any
-injector. Reads of an unlabeled row's training label go through a guard that
-raises, so no training path can consume a masked label by accident.
+injector. A run reads a Dataset only through its TrainView (`Dataset.view`),
+which holds no masked label and no clean train label.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import typing
 import warnings
 
 import numpy as np
@@ -28,10 +29,6 @@ _TAGS = np.array(SPLITS)
 DATASET_FORMAT_VERSION = 1
 SAVE_BLOCK_ROWS = 1024  # rows formatted per write; bounds the memory a save holds
 HASH_CHUNK_BYTES = 1 << 20  # bytes hashed per read; bounds the memory a hash holds
-
-
-class UnlabeledLabelError(RuntimeError):
-    """A training path asked for the label of a row marked unlabeled."""
 
 
 class DegenerateOracleError(ValueError):
@@ -102,23 +99,32 @@ class Dataset:
             raise ValueError(f"unknown split {split!r}")
         return np.flatnonzero(self.codes == _CODE[split])
 
-    def labeled_train_indices(self) -> np.ndarray:
-        return np.flatnonzero((self.codes == _CODE[TRAIN]) & self.labeled)
+    def view(self) -> "TrainView":
+        """What training may read of this dataset. A split's scored rows are
+        its labeled ones, with their y_noisy: the noisy labels on train, the
+        clean ones on meta and test, whose rows are all labeled and keep
+        y_noisy == y_clean."""
+        scored = {}
+        for tag, code in _CODE.items():
+            rows = np.flatnonzero((self.codes == code) & self.labeled).astype(np.int32)
+            scored[tag] = (rows, self.y_noisy[rows])
+        return TrainView(self.x, self.indices(TRAIN).astype(np.int32), scored, self.n_classes)
 
-    def train_labels(self, rows: np.ndarray) -> np.ndarray:
-        """Guarded read of training labels (the noisy ones).
 
-        Raises UnlabeledLabelError if any requested row is masked unlabeled,
-        and ValueError for rows outside the train split.
-        """
-        rows = np.asarray(rows)
-        if np.any(self.codes[rows] != _CODE[TRAIN]):
-            raise ValueError("train_labels is only defined on the train split")
-        if not np.all(self.labeled[rows]):
-            bad = rows[~self.labeled[rows]][:5]
-            raise UnlabeledLabelError(
-                f"label read on unlabeled row(s) {bad.tolist()}")
-        return self.y_noisy[rows].copy()
+class TrainView(typing.NamedTuple):
+    """The one part of a Dataset a run reads, built once per run: the
+    features, the int32 positions of the train rows, and per split the int32
+    positions of its scored rows with their labels. It holds no label of a
+    masked row and no clean label of a train row."""
+
+    x: np.ndarray
+    train: np.ndarray
+    scored: dict[str, tuple[np.ndarray, np.ndarray]]
+    n_classes: int
+
+    @property
+    def dims(self) -> int:
+        return self.x.shape[1]
 
 
 def _split_codes(split: np.ndarray) -> np.ndarray:
@@ -276,8 +282,8 @@ def inject_feature_dependent(ds: Dataset, ratio: float, oracle: Mlp,
 def mark_unlabeled(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """Mask a uniform random fraction of train rows as unlabeled.
 
-    Their y_noisy stays stored (for serialization) but any guarded label
-    read on them raises UnlabeledLabelError.
+    Their y_noisy stays stored (for serialization) but is left out of the
+    dataset's TrainView, so no run reads it.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"unlabeled fraction must be in [0, 1), got {fraction}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import data as dt
-from .data import Dataset, load_dataset
+from .data import Dataset, TrainView, load_dataset
 from .meta import (
     EXTRACTOR_MODES,
     MetaWork,
@@ -375,7 +375,7 @@ def _finish_dataset(cfg: TrainConfig, ds: Dataset, oracle: Mlp | None) -> Datase
         ds = dt.inject_feature_dependent(ds, cfg.noise_ratio, oracle, seeds["noise"])
     if cfg.unlabeled_fraction > 0.0:
         ds = dt.mark_unlabeled(ds, cfg.unlabeled_fraction, seeds["unlabeled"])
-    if ds.labeled_train_indices().size == 0:  # before any output is written
+    if not ds.labeled[ds.indices(dt.TRAIN)].any():  # before any output is written
         raise ConfigError(f"train.unlabeled_fraction {cfg.unlabeled_fraction} leaves no labeled "
                           "train rows" if cfg.unlabeled_fraction > 0.0
                           else f"{cfg.dataset_path}: no labeled train rows")
@@ -439,25 +439,18 @@ def build_dataset(cfg: TrainConfig) -> Dataset:
     return ds
 
 
-def evaluate(theta: Mlp, ds: Dataset, split: str) -> float:
-    """Argmax accuracy: against clean labels on meta/test, against the noisy
-    labels of labeled rows on train. Runs in row blocks, each reduced to its
-    count of hits."""
-    if split == dt.TRAIN:
-        idx = ds.labeled_train_indices()
-        if idx.size == 0:
-            raise ValueError("train split has no labeled rows to evaluate")
-        y = ds.train_labels(idx)
-    else:
-        idx = ds.indices(split)
-        if idx.size == 0:
-            raise ValueError(f"empty split {split!r}")
-        y = ds.y_clean[idx]
+def evaluate(theta: Mlp, view: TrainView, split: str) -> float:
+    """Argmax accuracy on the split's scored rows, against the labels the
+    view holds for them: noisy on train, clean on meta and test. Runs in row
+    blocks, each reduced to its count of hits."""
+    rows, y = view.scored[split]
+    if rows.size == 0:
+        raise ValueError(f"{split} split has no labeled rows to evaluate")
     hits = 0
-    for a, b in row_blocks(idx.size):
-        logits = mlp_logits(theta.layers, ds.x[idx[a:b]])
+    for a, b in row_blocks(rows.size):
+        logits = mlp_logits(theta.layers, view.x[rows[a:b]])
         hits += int(np.count_nonzero(logits.argmax(axis=1) == y[a:b]))
-    return hits / idx.size
+    return hits / rows.size
 
 
 def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
@@ -576,7 +569,7 @@ def load_checkpoint(path: str, cfg: TrainConfig | None = None) -> RunState:
     phase, which follow from a row's place. The rest follows from the config
     and `sizes`, whose hidden widths must be model.hidden (see `_decode`);
     the step counts read 0 until `run_experiment` counts them on its
-    dataset. Every way the file can be unreadable raises a ValueError that
+    view. Every way the file can be unreadable raises a ValueError that
     names it."""
     blob = dt.read_json(path, "checkpoint")
     version = blob.get("version") if isinstance(blob, dict) else None
@@ -642,11 +635,11 @@ def _decode(blob: dict, cfg: TrainConfig) -> RunState:
 
 @dataclass
 class _Lane:
-    """One run of a lane group: its config, dataset and state, and where its
+    """One run of a lane group: its config, view and state, and where its
     epochs go (a checkpoint file and an `on_epoch(row)` callback)."""
 
     cfg: TrainConfig
-    ds: Dataset
+    view: TrainView
     st: RunState
     checkpoint_path: str | None = None
     on_epoch: typing.Callable | None = None
@@ -732,44 +725,30 @@ def _ce_epoch(sts: list[RunState], sources: list[tuple], batch_size: int,
     return losses
 
 
-def _noisy_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CE source of the labeled train rows: features, rows, noisy labels."""
-    idx = ds.labeled_train_indices()
-    if idx.size == 0:
-        raise ValueError("no labeled train rows")
-    return ds.x, idx, ds.train_labels(idx)
-
-
 class _Phase2Rows(typing.NamedTuple):
-    """A lane's phase-2 inputs, fixed for one _train call: its train rows
-    and their features, its meta rows and their one-hot labels (built once,
-    then gathered by `_epoch` a block of batches at a time). Rows are int32
-    positions."""
+    """A lane's phase-2 inputs beside its view, fixed for one _train call:
+    the features of its train rows and the one-hot labels of its meta rows
+    (built once, then gathered by `_epoch` a block of batches at a time)."""
 
-    x: np.ndarray
-    rows: np.ndarray
     feats: np.ndarray
-    meta_rows: np.ndarray
     meta_y: np.ndarray
 
     @classmethod
     def of(cls, cfg: TrainConfig, ln: _Lane) -> "_Phase2Rows":
         """Also begins the lane's phase 2 (`RunState.begin_phase2`) if need be."""
-        st, ds = ln.st, ln.ds
+        st, v = ln.st, ln.view
         if st.extractor is None:
             st.begin_phase2(cfg)
-        rows, meta_rows = (ds.indices(split).astype(np.int32) for split in (dt.TRAIN, dt.META))
         # one block of rows and its activations at a time: a whole split's would
         # be several times the features and the peak of a large run. Logits
         # come from a narrow product, which stays in one piece (map_row_blocks)
         ex, mode = st.extractor, cfg.extractor_features
-        feats = (extract_features(ex, ds.x[rows], mode) if mode == "logits" else
-                 map_row_blocks(lambda x: extract_features(ex, x, mode), ds.x, rows, ex.out_dim))
-        meta_y = one_hot(ds.y_clean[meta_rows], ds.n_classes)
-        return cls(ds.x, rows, feats, meta_rows, meta_y)
+        feats = (extract_features(ex, v.x[v.train], mode) if mode == "logits" else
+                 map_row_blocks(lambda x: extract_features(ex, x, mode), v.x, v.train, ex.out_dim))
+        return cls(feats, one_hot(v.scored[dt.META][1], v.n_classes))
 
 
-def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Rows],
+def _phase2_epoch(cfg: TrainConfig, lanes: list[_Lane], inputs: list[_Phase2Rows],
                   where: str) -> np.ndarray:
     """One phase-2 epoch of every lane: per batch the meta step, then the
     classifier step. Each lane's rng draws the epoch's plan before the first
@@ -780,10 +759,11 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
     steps copies of the lanes' classifiers and generators in place, and
     binds the other networks a batch writes once, so a batch builds none.
     Returns the batch-mean (L_c, L_e, L_meta, similarity) per lane, (4, S)."""
+    sts, views = [ln.st for ln in lanes], [ln.view for ln in lanes]
     theta, opt_theta = _stacked(sts, "theta").copy(), _stacked(sts, "opt_theta")
     labeler, opt_phi = _stacked(sts, "labeler").copy(), _stacked(sts, "opt_phi")
     work, grad = MetaWork.like(theta, labeler), theta.blank()
-    n, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
+    n, n_meta = views[0].train.size, views[0].scored[dt.META][0].size
     order = np.array([st.rng.permutation(n) for st in sts], dtype=np.int32)
     meta = np.array([np.concatenate([st.rng.permutation(n_meta)
                                      for _ in range(-(-n // n_meta))])[:n] for st in sts],
@@ -796,10 +776,10 @@ def _phase2_epoch(cfg: TrainConfig, sts: list[RunState], inputs: list[_Phase2Row
                                       use_entropy=cfg.entropy_loss, grad=grad, out=theta)
         return lc, le, report.meta_loss, report.mean_similarity
 
-    xs = [inp.x for inp in inputs]
-    losses = _epoch((_Gather(xs, [inp.rows for inp in inputs], order),
+    xs = [v.x for v in views]
+    losses = _epoch((_Gather(xs, [v.train for v in views], order),
                      _Gather([inp.feats for inp in inputs], None, order),
-                     _Gather(xs, [inp.meta_rows for inp in inputs], meta),
+                     _Gather(xs, [v.scored[dt.META][0] for v in views], meta),
                      _Gather([inp.meta_y for inp in inputs], None, meta)),
                     cfg.batch_size, where, step)
     _unstack(sts, theta=theta, opt_theta=opt_theta, labeler=labeler, opt_phi=opt_phi)
@@ -827,7 +807,7 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
     """Train every lane from its epoch_next up to epoch `until`, in lockstep.
 
     The lanes share the train.* fields of their configs (the first lane's
-    are used) and their epoch_next, and their datasets share shapes. With
+    are used) and their epoch_next, and their views share shapes. With
     phase2, epochs before cfg.warmup_epochs are cross-entropy warm-up and
     later ones phase 2 (meta step, then classifier step); without, every
     epoch is the cross-entropy baseline. After each epoch every lane is
@@ -839,6 +819,7 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
     """
     nan = float("nan")
     cfg, sts = lanes[0].cfg, [ln.st for ln in lanes]
+    sources = [(ln.view.x, *ln.view.scored[dt.TRAIN]) for ln in lanes]
     inputs = None
     for epoch in range(sts[0].epoch_next, until):
         t0 = time.perf_counter()
@@ -846,15 +827,14 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
             st.opt_theta.lr = lr_at(cfg.lr_schedule, epoch)
         if not phase2 or epoch < cfg.warmup_epochs:
             phase, label = ("warmup", "warm-up") if phase2 else ("baseline", "baseline")
-            loss_c = _ce_epoch(sts, [_noisy_rows(ln.ds) for ln in lanes], cfg.batch_size,
-                               f"epoch {epoch} ({label})")
+            loss_c = _ce_epoch(sts, sources, cfg.batch_size, f"epoch {epoch} ({label})")
             losses = [[float(v), nan, nan, nan, nan, nan] for v in loss_c]
         else:
             phase = "phase2"
             if inputs is None:
                 inputs = [_Phase2Rows.of(cfg, ln) for ln in lanes]
             before = [st.labeler for st in sts]
-            epoch_losses = _phase2_epoch(cfg, sts, inputs, f"epoch {epoch}")
+            epoch_losses = _phase2_epoch(cfg, lanes, inputs, f"epoch {epoch}")
             losses = []
             for s, (st, inp) in enumerate(zip(sts, inputs)):
                 drift = _label_drift(st.labeler, before[s], inp.feats)
@@ -862,8 +842,7 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
                               + [float(drift.mean()), float(drift.var())])
                 del drift  # one lane's drift at a time, and none while evaluate runs
 
-        accs = [[evaluate(ln.st.theta, ln.ds, split) for split in (dt.TRAIN, dt.META, dt.TEST)]
-                for ln in lanes]
+        accs = [[evaluate(ln.st.theta, ln.view, split) for split in dt.SPLITS] for ln in lanes]
         wall_time = (time.perf_counter() - t0) / len(lanes)
         for ln, lane_accs, lane_losses in zip(lanes, accs, losses):
             st = ln.st
@@ -882,19 +861,28 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
 # entry points
 
 
-def _check_meta_size(cfg: TrainConfig, ds: Dataset) -> None:
-    meta_size = ds.indices(dt.META).size
-    if cfg.batch_size > meta_size:
+def check_view(cfg: TrainConfig, view: TrainView, baseline: bool = False) -> TrainView:
+    """The view, refused before a run writes unless the run can use it: each
+    split needs a labeled row (else the data.path file or the key that emptied
+    it is named) and, but for the baseline, the meta split a whole batch."""
+    for split, name in zip(dt.SPLITS, ("unlabeled_fraction", "meta_frac", "test_frac")):
+        if view.scored[split][0].size == 0:
+            raise ConfigError(
+                f"{cfg.dataset_path}: no labeled {split} rows" if cfg.dataset_path is not None
+                else f"{_WIRE_NAME[name]} {getattr(cfg, name)} leaves no labeled {split} rows")
+    meta_size = view.scored[dt.META][0].size
+    if not baseline and cfg.batch_size > meta_size:
         raise ConfigError(
             f"train.batch_size {cfg.batch_size} exceeds meta split size {meta_size}")
+    return view
 
 
-def _count_steps(cfg: TrainConfig, ds: Dataset, st: RunState) -> None:
-    """Set st's step counts to those its logged epochs made on ds, one a
-    batch: warm-up steps the classifier over the labeled train rows, phase 2
-    the classifier and the generator over all train rows."""
+def _count_steps(cfg: TrainConfig, view: TrainView, st: RunState) -> None:
+    """Set st's step counts to those its logged epochs made on the view, one
+    a batch: warm-up steps the classifier over the labeled train rows, phase
+    2 the classifier and the generator over all train rows."""
     labeled, rows = (-(-idx.size // cfg.batch_size)
-                     for idx in (ds.labeled_train_indices(), ds.indices(dt.TRAIN)))
+                     for idx in (view.scored[dt.TRAIN][0], view.train))
     warmup = min(st.epoch_next, cfg.warmup_epochs)
     phase2 = (st.epoch_next - warmup) * rows
     st.opt_theta.step_count = warmup * labeled + phase2
@@ -914,38 +902,40 @@ def summary(cfg: TrainConfig, st: RunState) -> dict:
     }
 
 
-def run_experiment(cfg: TrainConfig, dataset: Dataset | None = None,
+def run_experiment(cfg: TrainConfig, view: TrainView | None = None,
                    checkpoint_path: str | None = None,
                    state: RunState | None = None,
                    on_epoch=None) -> RunState:
-    """Warm-up, then phase-2 epochs, a group of one lane. Returns the run's
-    RunState: `theta` is the last epoch's classifier, `theta_best` the kept one.
+    """Warm-up, then phase-2 epochs, a group of one lane, on `view` (by
+    default the view of the config's dataset), refused first by
+    `check_view`. Returns the run's RunState: `theta` is the last epoch's
+    classifier, `theta_best` the kept one.
 
     With checkpoint_path set, the run state is written after every epoch.
     A `state` read back by load_checkpoint continues that run bit-exactly
-    (its step counts are counted on this dataset); without one the run
+    (its step counts are counted on this view); without one the run
     starts fresh. `on_epoch(row)` runs after each
     logged epoch (for incremental metrics flushing); failures abort with
     epoch/batch context.
     """
-    ds = dataset if dataset is not None else build_dataset(cfg)
-    _check_meta_size(cfg, ds)
-    st = state if state is not None else RunState.fresh(cfg, ds.dims, ds.n_classes)
-    _count_steps(cfg, ds, st)
-    return _train([_Lane(cfg, ds, st, checkpoint_path, on_epoch)], cfg.total_epochs, True)[0]
+    view = check_view(cfg, view if view is not None else build_dataset(cfg).view())
+    st = state if state is not None else RunState.fresh(cfg, view.dims, view.n_classes)
+    _count_steps(cfg, view, st)
+    return _train([_Lane(cfg, view, st, checkpoint_path, on_epoch)], cfg.total_epochs, True)[0]
 
 
-def baseline_ce(cfg: TrainConfig, dataset: Dataset | None = None) -> RunState:
+def baseline_ce(cfg: TrainConfig, view: TrainView | None = None) -> RunState:
     """Plain cross-entropy on noisy labels with the identical budget,
     schedule and model-selection protocol; the comparison baseline."""
-    ds = dataset if dataset is not None else build_dataset(cfg)
-    st = RunState.fresh(cfg, ds.dims, ds.n_classes)
-    return _train([_Lane(cfg, ds, st)], cfg.total_epochs, False)[0]
+    view = check_view(cfg, view if view is not None else build_dataset(cfg).view(),
+                      baseline=True)
+    st = RunState.fresh(cfg, view.dims, view.n_classes)
+    return _train([_Lane(cfg, view, st)], cfg.total_epochs, False)[0]
 
 
-def _shape_key(ds: Dataset) -> tuple:
-    return (ds.dims, ds.n_classes, *(ds.indices(s).size for s in dt.SPLITS),
-            ds.labeled_train_indices().size)
+def _shape_key(view: TrainView) -> tuple:
+    return (view.dims, view.n_classes, view.train.size,
+            *(rows.size for rows, _ in view.scored.values()))
 
 
 def run_experiments(cfgs: list[TrainConfig], datasets: list[Dataset] | None = None, *,
@@ -961,29 +951,31 @@ def run_experiments(cfgs: list[TrainConfig], datasets: list[Dataset] | None = No
     alone. Without `datasets`, each group's datasets are built (margin
     oracles as lanes) when the group trains and dropped after. After each
     group, `on_group(indices, outcomes, lanes rerun alone)` gets its
-    configs' indices and outcomes.
+    configs' indices and outcomes. A config whose view `check_view`
+    refuses gets that error and does not train.
     """
     out: list = [None] * len(cfgs)
-    dss: dict[int, Dataset] = {}
+    views: dict[int, TrainView] = {}
 
     def train(group):
-        return _train([_Lane(cfgs[i], dss[i], RunState.fresh(cfgs[i], dss[i].dims,
-                                                             dss[i].n_classes))
+        return _train([_Lane(cfgs[i], views[i], RunState.fresh(cfgs[i], views[i].dims,
+                                                               views[i].n_classes))
                        for i in group], cfgs[group[0]].total_epochs, not baseline)
 
     for chunk in _groups(list(range(len(cfgs))), lambda i: _lane_key(cfgs[i])):
         built = (build_datasets([cfgs[i] for i in chunk]) if datasets is None
                  else [datasets[i] for i in chunk])
         for i, ds in zip(chunk, built):
-            out[i] = ds if isinstance(ds, Exception) or baseline else (
-                _outcome(_check_meta_size, cfgs[i], ds))
+            out[i] = ds if isinstance(ds, Exception) else (
+                _outcome(check_view, cfgs[i], ds.view(), baseline))
             if not isinstance(out[i], Exception):
-                dss[i] = ds
-        for group in _groups([i for i in chunk if i in dss], lambda i: _shape_key(dss[i])):
+                views[i] = out[i]
+        del built, ds  # the runs hold only their views
+        for group in _groups([i for i in chunk if i in views], lambda i: _shape_key(views[i])):
             results, reran = _lanes_or_alone(train, group)
             for i, result in zip(group, results):
                 out[i] = result
-                del dss[i]
+                del views[i]
             if on_group is not None:
                 on_group(group, results, reran)
     return out

@@ -43,7 +43,6 @@ from metalabel.harness import (
     _ce_epoch,
     _label_drift,
     _Lane,
-    _noisy_rows,
     _Phase2Rows,
     _phase2_epoch,
     _stacked,
@@ -121,10 +120,10 @@ def big():
 
 def test_evaluate_equals_the_one_shot_accuracy(big):
     _, ds, theta = big
-    idx = ds.labeled_train_indices()
+    idx = np.flatnonzero((ds.split == "train") & ds.labeled)
     logits = mlp_logits(theta.layers, ds.x[idx])
-    want = int(np.count_nonzero(logits.argmax(axis=1) == ds.train_labels(idx))) / idx.size
-    assert evaluate(theta, ds, "train") == want
+    want = int(np.count_nonzero(logits.argmax(axis=1) == ds.y_noisy[idx])) / idx.size
+    assert evaluate(theta, ds.view(), "train") == want
 
 
 @pytest.mark.parametrize("mode", ["penultimate", "logits"])
@@ -133,7 +132,7 @@ def test_phase2_features_equal_the_one_shot_extractor(big, mode):
     cfg = dataclasses.replace(cfg, extractor_features=mode)
     st = RunState.fresh(cfg, ds.dims, ds.n_classes)
     st.theta = theta
-    feats = _Phase2Rows.of(cfg, _Lane(cfg, ds, st)).feats
+    feats = _Phase2Rows.of(cfg, _Lane(cfg, ds.view(), st)).feats
     ex = theta.prefix(len(theta.layers) - (mode == "penultimate"))
     one_shot = extract_features(ex, ds.x[ds.indices("train")], mode)
     assert same_bits(feats, one_shot)
@@ -171,9 +170,8 @@ def test_phase2_features_hold_one_block_of_transients():
 
     where, with B = ROW_BLOCK rows, d input columns and kept hidden widths h:
     - the features, (n_train, h[-1]) float64, are the result and stay;
-    - index: the train and meta row indices (8 bytes a row), the split
-      mask each is taken from (1 byte a row of the dataset), and the meta
-      one-hot labels (8 bytes a class per meta row);
+    - index: the meta one-hot labels (8 bytes a class per meta row); the
+      train and meta rows are the view's, built before;
     - block: one block's gathered rows (B x d) and, at most, every kept
       layer's activation at once (B x sum(h)), float64; mlp_logits frees
       each activation once the next is made and adds biases in place;
@@ -186,9 +184,9 @@ def test_phase2_features_hold_one_block_of_transients():
     """
     cfg = TrainConfig(dims=10, classes=4, hidden=[32, 16])
     ds = split_dataset(make_synthetic(20000, 4, 10, seed=1), 0.8, 0.1, 0.1, seed=2)
-    ln = _Lane(cfg, ds, RunState.fresh(cfg, ds.dims, ds.n_classes))
+    ln = _Lane(cfg, ds.view(), RunState.fresh(cfg, ds.dims, ds.n_classes))
     n_train, n_meta = ds.indices("train").size, ds.indices("meta").size
-    index = 8 * (n_train + n_meta) + ds.n + 8 * n_meta * ds.n_classes
+    index = 8 * n_meta * ds.n_classes
     block = 8 * nn.ROW_BLOCK * (ds.dims + sum(cfg.hidden))
     tracemalloc.start()
     try:
@@ -341,9 +339,14 @@ def _phase2_lanes(lanes: int, batch_size: int = 25):
     cfgs = [TrainConfig(seed=s, n=600, dims=6, classes=3, hidden=[8, 6],
                         batch_size=batch_size, warmup_epochs=1, total_epochs=3,
                         oracle_epochs=2) for s in range(lanes)]
-    lns = [_Lane(cfg, ds, RunState.fresh(cfg, ds.dims, ds.n_classes)) for cfg, ds in
-           ((cfg, build_dataset(cfg)) for cfg in cfgs)]
+    lns = [_Lane(cfg, v, RunState.fresh(cfg, v.dims, v.n_classes)) for cfg, v in
+           ((cfg, build_dataset(cfg).view()) for cfg in cfgs)]
     return lns, [_Phase2Rows.of(ln.cfg, ln) for ln in lns]
+
+
+def _ce_sources(lns: list[_Lane]) -> list[tuple]:
+    """The lanes' warm-up sources, as `_train` takes them from their views."""
+    return [(ln.view.x, *ln.view.scored["train"]) for ln in lns]
 
 
 def _held(st: RunState) -> list[np.ndarray]:
@@ -361,9 +364,9 @@ def test_an_epoch_never_writes_the_networks_it_starts_from(lanes):
         held = [_held(st) for st in sts]
         bits = [[a.copy() for a in arrays] for arrays in held]
         if epoch % 2 == 0:
-            _phase2_epoch(cfg, sts, inputs, f"epoch {epoch}")
+            _phase2_epoch(cfg, lns, inputs, f"epoch {epoch}")
         else:
-            _ce_epoch(sts, [_noisy_rows(ln.ds) for ln in lns], cfg.batch_size, f"epoch {epoch}")
+            _ce_epoch(sts, _ce_sources(lns), cfg.batch_size, f"epoch {epoch}")
         for st, arrays, arrays_bits in zip(sts, held, bits):
             assert st.theta.flat is not arrays[0]
             assert all(same_bits(a, b) for a, b in zip(arrays, arrays_bits))
@@ -395,9 +398,9 @@ def test_a_batch_builds_no_network(monkeypatch, lanes):
     for batch_size in (25, 50):
         lns, inputs = _phase2_lanes(lanes, batch_size)
         cfg, sts = lns[0].cfg, [ln.st for ln in lns]
-        sources = [_noisy_rows(ln.ds) for ln in lns]
+        sources = _ce_sources(lns)
         phase2[batch_size] = _builds(
-            monkeypatch, lambda: _phase2_epoch(cfg, sts, inputs, "epoch"))
+            monkeypatch, lambda: _phase2_epoch(cfg, lns, inputs, "epoch"))
         ce[batch_size] = _builds(monkeypatch, lambda: _ce_epoch(sts, sources, batch_size, "epoch"))
     assert phase2[25] == phase2[50] and ce[25] == ce[50], (phase2, ce)
 
@@ -405,23 +408,24 @@ def test_a_batch_builds_no_network(monkeypatch, lanes):
 # -- gathering a block of batches at a time -------------------------------------------
 
 
-def _per_batch_phase2(cfg, sts, inputs):
+def _per_batch_phase2(cfg, sts, views, inputs):
     """A phase-2 epoch whose every batch gathers its own rows from the plan
     and stacks the lanes' rows, on new networks: the reference the blocked
     gathers of `_phase2_epoch` must equal. Returns the networks, optimizers
     and batch-mean losses (4, S)."""
     theta, opt_theta = _stacked(sts, "theta"), _stacked(sts, "opt_theta")
     labeler, opt_phi = _stacked(sts, "labeler"), _stacked(sts, "opt_phi")
-    n, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
+    meta_rows = [v.scored["meta"][0] for v in views]
+    n, n_meta = views[0].train.size, meta_rows[0].size
     order = [st.rng.permutation(n) for st in sts]
     meta = [np.concatenate([st.rng.permutation(n_meta) for _ in range(-(-n // n_meta))])[:n]
             for st in sts]
     sums, batches = 0.0, 0
     for start in range(0, n, cfg.batch_size):
         cut = slice(start, start + cfg.batch_size)
-        x = stack_lanes([inp.x[inp.rows[o[cut]]] for inp, o in zip(inputs, order)])
+        x = stack_lanes([w.x[w.train[o[cut]]] for w, o in zip(views, order)])
         v = stack_lanes([inp.feats[o[cut]] for inp, o in zip(inputs, order)])
-        mx = stack_lanes([inp.x[inp.meta_rows[m[cut]]] for inp, m in zip(inputs, meta)])
+        mx = stack_lanes([w.x[r[m[cut]]] for w, r, m in zip(views, meta_rows, meta)])
         my = stack_lanes([inp.meta_y[m[cut]] for inp, m in zip(inputs, meta)])
         labeler, report, fwd = meta_step(labeler, theta, x, v, mx, my, inner_lr=cfg.inner_lr,
                                          optimizer=opt_phi)
@@ -464,15 +468,15 @@ def test_a_block_gathered_epoch_equals_per_batch_gathers(monkeypatch, lanes):
     monkeypatch.setattr(harness, "GATHER_ROWS", 100)
     lns, inputs = _phase2_lanes(lanes, batch_size=30)
     cfg, sts = lns[0].cfg, [ln.st for ln in lns]
-    assert inputs[0].rows.size == 501
+    assert lns[0].view.train.size == 501
     for epoch in range(2):
         ref_sts = [dataclasses.replace(st, rng=copy.deepcopy(st.rng)) for st in sts]
         if epoch == 0:
-            want, want_losses = _per_batch_phase2(cfg, ref_sts, inputs)
-            losses = _phase2_epoch(cfg, sts, inputs, "epoch")
+            want, want_losses = _per_batch_phase2(cfg, ref_sts, [ln.view for ln in lns], inputs)
+            losses = _phase2_epoch(cfg, lns, inputs, "epoch")
             got = [(st.theta, st.opt_theta, st.labeler, st.opt_phi) for st in sts]
         else:
-            sources = [_noisy_rows(ln.ds) for ln in lns]
+            sources = _ce_sources(lns)
             want, want_losses = _per_batch_ce(ref_sts, sources, cfg.batch_size)
             losses = _ce_epoch(sts, sources, cfg.batch_size, "epoch")
             got = [(st.theta, st.opt_theta) for st in sts]

@@ -436,7 +436,7 @@ def _move_the_test_rows_to_meta(ds) -> None:
 
 @pytest.mark.parametrize("edit, split, detail", [
     (_unlabel_the_train_rows, "train", "train split has no labeled rows to evaluate"),
-    (_move_the_test_rows_to_meta, "test", "empty split 'test'"),
+    (_move_the_test_rows_to_meta, "test", "test split has no labeled rows to evaluate"),
 ], ids=["no-labeled-train-rows", "no-test-rows"])
 def test_eval_of_a_split_with_no_rows_to_score_is_usage_error_naming_the_file(
         tmp_path, capsys, edit, split, detail):
@@ -486,6 +486,63 @@ def test_an_unlabeled_fraction_that_marks_every_train_row_is_usage_error_naming_
     assert capsys.readouterr().err == ("error: train.unlabeled_fraction 0.995 leaves no "
                                        "labeled train rows\n")
     assert not list(out.iterdir())
+
+
+_SPLIT_REFUSALS = {
+    "no-test-rows": ({"data.train_frac": 0.875, "data.test_frac": 0.0},
+                     "data.test_frac 0.0 leaves no labeled test rows"),
+    "no-meta-rows": ({"data.train_frac": 0.875, "data.meta_frac": 0.0},
+                     "data.meta_frac 0.0 leaves no labeled meta rows"),
+    "batch-above-meta-rows": ({"train.batch_size": 41},
+                              "train.batch_size 41 exceeds meta split size 40"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_REFUSALS))
+def test_a_split_a_run_cannot_use_is_usage_error_before_any_output(tmp_path, capsys,
+                                                                   monkeypatch, case):
+    # 320 rows, 40 of them meta: refused before metrics.csv is opened, not
+    # after the first epoch
+    overrides, detail = _SPLIT_REFUSALS[case]
+
+    def refuse(*args, **kw):
+        raise AssertionError("a run trained")
+
+    monkeypatch.setattr(harness_mod, "_train", refuse)
+    out = tmp_path / "r"
+    assert main(["train", "--config", write_config(tmp_path, tiny_config(**overrides)),
+                 "--out", str(out), "--baseline"]) == 2
+    assert capsys.readouterr().err == f"error: {detail}\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("split", ["meta", "test"])
+def test_a_dataset_file_with_an_empty_split_is_usage_error_naming_it(tmp_path, capsys,
+                                                                     split):
+    data_path, out = tmp_path / "data.dsv", tmp_path / "r"
+    cfg = tiny_config(**{"data.train_frac": 0.875, f"data.{split}_frac": 0.0})
+    assert main(["gen-data", "--config", write_config(tmp_path, cfg),
+                 "--out", str(data_path)]) == 0
+    capsys.readouterr()
+    on_file = tiny_config(**{"data.path": str(data_path)})
+    assert main(["train", "--config", write_config(tmp_path, on_file, "path.json"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {data_path}: no labeled {split} rows\n"
+    assert not list(out.iterdir())
+
+
+def test_a_sweep_cell_with_a_split_it_cannot_use_fails_without_training(tmp_path, capsys):
+    cells = [{"data.test_frac": 0.125}, {"data.train_frac": 0.875, "data.test_frac": 0.0}]
+    sweep = {"schema_version": 1, "base": tiny_config(), "cells": cells}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, sweep, "sweep.json"),
+                 "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("2 cells in 1 lane group (1 lane), 0 lanes reran solo\n")
+    with open(out / "aggregate.csv", newline="") as fh:
+        status = {r["data.test_frac"]: r["status"] for r in csv.DictReader(fh)}
+    assert status == {"0.125": "ok", "0.0": "data.test_frac 0.0 leaves no labeled test rows"}
+    assert len(list(out.glob("*/metrics.csv"))) == 1
 
 
 def test_train_baseline_builds_the_dataset_once(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -9,7 +10,6 @@ import metalabel.data as data_mod
 from metalabel.data import (
     Dataset,
     DegenerateOracleError,
-    UnlabeledLabelError,
     inject_feature_dependent,
     inject_uniform,
     load_dataset,
@@ -246,24 +246,37 @@ def test_mark_unlabeled_exact_count():
     assert np.all(out.split[~out.labeled] == "train")
 
 
-def test_unlabeled_guard_raises_on_masked_read(blobs):
-    out = mark_unlabeled(blobs, 0.5, seed=1)
-    masked = np.flatnonzero(~out.labeled)[:3]
-    with pytest.raises(UnlabeledLabelError):
-        out.train_labels(masked)
-    visible = out.labeled_train_indices()[:3]
-    assert np.array_equal(out.train_labels(visible), out.y_noisy[visible])
+def test_a_view_holds_no_masked_row_and_no_clean_train_label(blobs):
+    ds = mark_unlabeled(inject_uniform(blobs, 0.5, seed=1), 0.5, seed=2)
+    view = ds.view()
+    train = ds.indices("train")
+    labeled = train[ds.labeled[train]]
+    assert view.x is ds.x and (view.dims, view.n_classes) == (4, 3)
+    assert view.train.dtype == np.int32 and np.array_equal(view.train, train)
+    assert list(view.scored) == ["train", "meta", "test"]
+    rows, y = view.scored["train"]
+    assert rows.dtype == np.int32 and np.array_equal(rows, labeled)
+    assert np.array_equal(y, ds.y_noisy[labeled]) and np.any(y != ds.y_clean[labeled])
+    for split in ("meta", "test"):
+        rows, y = view.scored[split]
+        assert np.array_equal(rows, ds.indices(split))
+        assert np.array_equal(y, ds.y_clean[rows])
+    # what the view leaves out can be anything: a view of the poisoned copy is equal
+    poisoned = copy.deepcopy(ds)
+    rng = np.random.default_rng(3)
+    poisoned.y_clean[train] = rng.integers(0, 3, train.size)
+    masked = np.flatnonzero(~ds.labeled)
+    poisoned.y_noisy[masked] = rng.integers(0, 3, masked.size)
+    assert np.any(poisoned.y_clean != ds.y_clean) and np.any(poisoned.y_noisy != ds.y_noisy)
+    other = poisoned.view()
+    assert np.array_equal(other.train, view.train)
+    for split in view.scored:
+        assert all(np.array_equal(a, b) for a, b in zip(other.scored[split], view.scored[split]))
 
 
 def test_indices_of_an_unknown_split_raises(blobs):
     with pytest.raises(ValueError, match="unknown split 'bogus'"):
         blobs.indices("bogus")
-
-
-def test_train_labels_rejects_non_train_rows(blobs):
-    meta_rows = blobs.indices("meta")[:2]
-    with pytest.raises(ValueError):
-        blobs.train_labels(meta_rows)
 
 
 def test_dataset_invariants_enforced():

@@ -11,18 +11,24 @@ from metalabel.data import Dataset, make_synthetic, split_dataset
 from metalabel.harness import (
     ConfigError,
     METRICS_COLUMNS,
+    RunState,
     TrainConfig,
+    _Lane,
+    _train,
     baseline_ce,
     build_dataset,
+    check_view,
     derive_seeds,
     evaluate,
     load_checkpoint,
     lr_at,
     read_metrics_csv,
     run_experiment,
+    summary,
     write_metrics_csv,
 )
-from metalabel.nn import Mlp, init_mlp
+from metalabel.meta import extract_features
+from metalabel.nn import Mlp, init_mlp, mlp_logits, softmax
 
 
 def small_config(**kw) -> TrainConfig:
@@ -42,7 +48,7 @@ def warmed_up(cfg: TrainConfig, ds: Dataset) -> Mlp:
     labels: the baseline ignores warmup_epochs, so one stopped where warm-up
     ends (test_baseline_and_method_share_the_warmup pins that equality)."""
     short = dataclasses.replace(cfg, warmup_epochs=0, total_epochs=cfg.warmup_epochs)
-    return baseline_ce(short, dataset=ds).theta
+    return baseline_ce(short, ds.view()).theta
 
 
 def rows_equal(a, b) -> bool:
@@ -170,16 +176,16 @@ def fixture_dataset() -> Dataset:
 def test_evaluate_perfect_predictor():
     ds = fixture_dataset()
     net = Mlp([(np.eye(2), np.zeros((1, 2)))])
-    assert evaluate(net, ds, "test") == 1.0
-    assert evaluate(net, ds, "meta") == 1.0
-    assert evaluate(net, ds, "train") == 1.0
+    assert evaluate(net, ds.view(), "test") == 1.0
+    assert evaluate(net, ds.view(), "meta") == 1.0
+    assert evaluate(net, ds.view(), "train") == 1.0
 
 
 def test_evaluate_constant_predictor_on_balanced_classes():
     ds = make_synthetic(400, classes=4, dims=6, seed=0)
     ds = split_dataset(ds, 0.8, 0.1, 0.1, seed=1)
     zero = Mlp([(np.zeros((6, 4)), np.zeros((1, 4)))])
-    assert evaluate(zero, ds, "test") == pytest.approx(0.25, abs=1e-12)
+    assert evaluate(zero, ds.view(), "test") == pytest.approx(0.25, abs=1e-12)
 
 
 def test_evaluate_matches_hand_count():
@@ -189,7 +195,7 @@ def test_evaluate_matches_hand_count():
     y[-1] = 0
     ds = Dataset(ds.x, y, y.copy(), ds.labeled, ds.split, 2)
     net = Mlp([(np.eye(2), np.zeros((1, 2)))])
-    assert evaluate(net, ds, "test") == pytest.approx(2 / 3)
+    assert evaluate(net, ds.view(), "test") == pytest.approx(2 / 3)
 
 
 def test_evaluate_rejects_empty_split():
@@ -197,7 +203,7 @@ def test_evaluate_rejects_empty_split():
     ds = split_dataset(ds, 0.9, 0.1, 0.0, seed=0)
     net = init_mlp([3, 2], np.random.default_rng(0))
     with pytest.raises(ValueError):
-        evaluate(net, ds, "test")
+        evaluate(net, ds.view(), "test")
 
 
 # -- warm-up --------------------------------------------------------------------
@@ -209,7 +215,7 @@ def test_warmup_zero_epochs_returns_initialization():
     ds = build_dataset(cfg)
     init = init_mlp([cfg.dims] + cfg.hidden + [cfg.classes],
                     np.random.default_rng(derive_seeds(cfg.seed)["init"]))
-    extractor = run_experiment(cfg, dataset=ds).extractor
+    extractor = run_experiment(cfg, ds.view()).extractor
     assert len(extractor.layers) == len(init.layers) - 1
     for (w, b), (wi, bi) in zip(extractor.layers, init.layers):
         assert np.array_equal(w, wi)
@@ -229,7 +235,7 @@ def test_warmup_fits_clean_separable_blobs():
                        total_epochs=31, center_scale=6.0)
     ds = build_dataset(cfg)
     theta = warmed_up(cfg, ds)
-    assert evaluate(theta, ds, "train") >= 0.95
+    assert evaluate(theta, ds.view(), "train") >= 0.95
 
 
 def test_warmup_requires_labeled_rows():
@@ -237,7 +243,7 @@ def test_warmup_requires_labeled_rows():
     ds = build_dataset(cfg)
     all_unlabeled = Dataset(ds.x, ds.y_clean, ds.y_noisy,
                             ds.split != "train", ds.split, ds.n_classes)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="no labeled train rows"):
         warmed_up(cfg, all_unlabeled)
 
 
@@ -302,8 +308,8 @@ def test_meta_data_cleanliness_is_load_bearing():
     bad = (poisoned.y_clean[meta_rows] + flips) % poisoned.n_classes
     poisoned.y_clean[meta_rows] = bad
     poisoned.y_noisy[meta_rows] = bad
-    res_clean = run_experiment(cfg, dataset=clean_ds)
-    res_poisoned = run_experiment(cfg, dataset=poisoned)
+    res_clean = run_experiment(cfg, clean_ds.view())
+    res_poisoned = run_experiment(cfg, poisoned.view())
     assert (res_poisoned.log[res_poisoned.best_epoch].test_acc
             < res_clean.log[res_clean.best_epoch].test_acc)
 
@@ -328,8 +334,8 @@ def test_phase2_batch_count_per_epoch(monkeypatch):
 def test_method_matches_baseline_on_clean_default_config():
     cfg = TrainConfig(seed=0, noise_kind="uniform", noise_ratio=0.0)
     ds = build_dataset(cfg)
-    method = run_experiment(cfg, dataset=ds)
-    base = baseline_ce(cfg, dataset=ds)
+    method = run_experiment(cfg, ds.view())
+    base = baseline_ce(cfg, ds.view())
     assert abs(method.log[method.best_epoch].test_acc - base.log[-1].test_acc) <= 0.01
 
 
@@ -347,6 +353,68 @@ def test_batch_size_must_fit_meta_split():
         run_experiment(cfg)
 
 
+def test_a_batch_of_the_whole_meta_split_is_accepted():
+    view = build_dataset(small_config()).view()
+    assert view.scored["meta"][0].size == 60
+    assert check_view(small_config(batch_size=60), view) is view
+    with pytest.raises(ConfigError, match="^train.batch_size 61 exceeds meta split size 60$"):
+        check_view(small_config(batch_size=61), view)
+    assert check_view(small_config(batch_size=61), view, baseline=True) is view
+
+
+def test_training_reads_no_hidden_label():
+    # the clean labels of the train rows and the noisy labels of the masked
+    # rows may hold anything: the method and the baseline run as before
+    cfg = small_config(unlabeled_fraction=0.5)
+    ds = build_dataset(cfg)
+    train, masked = ds.indices("train"), np.flatnonzero(~ds.labeled)
+    assert masked.size == 180 and cfg.noise_kind == "feature-dependent"
+    poisoned = copy.deepcopy(ds)
+    rng = np.random.default_rng(11)
+    poisoned.y_clean[train] = rng.integers(0, ds.n_classes, train.size)
+    poisoned.y_noisy[masked] = rng.integers(0, ds.n_classes, masked.size)
+    assert np.mean(poisoned.y_clean[train] != ds.y_clean[train]) > 0.5
+    assert np.mean(poisoned.y_noisy[masked] != ds.y_noisy[masked]) > 0.5
+    for run in (run_experiment, baseline_ce):
+        a, b = run(cfg, ds.view()), run(cfg, poisoned.view())
+        assert len(a.log) == len(b.log) == cfg.total_epochs
+        assert all(rows_equal(x, y) for x, y in zip(a.log, b.log))
+        assert a.theta_best.flat.tobytes() == b.theta_best.flat.tobytes()
+        assert summary(cfg, a) == summary(cfg, b)
+
+
+def test_the_kept_classifier_is_the_one_of_the_first_best_epoch():
+    # seed 5 reaches its best meta accuracy at epochs 6 and 7: the kept
+    # classifier is epoch 6's, which a second run stopped after epoch 6 ends with
+    cfg = small_config(seed=5)
+    view = build_dataset(cfg).view()
+    st = run_experiment(cfg, view)
+    ties = [e for e, r in enumerate(st.log) if r.meta_acc == st.best_meta_acc]
+    assert ties == [6, 7] and st.best_epoch == 6
+    (short,) = _train([_Lane(cfg, view, RunState.fresh(cfg, view.dims, view.n_classes))],
+                      st.best_epoch + 1, True)
+    assert rows_equal(short.log[-1], st.log[st.best_epoch])
+    assert st.theta_best.flat.tobytes() == short.theta.flat.tobytes()
+    assert st.theta.flat.tobytes() != short.theta.flat.tobytes()
+
+
+def test_the_logged_label_drift_is_the_generator_move_over_an_epoch():
+    # the second phase-2 epoch, so that neither generator is the zero one
+    cfg = small_config(warmup_epochs=3, total_epochs=5)
+    view = build_dataset(cfg).view()
+    ln = _Lane(cfg, view, RunState.fresh(cfg, view.dims, view.n_classes))
+    _train([ln], cfg.warmup_epochs + 1, True)
+    before = ln.st.labeler
+    _train([ln], cfg.warmup_epochs + 2, True)
+    feats = extract_features(ln.st.extractor, view.x[view.train], cfg.extractor_features)
+    drift = np.abs(softmax(mlp_logits(ln.st.labeler.layers, feats))
+                   - softmax(mlp_logits(before.layers, feats)))
+    row = ln.st.log[-1]
+    assert row.label_diff_mean > 0 and row.label_diff_var > 0
+    assert row.label_diff_mean == pytest.approx(drift.mean(), rel=1e-12, abs=0)
+    assert row.label_diff_var == pytest.approx(drift.var(), rel=1e-12, abs=0)
+
+
 def test_baseline_is_deterministic_and_tagged():
     cfg = small_config()
     a = baseline_ce(cfg)
@@ -361,7 +429,7 @@ def test_baseline_and_method_share_the_warmup():
     # epochs, and phase 2 extracts its features from the classifier they end with
     cfg = small_config(noise_kind="uniform")
     ds = build_dataset(cfg)
-    method, base = run_experiment(cfg, dataset=ds), baseline_ce(cfg, dataset=ds)
+    method, base = run_experiment(cfg, ds.view()), baseline_ce(cfg, ds.view())
     for m, b in zip(method.log[:cfg.warmup_epochs], base.log):
         assert (m.phase, b.phase) == ("warmup", "baseline")
         assert rows_equal(dataclasses.replace(m, phase="baseline"), b)
@@ -427,7 +495,7 @@ def _phase2_lane(theta: Mlp):
 
     cfg = small_config(noise_kind="uniform", hidden=[4], warmup_epochs=1, total_epochs=2)
     ds = build_dataset(cfg)
-    ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds.dims, ds.n_classes))
+    ln = hmod._Lane(cfg, ds.view(), hmod.RunState.fresh(cfg, ds.dims, ds.n_classes))
     ln.st.theta = theta
     return cfg, ln, [hmod._Phase2Rows.of(cfg, ln)]
 
@@ -445,8 +513,9 @@ def test_a_gradient_that_overflows_in_the_virtual_update_names_the_batch():
     cfg, ln, inputs = _phase2_lane(theta)
     ln.st.labeler.layers[0][1][...] = [[0.0, -700.0, 0.0]]
     with pytest.raises(DivergenceError, match=r"^epoch 1, batch 0: diverged: non-finite "
-                                              r"gradient in virtual update$"):
-        hmod._phase2_epoch(cfg, [ln.st], inputs, "epoch 1")
+                                              r"gradient in virtual update$"), \
+            np.errstate(all="ignore"):  # the overflow is the point
+        hmod._phase2_epoch(cfg, [ln], inputs, "epoch 1")
 
 
 def test_a_failing_oracle_of_a_lone_config_trains_once(monkeypatch):
@@ -500,7 +569,7 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, kw):
     # classifier in logits mode and no layer without hidden layers
     cfg = small_config(seed=7, **kw)
     ds = build_dataset(cfg)
-    straight = run_experiment(cfg, dataset=ds)
+    straight = run_experiment(cfg, ds.view())
 
     class Stop(Exception):
         pass
@@ -513,10 +582,10 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, kw):
                 raise Stop
 
         with pytest.raises(Stop):
-            run_experiment(cfg, dataset=ds, checkpoint_path=cp, on_epoch=stop)
+            run_experiment(cfg, ds.view(), checkpoint_path=cp, on_epoch=stop)
         state = load_checkpoint(cp, cfg)
         assert state.epoch_next == resume_at
-        resumed = run_experiment(cfg, dataset=ds, checkpoint_path=cp, state=state)
+        resumed = run_experiment(cfg, ds.view(), checkpoint_path=cp, state=state)
 
         assert len(resumed.log) == len(straight.log)
         assert all(rows_equal(a, b) for a, b in zip(resumed.log, straight.log))
@@ -626,11 +695,11 @@ def test_a_phase2_epoch_draws_the_train_order_then_the_meta_orders(monkeypatch, 
     cfgs = [small_config(seed=s, noise_kind="uniform", train_frac=0.7, meta_frac=0.15,
                          test_frac=0.15, warmup_epochs=1, total_epochs=2) for s in seeds]
     dss = [build_dataset(c) for c in cfgs]
-    lanes = [hmod._Lane(c, ds, hmod.RunState.fresh(c, ds.dims, ds.n_classes))
+    lanes = [hmod._Lane(c, ds.view(), hmod.RunState.fresh(c, ds.dims, ds.n_classes))
              for c, ds in zip(cfgs, dss)]
     hmod._train(lanes, 1, True)
     inputs = [hmod._Phase2Rows.of(c, ln) for c, ln in zip(cfgs, lanes)]
-    n_train, n_meta = inputs[0].rows.size, inputs[0].meta_rows.size
+    n_train, n_meta = (dss[0].indices(split).size for split in ("train", "meta"))
     assert (n_train, n_meta) == (336, 72)
     rngs = [copy.deepcopy(ln.st.rng) for ln in lanes]
     seen = []
@@ -641,9 +710,9 @@ def test_a_phase2_epoch_draws_the_train_order_then_the_meta_orders(monkeypatch, 
         return real_step(labeler, theta, x, v, mx, *args, **kw)
 
     monkeypatch.setattr(hmod, "meta_step", recording)
-    hmod._phase2_epoch(cfgs[0], [ln.st for ln in lanes], inputs, "epoch 1")
+    hmod._phase2_epoch(cfgs[0], lanes, inputs, "epoch 1")
     assert len(seen) == math.ceil(n_train / cfgs[0].batch_size)
-    for s, (rng, inp, ln) in enumerate(zip(rngs, inputs, lanes)):
+    for s, (rng, ds, ln) in enumerate(zip(rngs, dss, lanes)):
         order = rng.permutation(n_train)
         meta = np.concatenate([rng.permutation(n_meta) for _ in range(5)])[:n_train]
         assert rng.bit_generator.state == ln.st.rng.bit_generator.state  # nothing more
@@ -651,8 +720,8 @@ def test_a_phase2_epoch_draws_the_train_order_then_the_meta_orders(monkeypatch, 
             cut = slice(b * cfgs[0].batch_size, (b + 1) * cfgs[0].batch_size)
             if len(lanes) > 1:
                 x, mx = x[s], mx[s]
-            assert np.array_equal(x, inp.x[inp.rows[order[cut]]])
-            assert np.array_equal(mx, inp.x[inp.meta_rows[meta[cut]]])
+            assert np.array_equal(x, ds.x[ds.indices("train")[order[cut]]])
+            assert np.array_equal(mx, ds.x[ds.indices("meta")[meta[cut]]])
 
 
 def test_a_phase2_batch_runs_two_classifier_forward_passes(monkeypatch):
@@ -663,7 +732,7 @@ def test_a_phase2_batch_runs_two_classifier_forward_passes(monkeypatch):
 
     cfg = small_config(warmup_epochs=3, total_epochs=4)
     ds = build_dataset(cfg)
-    ln = hmod._Lane(cfg, ds, hmod.RunState.fresh(cfg, ds.dims, ds.n_classes))
+    ln = hmod._Lane(cfg, ds.view(), hmod.RunState.fresh(cfg, ds.dims, ds.n_classes))
     hmod._train([ln], cfg.warmup_epochs, True)
     inputs = [hmod._Phase2Rows.of(cfg, ln)]
     batches, passes = [], []
@@ -679,8 +748,8 @@ def test_a_phase2_batch_runs_two_classifier_forward_passes(monkeypatch):
 
     monkeypatch.setattr(hmod, "meta_step", counting_step)
     monkeypatch.setattr(meta_mod, "mlp_forward", counting_forward)
-    hmod._phase2_epoch(cfg, [ln.st], inputs, "epoch 3")
-    assert len(batches) == math.ceil(inputs[0].rows.size / cfg.batch_size)
+    hmod._phase2_epoch(cfg, [ln], inputs, "epoch 3")
+    assert len(batches) == math.ceil(ds.indices("train").size / cfg.batch_size)
     assert len(passes) == 2 * len(batches)
     for (theta, x, mx), (at_theta, at_hat) in zip(batches, zip(passes[0::2], passes[1::2])):
         assert at_theta[0] is theta.layers and at_theta[1] is x

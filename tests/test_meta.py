@@ -361,7 +361,7 @@ def warmed():
     ds = build_dataset(cfg)
     # the baseline ignores warmup_epochs: 15 epochs of it are the warm-up
     theta = baseline_ce(TrainConfig(seed=0, noise_kind="uniform", warmup_epochs=0,
-                                    total_epochs=cfg.warmup_epochs), ds).theta
+                                    total_epochs=cfg.warmup_epochs), ds.view()).theta
     extractor = theta.prefix(len(theta.layers) - 1)
     rng = np.random.default_rng(1)
     labeler = Mlp([(rng.normal(size=(extractor.out_dim, 4)) * 0.5,
