@@ -24,7 +24,6 @@ from .nn import Mlp, mlp_logits, softmax
 TRAIN, META, TEST = "train", "meta", "test"
 SPLITS = (TRAIN, META, TEST)
 _CODE = {tag: code for code, tag in enumerate(SPLITS)}  # a row's split code indexes SPLITS
-_TAGS = np.array(SPLITS)
 
 DATASET_FORMAT_VERSION = 1
 SAVE_BLOCK_ROWS = 1024  # rows formatted per write; bounds the memory a save holds
@@ -39,11 +38,9 @@ class Dataset:
     """Feature matrix plus clean/noisy labels, labeled mask and split.
 
     The split is held as `codes`, one int8 a row that indexes SPLITS
-    (train 0, meta 1, test 2). `split` reads it back as the (N,) `<U5` tag
-    array, built from the codes on each read. The constructor takes the
-    split as tags or as int8 codes: tags are checked at full length, so
-    "trainee" is refused rather than cut to "train", and codes must lie in
-    0..2.
+    (train 0, meta 1, test 2). The constructor takes the split as tags or
+    as int8 codes: tags are checked at full length, so "trainee" is refused
+    rather than cut to "train", and codes must lie in 0..2.
 
     Invariants (checked on construction): fewer than 2**31 rows, so an
     int32 holds any row position; meta and test rows keep y_noisy ==
@@ -88,11 +85,6 @@ class Dataset:
     @property
     def dims(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def split(self) -> np.ndarray:
-        """The (N,) `<U5` split tags, built from the codes."""
-        return _TAGS[self.codes]
 
     def indices(self, split: str) -> np.ndarray:
         if split not in SPLITS:

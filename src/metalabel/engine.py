@@ -100,18 +100,14 @@ def as_tensor(x) -> Tensor:
 
 
 def _sum_to_value(v: np.ndarray, shape) -> np.ndarray:
-    """Undo numpy broadcasting: reduce `v` back to `shape` by summation."""
-    if v.shape == shape:
-        return v
+    """Undo numpy broadcasting: reduce the matrix `v` back to `shape`, a
+    scalar's or a matrix's, by summation."""
     if len(shape) == 0:
         return v.sum()
-    out = v
-    while out.ndim > len(shape):
-        out = out.sum(axis=0)
     for ax, n in enumerate(shape):
-        if n == 1 and out.shape[ax] != 1:
-            out = out.sum(axis=ax, keepdims=True)
-    return out
+        if n == 1 and v.shape[ax] != 1:
+            v = v.sum(axis=ax, keepdims=True)
+    return v
 
 
 def sum_to(t: Tensor, shape) -> Tensor:
@@ -126,8 +122,6 @@ def sum_to(t: Tensor, shape) -> Tensor:
 
 def broadcast_to(t: Tensor, shape) -> Tensor:
     t = as_tensor(t)
-    if t.shape == tuple(shape):
-        return t
     src = t.shape
     return Tensor(np.broadcast_to(t.value, tuple(shape)).copy(), (t,),
                   (lambda g: sum_to(g, src),))
@@ -169,10 +163,6 @@ def div(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError("matmul needs matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
     return Tensor(a.value @ b.value, (a, b),
                   (lambda g: matmul(g, transpose(b)),
                    lambda g: matmul(transpose(a), g)))
@@ -235,8 +225,6 @@ def sum_cols(a) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """Fused affine map x @ w + b with b a 1xC row."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.shape[1] != w.shape[0]:
-        raise ValueError(f"linear shape mismatch: x {x.shape} vs w {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ValueError(f"linear bias shape {b.shape}, want (1, {w.shape[1]})")
     return Tensor(x.value @ w.value + b.value, (x, w, b),
@@ -310,7 +298,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], *, create_graph: bool = False) -
             if pid not in needed:
                 continue
             pg = vjp(g)
-            if pg.shape != parent.shape:  # pragma: no cover - op bug guard
+            if pg.shape != parent.shape:
                 raise GradError(
                     f"vjp produced shape {pg.shape} for parent {parent.shape}")
             grads[pid] = pg if pid not in grads else add(grads[pid], pg)

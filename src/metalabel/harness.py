@@ -369,16 +369,14 @@ def _base_dataset(cfg: TrainConfig) -> Dataset:
 
 def _finish_dataset(cfg: TrainConfig, ds: Dataset, oracle: Mlp | None) -> Dataset:
     """`_base_dataset`'s dataset with feature-dependent noise from `oracle`
-    and unlabeled rows marked; refused when no labeled train row is left."""
+    and unlabeled rows marked; refused, before any output is written, when
+    a split is left without a labeled row (`check_view`)."""
     seeds = derive_seeds(cfg.seed)
     if oracle is not None:
         ds = dt.inject_feature_dependent(ds, cfg.noise_ratio, oracle, seeds["noise"])
     if cfg.unlabeled_fraction > 0.0:
         ds = dt.mark_unlabeled(ds, cfg.unlabeled_fraction, seeds["unlabeled"])
-    if not ds.labeled[ds.indices(dt.TRAIN)].any():  # before any output is written
-        raise ConfigError(f"train.unlabeled_fraction {cfg.unlabeled_fraction} leaves no labeled "
-                          "train rows" if cfg.unlabeled_fraction > 0.0
-                          else f"{cfg.dataset_path}: no labeled train rows")
+    check_view(cfg, ds.view(), baseline=True)
     return ds
 
 
@@ -451,13 +449,6 @@ def evaluate(theta: Mlp, view: TrainView, split: str) -> float:
         logits = mlp_logits(theta.layers, view.x[rows[a:b]])
         hits += int(np.count_nonzero(logits.argmax(axis=1) == y[a:b]))
     return hits / rows.size
-
-
-def mean_prediction_entropy(theta: Mlp, ds: Dataset, split: str) -> float:
-    """Batch-mean Shannon entropy of softmax predictions on a split."""
-    p = softmax(mlp_logits(theta.layers, ds.x[ds.indices(split)]))
-    p = np.clip(p, 1e-300, 1.0)
-    return float(-(p * np.log(p)).sum(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +858,10 @@ def check_view(cfg: TrainConfig, view: TrainView, baseline: bool = False) -> Tra
     it is named) and, but for the baseline, the meta split a whole batch."""
     for split, name in zip(dt.SPLITS, ("unlabeled_fraction", "meta_frac", "test_frac")):
         if view.scored[split][0].size == 0:
+            keyed = cfg.dataset_path is None or (split == dt.TRAIN and cfg.unlabeled_fraction > 0)
             raise ConfigError(
-                f"{cfg.dataset_path}: no labeled {split} rows" if cfg.dataset_path is not None
-                else f"{_WIRE_NAME[name]} {getattr(cfg, name)} leaves no labeled {split} rows")
+                f"{_WIRE_NAME[name]} {getattr(cfg, name)} leaves no labeled {split} rows" if keyed
+                else f"{cfg.dataset_path}: no labeled {split} rows")
     meta_size = view.scored[dt.META][0].size
     if not baseline and cfg.batch_size > meta_size:
         raise ConfigError(

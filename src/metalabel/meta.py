@@ -152,6 +152,10 @@ def meta_gradient(labeler: Mlp, theta: Mlp, x: np.ndarray, v: np.ndarray,
     at theta along g. meta_y_onehot must hold one-hot rows (`nn.one_hot`
     builds them); they are not checked here. Raises DivergenceError on a
     non-finite value or a probability underflow.
+
+    The `q * rowsum J` term of G is zero in exact arithmetic: rowsum J =
+    sum_k p_k (dz_k - sum_j p_j dz_j) = 0 because the p_k sum to 1. It only
+    moves the rounding of G, and stays so that runs keep their bits.
     """
     n = x.shape[-2]
     if meta_x.shape[-2] != n:

@@ -257,23 +257,21 @@ def mlp_forward(layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], li
     return acts[-1] @ w + b, acts, masks
 
 
-def mlp_deltas(layers, masks: list[np.ndarray], dz: np.ndarray) -> list[np.ndarray]:
-    """Gradient of the loss with respect to each layer's pre-activation,
-    given dz with respect to the logits; row i depends only on sample i."""
-    deltas = [dz]
-    for l in range(len(layers) - 1, 0, -1):
-        deltas.append((deltas[-1] @ layers[l][0].swapaxes(-1, -2)) * masks[l - 1])
-    return deltas[::-1]
-
-
 def mlp_backward(net: Mlp, acts: list[np.ndarray], masks: list[np.ndarray],
                  dz: np.ndarray, out: Mlp | None = None) -> Mlp:
     """Parameter gradients from dz, the gradient with respect to the logits,
-    as a network of net's shape: `out`, or a new one, every entry written."""
+    as a network of net's shape: `out`, or a new one, every entry written.
+    From the last layer back, `d` is the gradient with respect to the
+    layer's pre-activation (row i depends only on sample i), and the layer's
+    gradient is written as soon as its `d` is known."""
     grad = net.blank() if out is None else out
-    for (gw, gb), h, d in zip(grad.layers, acts, mlp_deltas(net.layers, masks, dz)):
-        np.matmul(h.swapaxes(-1, -2), d, out=gw)
+    d = dz
+    for l in range(len(net.layers) - 1, -1, -1):
+        gw, gb = grad.layers[l]
+        np.matmul(acts[l].swapaxes(-1, -2), d, out=gw)
         np.add.reduce(d, axis=-2, keepdims=True, out=gb)
+        if l:
+            d = (d @ net.layers[l][0].swapaxes(-1, -2)) * masks[l - 1]
     return grad
 
 

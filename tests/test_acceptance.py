@@ -22,7 +22,6 @@ from metalabel.data import make_synthetic, split_dataset, inject_uniform, margin
 from metalabel.harness import (
     TrainConfig,
     build_datasets,
-    mean_prediction_entropy,
     run_experiment,
     run_experiments,
 )
@@ -222,6 +221,13 @@ def test_criterion_08_skipping_warmup_hurts():
 # -- criterion 9: entropy-loss effect ---------------------------------------------------
 
 
+def mean_prediction_entropy(theta: Mlp, ds, split: str) -> float:
+    """Batch-mean Shannon entropy of softmax predictions on a split."""
+    p = softmax(mlp_logits(theta.layers, ds.x[ds.indices(split)]))
+    p = np.clip(p, 1e-300, 1.0)
+    return float(-(p * np.log(p)).sum(axis=1).mean())
+
+
 def test_criterion_09_entropy_loss_sharpens_predictions():
     oks, details = [], []
     for s in SEEDS:
@@ -261,11 +267,11 @@ def test_criterion_10_invariant_suites():
 
     # noise-injector count/quota properties
     ds = split_dataset(make_synthetic(2000, 4, 6, seed=3), 0.8, 0.1, 0.1, seed=4)
-    train = ds.split == "train"
+    train = ds.indices("train")
     uni = inject_uniform(ds, 0.4, seed=5)
     flips = int((uni.y_noisy[train] != uni.y_clean[train]).sum())
-    sigma = math.sqrt(train.sum() * 0.4 * 0.6)
-    if abs(flips - 0.4 * train.sum()) > 3 * sigma:
+    sigma = math.sqrt(train.size * 0.4 * 0.6)
+    if abs(flips - 0.4 * train.size) > 3 * sigma:
         problems.append(f"uniform flip count {flips} outside binomial bounds")
     from metalabel.data import inject_feature_dependent
     w = np.zeros((6, 4))
@@ -273,9 +279,9 @@ def test_criterion_10_invariant_suites():
     oracle = Mlp([(w, np.zeros((1, 4)))])
     fd = inject_feature_dependent(ds, 0.3, oracle, seed=6)
     margin, runner = margins(oracle, ds.x[train])
-    k = math.ceil(0.3 * int(train.sum()))
+    k = math.ceil(0.3 * train.size)
     quota = np.argsort(margin)[:k]
-    got = fd.y_noisy[np.flatnonzero(train)][quota]
+    got = fd.y_noisy[train][quota]
     if not np.array_equal(got, runner[quota]):
         problems.append("feature-dependent quota rows not set to runner-up")
 

@@ -120,7 +120,8 @@ def big():
 
 def test_evaluate_equals_the_one_shot_accuracy(big):
     _, ds, theta = big
-    idx = np.flatnonzero((ds.split == "train") & ds.labeled)
+    idx = ds.indices("train")
+    idx = idx[ds.labeled[idx]]
     logits = mlp_logits(theta.layers, ds.x[idx])
     want = int(np.count_nonzero(logits.argmax(axis=1) == ds.y_noisy[idx])) / idx.size
     assert evaluate(theta, ds.view(), "train") == want
@@ -245,7 +246,7 @@ def test_a_loaded_dataset_holds_one_byte_of_split_a_row(tmp_path, keep_sidecar):
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert back.n == ds.n and np.array_equal(back.split, ds.split)
+    assert back.n == ds.n and np.array_equal(back.codes, ds.codes)
     assert held <= back.n * (8 * back.dims + 2 * 8 + 1 + 1) + 16 * 1024, (held, back.n)
 
 

@@ -1,6 +1,9 @@
 import base64
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +110,7 @@ def test_a_label_edited_after_gen_data_is_read(tmp_path):
     assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
                  "--out", str(out)]) == 0
     before = load_dataset(str(out))
-    row = int(np.flatnonzero(before.split == "train")[0])
+    row = int(before.indices("train")[0])
     lines = out.read_text().splitlines(keepends=True)
     cells = lines[row + 2].split(",")
     cells[-3] = str(1 - int(cells[-3]))  # y_noisy, of two classes
@@ -434,6 +437,10 @@ def _move_the_test_rows_to_meta(ds) -> None:
     ds.codes[ds.indices("test")] = ds.codes[ds.indices("meta")[0]]
 
 
+def _move_the_meta_rows_to_test(ds) -> None:
+    ds.codes[ds.indices("meta")] = ds.codes[ds.indices("test")[0]]
+
+
 @pytest.mark.parametrize("edit, split, detail", [
     (_unlabel_the_train_rows, "train", "train split has no labeled rows to evaluate"),
     (_move_the_test_rows_to_meta, "test", "test split has no labeled rows to evaluate"),
@@ -517,12 +524,28 @@ def test_a_split_a_run_cannot_use_is_usage_error_before_any_output(tmp_path, cap
 
 
 @pytest.mark.parametrize("split", ["meta", "test"])
-def test_a_dataset_file_with_an_empty_split_is_usage_error_naming_it(tmp_path, capsys,
-                                                                     split):
-    data_path, out = tmp_path / "data.dsv", tmp_path / "r"
+def test_gen_data_of_an_empty_split_is_usage_error_naming_its_key_and_writes_nothing(
+        tmp_path, capsys, split):
+    data_path = tmp_path / "data" / "data.dsv"
     cfg = tiny_config(**{"data.train_frac": 0.875, f"data.{split}_frac": 0.0})
     assert main(["gen-data", "--config", write_config(tmp_path, cfg),
+                 "--out", str(data_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: data.{split}_frac 0.0 leaves no labeled {split} rows\n"
+    assert not list(data_path.parent.iterdir())
+
+
+@pytest.mark.parametrize("split, edit", [("meta", _move_the_meta_rows_to_test),
+                                         ("test", _move_the_test_rows_to_meta)],
+                         ids=["meta", "test"])
+def test_a_dataset_file_with_an_empty_split_is_usage_error_naming_it(tmp_path, capsys,
+                                                                     split, edit):
+    data_path, out = tmp_path / "data.dsv", tmp_path / "r"
+    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
                  "--out", str(data_path)]) == 0
+    ds = load_dataset(str(data_path))
+    edit(ds)
+    save_dataset(ds, str(data_path))
     capsys.readouterr()
     on_file = tiny_config(**{"data.path": str(data_path)})
     assert main(["train", "--config", write_config(tmp_path, on_file, "path.json"),
@@ -962,6 +985,17 @@ def test_gradcheck_corrupt_route_fails(capsys):
 
 
 # -- eval --------------------------------------------------------------------------
+
+
+def test_the_module_run_as_a_command_exits_with_the_status_of_main(tmp_path):
+    src = str(Path(cli_mod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    missing = tmp_path / "checkpoint.json"
+    run = subprocess.run([sys.executable, "-m", "metalabel.cli", "eval", "--checkpoint",
+                          str(missing), "--dataset", str(tmp_path / "data.dsv")],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (2, f"error: checkpoint not found: {missing}\n")
 
 
 def test_eval_prints_single_decimal(tmp_path, capsys):

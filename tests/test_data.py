@@ -8,6 +8,7 @@ import pytest
 
 import metalabel.data as data_mod
 from metalabel.data import (
+    SPLITS,
     Dataset,
     DegenerateOracleError,
     inject_feature_dependent,
@@ -22,13 +23,18 @@ from metalabel.data import (
 from metalabel.nn import Mlp, one_hot
 
 
+def split_tags(ds: Dataset) -> np.ndarray:
+    """The (N,) split tags of `ds`, read from its codes."""
+    return np.array(SPLITS)[ds.codes]
+
+
 def snapshot(ds: Dataset):
     return (ds.x.copy(), ds.y_clean.copy(), ds.y_noisy.copy(),
-            ds.labeled.copy(), ds.split.copy())
+            ds.labeled.copy(), split_tags(ds).copy())
 
 
 def assert_unchanged(ds: Dataset, snap):
-    for a, b in zip((ds.x, ds.y_clean, ds.y_noisy, ds.labeled, ds.split), snap):
+    for a, b in zip((ds.x, ds.y_clean, ds.y_noisy, ds.labeled, split_tags(ds)), snap):
         assert np.array_equal(a, b)
 
 
@@ -55,7 +61,7 @@ def test_make_synthetic_is_deterministic():
     b = make_synthetic(200, classes=4, dims=5, seed=42)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y_clean, b.y_clean)
-    assert np.array_equal(a.split, b.split)
+    assert np.array_equal(split_tags(a), split_tags(b))
 
 
 def test_make_synthetic_balanced_histogram():
@@ -69,7 +75,7 @@ def test_make_synthetic_starts_clean_and_labeled():
     ds = make_synthetic(100, classes=2, dims=3, seed=1)
     assert np.array_equal(ds.y_noisy, ds.y_clean)
     assert ds.labeled.all()
-    assert (ds.split == "train").all()
+    assert (split_tags(ds) == "train").all()
 
 
 def test_make_synthetic_wide_separation_is_linearly_separable():
@@ -90,7 +96,7 @@ def test_make_synthetic_degenerate_counts():
 def test_split_exact_sizes_on_balanced_data():
     ds = make_synthetic(1000, classes=4, dims=6, seed=0)
     out = split_dataset(ds, 0.8, 0.1, 0.1, seed=1)
-    sizes = {s: int((out.split == s).sum()) for s in ("train", "meta", "test")}
+    sizes = {s: int((split_tags(out) == s).sum()) for s in ("train", "meta", "test")}
     assert sizes == {"train": 800, "meta": 100, "test": 100}
 
 
@@ -98,7 +104,7 @@ def test_split_is_deterministic():
     ds = make_synthetic(500, classes=3, dims=4, seed=2)
     a = split_dataset(ds, 0.6, 0.2, 0.2, seed=9)
     b = split_dataset(ds, 0.6, 0.2, 0.2, seed=9)
-    assert np.array_equal(a.split, b.split)
+    assert np.array_equal(split_tags(a), split_tags(b))
 
 
 def test_split_is_class_stratified():
@@ -106,7 +112,7 @@ def test_split_is_class_stratified():
     out = split_dataset(ds, 0.8, 0.1, 0.1, seed=5)
     for split, frac in (("train", 0.8), ("meta", 0.1), ("test", 0.1)):
         for c in range(4):
-            got = int(((out.split == split) & (out.y_clean == c)).sum())
+            got = int(((split_tags(out) == split) & (out.y_clean == c)).sum())
             want = frac * (out.y_clean == c).sum()
             assert abs(got - want) <= 2
 
@@ -127,7 +133,7 @@ def test_uniform_ratio_zero_is_identity(blobs):
 
 def test_uniform_ratio_one_flips_every_train_label(blobs):
     out = inject_uniform(blobs, 1.0, seed=2)
-    train = out.split == "train"
+    train = split_tags(out) == "train"
     assert np.all(out.y_noisy[train] != out.y_clean[train])
 
 
@@ -135,7 +141,7 @@ def test_uniform_flip_count_within_binomial_bounds():
     ds = make_synthetic(5000, classes=4, dims=5, seed=10)
     ds = split_dataset(ds, 0.8, 0.1, 0.1, seed=11)
     out = inject_uniform(ds, 0.4, seed=12)
-    train = out.split == "train"
+    train = split_tags(out) == "train"
     flips = int((out.y_noisy[train] != out.y_clean[train]).sum())
     n = int(train.sum())
     sigma = math.sqrt(n * 0.4 * 0.6)
@@ -147,7 +153,7 @@ def test_uniform_flip_rate_converges(ratio):
     ds = make_synthetic(12500, classes=4, dims=5, seed=20)
     ds = split_dataset(ds, 0.8, 0.1, 0.1, seed=21)  # 10000 train rows
     out = inject_uniform(ds, ratio, seed=22)
-    train = out.split == "train"
+    train = split_tags(out) == "train"
     assert train.sum() == 10000
     emp = float((out.y_noisy[train] != out.y_clean[train]).mean())
     assert abs(emp - ratio) < 0.02
@@ -160,7 +166,7 @@ def test_uniform_rejects_bad_ratio(blobs):
 
 def test_uniform_leaves_meta_and_test_clean(blobs):
     out = inject_uniform(blobs, 0.9, seed=3)
-    clean = out.split != "train"
+    clean = split_tags(out) != "train"
     assert np.array_equal(out.y_noisy[clean], out.y_clean[clean])
 
 
@@ -182,7 +188,7 @@ def test_feature_dependent_flips_exactly_the_lowest_margin_quota(blobs):
     oracle = ideal_oracle(blobs)
     ratio = 0.3
     out = inject_feature_dependent(blobs, ratio, oracle, seed=7)
-    train_idx = np.flatnonzero(blobs.split == "train")
+    train_idx = np.flatnonzero(split_tags(blobs) == "train")
     margin, runner = margins(oracle, blobs.x[train_idx])
     k = math.ceil(ratio * train_idx.size)
     changed = np.flatnonzero(out.y_noisy[train_idx] != blobs.y_clean[train_idx])
@@ -198,7 +204,7 @@ def test_feature_dependent_flips_exactly_the_lowest_margin_quota(blobs):
 def test_feature_dependent_labels_are_the_runner_up_class(blobs):
     oracle = ideal_oracle(blobs)
     out = inject_feature_dependent(blobs, 0.5, oracle, seed=8)
-    train_idx = np.flatnonzero(blobs.split == "train")
+    train_idx = np.flatnonzero(split_tags(blobs) == "train")
     margin, runner = margins(oracle, blobs.x[train_idx])
     k = math.ceil(0.5 * train_idx.size)
     quota = np.argsort(margin)[:k]
@@ -211,7 +217,7 @@ def test_feature_dependent_flipped_set_invariant_to_row_permutation(blobs):
     rng = np.random.default_rng(123)
     perm = rng.permutation(blobs.n)
     shuffled = Dataset(blobs.x[perm], blobs.y_clean[perm], blobs.y_noisy[perm],
-                       blobs.labeled[perm], blobs.split[perm], blobs.n_classes)
+                       blobs.labeled[perm], split_tags(blobs)[perm], blobs.n_classes)
     out_p = inject_feature_dependent(shuffled, 0.4, oracle, seed=9)
     flipped = set(np.flatnonzero(out.y_noisy != out.y_clean))
     flipped_p = {perm[i] for i in np.flatnonzero(out_p.y_noisy != out_p.y_clean)}
@@ -224,9 +230,14 @@ def test_feature_dependent_rejects_degenerate_oracle(blobs):
         inject_feature_dependent(blobs, 0.4, flat, seed=0)
 
 
+def test_feature_dependent_rejects_bad_ratio(blobs):
+    with pytest.raises(ValueError, match=r"noise ratio must be in \[0, 1\], got -0.1"):
+        inject_feature_dependent(blobs, -0.1, ideal_oracle(blobs), seed=0)
+
+
 def test_feature_dependent_leaves_meta_and_test_clean(blobs):
     out = inject_feature_dependent(blobs, 0.8, ideal_oracle(blobs), seed=10)
-    clean = out.split != "train"
+    clean = split_tags(out) != "train"
     assert np.array_equal(out.y_noisy[clean], out.y_clean[clean])
 
 
@@ -238,12 +249,19 @@ def test_mark_unlabeled_zero_fraction(blobs):
     assert out.labeled.all()
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.0])
+def test_mark_unlabeled_rejects_a_fraction_outside_0_to_1(blobs, fraction):
+    # a fraction of 1 would leave no labeled train row
+    with pytest.raises(ValueError, match=r"unlabeled fraction must be in \[0, 1\)"):
+        mark_unlabeled(blobs, fraction, seed=0)
+
+
 def test_mark_unlabeled_exact_count():
     ds = make_synthetic(6250, classes=2, dims=3, seed=30)
     ds = split_dataset(ds, 0.8, 0.1, 0.1, seed=31)  # 5000 train
     out = mark_unlabeled(ds, 0.72, seed=32)
     assert int((~out.labeled).sum()) == 3600
-    assert np.all(out.split[~out.labeled] == "train")
+    assert np.all(split_tags(out)[~out.labeled] == "train")
 
 
 def test_a_view_holds_no_masked_row_and_no_clean_train_label(blobs):
@@ -285,23 +303,33 @@ def test_dataset_invariants_enforced():
     bad_noisy = ds.y_noisy.copy()
     bad_noisy[ds.indices("meta")[0]] = 1 - ds.y_clean[ds.indices("meta")[0]]
     with pytest.raises(ValueError):
-        Dataset(ds.x, ds.y_clean, bad_noisy, ds.labeled, ds.split, 2)
+        Dataset(ds.x, ds.y_clean, bad_noisy, ds.labeled, split_tags(ds), 2)
     bad_mask = ds.labeled.copy()
     bad_mask[ds.indices("test")[0]] = False
     with pytest.raises(ValueError):
-        Dataset(ds.x, ds.y_clean, ds.y_noisy, bad_mask, ds.split, 2)
+        Dataset(ds.x, ds.y_clean, ds.y_noisy, bad_mask, split_tags(ds), 2)
+
+
+@pytest.mark.parametrize("x, n, match", [
+    (np.zeros(3), 3, "x must be a matrix"),
+    (np.zeros((3, 2)), 2, "y_clean length does not match x"),
+], ids=["x-vector", "short-labels"])
+def test_dataset_rejects_arrays_that_do_not_form_a_table(x, n, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset(x, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.ones(n, bool),
+                np.zeros(n, dtype=np.int8), 2)
 
 
 @pytest.mark.parametrize("tag", ["trainee", "testing"])
 def test_dataset_rejects_split_tags_before_narrowing(tag):
     # tags are validated at full length: "trainee" is not "train"
     ds = make_synthetic(100, classes=2, dims=3, seed=1)
-    split = ds.split.astype(object)
+    split = split_tags(ds).astype(object)
     split[0] = tag
     with pytest.raises(ValueError, match="split tags"):
         Dataset(ds.x, ds.y_clean, ds.y_noisy, ds.labeled, split, 2)
-    assert Dataset(ds.x, ds.y_clean, ds.y_noisy, ds.labeled,
-                   ds.split.astype(object), 2).split.dtype == np.dtype("<U5")
+    back = Dataset(ds.x, ds.y_clean, ds.y_noisy, ds.labeled, split_tags(ds).astype(object), 2)
+    assert np.array_equal(back.codes, ds.codes)
 
 
 @pytest.mark.parametrize("code", [3, -1])
@@ -332,7 +360,7 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, blobs):
     assert np.array_equal(ds.y_clean, back.y_clean)
     assert np.array_equal(ds.y_noisy, back.y_noisy)
     assert np.array_equal(ds.labeled, back.labeled)
-    assert np.array_equal(ds.split, back.split)
+    assert np.array_equal(split_tags(ds), split_tags(back))
     assert ds.n_classes == back.n_classes
     assert ds.provenance == back.provenance
 
@@ -371,7 +399,7 @@ def reference_bytes(ds: Dataset) -> bytes:
     for i in range(ds.n):
         writer.writerow([repr(float(v)) for v in ds.x[i]]
                         + [str(int(ds.y_clean[i])), str(int(ds.y_noisy[i])),
-                           str(int(ds.labeled[i])), str(ds.split[i])])
+                           str(int(ds.labeled[i])), str(split_tags(ds)[i])])
     return "".join(lines).encode("utf-8")
 
 
@@ -422,7 +450,7 @@ def test_round_trip_is_bit_exact_on_extreme_floats(tmp_path, keep_sidecar):
     back = load_dataset(str(path))
     assert np.array_equal(back.x.view(np.int64), ds.x.view(np.int64))  # -0.0 kept
     assert back.x.dtype == np.float64 and back.x.flags.c_contiguous
-    for name in ("y_clean", "y_noisy", "labeled", "split"):
+    for name in ("y_clean", "y_noisy", "labeled", "codes"):
         assert getattr(back, name).dtype == getattr(ds, name).dtype
         assert np.array_equal(getattr(back, name), getattr(ds, name))
 
@@ -455,7 +483,7 @@ def test_loaded_x_is_a_contiguous_float64_matrix(tmp_path, blobs, keep_sidecar):
 
 def assert_same_arrays(a: Dataset, b: Dataset):
     assert np.array_equal(a.x.view(np.int64), b.x.view(np.int64))
-    for name in ("y_clean", "y_noisy", "labeled", "split"):
+    for name in ("y_clean", "y_noisy", "labeled", "codes"):
         assert getattr(a, name).dtype == getattr(b, name).dtype
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -482,7 +510,7 @@ def test_a_sidecar_of_split_tags_is_parsed_again_and_rewritten(tmp_path, blobs,
     line = codes_sidecar[:codes_sidecar.index(b"\n") + 1]
     with open(sidecar(path), "wb") as fh:
         fh.write(line)
-        for a in (ds.x, ds.y_clean, ds.y_noisy, ds.labeled, ds.split):
+        for a in (ds.x, ds.y_clean, ds.y_noisy, ds.labeled, split_tags(ds)):
             np.lib.format.write_array(fh, a, version=(1, 0), allow_pickle=False)
     parses, loadtxt = [], np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))

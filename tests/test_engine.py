@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from metalabel.engine import (
     GradError,
     Tensor,
+    add,
     exp,
     grad,
     linear,
@@ -65,6 +66,34 @@ def test_broadcast_add_bias_gradient():
     ref = fd(lambda m: ((x @ w + m) * coeff).sum(), b)
     assert gb.shape == (1, 2)
     assert np.allclose(gb.value, ref, atol=1e-7)
+
+
+def test_gradient_of_a_broadcast_scalar_matches_fd():
+    # the scalar's gradient sums the matrix-shaped upstream gradient
+    rng = np.random.default_rng(2)
+    x, coeff = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    s = Tensor(0.3)
+    out = sum_all(mul(exp(add(Tensor(x), s)), Tensor(coeff)))
+    (gs,) = grad(out, [s])
+    ref = fd(lambda m: (np.exp(x + m) * coeff).sum(), np.array(0.3))
+    assert gs.shape == ()
+    assert np.allclose(gs.value, ref, atol=1e-7)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))), "matmul"),
+    (lambda: matmul(Tensor(1.0), Tensor(np.ones((2, 3)))), "matmul"),
+    (lambda: linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4)))),
+     "matmul"),
+    (lambda: linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3)))),
+     r"linear bias shape \(1, 3\), want \(1, 4\)"),
+    (lambda: transpose(Tensor(1.0)), "transpose needs a matrix"),
+    (lambda: softmax(Tensor(1.0)), "softmax needs a matrix of logits"),
+], ids=["matmul-inner", "matmul-scalar", "linear-inner", "linear-bias", "transpose-scalar",
+        "softmax-scalar"])
+def test_an_operand_of_the_wrong_shape_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_elementwise_op_gradients():
@@ -147,6 +176,13 @@ def test_grad_of_unrelated_tensor_raises():
     for wrt in ([y], [x, y]):
         with pytest.raises(GradError, match="a requested tensor is not reachable"):
             grad(mul(x, x), wrt)
+
+
+def test_a_vjp_of_the_wrong_shape_raises():
+    x = Tensor(np.ones((2, 2)))
+    bad = Tensor(x.value, (x,), (lambda g: Tensor(np.ones((1, 2))),))
+    with pytest.raises(GradError, match=r"vjp produced shape \(1, 2\) for parent \(2, 2\)"):
+        grad(sum_all(bad), [x])
 
 
 def test_repeated_operand_accumulates():

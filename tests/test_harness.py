@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from metalabel.data import Dataset, make_synthetic, split_dataset
+from metalabel.data import SPLITS, Dataset, make_synthetic, split_dataset
 from metalabel.harness import (
     ConfigError,
     METRICS_COLUMNS,
@@ -24,6 +24,7 @@ from metalabel.harness import (
     lr_at,
     read_metrics_csv,
     run_experiment,
+    run_experiments,
     summary,
     write_metrics_csv,
 )
@@ -193,7 +194,7 @@ def test_evaluate_matches_hand_count():
     # flip one test row's clean label; the predictor now misses 1 of 3
     y = ds.y_clean.copy()
     y[-1] = 0
-    ds = Dataset(ds.x, y, y.copy(), ds.labeled, ds.split, 2)
+    ds = Dataset(ds.x, y, y.copy(), ds.labeled, ds.codes, 2)
     net = Mlp([(np.eye(2), np.zeros((1, 2)))])
     assert evaluate(net, ds.view(), "test") == pytest.approx(2 / 3)
 
@@ -242,7 +243,7 @@ def test_warmup_requires_labeled_rows():
     cfg = small_config()
     ds = build_dataset(cfg)
     all_unlabeled = Dataset(ds.x, ds.y_clean, ds.y_noisy,
-                            ds.split != "train", ds.split, ds.n_classes)
+                            ds.codes != SPLITS.index("train"), ds.codes, ds.n_classes)
     with pytest.raises(ConfigError, match="no labeled train rows"):
         warmed_up(cfg, all_unlabeled)
 
@@ -535,6 +536,19 @@ def test_a_failing_oracle_of_a_lone_config_trains_once(monkeypatch):
     assert lanes == [1]
 
 
+def test_runs_on_given_datasets_train_as_lanes_and_end_as_each_run_alone():
+    cfgs = [small_config(seed=s, noise_kind="uniform", warmup_epochs=1, total_epochs=3)
+            for s in (0, 1, 2)]
+    dss = [build_dataset(cfg) for cfg in cfgs]
+    dss[2].codes[dss[2].indices("meta")] = SPLITS.index("test")  # refused, never trained
+    groups = []
+    out = run_experiments(cfgs, dss, on_group=lambda *group: groups.append(group[:2]))
+    for cfg, ds, st in zip(cfgs[:2], dss, out):
+        assert np.array_equal(st.theta.flat, run_experiment(cfg, ds.view()).theta.flat)
+    assert isinstance(out[2], ConfigError) and "no labeled meta rows" in str(out[2])
+    assert groups == [([0, 1], out[:2])]
+
+
 # -- metrics CSV ------------------------------------------------------------------
 
 
@@ -548,6 +562,13 @@ def test_metrics_csv_roundtrip(tmp_path):
     back = read_metrics_csv(str(path))
     assert all(rows_equal(x, y) for x, y in zip(res.log, back))
     assert [r.wall_time for r in back] == [r.wall_time for r in res.log]
+
+
+def test_a_metrics_csv_of_other_columns_is_refused(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text(",".join(METRICS_COLUMNS[:-1]) + "\n")
+    with pytest.raises(ValueError, match="metrics CSV header mismatch"):
+        read_metrics_csv(str(path))
 
 
 # -- checkpoint / resume ------------------------------------------------------------

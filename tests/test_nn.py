@@ -13,6 +13,7 @@ from metalabel.nn import (
     Mlp,
     SgdMomentum,
     ShapeError,
+    check_one_hot,
     init_mlp,
     make_optimizer,
     one_hot,
@@ -94,6 +95,27 @@ def test_mlp_rejects_unchained_layers():
              (np.zeros((5, 2)), np.zeros((1, 2)))])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: Mlp([]), "need at least one layer"),
+    (lambda: Mlp([(np.zeros(3), np.zeros((1, 3)))]), "layer 0 weight must be a matrix"),
+    (lambda: Mlp([(np.zeros((3, 4)), np.zeros((1, 4))),
+                  (np.zeros((2, 4, 2)), np.zeros((2, 1, 2)))]),
+     "layer 1 weight must be a matrix, got ndim=3"),
+    (lambda: Mlp([(np.zeros((3, 4)), np.zeros((1, 3)))]),
+     r"layer 0 bias shape \(1, 3\), want \(1, 4\)"),
+    (lambda: init_mlp([3, 4], np.random.default_rng(0)).with_params(np.zeros(5)),
+     "parameter vector length 5, want 16"),
+    (lambda: init_mlp([3], np.random.default_rng(0)), "need at least input and output widths"),
+    (lambda: check_one_hot(np.array([0.0, 1.0])), "labels must be a one-hot matrix"),
+    (lambda: check_one_hot(np.eye(3), 2), "labels must be a one-hot matrix"),
+    (lambda: one_hot(np.zeros((2, 1), dtype=np.int64), 3), "class labels must be a flat index"),
+], ids=["no-layer", "vector-weight", "lanes-differ", "bias", "vector-length", "one-width",
+        "one-hot-vector", "one-hot-width", "index-matrix"])
+def test_a_shape_that_does_not_fit_is_a_shape_error(call, match):
+    with pytest.raises(ShapeError, match=match):
+        call()
+
+
 def test_init_is_seeded_and_scaled():
     a = init_mlp([6, 4, 3], np.random.default_rng(11))
     b = init_mlp([6, 4, 3], np.random.default_rng(11))
@@ -170,6 +192,13 @@ def test_kl_is_asymmetric():
 def test_kl_rejects_nonpositive_entries():
     with pytest.raises(ValueError):
         kl_loss(Tensor(np.array([[1.0, 0.0]])), Tensor(np.array([[0.5, 0.5]])))
+
+
+def test_kl_rejects_rows_that_are_not_a_matrix_of_the_target_shape():
+    with pytest.raises(ShapeError, match="pred must be a matrix of row distributions"):
+        kl_loss(Tensor(0.5), Tensor(np.array([[0.5, 0.5]])))
+    with pytest.raises(ShapeError, match=r"pred \(1, 2\) vs target \(1, 3\)"):
+        kl_loss(Tensor(np.array([[0.5, 0.5]])), Tensor(np.full((1, 3), 1 / 3)))
 
 
 @settings(max_examples=60, deadline=None)
