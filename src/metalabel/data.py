@@ -9,13 +9,10 @@ which holds no masked label and no clean train label.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import itertools
 import json
 import math
 import os
 import typing
-import warnings
 
 import numpy as np
 
@@ -25,9 +22,7 @@ TRAIN, META, TEST = "train", "meta", "test"
 SPLITS = (TRAIN, META, TEST)
 _CODE = {tag: code for code, tag in enumerate(SPLITS)}  # a row's split code indexes SPLITS
 
-DATASET_FORMAT_VERSION = 1
-SAVE_BLOCK_ROWS = 1024  # rows formatted per write; bounds the memory a save holds
-HASH_CHUNK_BYTES = 1 << 20  # bytes hashed per read; bounds the memory a hash holds
+DATASET_FORMAT_VERSION = 2
 
 
 class DegenerateOracleError(ValueError):
@@ -291,13 +286,8 @@ def mark_unlabeled(ds: Dataset, fraction: float, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# persistence: one file, JSON header line + CSV body, bit-exact floats, and a
-# derived sidecar ".<file name>.parsed" beside it that holds the file's sha256
-# and its validated arrays, so that each version of a file is parsed once
-
-
-def _columns(d: int) -> list[str]:
-    return [f"x_{j}" for j in range(d)] + ["y_clean", "y_noisy", "labeled", "split"]
+# persistence: one file, a JSON header line, then each array as an .npy 1.0
+# record (NumPy's own format, NEP 1): bit-exact, read without parsing
 
 
 @contextlib.contextmanager
@@ -338,76 +328,18 @@ def read_json(path: str, what: str):
         raise ValueError(f"{what} {path} is not valid JSON: {e}") from e
 
 
-def _sidecar_path(path: str) -> str:
-    head, name = os.path.split(path)
-    return os.path.join(head, f".{name}.parsed")
-
-
-def _sidecar_records(n: int, d: int) -> list[tuple[str, np.dtype, tuple]]:
-    """Name, dtype and shape of each array a sidecar holds, in file order."""
+def _records(n: int, d: int) -> list[tuple[str, np.dtype, tuple]]:
+    """Name, dtype and shape of each array a dataset file holds, in file order."""
     return [("x", np.dtype(np.float64), (n, d)), ("y_clean", np.dtype(np.int64), (n,)),
             ("y_noisy", np.dtype(np.int64), (n,)), ("labeled", np.dtype(bool), (n,)),
             ("codes", np.dtype(np.int8), (n,))]
 
 
-def _sha256_line(digest: str) -> bytes:
-    return f"sha256 {digest}\n".encode("ascii")
-
-
-def _write_sidecar(path: str, digest: str, ds: Dataset) -> None:
-    """Store the arrays of `ds`, read from or written to `path` whose bytes
-    hash to `digest`. A sidecar that cannot be written is skipped."""
-    try:
-        with replaced_atomically(_sidecar_path(path)) as fh:
-            fh.write(_sha256_line(digest))
-            for name, _, _ in _sidecar_records(ds.n, ds.dims):
-                np.lib.format.write_array(fh, getattr(ds, name), version=(1, 0),
-                                          allow_pickle=False)
-    except OSError:
-        pass
-
-
-def _read_sidecar(path: str, digest: str, n: int, d: int) -> list[np.ndarray] | None:
-    """The arrays stored beside `path`, or None unless the sidecar names
-    `digest` and holds every array with the dtype and shape that the header's
-    n and d imply."""
-    arrays = []
-    try:
-        with open(_sidecar_path(path), "rb") as fh:
-            line = _sha256_line(digest)
-            if fh.read(len(line)) != line:
-                return None
-            for _, dtype, shape in _sidecar_records(n, d):
-                if (np.lib.format.read_magic(fh) != (1, 0)
-                        or np.lib.format.read_array_header_1_0(fh) != (shape, False, dtype)):
-                    return None
-                a = np.fromfile(fh, dtype=dtype, count=math.prod(shape))
-                a.shape = shape  # in place, so it keeps owning its data; a short read raises
-                arrays.append(a)
-    except (OSError, ValueError, TypeError):
-        return None
-    return arrays
-
-
-def _sha256(fh) -> str:
-    h = hashlib.sha256()
-    for chunk in iter(lambda: fh.read(HASH_CHUNK_BYTES), b""):
-        h.update(chunk)
-    return h.hexdigest()
-
-
-def _rows_text(ds: Dataset, a: int, b: int) -> str:
-    rows = zip(ds.x[a:b].tolist(), ds.y_clean[a:b].tolist(), ds.y_noisy[a:b].tolist(),
-               ds.labeled[a:b].astype(np.int64).tolist(),
-               map(SPLITS.__getitem__, ds.codes[a:b].tolist()))
-    return "".join(f"{','.join(map(repr, x))},{yc},{yn},{lab},{tag}\n"
-                   for x, yc, yn, lab, tag in rows)
-
-
 def save_dataset(ds: Dataset, path: str) -> None:
-    """Write the header line, the column line, then the rows SAVE_BLOCK_ROWS
-    at a time, into a temporary file that then replaces `path`; then the
-    sidecar. Floats are written as repr (shortest round-trip text)."""
+    """Write the header line, then each array of `_records` as a C-order
+    .npy 1.0 record, into a temporary file that then replaces `path`."""
+    if ds.dims == 0:  # a file load_dataset refuses
+        raise ValueError("a dataset file needs at least one feature column")
     header = {
         "version": DATASET_FORMAT_VERSION,
         "n": ds.n,
@@ -415,65 +347,82 @@ def save_dataset(ds: Dataset, path: str) -> None:
         "c": ds.n_classes,
         "provenance": ds.provenance,
     }
-    if ds.dims == 0:  # its rows would not parse, though the sidecar would read
-        raise ValueError("a dataset file needs at least one feature column")
-    lines = [json.dumps(header, sort_keys=True) + "\n", ",".join(_columns(ds.dims)) + "\n"]
-    blocks = (_rows_text(ds, a, a + SAVE_BLOCK_ROWS) for a in range(0, ds.n, SAVE_BLOCK_ROWS))
-    h = hashlib.sha256()
     with replaced_atomically(path) as fh:
-        for text in itertools.chain(lines, blocks):
-            data = text.encode("utf-8")
-            h.update(data)
-            fh.write(data)
-    _write_sidecar(path, h.hexdigest(), ds)
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        for name, _, _ in _records(ds.n, ds.dims):
+            np.lib.format.write_array(fh, np.ascontiguousarray(getattr(ds, name)),
+                                      version=(1, 0), allow_pickle=False)
+
+
+def _header_sizes(header) -> tuple[int, int, int]:
+    """The n, d and c of a header line of this version, each an int (a bool
+    is not one), n at least 0 and d and c at least 1, beside a provenance
+    object."""
+    version = header.get("version") if isinstance(header, dict) else None
+    if version == 1 and type(version) is int:
+        raise ValueError("dataset file version 1 is no longer read; "
+                         "regenerate the file with `metalabel gen-data`")
+    if version != DATASET_FORMAT_VERSION or type(version) is not int:
+        raise ValueError(f"unsupported dataset file version {version!r}")
+    for key, low in (("n", 0), ("d", 1), ("c", 1)):
+        value = header[key]
+        if type(value) is not int:
+            raise ValueError(f"the header's {key} must be an int, got {value!r}")
+        if value < low:
+            raise ValueError(f"the header's {key} must be at least {low}, got {value}")
+    if not isinstance(header["provenance"], dict):
+        raise ValueError(f"the header's provenance must be an object, "
+                         f"got {header['provenance']!r}")
+    return header["n"], header["d"], header["c"]
+
+
+def _describe(shape: tuple, fortran: bool, dtype: np.dtype) -> str:
+    return f"{dtype} {shape}" + (" in Fortran order" if fortran else "")
+
+
+def _read_records(fh, n: int, d: int) -> list[np.ndarray]:
+    """The arrays of `_records` from `fh`, placed after the header line.
+    Each record must be .npy 1.0 with the dtype and shape that n and d
+    imply, in C order; its bytes must be there before its array is made;
+    and no byte may follow the last."""
+    size = os.fstat(fh.fileno()).st_size
+    arrays = []
+    for name, dtype, shape in _records(n, d):
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError(f"record {name} is not an .npy 1.0 record")
+        found = np.lib.format.read_array_header_1_0(fh)
+        if found != (shape, False, dtype):
+            raise ValueError(f"record {name} holds {_describe(*found)}, "
+                             f"the header implies {_describe(shape, False, dtype)}")
+        count, left = math.prod(shape), size - fh.tell()
+        if count * dtype.itemsize > left:
+            raise ValueError(f"record {name} needs {count * dtype.itemsize} bytes, "
+                             f"the file has {left} left")
+        a = np.fromfile(fh, dtype=dtype, count=count)
+        a.shape = shape  # in place, so it keeps owning its data
+        arrays.append(a)
+    if fh.tell() != size:
+        raise ValueError(f"trailing bytes after the last record ({size - fh.tell()})")
+    return arrays
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a file written by save_dataset. The header and the column line
-    are checked on the text; the arrays come from the sidecar when it holds
-    the file's sha256, else from one np.loadtxt of the body, after which the
-    sidecar is written. Every way the file can be missing, malformed or
-    unreadable raises a ValueError whose message starts with the path."""
+    """Read a file written by save_dataset. Every way the file can be
+    missing, malformed or unreadable raises a ValueError whose message
+    starts with the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            digest = _sha256(fh.buffer)
-            fh.seek(0)
+        with open(path, "rb") as fh:
             header = json.loads(fh.readline())
-            version = header.get("version") if isinstance(header, dict) else None
-            if version != DATASET_FORMAT_VERSION:
-                raise ValueError(f"unsupported dataset file version {version}")
-            n, d = header["n"], header["d"]
-            if fh.readline().rstrip("\n") != ",".join(_columns(d)):
-                raise ValueError("dataset file column header mismatch")
-            arrays = _read_sidecar(path, digest, n, d)
-            parsed = arrays is None
-            if parsed:
-                # one character more than the longest tag, so that a longer
-                # tag fails validation instead of being cut to a legal one
-                record = np.dtype([("x", np.float64, (d,)), ("y_clean", np.int64),
-                                   ("y_noisy", np.int64), ("labeled", np.int64),
-                                   ("split", f"<U{max(map(len, SPLITS)) + 1}")])
-                with warnings.catch_warnings():  # an empty body is reported below
-                    warnings.simplefilter("ignore", UserWarning)
-                    rec = np.loadtxt(fh, delimiter=",", dtype=record, comments=None, ndmin=1)
-                # copies: contiguous arrays, not views into the records
-                arrays = [rec["x"].copy(), rec["y_clean"].copy(), rec["y_noisy"].copy(),
-                          rec["labeled"] != 0, rec["split"]]
-        x, y_clean, y_noisy, labeled, split = arrays
-        if len(x) != n:
-            raise ValueError(f"header says {n} rows, the body has {len(x)}")
+            n, d, c = _header_sizes(header)
+            x, y_clean, y_noisy, labeled, codes = _read_records(fh, n, d)
         if not np.isfinite(x).all():
             i, j = np.argwhere(~np.isfinite(x))[0]
-            raise ValueError(f"row {i} (line {i + 3}): x_{j} = {x[i, j]} "
-                             f"is not a finite number")
-        ds = Dataset(x=x, y_clean=y_clean, y_noisy=y_noisy, labeled=labeled, split=split,
-                     n_classes=header["c"], provenance=header.get("provenance", {}))
+            raise ValueError(f"row {i}: x_{j} = {x[i, j]} is not a finite number")
+        return Dataset(x=x, y_clean=y_clean, y_noisy=y_noisy, labeled=labeled, split=codes,
+                       n_classes=c, provenance=header["provenance"])
     except KeyError as e:
         raise ValueError(f"{path}: the header has no {e} field") from e
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
     except OSError as e:
         raise ValueError(f"{path}: {e.strerror or e}") from e
-    if parsed:
-        _write_sidecar(path, digest, ds)
-    return ds

@@ -185,6 +185,8 @@ class TrainConfig:
             raise ConfigError("train.batch_size must be positive")
         if any(w < 1 for w in self.hidden):
             raise ConfigError(f"model.hidden widths must be positive, got {self.hidden}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.oracle_epochs < 0:
             raise ConfigError(f"train.oracle_epochs must be >= 0, got {self.oracle_epochs}")
         for name in ("meta_lr", "inner_lr"):
@@ -794,6 +796,16 @@ def _label_drift(after: Mlp, before: Mlp, feats: np.ndarray) -> np.ndarray:
     return drift
 
 
+def _moments(drift: np.ndarray) -> list[float]:
+    """The mean and the variance of `drift`, with the bits of drift.mean()
+    and drift.var(). The deviations are squared in place, so no second
+    array of drift's size is made; `drift` is overwritten."""
+    mean = np.add.reduce(drift, axis=None) / drift.size
+    drift -= mean
+    drift *= drift
+    return [float(mean), float(np.add.reduce(drift, axis=None) / drift.size)]
+
+
 def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
     """Train every lane from its epoch_next up to epoch `until`, in lockstep.
 
@@ -829,8 +841,7 @@ def _train(lanes: list[_Lane], until: int, phase2: bool) -> list[RunState]:
             losses = []
             for s, (st, inp) in enumerate(zip(sts, inputs)):
                 drift = _label_drift(st.labeler, before[s], inp.feats)
-                losses.append([float(v) for v in epoch_losses[:, s]]
-                              + [float(drift.mean()), float(drift.var())])
+                losses.append([float(v) for v in epoch_losses[:, s]] + _moments(drift))
                 del drift  # one lane's drift at a time, and none while evaluate runs
 
         accs = [[evaluate(ln.st.theta, ln.view, split) for split in dt.SPLITS] for ln in lanes]

@@ -43,6 +43,7 @@ from metalabel.harness import (
     _ce_epoch,
     _label_drift,
     _Lane,
+    _moments,
     _Phase2Rows,
     _phase2_epoch,
     _stacked,
@@ -206,9 +207,10 @@ def test_label_drift_and_its_moments_hold_two_soft_label_arrays():
     ROW_BLOCK rows of (B, c) float64 over the live inputs. The two logits
     arrays are the peak: each softmax, the difference and its magnitude run
     in place one block at a time, so the transients are one block's row
-    maxima, row sums and finiteness mask (B x (16 + c) bytes); the variance
-    then holds one (n, c) array beside the drift. A whole-array softmax held
-    its (n, 1) maxima and sums and an (n, c) mask beside both arrays."""
+    maxima, row sums and finiteness mask (B x (16 + c) bytes); the moments
+    then square the deviations in place. A whole-array softmax held its
+    (n, 1) maxima and sums and an (n, c) mask beside both arrays, and
+    drift.var() one (n, c) array of deviations beside the drift."""
     n, f, c = 50_000, 16, 4
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(n, f))
@@ -218,7 +220,7 @@ def test_label_drift_and_its_moments_hold_two_soft_label_arrays():
     try:
         start = tracemalloc.get_traced_memory()[0]
         drift = _label_drift(after, before, feats)
-        moments = float(drift.mean()), float(drift.var())
+        moments = _moments(drift)
         del drift
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
@@ -227,18 +229,15 @@ def test_label_drift_and_its_moments_hold_two_soft_label_arrays():
     assert peak <= 2 * n * c * 8 + nn.ROW_BLOCK * c * 8, (peak, n * c * 8)
 
 
-@pytest.mark.parametrize("keep_sidecar", [True, False], ids=["sidecar", "parsed"])
-def test_a_loaded_dataset_holds_one_byte_of_split_a_row(tmp_path, keep_sidecar):
-    """A dataset of 20,000 rows, loaded from its sidecar or parsed from the
-    text, holds per row its d features and two labels (8 bytes each), one
-    byte of labeled mask and one byte of split code, plus 16 KiB of slack
-    for the objects around the arrays (the provenance, the array headers).
-    Split tags of `<U5` held 20 bytes a row."""
+def test_a_loaded_dataset_holds_one_byte_of_split_a_row(tmp_path):
+    """A dataset of 20,000 rows, loaded from its file, holds per row its d
+    features and two labels (8 bytes each), one byte of labeled mask and
+    one byte of split code, plus 16 KiB of slack for the objects around the
+    arrays (the provenance, the array headers). Split tags of `<U5` held 20
+    bytes a row."""
     ds = split_dataset(make_synthetic(20000, 4, 10, seed=1), 0.8, 0.1, 0.1, seed=2)
     path = tmp_path / "d.dsv"
     save_dataset(ds, str(path))
-    if not keep_sidecar:
-        (tmp_path / ".d.dsv.parsed").unlink()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

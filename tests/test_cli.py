@@ -111,11 +111,7 @@ def test_a_label_edited_after_gen_data_is_read(tmp_path):
                  "--out", str(out)]) == 0
     before = load_dataset(str(out))
     row = int(before.indices("train")[0])
-    lines = out.read_text().splitlines(keepends=True)
-    cells = lines[row + 2].split(",")
-    cells[-3] = str(1 - int(cells[-3]))  # y_noisy, of two classes
-    lines[row + 2] = ",".join(cells)
-    out.write_text("".join(lines))
+    _set_cell("y_noisy", row, 1 - before.y_noisy[row])(out)  # of two classes
     after = load_dataset(str(out))
     assert after.y_noisy[row] == 1 - before.y_noisy[row]
     after.y_noisy[row] = before.y_noisy[row]
@@ -322,70 +318,118 @@ def test_an_empty_train_split_is_usage_error_naming_train_frac(tmp_path, capsys,
     assert "error: data.train_frac 0.0 leaves no train rows" in capsys.readouterr().err
 
 
-def _truncate_mid_row(text: str) -> str:
-    lines = text.splitlines(keepends=True)
-    half = len(lines) // 2
-    return "".join(lines[:half]) + lines[half][:lines[half].index(",", 3)]
+RECORDS = ("x", "y_clean", "y_noisy", "labeled", "codes")
 
 
-def _non_numeric_cell(text: str, cell: str = "abc") -> str:
-    """Row 3 of the body (line 6 of the file) with `cell` as its x_2."""
-    lines = text.splitlines(keepends=True)
-    cells = lines[5].split(",")
-    cells[2] = cell
-    lines[5] = ",".join(cells)
-    return "".join(lines)
+def _rewrite(path, edit) -> None:
+    """Dataset file `path` written again after `edit(header, arrays)` has
+    changed its header dict or its arrays, a dict of the records by name."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        arrays = {name: np.lib.format.read_array(fh) for name in RECORDS}
+    edit(header, arrays)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for a in arrays.values():
+            np.lib.format.write_array(fh, a, version=(1, 0))
 
 
-def _drop_a_row(text: str) -> str:
-    lines = text.splitlines(keepends=True)
-    return "".join(lines[:7] + lines[8:])
+def _edit(edit):
+    return lambda path: _rewrite(path, edit)
 
 
-def _non_json_header(text: str) -> str:
-    return "version 1\n" + text.split("\n", 1)[1]
+def _edit_bytes(edit):
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
 
 
-def _renamed_column(text: str) -> str:
-    header, columns, body = text.split("\n", 2)
-    return "\n".join([header, columns.replace("x_1", "x_one"), body])
+def _set_header(**fields):
+    return _edit(lambda header, arrays: header.update(fields))
 
 
-def _class_out_of_range(text: str) -> str:
-    """Row 3 of the body with y_clean (the column after x_0..x_4) set to the
-    class count."""
-    lines = text.splitlines(keepends=True)
-    cells = lines[5].split(",")
-    cells[5] = "2"
-    lines[5] = ",".join(cells)
-    return "".join(lines)
+def _set_cell(name, index, value):
+    def edit(header, arrays):
+        arrays[name][index] = value
+    return _edit(edit)
 
 
-def _header_without_classes(text: str) -> str:
-    header, rest = text.split("\n", 1)
-    fields = json.loads(header)
-    del fields["c"]
-    return json.dumps(fields) + "\n" + rest
+def _record_as(name, convert):
+    def edit(header, arrays):
+        arrays[name] = convert(arrays[name])
+    return _edit(edit)
+
+
+def _version_1_text(path) -> None:
+    """The file as format version 1 wrote it: the JSON header line, a
+    column line and one CSV row a row."""
+    ds = load_dataset(str(path))
+    header = {"c": ds.n_classes, "d": ds.dims, "n": ds.n, "provenance": ds.provenance,
+              "version": 1}
+    rows = [",".join([*map(repr, ds.x[i].tolist()), str(ds.y_clean[i]), str(ds.y_noisy[i]),
+                      str(int(ds.labeled[i])), ("train", "meta", "test")[ds.codes[i]]])
+            for i in range(ds.n)]
+    columns = [f"x_{j}" for j in range(ds.dims)] + ["y_clean", "y_noisy", "labeled", "split"]
+    path.write_text("\n".join([json.dumps(header), ",".join(columns), *rows]) + "\n")
 
 
 @pytest.mark.parametrize("corrupt, detail", [
-    (_truncate_mid_row, "columns"),
-    (_non_numeric_cell, "'abc'"),
-    (_drop_a_row, "header says 320 rows, the body has 319"),
-    (_non_json_header, "line 1 column 1"),
-    (_renamed_column, "column header mismatch"),
-    (_header_without_classes, "the header has no 'c' field"),
-    (_class_out_of_range, "class index out of range"),
-    *(pytest.param(lambda text, c=c: _non_numeric_cell(text, c),
-                   f"row 3 (line 6): x_2 = {c} is not a finite number", id=f"{c}_cell")
+    pytest.param(_edit_bytes(lambda b: b[:len(b) // 2]),
+                 "record x needs 12800 bytes, the file has", id="record-cut-short"),
+    pytest.param(_record_as("x", lambda x: x.astype(np.float32)),
+                 "record x holds float32 (320, 5), the header implies float64 (320, 5)",
+                 id="record-dtype"),
+    pytest.param(_record_as("y_noisy", lambda y: y[:-1]),
+                 "record y_noisy holds int64 (319,), the header implies int64 (320,)",
+                 id="record-shape"),
+    pytest.param(_set_header(n=319),
+                 "record x holds float64 (320, 5), the header implies float64 (319, 5)",
+                 id="header-rows"),
+    pytest.param(_record_as("x", np.asfortranarray),
+                 "record x holds float64 (320, 5) in Fortran order", id="fortran-order"),
+    pytest.param(_edit_bytes(lambda b: b + b"\0"), "trailing bytes after the last record (1)",
+                 id="trailing-bytes"),
+    pytest.param(_edit_bytes(lambda b: b.replace(b"\x93NUMPY\x01", b"\x93NUMPY\x02", 1)),
+                 "record x is not an .npy 1.0 record", id="npy-2.0-record"),
+    pytest.param(_edit_bytes(lambda b: b.replace(b"\x93NUMPY", b"\x93NUMPX", 1)),
+                 "magic string is not correct", id="not-npy"),
+    pytest.param(_edit_bytes(lambda b: b"version 2" + b[b.index(b"\n"):]),
+                 "line 1 column 1", id="header-not-json"),
+    pytest.param(_edit(lambda header, arrays: header.pop("c")), "the header has no 'c' field",
+                 id="header-without-c"),
+    *(pytest.param(_set_cell("codes", -1, code), "split codes must lie in 0..2",
+                   id=f"split-code-{code}") for code in (3, -1)),
+    pytest.param(_set_cell("y_clean", 3, 2), "class index out of range", id="class-index"),
+    *(pytest.param(_set_cell("x", (3, 2), float(c)),
+                   f"row 3: x_2 = {c} is not a finite number", id=f"{c}_cell")
       for c in ("nan", "inf", "-inf")),
+    pytest.param(_version_1_text, "dataset file version 1 is no longer read; "
+                 "regenerate the file with `metalabel gen-data`", id="version-1"),
+    pytest.param(_set_header(version=99), "unsupported dataset file version 99",
+                 id="version-99"),
+    pytest.param(_set_header(version=2.0), "unsupported dataset file version 2.0",
+                 id="version-2.0"),
+    pytest.param(_set_header(version=1.0), "unsupported dataset file version 1.0",
+                 id="version-1.0"),
+    pytest.param(_set_header(n=320.0), "the header's n must be an int, got 320.0",
+                 id="n-float"),
+    pytest.param(_set_header(n=-1), "the header's n must be at least 0, got -1",
+                 id="n-negative"),
+    pytest.param(_set_header(d="5"), "the header's d must be an int, got '5'", id="d-string"),
+    pytest.param(_set_header(d=0), "the header's d must be at least 1, got 0", id="d-zero"),
+    pytest.param(_set_header(c=2.5), "the header's c must be an int, got 2.5", id="c-float"),
+    pytest.param(_set_header(c="2"), "the header's c must be an int, got '2'", id="c-string"),
+    pytest.param(_set_header(c=True), "the header's c must be an int, got True", id="c-bool"),
+    pytest.param(_set_header(c=0), "the header's c must be at least 1, got 0", id="c-zero"),
+    pytest.param(_set_header(provenance="x"), "the header's provenance must be an object, "
+                 "got 'x'", id="provenance-string"),
+    pytest.param(_edit_bytes(lambda b: b"[2]" + b[b.index(b"\n"):]),
+                 "unsupported dataset file version None", id="header-a-list"),
 ])
 def test_malformed_dataset_file_is_usage_error_naming_the_file(tmp_path, capsys,
                                                                corrupt, detail):
     data_path = tmp_path / "data.dsv"
     assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
                  "--out", str(data_path)]) == 0
-    data_path.write_text(corrupt(data_path.read_text()))
+    corrupt(data_path)
     cfg = tiny_config()
     cfg["data"]["path"] = str(data_path)
     cfg_path = write_config(tmp_path, cfg, name="train.json")
@@ -395,33 +439,12 @@ def test_malformed_dataset_file_is_usage_error_naming_the_file(tmp_path, capsys,
     assert err.startswith(f"error: {data_path}: ") and detail in err, err
 
 
-@pytest.mark.parametrize("code", [3, -1])
-def test_a_split_code_out_of_range_in_the_sidecar_is_usage_error_naming_the_file(
-        tmp_path, capsys, code):
-    # the sidecar holds the file's digest, so its arrays are read, and checked
-    # as the text's are: its last record is the split, one int8 code a row
-    data_path = tmp_path / "data.dsv"
-    assert main(["gen-data", "--config", write_config(tmp_path, tiny_config()),
-                 "--out", str(data_path)]) == 0
-    sidecar = tmp_path / ".data.dsv.parsed"
-    blob = bytearray(sidecar.read_bytes())
-    blob[-1:] = np.int8(code).tobytes()
-    sidecar.write_bytes(bytes(blob))
-    cfg = tiny_config()
-    cfg["data"]["path"] = str(data_path)
-    cfg_path = write_config(tmp_path, cfg, name="train.json")
-    capsys.readouterr()
-    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {data_path}: ") and "split codes" in err, err
-
-
 def test_eval_on_a_dataset_file_with_a_non_finite_cell_is_usage_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_config(**{"train.total_epochs": 3}))
     data_path, out = tmp_path / "data.dsv", tmp_path / "run"
     assert main(["gen-data", "--config", cfg_path, "--out", str(data_path)]) == 0
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
-    data_path.write_text(_non_numeric_cell(data_path.read_text(), "nan"))
+    _set_cell("x", (3, 2), np.nan)(data_path)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
                  "--dataset", str(data_path)]) == 2
@@ -1253,6 +1276,33 @@ def test_sweep_rejects_bad_grid_key(tmp_path):
              "grid": {"train.bogus_knob": [1, 2]}}
     cfg_path = write_config(tmp_path, sweep, "sweep.json")
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "s")]) == 2
+
+
+def test_a_sweep_grid_seed_below_0_is_refused_before_any_cell_runs(tmp_path, capsys,
+                                                                   monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli_mod, "run_experiments", refuse)
+    sweep = {"schema_version": 1, "base": tiny_config(), "grid": {"seed": [0, -1]}}
+    cfg_path = write_config(tmp_path, sweep, "sweep.json")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_a_seed_below_0_is_usage_error_naming_it_before_any_output(tmp_path, capsys,
+                                                                   command, where):
+    seed = -1 if where == "flag" else -5
+    cfg = tiny_config(seed=seed) if where == "config" else tiny_config()
+    out = tmp_path / "out" / "r"
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(out)]
+    assert main(argv + (["--seed", "-1"] if where == "flag" else [])) == 2
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_exits_with_usage_error():

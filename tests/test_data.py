@@ -1,12 +1,13 @@
 import copy
-import csv
+import io
 import json
 import math
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import metalabel.data as data_mod
 from metalabel.data import (
     SPLITS,
     Dataset,
@@ -375,44 +376,47 @@ def test_save_is_idempotent_bytes(tmp_path, blobs):
 def test_load_rejects_unknown_version(tmp_path, blobs):
     path = tmp_path / "x.dsv"
     save_dataset(blobs, str(path))
-    text = path.read_text().splitlines()
-    text[0] = text[0].replace('"version": 1', '"version": 99')
-    path.write_text("\n".join(text) + "\n")
-    with pytest.raises(ValueError):
+    path.write_bytes(path.read_bytes().replace(b'"version": 2', b'"version": 99', 1))
+    with pytest.raises(ValueError, match="unsupported dataset file version 99"):
         load_dataset(str(path))
 
 
 def reference_bytes(ds: Dataset) -> bytes:
-    """The file as the csv.writer-based writer formatted it: JSON header,
-    column line, then repr(float(v)) per feature and ints for the rest."""
-    header = {"version": 1, "n": ds.n, "d": ds.dims, "c": ds.n_classes,
+    """The file as its format states it: the JSON header line, keys sorted,
+    then x, y_clean, y_noisy, labeled and the split codes as .npy 1.0
+    records."""
+    header = {"version": 2, "n": ds.n, "d": ds.dims, "c": ds.n_classes,
               "provenance": ds.provenance}
-    lines = [json.dumps(header, sort_keys=True) + "\n"]
-
-    class Sink:
-        def write(self, text):
-            lines.append(text)
-
-    writer = csv.writer(Sink(), lineterminator="\n")
-    writer.writerow([f"x_{j}" for j in range(ds.dims)]
-                    + ["y_clean", "y_noisy", "labeled", "split"])
-    for i in range(ds.n):
-        writer.writerow([repr(float(v)) for v in ds.x[i]]
-                        + [str(int(ds.y_clean[i])), str(int(ds.y_noisy[i])),
-                           str(int(ds.labeled[i])), str(split_tags(ds)[i])])
-    return "".join(lines).encode("utf-8")
+    out = io.BytesIO()
+    out.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+    for a in (ds.x, ds.y_clean, ds.y_noisy, ds.labeled, ds.codes):
+        np.lib.format.write_array(out, a, version=(1, 0), allow_pickle=False)
+    return out.getvalue()
 
 
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
-def test_save_bytes_match_the_reference_formatting(tmp_path, n):
-    # block edges: one row, one short of a block, exactly one, one over, two and one
+@pytest.mark.parametrize("n", [0, 1, 257])
+def test_save_bytes_are_the_header_line_then_five_npy_records(tmp_path, n):
     rng = np.random.default_rng(n)
     ds = Dataset(rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, (n, 3)),
                  rng.integers(0, 3, n), rng.integers(0, 3, n), rng.random(n) < 0.7,
-                 np.full(n, "train"), 3, {"n": n})
+                 np.zeros(n, dtype=np.int8), 3, {"n": n})
     path = tmp_path / "d.dsv"
     save_dataset(ds, str(path))
     assert path.read_bytes() == reference_bytes(ds)
+
+
+def test_numpy_alone_reads_the_file(tmp_path, blobs):
+    # the recipe the README gives
+    ds = mark_unlabeled(inject_uniform(blobs, 0.3, seed=1), 0.2, seed=2)
+    path = tmp_path / "b.dsv"
+    save_dataset(ds, str(path))
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        x, y_clean, y_noisy, labeled, codes = (np.lib.format.read_array(fh) for _ in range(5))
+        assert fh.read() == b""
+    assert header == {"version": 2, "n": ds.n, "d": ds.dims, "c": ds.n_classes,
+                      "provenance": ds.provenance}
+    assert_same_arrays(Dataset(x, y_clean, y_noisy, labeled, codes, header["c"]), ds)
 
 
 def extreme_dataset() -> Dataset:
@@ -424,35 +428,20 @@ def extreme_dataset() -> Dataset:
                    ["train", "train", "meta", "test"], 2)
 
 
-def sidecar(path):
-    return path.parent / f".{path.name}.parsed"
+def assert_same_arrays(a: Dataset, b: Dataset):
+    assert np.array_equal(a.x.view(np.int64), b.x.view(np.int64))
+    for name in ("y_clean", "y_noisy", "labeled", "codes"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-LOAD_PATHS = pytest.mark.parametrize("keep_sidecar", [True, False],
-                                     ids=["sidecar-kept", "sidecar-deleted"])
-
-
-def save_for(path, ds, keep_sidecar):
-    """Save ds, then leave its sidecar in place or delete it, so that the
-    next load reads the arrays from the sidecar or parses the text."""
-    save_dataset(ds, str(path))
-    assert sidecar(path).is_file()
-    if not keep_sidecar:
-        sidecar(path).unlink()
-
-
-@LOAD_PATHS
-def test_round_trip_is_bit_exact_on_extreme_floats(tmp_path, keep_sidecar):
+def test_round_trip_keeps_negative_zero_and_subnormals(tmp_path):
     ds = extreme_dataset()
     path = tmp_path / "e.dsv"
-    save_for(path, ds, keep_sidecar)
-    assert path.read_bytes() == reference_bytes(ds)
+    save_dataset(ds, str(path))
     back = load_dataset(str(path))
-    assert np.array_equal(back.x.view(np.int64), ds.x.view(np.int64))  # -0.0 kept
-    assert back.x.dtype == np.float64 and back.x.flags.c_contiguous
-    for name in ("y_clean", "y_noisy", "labeled", "codes"):
-        assert getattr(back, name).dtype == getattr(ds, name).dtype
-        assert np.array_equal(getattr(back, name), getattr(ds, name))
+    assert_same_arrays(back, ds)  # compares x as bits: -0.0 is not 0.0
+    assert np.signbit(back.x[1, 2]) and back.x[0, 0] == 5e-324 and back.x[3, 1] == -1.5e-310
 
 
 def test_one_row_file_loads_as_a_matrix(tmp_path):
@@ -471,112 +460,76 @@ def test_save_refuses_a_dataset_without_features(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-@LOAD_PATHS
-def test_loaded_x_is_a_contiguous_float64_matrix(tmp_path, blobs, keep_sidecar):
+def test_loaded_x_is_a_contiguous_float64_matrix(tmp_path, blobs):
     path = tmp_path / "b.dsv"
-    save_for(path, blobs, keep_sidecar)
+    save_dataset(blobs, str(path))
     back = load_dataset(str(path))
     assert back.x.dtype == np.float64
     assert back.x.flags.c_contiguous and back.x.flags.owndata
     assert back.x.shape == blobs.x.shape
 
 
-def assert_same_arrays(a: Dataset, b: Dataset):
-    assert np.array_equal(a.x.view(np.int64), b.x.view(np.int64))
-    for name in ("y_clean", "y_noisy", "labeled", "codes"):
-        assert getattr(a, name).dtype == getattr(b, name).dtype
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+def test_a_fortran_order_matrix_is_written_in_c_order(tmp_path, blobs):
+    fortran = Dataset(np.asfortranarray(blobs.x), blobs.y_clean, blobs.y_noisy,
+                      blobs.labeled, blobs.codes, blobs.n_classes, blobs.provenance)
+    assert not fortran.x.flags.c_contiguous
+    a, b = tmp_path / "f.dsv", tmp_path / "c.dsv"
+    save_dataset(fortran, str(a))
+    save_dataset(blobs, str(b))
+    assert a.read_bytes() == b.read_bytes()
+    assert_same_arrays(load_dataset(str(a)), blobs)
 
 
-def test_a_parse_writes_the_sidecar_that_the_next_load_reads(tmp_path, blobs, monkeypatch):
-    path = tmp_path / "b.dsv"
-    save_for(path, blobs, keep_sidecar=False)
-    parsed = load_dataset(str(path))
-    assert sidecar(path).is_file()
-    monkeypatch.setattr(np, "loadtxt", None)  # a second parse would fail
-    assert_same_arrays(load_dataset(str(path)), parsed)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar(path).name, "b.dsv"]
-
-
-def test_a_sidecar_of_split_tags_is_parsed_again_and_rewritten(tmp_path, blobs,
-                                                               monkeypatch):
-    # a sidecar written when the split record held `<U5` tags: its digest
-    # matches, but not its record's dtype, so the text is parsed and the
-    # sidecar rewritten with int8 codes
-    path = tmp_path / "b.dsv"
+def test_a_file_copied_to_another_directory_loads_the_same_arrays(tmp_path, blobs):
     ds = inject_uniform(blobs, 0.3, seed=1)
+    path, elsewhere = tmp_path / "b.dsv", tmp_path / "elsewhere"
     save_dataset(ds, str(path))
-    codes_sidecar = sidecar(path).read_bytes()
-    line = codes_sidecar[:codes_sidecar.index(b"\n") + 1]
-    with open(sidecar(path), "wb") as fh:
-        fh.write(line)
-        for a in (ds.x, ds.y_clean, ds.y_noisy, ds.labeled, split_tags(ds)):
-            np.lib.format.write_array(fh, a, version=(1, 0), allow_pickle=False)
-    parses, loadtxt = [], np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
-    back = load_dataset(str(path))
-    assert parses == [1]
+    elsewhere.mkdir()
+    shutil.copyfile(path, elsewhere / "copy.dsv")
+    back = load_dataset(str(elsewhere / "copy.dsv"))
     assert_same_arrays(back, ds)
-    assert sidecar(path).read_bytes() == codes_sidecar
+    assert back.provenance == ds.provenance
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["copy.dsv"]
 
 
-def _truncate(path, other):
-    data = sidecar(path).read_bytes()
-    sidecar(path).write_bytes(data[:len(data) // 2])
-
-
-def _foreign(path, other):
-    sidecar(path).write_bytes(sidecar(other).read_bytes())
-
-
-def _directory(path, other):
-    sidecar(path).unlink()
-    sidecar(path).mkdir()
-
-
-@pytest.mark.parametrize("fault", [_truncate, _foreign, _directory],
-                         ids=["truncated", "foreign", "directory"])
-def test_a_faulty_sidecar_falls_back_to_the_text(tmp_path, blobs, fault):
-    path, other = tmp_path / "b.dsv", tmp_path / "other.dsv"
-    save_dataset(inject_uniform(blobs, 0.3, seed=1), str(path))
-    save_dataset(inject_uniform(blobs, 0.3, seed=2), str(other))
-    expected = load_dataset(str(path))
-    fault(path, other)
-    before = sorted(p.name for p in tmp_path.iterdir())
-    for _ in range(2):  # the fallback's own sidecar, where it can write one
-        assert_same_arrays(load_dataset(str(path)), expected)
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
-    assert sidecar(path).is_dir() == (fault is _directory)
-
-
-def test_a_save_that_fails_part_way_leaves_the_old_file(tmp_path, blobs, monkeypatch):
+def test_a_save_that_fails_part_way_leaves_the_old_file_and_no_other(tmp_path, blobs,
+                                                                     monkeypatch):
     path = tmp_path / "b.dsv"
     save_dataset(blobs, str(path))
     files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    blocks, rows_text = [], data_mod._rows_text
+    records, write_array = [], np.lib.format.write_array
 
-    def failing(ds, a, b):
-        blocks.append(a)
-        if len(blocks) == 2:
+    def failing(fh, a, **kw):
+        records.append(a.dtype)
+        if len(records) == 3:
             raise OSError(28, "No space left on device")
-        return rows_text(ds, a, b)
+        write_array(fh, a, **kw)
 
-    monkeypatch.setattr(data_mod, "SAVE_BLOCK_ROWS", 100)
-    monkeypatch.setattr(data_mod, "_rows_text", failing)
+    monkeypatch.setattr(np.lib.format, "write_array", failing)
     with pytest.raises(OSError):
         save_dataset(inject_uniform(blobs, 0.5, seed=3), str(path))
-    assert len(blocks) == 2
+    assert len(records) == 3
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
-def test_load_rejects_a_long_split_tag(tmp_path, blobs):
-    path = tmp_path / "t.dsv"
-    save_dataset(blobs, str(path))
-    lines = path.read_text().splitlines(keepends=True)
-    row = next(i for i, line in enumerate(lines) if line.endswith(",train\n"))
-    lines[row] = lines[row].replace(",train\n", ",trainee\n")
-    path.write_text("".join(lines))
-    with pytest.raises(ValueError, match="split tags") as err:
-        load_dataset(str(path))
-    assert str(err.value).startswith(str(path))
-
+def test_a_header_of_2_to_the_31_rows_is_refused_before_its_array_is_made(tmp_path):
+    # the header line and the first record's header both claim 2**31 - 1
+    # rows; 24 bytes follow, so the record is refused before an array of
+    # 48 GiB is asked for
+    n = 2**31 - 1
+    path = tmp_path / "big.dsv"
+    with open(path, "wb") as fh:
+        fh.write(json.dumps({"version": 2, "n": n, "d": 3, "c": 2, "provenance": {}},
+                            sort_keys=True).encode() + b"\n")
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (n, 3)})
+        fh.write(bytes(24))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"record x needs {n * 24} bytes, "
+                                             f"the file has 24 left"):
+            load_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

@@ -14,6 +14,7 @@ from metalabel.harness import (
     RunState,
     TrainConfig,
     _Lane,
+    _moments,
     _train,
     baseline_ce,
     build_dataset,
@@ -95,9 +96,10 @@ def test_config_validation_errors():
     ({"weight_decay": math.nan}, "train.weight_decay"),
     ({"weight_decay": -1.0}, "train.weight_decay"),
     ({"lr_schedule": [[0, 1e-2], [6, math.nan]]}, "train.lr_schedule"),
+    ({"seed": -5}, "^seed must be >= 0, got -5$"),
 ], ids=["center_scale-nan", "train_frac-nan", "meta_frac-inf", "test_frac-minus-inf",
         "meta_lr-inf", "inner_lr-nan", "weight_decay-nan", "weight_decay-negative",
-        "lr_schedule-rate-nan"])
+        "lr_schedule-rate-nan", "seed-negative"])
 def test_a_config_value_out_of_range_is_an_error_naming_the_field(change, name):
     with pytest.raises(ConfigError, match=name):
         small_config(**change)
@@ -414,6 +416,17 @@ def test_the_logged_label_drift_is_the_generator_move_over_an_epoch():
     assert row.label_diff_mean > 0 and row.label_diff_var > 0
     assert row.label_diff_mean == pytest.approx(drift.mean(), rel=1e-12, abs=0)
     assert row.label_diff_var == pytest.approx(drift.var(), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rows, classes", [(1, 2), (7, 3), (1000, 4), (4099, 10),
+                                           (50_000, 4)])
+def test_the_drift_moments_have_the_bits_of_mean_and_var(rows, classes):
+    rng = np.random.default_rng(rows)
+    drift = np.abs(rng.normal(size=(rows, classes)) * 10.0 ** rng.integers(-6, 1))
+    mean, var = np.mean(drift), np.var(drift)
+    moments = _moments(drift)
+    assert np.float64(moments[0]).tobytes() == mean.tobytes()
+    assert np.float64(moments[1]).tobytes() == var.tobytes()
 
 
 def test_baseline_is_deterministic_and_tagged():

@@ -13,8 +13,7 @@ directory (so every path an output mentions is relative and equal):
   classifier and the entropy term off; a classifier without hidden layers
 - `train --resume` from a checkpoint written after epoch 2 (the run resumes
   at epoch 3, in phase 2), then `gen-data` and `eval` of that checkpoint, on
-  the written file (whose arrays a tree may read from its sidecar) and on a
-  copy of it without the sidecar (which the tree parses)
+  the written file and on a copy of it in a fresh directory
 - `train --resume` from a checkpoint written after epoch 0, in its own
   directory: the run resumes inside warm-up, takes a cross-entropy epoch on
   the restored classifier and builds the extractor and generator from it
@@ -23,24 +22,20 @@ directory (so every path an output mentions is relative and equal):
   resumes in phase 2 with the whole classifier, or no layer, as extractor
 - a 4-seed `sweep`, at `--jobs 1` and at `--jobs 2`
 - `gradcheck --trials 20`
-- once both trees have run, `eval` of that checkpoint on another copy of the
-  written file, beside which sits the sidecar the *other* tree wrote: a tree
-  reads it, or, where its records differ from the ones the tree writes,
-  parses the text and writes its own
 
 Every file written, and every call's exit status, stdout and stderr, are
 then compared after normalising what is meant to vary between runs: the
 `wall_time` column of metrics CSVs is dropped, the `wall_time` values in
-checkpoint logs read 0 and the `timestamp` in summaries reads "", and the
-dataset sidecars (`.*.parsed`, derived data) are left out. Prints
-one line per differing file and exits 1 on any difference, 0 otherwise.
+checkpoint logs read 0 and the `timestamp` in summaries reads "". Any
+other file, the binary dataset files among them, is compared byte for
+byte. Prints one line per differing file and exits 1 on any difference, 0
+otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import fnmatch
 import io
 import json
 import os
@@ -92,12 +87,11 @@ FLOWS = [
     ["train", "--config", "nohidden.json", "--out", "resume-nohidden", "--resume"],
     ["gen-data", "--config", "uniform.json", "--out", "uniform.dsv"],
     ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "uniform.dsv"],
-    ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "unparsed.dsv"],
+    ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "fresh/uniform.dsv"],
     ["sweep", "--config", "sweep.json", "--out", "sweep-jobs1"],
     ["sweep", "--config", "sweep.json", "--out", "sweep-jobs2", "--jobs", "2"],
     ["gradcheck", "--trials", "20"],
 ]
-CROSSED = ["eval", "--checkpoint", "resume/checkpoint.json", "--dataset", "crossed.dsv"]
 # directory: the config and the epoch the run resumes at
 RESUMES = {"resume": ("uniform.json", 3), "resume-warmup": ("uniform.json", 1),
            "resume-logits": ("logits.json", 3), "resume-nohidden": ("nohidden.json", 3)}
@@ -139,55 +133,36 @@ def run_flows(src: str, work: str) -> None:
             pass
     calls = []
     for argv in FLOWS:
-        if "unparsed.dsv" in argv:
-            shutil.copyfile("uniform.dsv", "unparsed.dsv")  # the text alone
+        if "fresh/uniform.dsv" in argv:
+            os.makedirs("fresh")
+            shutil.copyfile("uniform.dsv", "fresh/uniform.dsv")
         calls.append(_call(cli, argv))
     with open(CALLS, "w", encoding="utf-8") as fh:
         json.dump(calls, fh, indent=1)
 
 
-def run_crossed(src: str, work: str, other: str) -> None:
-    """The CROSSED eval with the package under `src`, inside `work`, on a
-    copy of the file written there beside the sidecar written in `other`;
-    its call is appended to the CALLS record."""
-    sys.path.insert(0, os.path.abspath(src))
-    os.chdir(work)
-    from metalabel import cli
-
-    shutil.copyfile("uniform.dsv", "crossed.dsv")
-    shutil.copyfile(os.path.join(other, ".uniform.dsv.parsed"), ".crossed.dsv.parsed")
-    with open(CALLS, encoding="utf-8") as fh:
-        calls = json.load(fh)
-    calls.append(_call(cli, CROSSED))
-    with open(CALLS, "w", encoding="utf-8") as fh:
-        json.dump(calls, fh, indent=1)
-
-
 def _normalised(path: str) -> list:
-    """A file's comparable content, as a list of lines or rows."""
+    """A file's comparable content, as a list of lines (bytes) or rows."""
     name = os.path.basename(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     if name.endswith(".csv"):
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
         if rows and "wall_time" in rows[0]:
             drop = rows[0].index("wall_time")
             rows = [r[:drop] + r[drop + 1:] for r in rows]
         return rows
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     if name == "checkpoint.json":
-        text = re.sub(r'"wall_time": [^,}]+', '"wall_time": 0', text)
+        data = re.sub(rb'"wall_time": [^,}]+', b'"wall_time": 0', data)
     elif name.endswith("summary.json"):
-        text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+        data = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
     if name == CALLS:
-        return json.load(io.StringIO(text))
-    return text.split("\n")
+        return json.loads(data)
+    return data.split(b"\n")
 
 
 def _files(root: str) -> set[str]:
-    return {os.path.relpath(os.path.join(d, f), root)
-            for d, _, fs in os.walk(root) for f in fs
-            if not fnmatch.fnmatch(f, ".*.parsed")}
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
 
 
 def compare(a: str, b: str) -> list[str]:
@@ -215,17 +190,12 @@ def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--run":
         run_flows(argv[1], argv[2])
         return 0
-    if len(argv) == 4 and argv[0] == "--crossed":
-        run_crossed(*argv[1:])
-        return 0
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         works = [os.path.join(tmp, label) for label in ("parent", "change")]
         runs = [["--run", src, work] for src, work in zip(argv, works)]
-        runs += [["--crossed", src, work, other]
-                 for src, work, other in zip(argv, works, works[::-1])]
         for work in works:
             os.makedirs(work)
         for run in runs:
@@ -234,7 +204,7 @@ def main(argv: list[str]) -> int:
                 print(f"the flows failed to run on {run[1]} (exit {done.returncode})")
                 return 1
         diffs = compare(*works)
-        calls = len(FLOWS) + 1
+        calls = len(FLOWS)
         files = len(_files(works[0]))
     for line in diffs:
         print(line)
